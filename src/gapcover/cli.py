@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands: cover, verify, project, random, batch.  Input and output are
-JSON documents (see README for the schema); exit codes: 0 all certificates
-hold, 1 certification failure, 2 usage or parse error, 3 budget exhausted
-without --allow-skip.
+JSON documents, read by harness.parse_instance and written by the harness
+*_to_json functions; exit codes: 0 all certificates hold, 1 certification
+failure, 2 usage or parse error, 3 budget exhausted without --allow-skip.
 """
 
 from __future__ import annotations

@@ -15,9 +15,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionError
 from .exactalg import Mat, rank
-from .geomcore import ConvexBody, hull_line_extent
-
-DEFAULT_BUDGET = 10**7
+from .geomcore import DEFAULT_BUDGET, ConvexBody, hull_line_extent
 
 IntPoint = tuple[int, ...]
 
@@ -162,8 +160,9 @@ def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
     """Exactly the integer points of the body.
 
     Scans the integer bounding box; membership is exact per representation.
-    Vertex bodies use a line sweep (two exact LPs per scan line) instead of a
-    per-point LP.
+    Vertex bodies use a line sweep instead: their integer facets are computed
+    once (within the same budget) and each scan line's exact extent is read
+    off them.
     """
     bounds = body.int_box_bounds()
     total = _box_scan_count(bounds)
@@ -171,6 +170,7 @@ def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
         raise BudgetError(f"bounding box holds {total} integer points, budget {cap}")
 
     if body.kind == "vertices":
+        body.hull_facets(cap)
         return _enum_vertices_sweep(body, bounds)
     if body.kind == "box":
         # bounds are floors of the halfwidths, so the whole grid is inside
@@ -225,7 +225,7 @@ def _enum_vertices_sweep(body: ConvexBody, bounds: Sequence[int]) -> PointSet:
             continue
         if sum(abs(c) for c in prefix) > l1_cap:
             continue
-        extent = hull_line_extent(body.points, prefix)
+        extent = hull_line_extent(body, prefix)
         if extent is None:
             continue
         lo, hi = extent

@@ -33,15 +33,6 @@ def vec_dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_sub(u: Sequence, v: Sequence) -> Vector:
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(u, v))
-
-
-def vec_scale(u: Sequence, s) -> Vector:
-    s = Fraction(s)
-    return tuple(Fraction(a) * s for a in u)
-
-
 def norm_sq(u: Sequence) -> Fraction:
     return vec_dot(u, u)
 

@@ -2,7 +2,10 @@
 
 Floating point is allowed internally (Khachiyan iteration, eigenvectors) but
 every claim consumed downstream is re-established in exact rational
-arithmetic: point membership, slab containment, determinants.
+arithmetic: point membership, slab containment, determinants.  A vertex body
+is described exactly by integer rows |N.x| <= D (its facets, and with D = 0
+the equalities of its span), computed once per body; membership and the
+enumeration's line extents are read off those rows.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _simplex
 from .errors import (
+    BudgetError,
     CertificationError,
     ConvergenceError,
     DimensionError,
@@ -24,14 +27,17 @@ from .errors import (
 from .exactalg import (
     Mat,
     Vector,
+    _int_det,
     as_vector,
     det,
     floor_sqrt,
     inverse,
     rank,
+    rational_kernel,
     vec_dot,
 )
 
+DEFAULT_BUDGET = 10**7  # lattice points, or facet candidates, one call may visit
 MVEE_MAX_ITER = 100_000
 MVEE_DEFAULT_EPS = Fraction(1, 100)
 _RATIONALIZE_DEN_CAP = 10**9  # well under the 2**48 coefficient-growth cap
@@ -91,10 +97,6 @@ class Ellipsoid:
         """Per-axis integer bounds: floor of the exact axis extents."""
         return tuple(floor_sqrt(self.inv_form.entries[j][j]) for j in range(self.dim))
 
-    def scaled(self, t) -> "Ellipsoid":
-        t = Fraction(t)
-        return Ellipsoid(self.form.scale(1 / (t * t)))
-
 
 class ConvexBody:
     """Symmetric convex body: vertex hull, ellipsoid, or axis-aligned box.
@@ -103,7 +105,7 @@ class ConvexBody:
     pair is enough.
     """
 
-    __slots__ = ("kind", "dim", "points", "ellipsoid_rep", "halfwidths", "_int_form")
+    __slots__ = ("kind", "dim", "points", "ellipsoid_rep", "halfwidths", "_int_form", "_facets")
 
     KINDS = ("vertices", "ellipsoid", "box")
 
@@ -118,6 +120,7 @@ class ConvexBody:
         object.__setattr__(self, "ellipsoid_rep", ellipsoid_rep)
         object.__setattr__(self, "halfwidths", halfwidths)
         object.__setattr__(self, "_int_form", None)
+        object.__setattr__(self, "_facets", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ConvexBody is immutable")
@@ -185,6 +188,18 @@ class ConvexBody:
             object.__setattr__(self, "_int_form", (n_rows, den))
         return self._int_form
 
+    def hull_facets(self, cap: int = DEFAULT_BUDGET) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Exact H-representation of a vertex body, computed on first use:
+        integer rows (N, D) with x inside iff |N.x| <= D for every row; the
+        rows with D = 0 are the equalities of the body's span.  The first
+        call raises BudgetError, before any work, when the facet search has
+        more than cap candidates; later calls return the stored rows."""
+        if self.kind != "vertices":
+            raise DimensionError("only vertex bodies have a facet description")
+        if self._facets is None:
+            object.__setattr__(self, "_facets", _hull_facets(self.points, cap))
+        return self._facets
+
     def contains(self, x: Sequence) -> bool:
         """Exact membership; boundary points count as inside."""
         v = as_vector(x)
@@ -194,7 +209,7 @@ class ConvexBody:
             return all(abs(a) <= h for a, h in zip(v, self.halfwidths))
         if self.kind == "ellipsoid":
             return self.ellipsoid_rep.contains(v)
-        return _hull_contains(self.points, v)
+        return all(abs(vec_dot(normal, v)) <= bound for normal, bound in self.hull_facets())
 
     def contains_int_point(self, x: Sequence[int]) -> bool:
         """Fast path for integer points (same answer as .contains)."""
@@ -211,54 +226,90 @@ class ConvexBody:
         return self.contains(x)
 
 
-def _hull_contains(points: Sequence[Vector], x: Vector) -> bool:
-    # feasibility of x = sum a_i v_i with sum |a_i| <= 1, via exact simplex
-    n = len(points)
-    d = len(x)
-    rows = []
+def _primitive(row: Sequence[int]) -> tuple[int, ...]:
+    g = math.gcd(*row) or 1
+    return tuple(c // g for c in row)
+
+
+def _hull_facets(points: Sequence[Vector], cap: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Exact H-representation of conv(±points) in integers.
+
+    With den the lcm of the denominators and W = den * points, let r be the
+    rank of W and J r coordinates on which W has rank r.  Every facet of
+    conv(±W) within span(W) contains r independent points of ±W, so its
+    normal (supported on J) solves s_i w_i[J] . a = D for an r-subset of W
+    and signs s; Cramer's rule in integers gives a and D = |det|.  Taking
+    s_1 = +1 keeps one of each ±a pair: C(n, r) * 2^(r-1) candidates, each
+    kept when |a . w| <= D for every w.  An integer basis e of the kernel
+    of W comes first, as rows |e . x| <= 0.
+    """
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    w = [tuple(int(c * den) for c in p) for p in points]
+    n, d = len(w), len(w[0])
+    cols: list[int] = []
     for j in range(d):
-        row = [points[i][j] for i in range(n)] + [-points[i][j] for i in range(n)] + [Fraction(0)]
-        rows.append(row)
-    rows.append([Fraction(1)] * (2 * n) + [Fraction(1)])
-    rhs = list(x) + [Fraction(1)]
-    costs = [Fraction(0)] * (2 * n + 1)
-    status, _, _ = _simplex.solve_lp(costs, rows, rhs)
-    return status == _simplex.FEASIBLE
-
-
-def hull_line_extent(points: Sequence[Vector], prefix: Sequence) -> tuple[Fraction, Fraction] | None:
-    """Exact extent {t : (prefix, t) in conv(±points)}; None when the line
-    misses the hull.  Used by the enumeration line sweep."""
-    n = len(points)
-    d = len(points[0])
-    if len(prefix) != d - 1:
-        raise DimensionError("prefix must fix all but the last coordinate")
-    # vars: pos(n), neg(n), slack, t+, t-
-    width = 2 * n + 3
-    rows = []
-    rhs = []
-    for j in range(d - 1):
-        rows.append(
-            [points[i][j] for i in range(n)]
-            + [-points[i][j] for i in range(n)]
-            + [Fraction(0)] * 3
+        if rank(Mat([[p[c] for c in cols + [j]] for p in w])) > len(cols):
+            cols.append(j)
+    r = len(cols)
+    candidates = math.comb(n, r) << (r - 1) if r else 0
+    if candidates > cap:
+        raise BudgetError(
+            f"facet stage: {candidates} candidate hyperplanes "
+            f"(C({n}, {r}) * 2^{r - 1}), budget {cap}"
         )
-        rhs.append(Fraction(prefix[j]))
-    last = (
-        [points[i][d - 1] for i in range(n)]
-        + [-points[i][d - 1] for i in range(n)]
-        + [Fraction(0), Fraction(-1), Fraction(1)]
-    )
-    rows.append(last)
-    rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * (2 * n) + [Fraction(1), Fraction(0), Fraction(0)])
-    rhs.append(Fraction(1))
+    rows: dict[tuple, None] = {}
+    for e in rational_kernel(Mat(w)):
+        e_den = math.lcm(*(c.denominator for c in e))
+        rows[_primitive([int(c * e_den) for c in e]) + (0,)] = None
+    proj = [tuple(p[c] for c in cols) for p in w]
+    for subset in itertools.combinations(proj, r) if r else ():
+        d0 = _int_det(subset)
+        if d0 == 0:
+            continue
+        sgn = 1 if d0 > 0 else -1
+        for tail in itertools.product((1, -1), repeat=r - 1):
+            s = (1,) + tail
+            a = [
+                sgn * _int_det([row[:j] + (si,) + row[j + 1 :] for row, si in zip(subset, s)])
+                for j in range(r)
+            ]
+            if any(abs(sum(x * y for x, y in zip(a, p))) > abs(d0) for p in proj):
+                continue
+            # |a . (den x)| <= |d0| on the coordinates J
+            normal = [0] * d
+            for j, c in zip(cols, a):
+                normal[j] = den * c
+            row = _primitive(normal + [abs(d0)])
+            if next(c for c in row if c) < 0:
+                row = tuple(-c for c in row[:-1]) + row[-1:]
+            rows[row] = None
+    return tuple((row[:-1], row[-1]) for row in rows)
 
-    cost = [Fraction(0)] * (2 * n + 1) + [Fraction(1), Fraction(-1)]
-    status, lo, hi = _simplex.solve_lp_minmax(cost, rows, rhs)
-    if status != _simplex.FEASIBLE:
+
+def hull_line_extent(body: ConvexBody, prefix: Sequence) -> tuple[Fraction, Fraction] | None:
+    """Exact extent {t : (prefix, t) in body} of a vertex body; None when
+    the line misses it.  Each row |N.x| <= D of the body cuts the line to an
+    interval, compared exactly as integer fractions.  Used once per scan
+    line by the enumeration sweep."""
+    if len(prefix) != body.dim - 1:
+        raise DimensionError("prefix must fix all but the last coordinate")
+    lo = hi = None  # (numerator, positive denominator)
+    for normal, bound in body.hull_facets():
+        s = sum(a * b for a, b in zip(normal, prefix))
+        c = normal[-1]
+        if c == 0:
+            if abs(s) > bound:
+                return None
+            continue
+        if c < 0:
+            s, c = -s, -c
+        if lo is None or (-bound - s) * lo[1] > lo[0] * c:
+            lo = (-bound - s, c)
+        if hi is None or (bound - s) * hi[1] < hi[0] * c:
+            hi = (bound - s, c)
+    if lo[0] * hi[1] > hi[0] * lo[1]:
         return None
-    return lo, hi
+    return Fraction(*lo), Fraction(*hi)
 
 
 class Parallelotope:

@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
 )
 from .exactalg import Mat, det, rank
-from .geomcore import ConvexBody, Ellipsoid
+from .geomcore import MVEE_DEFAULT_EPS, ConvexBody, Ellipsoid
 from .errors import DimensionError, RankError
 
 EXIT_OK = 0
@@ -80,7 +80,7 @@ class SplitMix64:
 class InstanceSpec:
     dim: int
     body: ConvexBody
-    eps: Fraction = Fraction(1, 100)
+    eps: Fraction = MVEE_DEFAULT_EPS
     phi: tuple[int, ...] | None = None
     budget: int = DEFAULT_BUDGET
     gap: Gap | None = None
@@ -89,7 +89,7 @@ class InstanceSpec:
 
     def to_json_dict(self) -> dict:
         doc = {"dim": self.dim, "body": _body_to_json(self.body)}
-        if self.eps != Fraction(1, 100):
+        if self.eps != MVEE_DEFAULT_EPS:
             doc["eps"] = rat_to_json(self.eps)
         if self.phi is not None:
             doc["phi"] = list(self.phi)
@@ -256,7 +256,7 @@ def parse_instance(doc) -> InstanceSpec:
         raise ParseError("body", "missing")
     body = _parse_body(doc["body"], dim, "body")
 
-    eps = Fraction(1, 100)
+    eps = MVEE_DEFAULT_EPS
     if "eps" in doc:
         eps = _parse_rat(doc["eps"], "eps")
         if not 0 < eps < 1:

@@ -99,3 +99,52 @@ def shortest_basis_2d(rows, coeff_bound=4):
         if first[2][0] * m[1] - first[2][1] * m[0] != 0:
             return first[0], q
     raise AssertionError("no independent pair found")
+
+
+def _unique_solution(cols, rhs):
+    """The unique y with sum_j y_j cols[j] == rhs, by exact Gauss-Jordan
+    elimination; None when the columns are dependent or rhs is outside
+    their span."""
+    k, m = len(cols), len(rhs)
+    rows = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(rhs[i])] for i in range(m)]
+    for c in range(k):
+        pr = next((i for i in range(c, m) if rows[i][c] != 0), None)
+        if pr is None:
+            return None
+        rows[c], rows[pr] = rows[pr], rows[c]
+        piv = rows[c][c]
+        rows[c] = [x / piv for x in rows[c]]
+        for i in range(m):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    if any(rows[i][k] != 0 for i in range(k, m)):
+        return None
+    return [rows[i][k] for i in range(k)]
+
+
+def in_vertex_hull(vertices, x):
+    """x in conv(±vertices), by Carathéodory's theorem: x is a convex
+    combination of some affinely independent subset S of ±vertices.  For
+    each S the barycentric coordinates (the unique solution of
+    sum l_s (s, 1) = (x, 1)) are solved exactly and must be nonnegative."""
+    sym = sorted(
+        {tuple(Fraction(c) for c in v) for v in vertices}
+        | {tuple(-Fraction(c) for c in v) for v in vertices}
+    )
+    lifted_x = tuple(x) + (1,)
+    for size in range(1, len(x) + 2):
+        for subset in itertools.combinations(sym, size):
+            lam = _unique_solution([s + (1,) for s in subset], lifted_x)
+            if lam is not None and all(c >= 0 for c in lam):
+                return True
+    return False
+
+
+def vertex_hull_lattice_points(vertices):
+    """Sorted integer points of conv(±vertices): the box of the largest
+    absolute coordinates, filtered by in_vertex_hull."""
+    d = len(vertices[0])
+    bounds = [math.floor(max(abs(Fraction(v[j])) for v in vertices)) for j in range(d)]
+    box = itertools.product(*(range(-b, b + 1) for b in bounds))
+    return [p for p in box if in_vertex_hull(vertices, p)]

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,17 @@ from gapcover.cover import (
 from gapcover.enumeration import Gap, enum_body, enum_gap
 from gapcover.exactalg import Mat, det
 from gapcover.geomcore import ConvexBody, Ellipsoid
+
+from _oracles import brute_disk_points
+
+
+def _brute_gap_points(gap):
+    """The progression's points, by summing every coefficient choice."""
+    ranges = [range(-n, n + 1) for n in gap.halfsides]
+    return {
+        tuple(b + sum(m * v[j] for m, v in zip(ms, gap.diffs)) for j, b in enumerate(gap.base))
+        for ms in itertools.product(*ranges)
+    }
 
 
 def disk(radius_sq, dim=2):
@@ -154,6 +166,24 @@ class TestVerifyCover:
         assert w is not None
         assert w[0] ** 2 + w[1] ** 2 <= 4  # witness is a body point
         assert max(abs(w[0]), abs(w[1])) > 1  # outside the 3x3 grid
+
+    def test_dependent_differences_true_claim(self):
+        # e1, e2 and the redundant e1 + e2 with half-sides (3, 3, 1) cover
+        # the disk of radius 3
+        gap = Gap(2, (0, 0), ((1, 0), (0, 1), (1, 1)), (3, 3, 1))
+        report = verify_cover(disk(9), gap)
+        assert report.contained and report.witness is None
+        assert report.cardinality_C == len(brute_disk_points(9, 3))
+        assert report.cardinality_P == len(_brute_gap_points(gap))
+
+    def test_dependent_differences_false_claim(self):
+        gap = Gap(2, (0, 0), ((1, 0), (0, 1), (1, 1)), (1, 3, 1))
+        report = verify_cover(disk(9), gap)
+        listed = _brute_gap_points(gap)
+        assert not report.contained
+        assert report.witness == next(p for p in brute_disk_points(9, 3) if p not in listed)
+        assert report.witness == (-3, 0)
+        assert report.cardinality_P == len(listed)
 
     def test_origin_gap(self):
         body = ConvexBody.box([Fraction(1, 3)])

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gapcover import enumeration
 from gapcover.errors import BudgetError, DimensionError
 from gapcover.enumeration import (
     Gap,
@@ -16,7 +17,32 @@ from gapcover.enumeration import (
 from gapcover.exactalg import Mat
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
-from _oracles import brute_disk_points
+from _oracles import brute_disk_points, vertex_hull_lattice_points
+
+
+def _rationals(bound):
+    """Fractions n/q in [-bound, bound] with q in {1, 2, 3}."""
+    return st.sampled_from((1, 2, 3)).flatmap(
+        lambda q: st.integers(-bound * q, bound * q).map(lambda n: Fraction(n, q))
+    )
+
+
+def _points(dim, bound):
+    return st.lists(st.tuples(*[_rationals(bound)] * dim), min_size=1, max_size=3)
+
+
+@st.composite
+def _flat_3d(draw):
+    """1 to 3 points a*u + b*v in Z^3 with b = 0 for collinear draws: rank <= 2."""
+    unit = st.tuples(*[st.integers(-1, 1)] * 3)
+    u, v = draw(unit), draw(unit)
+    coeff = st.sampled_from([Fraction(k, 2) for k in range(-2, 3)])
+    collinear = draw(st.booleans())
+    pts = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b = draw(coeff), (0 if collinear else draw(coeff))
+        pts.append(tuple(a * x + b * y for x, y in zip(u, v)))
+    return pts
 
 
 def disk(radius_sq, dim=2):
@@ -55,6 +81,12 @@ class TestEnumBody:
         ]
         assert pts.points == tuple(sorted(expected))
 
+    @given(st.one_of(_points(2, 3), _points(3, 2), _flat_3d()))
+    @settings(max_examples=30, deadline=None)
+    def test_vertex_hull_matches_caratheodory_oracle(self, vertices):
+        pts = enum_body(ConvexBody.vertices(vertices))
+        assert list(pts.points) == vertex_hull_lattice_points(vertices)
+
     def test_vertex_hull_1d(self):
         pts = enum_body(ConvexBody.vertices([(3,)]))
         assert pts.points == tuple((t,) for t in range(-3, 4))
@@ -62,6 +94,25 @@ class TestEnumBody:
     def test_budget(self):
         with pytest.raises(BudgetError):
             enum_body(ConvexBody.box([100, 100, 100]), cap=1000)
+
+    def test_facet_budget_before_sweep(self, monkeypatch):
+        # the 5x5x3 box fits the budget, the 4 * C(20, 3) = 4560 facet
+        # candidates do not
+        pts = [(a, b, c) for a in (0, 1, 2) for b in (-1, 0, 1, 2) for c in (-1, 1)][:20]
+        lines = []
+        monkeypatch.setattr(enumeration, "hull_line_extent", lambda *a: lines.append(a))
+        with pytest.raises(BudgetError, match="facet stage"):
+            enum_body(ConvexBody.vertices(pts), cap=1000)
+        assert lines == []
+
+    def test_collinear_and_coplanar_3d(self):
+        line = enum_body(ConvexBody.vertices([(2, 4, 6)]))
+        assert line.points == tuple((t, 2 * t, 3 * t) for t in range(-2, 3))
+        # the hexagon conv(±{(1,0), (0,1), (1,1)}) lifted to the plane z = 0
+        flat = enum_body(ConvexBody.vertices([(1, 0), (0, 1), (1, 1)]))
+        plane = enum_body(ConvexBody.vertices([(1, 0, 0), (0, 1, 0), (1, 1, 0)]))
+        assert len(flat) == 7
+        assert plane.points == tuple(p + (0,) for p in flat.points)
 
     def test_monotone(self):
         small = enum_body(disk(4))

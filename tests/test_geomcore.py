@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcover.errors import DimensionError, RankError
+from gapcover.errors import BudgetError, DimensionError, RankError
 from gapcover.exactalg import Mat
 from gapcover.geomcore import (
     ConvexBody,
@@ -174,13 +174,62 @@ class TestBodiesAndMembership:
         assert contains_point(b, (-2, -1))
 
     def test_line_extent(self):
-        pts = [(Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))]
-        ext = hull_line_extent(pts, (0,))
+        body = ConvexBody.vertices([(Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))])
+        ext = hull_line_extent(body, (0,))
         assert ext is not None
         lo, hi = ext
         # x=0 slice of conv(±{(2,1),(1,2)}): segment between (0,-1) and (0,1)
         assert lo == -1 and hi == 1
-        assert hull_line_extent(pts, (3,)) is None
+        assert hull_line_extent(body, (3,)) is None
+
+    def test_line_extent_segment(self):
+        # conv(±(2, 2)) is the diagonal from (-2, -2) to (2, 2)
+        body = ConvexBody.vertices([(2, 2)])
+        for x in range(-2, 3):
+            assert hull_line_extent(body, (x,)) == (x, x)
+        assert hull_line_extent(body, (Fraction(1, 2),)) == (Fraction(1, 2), Fraction(1, 2))
+        assert hull_line_extent(body, (3,)) is None
+        assert contains_point(body, (1, 1))
+        assert not contains_point(body, (1, 0))
+
+    def test_line_extent_1d(self):
+        body = ConvexBody.vertices([(3,)])
+        assert hull_line_extent(body, ()) == (-3, 3)
+        assert contains_point(body, (3,))
+        assert not contains_point(body, (Fraction(7, 2),))
+
+    def test_zero_vertex(self):
+        body = ConvexBody.vertices([(0, 0)])
+        assert hull_line_extent(body, (0,)) == (0, 0)
+        assert hull_line_extent(body, (1,)) is None
+        assert contains_point(body, (0, 0))
+        assert not contains_point(body, (0, Fraction(1, 5)))
+
+    def test_collinear_3d(self):
+        # all three points lie on the line through (1, 2, 3)
+        body = ConvexBody.vertices([(1, 2, 3), (2, 4, 6), (Fraction(1, 2), 1, Fraction(3, 2))])
+        assert hull_line_extent(body, (1, 2)) == (3, 3)
+        assert hull_line_extent(body, (1, 1)) is None
+        assert hull_line_extent(body, (3, 6)) is None
+        assert contains_point(body, (-2, -4, -6))
+        assert not contains_point(body, (1, 2, 4))
+
+    def test_coplanar_3d(self):
+        # a hexagon in the plane z = x + y
+        body = ConvexBody.vertices([(1, 0, 1), (0, 1, 1), (1, -1, 0)])
+        assert hull_line_extent(body, (1, 0)) == (1, 1)
+        assert hull_line_extent(body, (1, 1)) is None
+        assert contains_point(body, (Fraction(1, 2), Fraction(1, 2), 1))
+        assert not contains_point(body, (Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)))
+        assert not contains_point(body, (1, 1, 2))
+
+    def test_facet_budget(self):
+        # 12 points of rank 3: C(12, 3) * 2^2 = 880 facet candidates
+        pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1),
+               (1, -1, 0), (1, 0, -1), (0, 1, -1), (1, 1, 1), (1, -1, 1), (1, 1, -1)]
+        with pytest.raises(BudgetError, match="facet stage: 880 candidate"):
+            ConvexBody.vertices(pts).hull_facets(cap=879)
+        assert ConvexBody.vertices(pts).hull_facets(cap=880)
 
     def test_spanning_points_box(self):
         b = ConvexBody.box([1, 2])
