@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .enumeration import DEFAULT_BUDGET, Gap, PointSet, enum_body, enum_gap, project_count, subset_check
-from .errors import BudgetError, CertificationError, RankError
+from .errors import BudgetError, CertificationError, DimensionError, RankError
 from .exactalg import (
     Mat,
     UnimodularMat,
@@ -117,6 +117,13 @@ class CoverReport:
 
 @dataclass(frozen=True)
 class ProjectionReport:
+    """Counts of C, P and P+P under a functional (see verify_projection).
+
+    ``sumset_cardinality`` and ``doubling_ok`` are None only when
+    ``degraded``: P has dependent differences and P+P lists more points than
+    the budget, so the chain is checked by the membership-based bound.
+    """
+
     functional: tuple[int, ...]
     image_count_C: int
     image_count_P: int
@@ -238,12 +245,13 @@ def gap_membership_tester(gap: Gap) -> Callable[[Sequence[int]], bool]:
     """Exact membership test built from the progression alone (independent of
     any pipeline state): solve for the coefficient vector, require it integer
     and within the half-side bounds."""
-    if gap.order == 0:
-        base = gap.base
+    base = gap.base
+    # a difference with half-side 0 only ever takes coefficient 0
+    active = [(v, n) for v, n in zip(gap.diffs, gap.halfsides) if n >= 1]
+    if not active:
         return lambda p: tuple(p) == base
     w = Mat.from_columns(gap.diffs)
     halfsides = gap.halfsides
-    base = gap.base
 
     if w.is_square() and abs(det(w)) == 1:
         # unimodular differences: the inverse is integral, test in pure ints
@@ -261,14 +269,17 @@ def gap_membership_tester(gap: Gap) -> Callable[[Sequence[int]], bool]:
 
         return member_int
 
-    solve = _column_solver(w)
+    # solve over the active differences only: the inactive ones may depend
+    # on them, which diffs_independent allows
+    solve = _column_solver(Mat.from_columns(v for v, _ in active))
+    active_halfsides = [n for _, n in active]
 
     def member(p: Sequence[int]) -> bool:
         x = as_vector(tuple(int(a) - b for a, b in zip(p, base)))
         y = solve(x)
         if y is None:
             return False
-        for c, n in zip(y, halfsides):
+        for c, n in zip(y, active_halfsides):
             if c.denominator != 1 or abs(c) > n:
                 return False
         return True
@@ -484,27 +495,67 @@ def verify_projection(
 
     Checks #phi(P) * m' <= #(P+P), #(P+P) * m <= 2^order * #P * m', the
     doubling fact #(P+P) <= 2^order * #P, and the covering corollary
-    #phi(P) <= bound * #phi(C).  When P+P exceeds the budget the report
-    degrades to the membership-based bound #phi(P) * m <= 2^order * #P.
+    #phi(P) <= bound * #phi(C), where m and m' are the largest fibres of phi
+    on C and on P.  C is always listed.
+
+    When the differences with half-side >= 1 are independent
+    (``gap.diffs_independent()``), P and P+P are proper and nothing of them
+    is listed: #P = prod(2 n_i + 1), #(P+P) = prod(4 n_i + 1), and the fibre
+    sizes of phi on P are the coefficients of
+    prod_i (x^(-n_i c_i) + ... + x^(n_i c_i)), c_i = phi(d_i), convolved
+    exactly in Python ints.  ``cap`` then bounds that convolution:
+    min(#P, 1 + sum 2 n_i |c_i|) * sum (2 n_i + 1) steps, checked before any
+    work starts (C included), and BudgetError names the projection stage.
+
+    Otherwise P and P+P are listed, ``cap`` bounds each listing, and when
+    P+P exceeds it the report is ``degraded`` to the membership-based bound
+    #phi(P) * m <= 2^order * #P; only dependent differences can degrade.
     """
     phi = tuple(int(c) for c in phi)
+    if len(phi) != gap.dim:
+        raise DimensionError(f"functional has {len(phi)} coefficients, progression {gap.dim}")
+    order = gap.order
+    proper = gap.diffs_independent()
+    if proper:
+        steps = [
+            (sum(a * b for a, b in zip(phi, v)), n)
+            for v, n in zip(gap.diffs, gap.halfsides)
+            if n >= 1
+        ]
+        support = min(gap.listed_cardinality(), 1 + sum(2 * n * abs(c) for c, n in steps))
+        work = support * sum(2 * n + 1 for _, n in steps)
+        if work > cap:
+            raise BudgetError(
+                f"projection stage: convolving the image of P takes up to {work} steps, budget {cap}"
+            )
+
     c_points = enum_body(body, cap)
     img_c, fiber_c = project_count(c_points, phi)
 
-    p_points = enum_gap(gap, cap)
-    img_p, fiber_p = project_count(p_points, phi)
-    card_p = len(p_points)
-    order = gap.order
-
-    sumset_card = None
-    doubling_ok = None
     degraded = False
-    try:
-        sumset = enum_gap(gap.doubled(), cap)
-        sumset_card = len(sumset)
-    except BudgetError:
-        degraded = True
+    if proper:
+        fibres = {0: 1}
+        for c, n in steps:
+            nxt: dict[int, int] = {}
+            for value, count in fibres.items():
+                for m in range(-n, n + 1):
+                    key = value + m * c
+                    nxt[key] = nxt.get(key, 0) + count
+            fibres = nxt
+        img_p, fiber_p = len(fibres), max(fibres.values())
+        card_p = gap.listed_cardinality()
+        sumset_card = gap.doubled().listed_cardinality()
+    else:
+        p_points = enum_gap(gap, cap)
+        img_p, fiber_p = project_count(p_points, phi)
+        card_p = len(p_points)
+        try:
+            sumset_card = len(enum_gap(gap.doubled(), cap))
+        except BudgetError:
+            sumset_card = None
+            degraded = True
 
+    doubling_ok = None
     fiber_monotone = fiber_p >= fiber_c
     if not degraded:
         chain_ok = (

@@ -148,3 +148,59 @@ def vertex_hull_lattice_points(vertices):
     bounds = [math.floor(max(abs(Fraction(v[j])) for v in vertices)) for j in range(d)]
     box = itertools.product(*(range(-b, b + 1) for b in bounds))
     return [p for p in box if in_vertex_hull(vertices, p)]
+
+
+def enumerated_projection(c_points, gap, phi, cap):
+    """The fields of a projection report, by listing P and P+P point by
+    point and counting the fibres of phi on C and on P with a dict.
+
+    ``c_points`` are the lattice points C of a body in dimension len(phi);
+    ``gap`` is read only for its base, differences and half-sides.  When P+P
+    lists more than ``cap`` coefficient vectors its count is dropped and the
+    chain falls back to #phi(P) * m <= 2^order * #P (``degraded``)."""
+
+    def listed(base, halfsides):
+        ranges = [range(-n, n + 1) for n in halfsides]
+        return {
+            tuple(b + sum(m * v[j] for m, v in zip(ms, gap.diffs)) for j, b in enumerate(base))
+            for ms in itertools.product(*ranges)
+        }
+
+    def fibres(points):
+        counts = {}
+        for p in points:
+            value = sum(a * x for a, x in zip(phi, p))
+            counts[value] = counts.get(value, 0) + 1
+        return len(counts), max(counts.values(), default=0)
+
+    img_c, fiber_c = fibres(c_points)
+    p_points = listed(gap.base, gap.halfsides)
+    img_p, fiber_p = fibres(p_points)
+    card_p = len(p_points)
+    order = len(gap.diffs)
+    sumset_card = None
+    if math.prod(4 * n + 1 for n in gap.halfsides) <= cap:
+        sumset_card = len(listed([2 * b for b in gap.base], [2 * n for n in gap.halfsides]))
+    degraded = sumset_card is None
+    if degraded:
+        chain_ok = img_p * fiber_c <= 2**order * card_p
+    else:
+        chain_ok = (
+            img_p * fiber_p <= sumset_card
+            and sumset_card * fiber_c <= 2**order * card_p * fiber_p
+        )
+    d = max(len(phi), 1)
+    return {
+        "functional": tuple(phi),
+        "image_count_C": img_c,
+        "image_count_P": img_p,
+        "max_fiber_C": fiber_c,
+        "max_fiber_P": fiber_p,
+        "cardinality_P": card_p,
+        "sumset_cardinality": sumset_card,
+        "doubling_ok": None if degraded else sumset_card <= 2**order * card_p,
+        "fiber_monotone": fiber_p >= fiber_c,
+        "chain_ok": chain_ok,
+        "corollary_ok": img_p <= d ** (3 * d) * max(img_c, 1),
+        "degraded": degraded,
+    }

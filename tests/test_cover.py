@@ -1,7 +1,10 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gapcover.cover import (
     cover,
@@ -13,10 +16,11 @@ from gapcover.cover import (
     verify_projection,
 )
 from gapcover.enumeration import Gap, enum_body, enum_gap
+from gapcover.errors import BudgetError
 from gapcover.exactalg import Mat, det
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
-from _oracles import brute_disk_points
+from _oracles import brute_disk_points, enumerated_projection
 
 
 def _brute_gap_points(gap):
@@ -185,6 +189,13 @@ class TestVerifyCover:
         assert report.witness == (-3, 0)
         assert report.cardinality_P == len(listed)
 
+    def test_inactive_dependent_difference(self):
+        # (2, 0) depends on (1, 0) but has half-side 0, so it never moves P
+        gap = Gap(2, (0, 0), ((1, 0), (2, 0)), (3, 0))
+        report = verify_cover(ConvexBody.box([2, 0]), gap)
+        assert report.contained and report.witness is None
+        assert report.cardinality_P == 7
+
     def test_origin_gap(self):
         body = ConvexBody.box([Fraction(1, 3)])
         gap = Gap(1, (0,), (), ())
@@ -229,6 +240,73 @@ class TestVerifyProjection:
             assert rep.corollary_ok
             assert rep.fiber_monotone
             assert rep.doubling_ok
+
+
+@st.composite
+def projection_cases(draw):
+    """(box half-widths, gap, phi): orders 1..4 in dims 1..4, half-sides
+    0..3, a nonzero base, and sometimes a difference that depends on the
+    first two."""
+    dim = draw(st.integers(1, 4))
+    order = draw(st.integers(1, 4))
+    coord = st.integers(-3, 3)
+    diffs = [tuple(draw(coord) for _ in range(dim)) for _ in range(order)]
+    if order >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        diffs[-1] = tuple(a * x + b * y for x, y in zip(diffs[0], diffs[1]))
+    halfsides = tuple(draw(st.integers(0, 3)) for _ in range(order))
+    base = draw(st.tuples(*[st.integers(-5, 5)] * dim).filter(any))
+    phi = tuple(draw(coord) for _ in range(dim))
+    box = [draw(st.integers(0, 2)) for _ in range(dim)]
+    return box, Gap(dim, base, diffs, halfsides), phi
+
+
+class TestProjectionAgainstListing:
+    @given(projection_cases())
+    @settings(max_examples=60, deadline=None)
+    # phi(d_1) = 0 with half-side 2
+    @example(([1, 2], Gap(2, (1, 0), ((1, -1), (0, 1)), (2, 1)), (1, 1)))
+    # negative phi(d_i), half-side 0, order 2 in dim 4
+    @example(([1, 0, 1, 2], Gap(4, (0, 0, 3, 0), ((1, 2, 0, 0), (0, 0, 0, 1)), (3, 0)), (-2, 0, 1, -1)))
+    # dependent: d_3 = d_1 - d_2, listed
+    @example(([2, 2], Gap(2, (-1, 2), ((1, 0), (0, 1), (1, -1)), (2, 1, 1)), (3, -1)))
+    def test_matches_enumerated_report(self, case):
+        box, gap, phi = case
+        body = ConvexBody.box(box)
+        c_points = list(itertools.product(*(range(-b, b + 1) for b in box)))
+        rep = verify_projection(body, gap, phi)
+        assert dataclasses.asdict(rep) == enumerated_projection(c_points, gap, phi, 10**7)
+
+
+class TestProjectionClosedForm:
+    def test_independent_gap_lists_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a progression was listed")
+
+        monkeypatch.setattr("gapcover.cover.enum_gap", refuse)
+        gap = Gap(2, (1, -1), ((1, 0), (1, 1)), (2, 3))
+        rep = verify_projection(disk(4), gap, (2, -1))
+        assert rep.cardinality_P == 5 * 7
+        assert rep.sumset_cardinality == 9 * 13
+        assert not rep.degraded
+
+    def test_sumset_above_budget_not_degraded(self):
+        # #C = 25 <= cap = 50 < #(P+P) = 81; the convolution bound is
+        # min(25, 1 + 4) * (5 + 5) = 50 steps
+        gap = Gap(2, (0, 0), ((1, 0), (0, 1)), (2, 2))
+        rep = verify_projection(ConvexBody.box([2, 2]), gap, (1, 0), cap=50)
+        assert not rep.degraded
+        assert rep.sumset_cardinality == 9 * 9
+        assert rep.doubling_ok and rep.chain_ok
+
+    def test_budget_raised_before_any_work(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("C was enumerated")
+
+        monkeypatch.setattr("gapcover.cover.enum_body", refuse)
+        gap = Gap(1, (0,), ((1,),), (10,))  # min(21, 21) * 21 = 441 steps
+        with pytest.raises(BudgetError, match=r"projection stage.* 441 steps, budget 100"):
+            verify_projection(ConvexBody.box([3]), gap, (1,), cap=100)
 
 
 class TestStageChain:
