@@ -138,7 +138,7 @@ def _cmd_project(args) -> int:
     if len(phi) != spec.dim:
         raise ParseError("phi", f"expected {spec.dim} coefficients")
     gap, report = cover(spec.body, spec.eps, spec.budget)
-    prep = verify_projection(spec.body, gap, phi, spec.budget)
+    prep = verify_projection(report.lattice_points, gap, phi, spec.budget)
     doc = {
         "instance": spec.to_json_dict(),
         "gap": gap_to_json(gap),

@@ -2,8 +2,10 @@
 
 Given a centrally symmetric convex body, produce a generalized arithmetic
 progression containing every lattice point of the body, certify the
-containment point by point against the enumeration oracle, and measure the
-covering ratio.  The stages:
+containment point by point with a membership test built from the
+progression alone, and measure the covering ratio.  The body's lattice
+points C are listed once per instance; the certification and the projection
+check both take that listing.  The stages:
 
 1. enclosing ellipsoid of the body (exact for ellipsoid bodies, certified
    Khachiyan output otherwise),
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -32,7 +34,6 @@ from .enumeration import DEFAULT_BUDGET, Gap, PointSet, enum_body, enum_gap, pro
 from .errors import BudgetError, CertificationError, DimensionError, RankError
 from .exactalg import (
     Mat,
-    UnimodularMat,
     as_vector,
     det,
     inverse,
@@ -81,7 +82,6 @@ class SubspaceReduction:
     embed: Mat | None
     body: ConvexBody | None
     ambient_points: PointSet
-    reduced_points: tuple[tuple[int, ...], ...]
 
     @property
     def is_identity(self) -> bool:
@@ -104,6 +104,10 @@ class StageDiagnostics:
 
 @dataclass(frozen=True)
 class CoverReport:
+    """Outcome of certifying C ⊆ P.  ``lattice_points`` is the listing of C
+    that was tested; the projection check reuses it, and the JSON reports
+    leave it out."""
+
     dim: int
     cardinality_C: int
     cardinality_P: int
@@ -113,11 +117,14 @@ class CoverReport:
     witness: tuple[int, ...] | None
     stages: StageDiagnostics | None
     timings_ms: dict
+    lattice_points: PointSet = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
 class ProjectionReport:
-    """Counts of C, P and P+P under a functional (see verify_projection).
+    """Images of C and of P under an integer functional, with #P and #(P+P)
+    (see verify_projection).  The C side comes from the listing the
+    certification made, the P side from closed forms or a listing of P.
 
     ``sumset_cardinality`` and ``doubling_ok`` are None only when
     ``degraded``: P has dependent differences and P+P lists more points than
@@ -171,10 +178,10 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
     d = body.dim
     nonzero = [p for p in c_points if any(p)]
     if not nonzero:
-        return SubspaceReduction(d, 0, None, None, c_points, ())
+        return SubspaceReduction(d, 0, None, None, c_points)
     k = _span_rank(nonzero, d)
     if k == d:
-        return SubspaceReduction(d, d, Mat.identity(d), body, c_points, c_points.points)
+        return SubspaceReduction(d, d, Mat.identity(d), body, c_points)
 
     # functionals vanishing on span(C): rational kernel, cleared to integers
     ker = rational_kernel(Mat(nonzero))
@@ -198,7 +205,7 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
         body0 = ConvexBody.from_ellipsoid(Ellipsoid(form0))
     else:
         body0 = ConvexBody.vertices([p for p in reduced if any(p)])
-    return SubspaceReduction(d, k, embed, body0, c_points, tuple(reduced))
+    return SubspaceReduction(d, k, embed, body0, c_points)
 
 
 def _column_solver(m: Mat) -> Callable:
@@ -294,32 +301,21 @@ def cover(
 ) -> tuple[Gap, CoverReport]:
     """Run the full pipeline and certify the result.
 
-    Returns the covering progression and a report whose ``contained`` flag is
-    the subset_check of every lattice point of the body against the exact
-    membership test; any False here is a bug, not a tolerance issue.
+    Returns the covering progression and a report whose ``contained`` flag
+    is the subset_check of every lattice point of the body against the
+    progression-only membership test of verify_cover (no pipeline state
+    such as T enters it); any False here is a bug, not a tolerance issue.
+    The report also carries the stage diagnostics and the listing of C.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     red = restrict_to_span(body, cap)
     timings["enumerate_ms"] = (time.perf_counter() - t0) * 1000.0
-    c_points = red.ambient_points
-    card_c = len(c_points)
     d = body.dim
 
     if red.k == 0:
         gap = Gap(d, (0,) * d, (), ())
-        report = CoverReport(
-            dim=d,
-            cardinality_C=card_c,
-            cardinality_P=1,
-            ratio=Fraction(1, card_c) if card_c else Fraction(1),
-            bound_value=covering_bound(d),
-            contained=card_c <= 1,
-            witness=None,
-            stages=None,
-            timings_ms=timings,
-        )
-        return gap, report
+        return gap, _certify(red.ambient_points, gap, cap, timings)
 
     k = red.k
     body0 = red.body
@@ -359,23 +355,7 @@ def cover(
             tuple(int(c) for c in red.embed.mul_vec(w)) for w in diffs_reduced
         ]
     gap = Gap(d, (0,) * d, tuple(diffs), halfsides)
-    card_p = gap.listed_cardinality()
-
-    t0 = time.perf_counter()
-    if red.is_identity:
-        tester = _direct_coordinate_tester(t_lll, halfsides)
-    else:
-        solve_embed = _column_solver(red.embed)
-        inner = _direct_coordinate_tester(t_lll, halfsides)
-
-        def tester(p, _solve=solve_embed, _inner=inner):
-            y = _solve(as_vector(p))
-            if y is None or any(c.denominator != 1 for c in y):
-                return False
-            return _inner(tuple(int(c) for c in y))
-
-    contained, witness = subset_check(c_points, tester)
-    timings["certify_ms"] = (time.perf_counter() - t0) * 1000.0
+    report = _certify(red.ambient_points, gap, cap, timings)
 
     cert = certify_reduction(reduced)
     vol_q = volume(q)
@@ -393,33 +373,7 @@ def cover(
         all_halfwidths_ge_1=all(a >= 1 for a in halfwidths),
         reduction_ratio=cert.ratio,
     )
-    report = CoverReport(
-        dim=d,
-        cardinality_C=card_c,
-        cardinality_P=card_p,
-        ratio=Fraction(card_p, card_c),
-        bound_value=covering_bound(d),
-        contained=contained,
-        witness=witness,
-        stages=stages,
-        timings_ms=timings,
-    )
-    return gap, report
-
-
-def _direct_coordinate_tester(t: UnimodularMat, halfsides: Sequence[int]):
-    int_rows = t.int_rows
-    k = t.dim
-
-    def member(p: Sequence[int]) -> bool:
-        for j in range(k):
-            row = int_rows[j]
-            z = sum(row[i] * p[i] for i in range(k))
-            if abs(z) > halfsides[j]:
-                return False
-        return True
-
-    return member
+    return gap, replace(report, stages=stages)
 
 
 def stage_chain(report: CoverReport) -> dict[str, bool]:
@@ -440,19 +394,28 @@ def stage_chain(report: CoverReport) -> dict[str, bool]:
 
 
 def verify_cover(body: ConvexBody, gap: Gap, cap: int = DEFAULT_BUDGET) -> CoverReport:
-    """Independent re-verification of a covering claim.
+    """Independent verification of a covering claim.
 
-    Enumerates the body's lattice points from scratch and tests each against
-    a membership test derived from the progression alone.  For small
-    progressions the explicit listing is cross-checked as well.  When the
-    differences are dependent, P is listed once and both the membership test
-    and #P come from that listing.
+    Lists the body's lattice points and certifies them against the
+    progression (see _certify); nothing of the pipeline is used.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
     c_points = enum_body(body, cap)
     timings["enumerate_ms"] = (time.perf_counter() - t0) * 1000.0
+    return _certify(c_points, gap, cap, timings)
 
+
+def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverReport:
+    """Certify C ⊆ P from the progression alone.
+
+    Tests each point of C, in lexicographic order, against a membership
+    test derived from the progression only; the witness is the first point
+    that fails.  For small progressions the explicit listing is
+    cross-checked as well.  When the differences are dependent, P is listed
+    once and both the membership test and #P come from that listing.  The
+    certification time is added to ``timings``, which the report keeps.
+    """
     t0 = time.perf_counter()
     if gap.diffs_independent():
         member = gap_membership_tester(gap)
@@ -473,20 +436,21 @@ def verify_cover(body: ConvexBody, gap: Gap, cap: int = DEFAULT_BUDGET) -> Cover
 
     card_c = len(c_points)
     return CoverReport(
-        dim=body.dim,
+        dim=c_points.dim,
         cardinality_C=card_c,
         cardinality_P=card_p,
         ratio=Fraction(card_p, card_c) if card_c else Fraction(1),
-        bound_value=covering_bound(body.dim),
+        bound_value=covering_bound(c_points.dim),
         contained=contained,
         witness=witness,
         stages=None,
         timings_ms=timings,
+        lattice_points=c_points,
     )
 
 
 def verify_projection(
-    body: ConvexBody,
+    c_points: PointSet,
     gap: Gap,
     phi: Sequence[int],
     cap: int = DEFAULT_BUDGET,
@@ -496,16 +460,19 @@ def verify_projection(
     Checks #phi(P) * m' <= #(P+P), #(P+P) * m <= 2^order * #P * m', the
     doubling fact #(P+P) <= 2^order * #P, and the covering corollary
     #phi(P) <= bound * #phi(C), where m and m' are the largest fibres of phi
-    on C and on P.  C is always listed.
+    on C and on P.  C is passed in as the listing the certification already
+    made (``CoverReport.lattice_points``); it is not listed again here.
 
     When the differences with half-side >= 1 are independent
     (``gap.diffs_independent()``), P and P+P are proper and nothing of them
     is listed: #P = prod(2 n_i + 1), #(P+P) = prod(4 n_i + 1), and the fibre
     sizes of phi on P are the coefficients of
     prod_i (x^(-n_i c_i) + ... + x^(n_i c_i)), c_i = phi(d_i), convolved
-    exactly in Python ints.  ``cap`` then bounds that convolution:
-    min(#P, 1 + sum 2 n_i |c_i|) * sum (2 n_i + 1) steps, checked before any
-    work starts (C included), and BudgetError names the projection stage.
+    exactly in Python ints.  ``cap`` then bounds that convolution, summed
+    per step: step i holds at most min(prod_{j<i} (2 n_j + 1),
+    1 + sum_{j<i} 2 n_j |c_j|) fibres and multiplies each by 2 n_i + 1
+    shifts.  The bound is checked before any work starts, C's image
+    included, and BudgetError names the projection stage.
 
     Otherwise P and P+P are listed, ``cap`` bounds each listing, and when
     P+P exceeds it the report is ``degraded`` to the membership-based bound
@@ -522,14 +489,16 @@ def verify_projection(
             for v, n in zip(gap.diffs, gap.halfsides)
             if n >= 1
         ]
-        support = min(gap.listed_cardinality(), 1 + sum(2 * n * abs(c) for c, n in steps))
-        work = support * sum(2 * n + 1 for _, n in steps)
+        work, listed, width = 0, 1, 1
+        for c, n in steps:
+            work += min(listed, width) * (2 * n + 1)
+            listed *= 2 * n + 1
+            width += 2 * n * abs(c)
         if work > cap:
             raise BudgetError(
                 f"projection stage: convolving the image of P takes up to {work} steps, budget {cap}"
             )
 
-    c_points = enum_body(body, cap)
     img_c, fiber_c = project_count(c_points, phi)
 
     degraded = False
@@ -565,7 +534,7 @@ def verify_projection(
         doubling_ok = sumset_card <= 2**order * card_p
     else:
         chain_ok = img_p * fiber_c <= 2**order * card_p
-    corollary_ok = img_p <= covering_bound(body.dim) * max(img_c, 1)
+    corollary_ok = img_p <= covering_bound(gap.dim) * max(img_c, 1)
     return ProjectionReport(
         functional=phi,
         image_count_C=img_c,

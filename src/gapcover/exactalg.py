@@ -199,12 +199,6 @@ def inverse(m: Mat) -> Mat:
     return Mat([row[n:] for row in a])
 
 
-def solve(m: Mat, rhs: Sequence) -> Vector:
-    """Solve m @ x = rhs exactly for square nonsingular m."""
-    inv = inverse(m)
-    return inv.mul_vec(as_vector(rhs))
-
-
 def rank(m: Mat) -> int:
     a = [list(row) for row in m.entries]
     r = 0
@@ -305,11 +299,6 @@ class UnimodularMat:
     def inverse(self) -> "UnimodularMat":
         inv = inverse(self.mat)
         return UnimodularMat(inv.int_entries())
-
-    def mul_int_vec(self, v: Sequence[int]) -> tuple[int, ...]:
-        if len(v) != self.dim:
-            raise DimensionError(f"matrix is {self.dim}x{self.dim}, vector has {len(v)}")
-        return tuple(sum(r[j] * v[j] for j in range(self.dim)) for r in self.int_rows)
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.int_rows)
@@ -450,14 +439,4 @@ def sqrt_upper(x: Fraction) -> Fraction:
         return Fraction(0)
     p, q = x.numerator, x.denominator
     s = isqrt(p * q * _SQRT_SCALE * _SQRT_SCALE) + 1
-    return Fraction(s, q * _SQRT_SCALE)
-
-
-def sqrt_lower(x: Fraction) -> Fraction:
-    """Rational l <= sqrt(x), tight to about 2^-48 relative error."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("sqrt_lower of a negative value")
-    p, q = x.numerator, x.denominator
-    s = isqrt(p * q * _SQRT_SCALE * _SQRT_SCALE)
     return Fraction(s, q * _SQRT_SCALE)

@@ -353,11 +353,6 @@ class Parallelotope:
         return all(abs(c) <= 1 for c in lam)
 
 
-def parallelotope_contains(q: Parallelotope, x: Sequence) -> bool:
-    """Exact membership: solve for the generator coefficients, check |.| <= 1."""
-    return q.contains(x)
-
-
 def volume(q: Parallelotope) -> Fraction:
     """2^d |det(generators)|."""
     return Fraction(2) ** q.dim * abs(det(q.generator_matrix))
@@ -462,8 +457,3 @@ def circumscribe_parallelotope(e: Ellipsoid, inflation=Fraction(1)) -> Parallelo
         if ok:
             return q
     raise CertificationError("could not certify parallelotope containment")
-
-
-def contains_point(body: ConvexBody, x: Sequence) -> bool:
-    """Exact membership in a convex body (boundary counts as inside)."""
-    return body.contains(x)

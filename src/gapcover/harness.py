@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -450,10 +450,14 @@ def run_batch(
     allow_skip: bool = False,
     include_timings: bool = False,
 ) -> BatchReport:
-    """Run cover + verify (+ projection when phi is given) on each instance.
+    """Certify each instance once and check its projection when phi is given.
 
-    Instances carrying a ``gap`` are verification-only.  Per-instance errors
-    are captured in the report; the batch aborts early only with fail_fast.
+    An instance without a ``gap`` runs the pipeline (cover), which lists C
+    and certifies the progression it builds; one carrying a ``gap`` is
+    verification-only (verify_cover).  Either way the report's ``verify``
+    entry is that certificate without the stage diagnostics, and the
+    projection check reuses its listing of C.  Per-instance errors are
+    captured in the report; the batch aborts early only with fail_fast.
     Report order follows input order.
     """
     batch = BatchReport()
@@ -462,23 +466,14 @@ def run_batch(
         t0 = time.perf_counter()
         try:
             if spec.gap is not None:
-                report = verify_cover(spec.body, spec.gap, spec.budget)
-                entry["mode"] = "verify"
-                entry["verify"] = cover_report_to_json(report, include_timings)
-                contained = report.contained
-                ratio = report.ratio
                 gap = spec.gap
+                report = verify_cover(spec.body, gap, spec.budget)
+                entry["mode"] = "verify"
             else:
                 gap, report = cover(spec.body, spec.eps, spec.budget)
-                vreport = verify_cover(spec.body, gap, spec.budget)
                 entry["mode"] = "cover"
                 entry["gap"] = gap_to_json(gap)
                 entry["cover"] = cover_report_to_json(report, include_timings)
-                entry["verify"] = cover_report_to_json(vreport, include_timings)
-                contained = report.contained and vreport.contained
-                if report.ratio != vreport.ratio:
-                    contained = False
-                ratio = report.ratio
                 factors = _stage_factors(report)
                 if factors is not None:
                     para, box, count = factors
@@ -488,8 +483,11 @@ def run_batch(
                         batch.max_box_factor = box
                     if batch.max_count_factor is None or count > batch.max_count_factor:
                         batch.max_count_factor = count
+            entry["verify"] = cover_report_to_json(replace(report, stages=None), include_timings)
+            contained = report.contained
+            ratio = report.ratio
             if spec.phi is not None:
-                prep = verify_projection(spec.body, gap, spec.phi, spec.budget)
+                prep = verify_projection(report.lattice_points, gap, spec.phi, spec.budget)
                 entry["projection"] = projection_report_to_json(prep)
                 if not (prep.chain_ok and prep.corollary_ok and prep.fiber_monotone):
                     contained = False

@@ -1,34 +1,29 @@
 """Lattice basis reduction with exact certificates.
 
 LLL over exact rationals (no floating point anywhere), returning the
-unimodular transform alongside the reduced basis, plus a brute-force
-successive-minima oracle for d <= 4 and a norm-product/determinant
-certificate.
+unimodular transform alongside the reduced basis, and a norm-product /
+determinant certificate of how far the reduced basis is from orthogonal.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, RankError, UnsupportedDimensionError
+from .errors import DimensionError, RankError
 from .exactalg import (
     Mat,
     UnimodularMat,
-    Vector,
     as_vector,
     det,
-    inverse,
+    inverse,  # not called here; perfbench/tracing.py wraps latred.inverse
     norm_sq,
-    rank as mat_rank,
     sqrt_upper,
     vec_dot,
 )
 
 LLL_DEFAULT_DELTA = Fraction(99, 100)
-MINIMA_MAX_DIM = 4
 
 
 class LatticeBasis:
@@ -154,59 +149,3 @@ def certify_reduction(basis: LatticeBasis) -> ReductionCert:
         det_abs=det_abs,
         ratio=upper / det_abs,
     )
-
-
-def successive_minima_bruteforce(basis: LatticeBasis) -> list[Vector]:
-    """Lattice vectors realizing the successive minima, by exhaustive search.
-
-    Only for dim <= 4.  The basis is LLL-reduced first, giving rows b_i and
-    the search radius R = max_i ||b_i||, which reaches the last minimum since
-    the b_i are d independent lattice vectors, so lambda_d <= max_i ||b_i||.
-    Candidates come from a single exhaustive scan of the coefficient box
-    |m_i| <= floor(U_i) + 1, where U_i is a rational upper bound on
-    R * ||col_i(B^-1)||; by Cauchy-Schwarz on m_i = <v, col_i(B^-1)> the box
-    holds every v = sum m_i b_i with ||v|| <= R.  On LLL-reduced 4-D bases
-    with entries in [-4, 4] the box holds 625 to 1125 points.  The scan
-    keeps the vectors with ||v||^2 <= R^2, one of each +-pair, sorted by
-    (||v||^2, m).  Vectors are then picked greedily in that order subject to
-    linear independence, so they are returned in nondecreasing norm.
-    """
-    d = basis.dim
-    if d > MINIMA_MAX_DIM:
-        raise UnsupportedDimensionError(f"brute-force minima limited to dim <= {MINIMA_MAX_DIM}")
-    reduced, _ = lll_reduce(basis)
-    rows = reduced.vectors
-    radius_sq = max(norm_sq(v) for v in rows)
-
-    inv = inverse(reduced.mat)
-    bounds = []
-    for i in range(d):
-        col = inv.col(i)
-        bound_sq = radius_sq * norm_sq(col)
-        bounds.append(int(sqrt_upper(bound_sq)) + 1)
-
-    candidates = []
-    for coeffs in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        first_nonzero = next((c for c in coeffs if c != 0), 0)
-        if first_nonzero <= 0:  # skip 0 and one of each +-pair
-            continue
-        v = tuple(
-            sum(coeffs[i] * rows[i][j] for i in range(d)) for j in range(d)
-        )
-        q = norm_sq(v)
-        if q <= radius_sq:
-            candidates.append((q, coeffs, v))
-    candidates.sort(key=lambda item: (item[0], item[1]))
-
-    chosen: list[Vector] = []
-    chosen_rows: list[list[Fraction]] = []
-    for q, _, v in candidates:
-        trial = chosen_rows + [list(v)]
-        if mat_rank(Mat(trial)) == len(trial):
-            chosen.append(v)
-            chosen_rows = trial
-            if len(chosen) == d:
-                break
-    if len(chosen) < d:
-        raise RankError("search radius failed to produce d independent vectors")
-    return chosen

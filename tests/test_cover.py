@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gapcover.cover
 from gapcover.cover import (
     cover,
     covering_bound,
@@ -153,6 +154,29 @@ class TestCoverPipeline:
         assert report.ratio <= covering_bound(3)
 
 
+class TestCoverCatchesShrunkenProgression:
+    @pytest.mark.parametrize(
+        "body",
+        [
+            disk(4),
+            ConvexBody.from_ellipsoid(
+                Ellipsoid((Mat([[5, 3], [2, 1]]) @ Mat([[5, 2], [3, 1]])).scale(Fraction(1, 16)))
+            ),
+            ConvexBody.vertices([(2, 2)]),
+        ],
+        ids=["disk", "skewed", "segment"],
+    )
+    def test_witness_is_first_missing_point(self, body, monkeypatch):
+        # half the box widths: P no longer holds C, and cover must say so
+        # with the first point of C that is outside P
+        l1_norm = gapcover.cover.l1_norm
+        monkeypatch.setattr("gapcover.cover.l1_norm", lambda row: l1_norm(row) / 2)
+        gap, report = cover(body)
+        listed = _brute_gap_points(gap)
+        assert not report.contained
+        assert report.witness == next(p for p in enum_body(body) if p not in listed)
+
+
 class TestVerifyCover:
     def test_pipeline_output_verifies(self):
         body = disk(4)
@@ -208,7 +232,7 @@ class TestVerifyProjection:
     def test_identity_1d(self):
         body = ConvexBody.box([Fraction(7, 2)])
         gap, _ = cover(body)
-        rep = verify_projection(body, gap, (1,))
+        rep = verify_projection(enum_body(body), gap, (1,))
         assert rep.image_count_C == 7
         assert rep.image_count_P == 7
         assert rep.chain_ok and rep.corollary_ok and rep.fiber_monotone
@@ -217,7 +241,7 @@ class TestVerifyProjection:
     def test_grid_diagonal(self):
         body = ConvexBody.box([1, 1])
         gap, _ = cover(body)
-        rep = verify_projection(body, gap, (1, 1))
+        rep = verify_projection(enum_body(body), gap, (1, 1))
         assert rep.chain_ok
         assert rep.doubling_ok
         assert rep.image_count_P >= 5
@@ -225,7 +249,7 @@ class TestVerifyProjection:
     def test_zero_functional(self):
         body = disk(4)
         gap, _ = cover(body)
-        rep = verify_projection(body, gap, (0, 0))
+        rep = verify_projection(enum_body(body), gap, (0, 0))
         assert rep.image_count_C == 1
         assert rep.image_count_P == 1
         assert rep.max_fiber_C == 13
@@ -235,7 +259,7 @@ class TestVerifyProjection:
         body = disk(4)
         gap, _ = cover(body)
         for phi in [(1, 0), (2, -3), (5, 5), (-4, 1)]:
-            rep = verify_projection(body, gap, phi)
+            rep = verify_projection(enum_body(body), gap, phi)
             assert rep.chain_ok
             assert rep.corollary_ok
             assert rep.fiber_monotone
@@ -274,7 +298,7 @@ class TestProjectionAgainstListing:
         box, gap, phi = case
         body = ConvexBody.box(box)
         c_points = list(itertools.product(*(range(-b, b + 1) for b in box)))
-        rep = verify_projection(body, gap, phi)
+        rep = verify_projection(enum_body(body), gap, phi)
         assert dataclasses.asdict(rep) == enumerated_projection(c_points, gap, phi, 10**7)
 
 
@@ -285,28 +309,35 @@ class TestProjectionClosedForm:
 
         monkeypatch.setattr("gapcover.cover.enum_gap", refuse)
         gap = Gap(2, (1, -1), ((1, 0), (1, 1)), (2, 3))
-        rep = verify_projection(disk(4), gap, (2, -1))
+        rep = verify_projection(enum_body(disk(4)), gap, (2, -1))
         assert rep.cardinality_P == 5 * 7
         assert rep.sumset_cardinality == 9 * 13
         assert not rep.degraded
 
     def test_sumset_above_budget_not_degraded(self):
-        # #C = 25 <= cap = 50 < #(P+P) = 81; the convolution bound is
-        # min(25, 1 + 4) * (5 + 5) = 50 steps
+        # #(P+P) = 81 > cap = 50; the convolution bound is 1 * 5 + 5 * 5 = 30
+        # steps
         gap = Gap(2, (0, 0), ((1, 0), (0, 1)), (2, 2))
-        rep = verify_projection(ConvexBody.box([2, 2]), gap, (1, 0), cap=50)
+        rep = verify_projection(enum_body(ConvexBody.box([2, 2])), gap, (1, 0), cap=50)
         assert not rep.degraded
         assert rep.sumset_cardinality == 9 * 9
         assert rep.doubling_ok and rep.chain_ok
 
     def test_budget_raised_before_any_work(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("C was enumerated")
+        # one step: min(1, 1) * 21 = 21 steps, within the budget
+        gap = Gap(1, (0,), ((1,),), (10,))
+        rep = verify_projection(enum_body(ConvexBody.box([3])), gap, (1,), cap=100)
+        assert rep.sumset_cardinality == 41
 
-        monkeypatch.setattr("gapcover.cover.enum_body", refuse)
-        gap = Gap(1, (0,), ((1,),), (10,))  # min(21, 21) * 21 = 441 steps
-        with pytest.raises(BudgetError, match=r"projection stage.* 441 steps, budget 100"):
-            verify_projection(ConvexBody.box([3]), gap, (1,), cap=100)
+        # two steps: 21 + min(21, 1 + 20) * 21 = 462 steps, raised before C
+        # is projected
+        def refuse(*args, **kwargs):
+            raise AssertionError("C was projected")
+
+        monkeypatch.setattr("gapcover.cover.project_count", refuse)
+        gap = Gap(2, (0, 0), ((1, 0), (0, 1)), (10, 10))
+        with pytest.raises(BudgetError, match=r"projection stage.* 462 steps, budget 100"):
+            verify_projection(enum_body(ConvexBody.box([3, 3])), gap, (1, 1), cap=100)
 
 
 class TestStageChain:

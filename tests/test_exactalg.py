@@ -20,8 +20,6 @@ from gapcover.exactalg import (
     left_kernel,
     rank,
     rational_kernel,
-    solve,
-    sqrt_lower,
     sqrt_upper,
     unimodular_solve,
     vec_dot,
@@ -108,11 +106,6 @@ class TestInverse:
         if det(m) == 0:
             return
         assert m @ inverse(m) == Mat.identity(m.rows)
-
-    def test_solve(self):
-        m = Mat([[2, 1], [1, 1]])
-        x = solve(m, (3, 2))
-        assert m.mul_vec(x) == (Fraction(3), Fraction(2))
 
 
 def naive_lattice_equal(a: Mat, b: Mat) -> bool:
@@ -259,9 +252,8 @@ class TestSqrtBounds:
     @given(st.fractions(min_value=0, max_value=10**6))
     @settings(max_examples=80, deadline=None)
     def test_bracketing(self, x):
-        up, lo = sqrt_upper(x), sqrt_lower(x)
-        assert lo * lo <= x <= up * up
-        assert lo <= up
+        up = sqrt_upper(x)
+        assert x <= up * up
 
     def test_floor_sqrt(self):
         assert floor_sqrt(Fraction(89, 10)) == 2
@@ -269,7 +261,7 @@ class TestSqrtBounds:
         assert floor_sqrt(Fraction(0)) == 0
 
     def test_exact_square(self):
-        assert sqrt_lower(Fraction(4)) <= 2 <= sqrt_upper(Fraction(4))
+        assert 2 <= sqrt_upper(Fraction(4))
 
 
 def test_vec_dot_dimension_error():

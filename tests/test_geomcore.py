@@ -11,10 +11,8 @@ from gapcover.geomcore import (
     Ellipsoid,
     Parallelotope,
     circumscribe_parallelotope,
-    contains_point,
     hull_line_extent,
     mvee,
-    parallelotope_contains,
     volume,
 )
 
@@ -111,21 +109,21 @@ class TestCircumscribe:
         # any rotation is fine; volume must be (2 side)^2 up to tiny slack
         assert float(volume(q)) <= 4.0 * 1.001
         # exact certificate is part of construction; spot-check a boundary point
-        assert parallelotope_contains(q, (1, 0)) or parallelotope_contains(q, (0, 1))
+        assert q.contains((1, 0)) or q.contains((0, 1))
 
     def test_axis_aligned_ellipse(self):
         e = Ellipsoid(Mat([[Fraction(1, 4), 0], [0, 1]]))
         q = circumscribe_parallelotope(e)
         assert float(volume(q)) <= 8.0 * 1.001
-        assert parallelotope_contains(q, (2, 0))
-        assert parallelotope_contains(q, (0, 1))
+        assert q.contains((2, 0))
+        assert q.contains((0, 1))
 
     def test_unit_ball_inflation_two(self):
         e = Ellipsoid(Mat.identity(3))
         q = circumscribe_parallelotope(e, inflation=2)
         assert float(volume(q)) <= 64.0 * 1.001
-        assert parallelotope_contains(q, (2, 0, 0))
-        assert parallelotope_contains(q, (0, 0, 2))
+        assert q.contains((2, 0, 0))
+        assert q.contains((0, 0, 2))
 
     def test_boundary_points_inside_random_forms(self):
         from gapcover.exactalg import sqrt_upper
@@ -145,33 +143,33 @@ class TestCircumscribe:
                 t = sqrt_upper(e.quad(c))
                 x = tuple(Fraction(ci) / t for ci in c)
                 assert e.contains(x)
-                assert parallelotope_contains(q, x)
+                assert q.contains(x)
 
 
 class TestBodiesAndMembership:
     def test_box_membership_boundary(self):
         b = ConvexBody.box([1, 1])
-        assert contains_point(b, (1, 1))
-        assert not contains_point(b, (Fraction(3, 2), 0))
+        assert b.contains((1, 1))
+        assert not b.contains((Fraction(3, 2), 0))
 
     def test_disk_membership(self):
         b = ConvexBody.from_ellipsoid(Ellipsoid(Mat.identity(2)))
-        assert not contains_point(b, (1, 1))
+        assert not b.contains((1, 1))
         assert b.contains_int_point((1, 0))
         assert not b.contains_int_point((1, 1))
 
     def test_hull_membership_lp(self):
         b = ConvexBody.vertices([(2, 1), (1, 2)])
         # (1,1) = (1/3)(2,1) + (1/3)(1,2), coefficient sum 2/3 <= 1
-        assert contains_point(b, (1, 1))
-        assert contains_point(b, (2, 1))
-        assert not contains_point(b, (2, 2))
-        assert not contains_point(b, (3, 0))
+        assert b.contains((1, 1))
+        assert b.contains((2, 1))
+        assert not b.contains((2, 2))
+        assert not b.contains((3, 0))
 
     def test_hull_symmetry(self):
         b = ConvexBody.vertices([(2, 1), (1, 2)])
-        assert contains_point(b, (-1, -1))
-        assert contains_point(b, (-2, -1))
+        assert b.contains((-1, -1))
+        assert b.contains((-2, -1))
 
     def test_line_extent(self):
         body = ConvexBody.vertices([(Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))])
@@ -189,21 +187,21 @@ class TestBodiesAndMembership:
             assert hull_line_extent(body, (x,)) == (x, x)
         assert hull_line_extent(body, (Fraction(1, 2),)) == (Fraction(1, 2), Fraction(1, 2))
         assert hull_line_extent(body, (3,)) is None
-        assert contains_point(body, (1, 1))
-        assert not contains_point(body, (1, 0))
+        assert body.contains((1, 1))
+        assert not body.contains((1, 0))
 
     def test_line_extent_1d(self):
         body = ConvexBody.vertices([(3,)])
         assert hull_line_extent(body, ()) == (-3, 3)
-        assert contains_point(body, (3,))
-        assert not contains_point(body, (Fraction(7, 2),))
+        assert body.contains((3,))
+        assert not body.contains((Fraction(7, 2),))
 
     def test_zero_vertex(self):
         body = ConvexBody.vertices([(0, 0)])
         assert hull_line_extent(body, (0,)) == (0, 0)
         assert hull_line_extent(body, (1,)) is None
-        assert contains_point(body, (0, 0))
-        assert not contains_point(body, (0, Fraction(1, 5)))
+        assert body.contains((0, 0))
+        assert not body.contains((0, Fraction(1, 5)))
 
     def test_collinear_3d(self):
         # all three points lie on the line through (1, 2, 3)
@@ -211,17 +209,17 @@ class TestBodiesAndMembership:
         assert hull_line_extent(body, (1, 2)) == (3, 3)
         assert hull_line_extent(body, (1, 1)) is None
         assert hull_line_extent(body, (3, 6)) is None
-        assert contains_point(body, (-2, -4, -6))
-        assert not contains_point(body, (1, 2, 4))
+        assert body.contains((-2, -4, -6))
+        assert not body.contains((1, 2, 4))
 
     def test_coplanar_3d(self):
         # a hexagon in the plane z = x + y
         body = ConvexBody.vertices([(1, 0, 1), (0, 1, 1), (1, -1, 0)])
         assert hull_line_extent(body, (1, 0)) == (1, 1)
         assert hull_line_extent(body, (1, 1)) is None
-        assert contains_point(body, (Fraction(1, 2), Fraction(1, 2), 1))
-        assert not contains_point(body, (Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)))
-        assert not contains_point(body, (1, 1, 2))
+        assert body.contains((Fraction(1, 2), Fraction(1, 2), 1))
+        assert not body.contains((Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)))
+        assert not body.contains((1, 1, 2))
 
     def test_facet_budget(self):
         # 12 points of rank 3: C(12, 3) * 2^2 = 880 facet candidates
@@ -244,13 +242,13 @@ class TestBodiesAndMembership:
 class TestParallelotope:
     def test_contains_unit_square(self):
         q = Parallelotope([(1, 0), (0, 1)])
-        assert parallelotope_contains(q, (1, 1))
-        assert not parallelotope_contains(q, (Fraction(3, 2), 0))
+        assert q.contains((1, 1))
+        assert not q.contains((Fraction(3, 2), 0))
 
     def test_contains_sheared(self):
         q = Parallelotope([(1, 0), (1, 2)])
-        assert parallelotope_contains(q, (2, 2))  # lambda = (1, 1)
-        assert not parallelotope_contains(q, (3, 2))
+        assert q.contains((2, 2))  # lambda = (1, 1)
+        assert not q.contains((3, 2))
 
     def test_volume(self):
         assert volume(Parallelotope([(1, 0), (0, 1)])) == 4

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import gapcover.cover
 from gapcover.cover import cover
 from gapcover.enumeration import Gap
 from gapcover.errors import GenerationError, ParseError
@@ -180,6 +181,35 @@ class TestRunBatch:
         batch = run_batch([spec])
         assert batch.exit_code() == EXIT_OK
         assert batch.entries[0]["projection"]["chain_ok"]
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim": 2, "body": {"type": "ball", "radius": 2}},
+            {"dim": 2, "body": {"type": "ball", "radius": 2}, "phi": [1, 1]},
+            {"dim": 2, "body": {"type": "vertices", "points": [[2, 2]]}, "phi": [1, 2]},
+            {
+                "dim": 2,
+                "body": {"type": "ball", "radius": 2},
+                "phi": [1, 1],
+                "gap": {"base": [0, 0], "diffs": [[1, 0], [0, 1]], "halfsides": [2, 2]},
+            },
+        ],
+        ids=["cover", "cover-phi", "segment-phi", "verify-phi"],
+    )
+    def test_lattice_points_listed_once(self, doc, monkeypatch):
+        # cover, certification and projection share one listing of C
+        calls = []
+        listed = gapcover.cover.enum_body
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return listed(*args, **kwargs)
+
+        monkeypatch.setattr("gapcover.cover.enum_body", counting)
+        batch = run_batch([parse_instance(doc)])
+        assert batch.exit_code() == EXIT_OK
+        assert len(calls) == 1
 
     def test_csv_columns(self):
         batch = run_batch(self.trivial_specs(), include_timings=True)
