@@ -25,6 +25,7 @@ progression is pushed back to ambient coordinates.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -263,14 +264,11 @@ def gap_membership_tester(gap: Gap) -> Callable[[Sequence[int]], bool]:
     if w.is_square() and abs(det(w)) == 1:
         # unimodular differences: the inverse is integral, test in pure ints
         inv_rows = inverse(w).int_entries()
-        d = w.rows
 
         def member_int(p: Sequence[int]) -> bool:
             x = tuple(int(a) - b for a, b in zip(p, base))
-            for j in range(d):
-                row = inv_rows[j]
-                z = sum(row[i] * x[i] for i in range(d))
-                if abs(z) > halfsides[j]:
+            for row, n in zip(inv_rows, halfsides):
+                if abs(sum(map(operator.mul, row, x))) > n:
                     return False
             return True
 
@@ -411,23 +409,30 @@ def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverRepo
 
     Tests each point of C, in lexicographic order, against a membership
     test derived from the progression only; the witness is the first point
-    that fails.  For small progressions the explicit listing is
-    cross-checked as well.  When the differences are dependent, P is listed
-    once and both the membership test and #P come from that listing.  The
+    that fails.  For small progressions (#P <= 20 000) each answer of the
+    test is also cross-checked against the explicit listing of P, and
+    containment is read from those same answers: the test runs once per
+    point either way.  When the differences are dependent, P is listed once
+    and both the membership test and #P come from that listing.  The
     certification time is added to ``timings``, which the report keeps.
     """
+    if gap.dim != c_points.dim:
+        raise DimensionError(f"progression has dimension {gap.dim}, lattice points {c_points.dim}")
     t0 = time.perf_counter()
     if gap.diffs_independent():
         member = gap_membership_tester(gap)
-        contained, witness = subset_check(c_points, member)
         card_p = gap.listed_cardinality()
         if card_p <= 20_000:
             listed = enum_gap(gap, cap)
+            answers = {}
             for p in c_points:
-                if member(p) != (p in listed):
+                answers[p] = ok = member(p)
+                if ok != (p in listed):
                     raise CertificationError(
                         f"membership test disagrees with explicit listing at {p}"
                     )
+            member = answers.__getitem__
+        contained, witness = subset_check(c_points, member)
     else:
         listed = enum_gap(gap, cap)
         contained, witness = subset_check(c_points, listed.__contains__)

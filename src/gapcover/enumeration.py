@@ -21,12 +21,15 @@ IntPoint = tuple[int, ...]
 
 
 class PointSet:
-    """Deduplicated, lexicographically sorted set of integer points."""
+    """Deduplicated, lexicographically sorted set of integer points.
+
+    Coordinates are normalized to Python ``int`` (numpy listings included),
+    which the JSON reports rely on."""
 
     __slots__ = ("dim", "points", "_index")
 
     def __init__(self, dim: int, points: Iterable[Sequence[int]]):
-        pts = sorted({tuple(int(c) for c in p) for p in points})
+        pts = sorted({tuple(map(int, p)) for p in points})
         for p in pts:
             if len(p) != dim:
                 raise DimensionError(f"point {p} does not have dimension {dim}")
@@ -44,7 +47,7 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, p) -> bool:
-        return tuple(int(c) for c in p) in self._index
+        return tuple(map(int, p)) in self._index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PointSet) and self.points == other.points
@@ -146,7 +149,7 @@ def _enum_gap_vectorized(gap: Gap, card: int):
     coeffs = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(gap.order, -1).T
     diffs = np.array(gap.diffs, dtype=np.int64)
     pts = coeffs @ diffs + np.array(gap.base, dtype=np.int64)
-    return PointSet(gap.dim, (tuple(int(c) for c in row) for row in pts))
+    return PointSet(gap.dim, pts.tolist())
 
 
 def _box_scan_count(bounds: Sequence[int]) -> int:
@@ -208,7 +211,7 @@ def _enum_ellipsoid_vectorized(body: ConvexBody, bounds: Sequence[int], total: i
         vals = np.einsum("pi,ij,pj->p", block, form, block)
         keep.append(block[vals <= den])
     pts = np.concatenate(keep)
-    return PointSet(d, (tuple(int(c) for c in row) for row in pts))
+    return PointSet(d, pts.tolist())
 
 
 def _enum_vertices_sweep(body: ConvexBody, bounds: Sequence[int]) -> PointSet:

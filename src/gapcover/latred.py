@@ -100,6 +100,11 @@ def lll_reduce(basis: LatticeBasis, delta=LLL_DEFAULT_DELTA) -> tuple[LatticeBas
     Returns (reduced, t) with t unimodular and t @ input == reduced, exactly.
     On exit the basis is size-reduced (|mu_ij| <= 1/2) and satisfies the
     Lovasz condition with the given delta at every index.
+
+    Gram-Schmidt runs once; a swap of b_(k-1) and b_k then updates mu and
+    B_i = ||b*_i||^2 in place with the exact formulas of Cohen, Alg. 2.6.3.
+    Those values equal a full recomputation, so every decision and the
+    output are those of recomputing after each swap.
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
@@ -109,6 +114,7 @@ def lll_reduce(basis: LatticeBasis, delta=LLL_DEFAULT_DELTA) -> tuple[LatticeBas
     t = [[int(i == j) for j in range(d)] for i in range(d)]
 
     ortho, mu = _gram_schmidt(rows)
+    b_sq = [vec_dot(v, v) for v in ortho]
     k = 1
     while k < d:
         for j in range(k - 1, -1, -1):
@@ -120,14 +126,22 @@ def lll_reduce(basis: LatticeBasis, delta=LLL_DEFAULT_DELTA) -> tuple[LatticeBas
                 for jj in range(j):
                     mu[k][jj] -= q * mu[j][jj]
                 mu[k][j] -= q
-        lhs = vec_dot(ortho[k], ortho[k])
-        rhs = (delta - mu[k][k - 1] ** 2) * vec_dot(ortho[k - 1], ortho[k - 1])
-        if lhs >= rhs:
+        m = mu[k][k - 1]
+        if b_sq[k] >= (delta - m**2) * b_sq[k - 1]:
             k += 1
         else:
             rows[k], rows[k - 1] = rows[k - 1], rows[k]
             t[k], t[k - 1] = t[k - 1], t[k]
-            ortho, mu = _gram_schmidt(rows)
+            b_new = b_sq[k] + m**2 * b_sq[k - 1]
+            mu[k][k - 1] = m * b_sq[k - 1] / b_new
+            b_sq[k] = b_sq[k - 1] * b_sq[k] / b_new
+            b_sq[k - 1] = b_new
+            for j in range(k - 1):
+                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            for i in range(k + 1, d):
+                s = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * s
+                mu[i][k - 1] = s + mu[k][k - 1] * mu[i][k]
             k = max(k - 1, 1)
 
     reduced = LatticeBasis(rows)

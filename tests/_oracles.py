@@ -150,6 +150,15 @@ def vertex_hull_lattice_points(vertices):
     return [p for p in box if in_vertex_hull(vertices, p)]
 
 
+def gap_points(gap):
+    """The progression's points, by summing every coefficient choice."""
+    ranges = [range(-n, n + 1) for n in gap.halfsides]
+    return {
+        tuple(b + sum(m * v[j] for m, v in zip(ms, gap.diffs)) for j, b in enumerate(gap.base))
+        for ms in itertools.product(*ranges)
+    }
+
+
 def enumerated_projection(c_points, gap, phi, cap):
     """The fields of a projection report, by listing P and P+P point by
     point and counting the fibres of phi on C and on P with a dict.
@@ -204,3 +213,50 @@ def enumerated_projection(c_points, gap, phi, cap):
         "corollary_ok": img_p <= d ** (3 * d) * max(img_c, 1),
         "degraded": degraded,
     }
+
+
+def lll_recompute(rows, delta=Fraction(99, 100)):
+    """Textbook exact LLL that recomputes Gram-Schmidt from scratch after
+    every swap, with the same size-reduction order (j = k-1 down to 0,
+    rounding half up) and Lovasz test as ``latred.lll_reduce``.
+
+    Returns (reduced rows, T, swaps, rounded) with T @ rows == reduced rows:
+    the rows are tuples of Fractions, T a tuple of int tuples, and rounded
+    lists the values mu_kj that size reduction rounded, in order."""
+    d = len(rows)
+
+    def dot(a, b):
+        return sum((x * y for x, y in zip(a, b)), Fraction(0))
+
+    def gram_schmidt(rows):
+        ortho = []
+        mu = [[Fraction(0)] * d for _ in range(d)]
+        for i, row in enumerate(rows):
+            v = list(row)
+            for j in range(i):
+                mu[i][j] = dot(row, ortho[j]) / dot(ortho[j], ortho[j])
+                v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
+            ortho.append(v)
+        return ortho, mu
+
+    rows = [[Fraction(x) for x in r] for r in rows]
+    t = [[int(i == j) for j in range(d)] for i in range(d)]
+    ortho, mu = gram_schmidt(rows)
+    swaps, rounded, k = 0, [], 1
+    while k < d:
+        for j in range(k - 1, -1, -1):
+            q = math.floor(mu[k][j] + Fraction(1, 2))
+            rounded.append(mu[k][j])
+            if q:
+                rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
+                t[k] = [a - q * b for a, b in zip(t[k], t[j])]
+                ortho, mu = gram_schmidt(rows)
+        if dot(ortho[k], ortho[k]) >= (delta - mu[k][k - 1] ** 2) * dot(ortho[k - 1], ortho[k - 1]):
+            k += 1
+        else:
+            rows[k], rows[k - 1] = rows[k - 1], rows[k]
+            t[k], t[k - 1] = t[k - 1], t[k]
+            ortho, mu = gram_schmidt(rows)
+            swaps += 1
+            k = max(k - 1, 1)
+    return tuple(map(tuple, rows)), tuple(map(tuple, t)), swaps, rounded

@@ -17,20 +17,11 @@ from gapcover.cover import (
     verify_projection,
 )
 from gapcover.enumeration import Gap, enum_body, enum_gap
-from gapcover.errors import BudgetError
+from gapcover.errors import BudgetError, CertificationError, DimensionError
 from gapcover.exactalg import Mat, det
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
-from _oracles import brute_disk_points, enumerated_projection
-
-
-def _brute_gap_points(gap):
-    """The progression's points, by summing every coefficient choice."""
-    ranges = [range(-n, n + 1) for n in gap.halfsides]
-    return {
-        tuple(b + sum(m * v[j] for m, v in zip(ms, gap.diffs)) for j, b in enumerate(gap.base))
-        for ms in itertools.product(*ranges)
-    }
+from _oracles import brute_disk_points, enumerated_projection, gap_points
 
 
 def disk(radius_sq, dim=2):
@@ -172,7 +163,7 @@ class TestCoverCatchesShrunkenProgression:
         l1_norm = gapcover.cover.l1_norm
         monkeypatch.setattr("gapcover.cover.l1_norm", lambda row: l1_norm(row) / 2)
         gap, report = cover(body)
-        listed = _brute_gap_points(gap)
+        listed = gap_points(gap)
         assert not report.contained
         assert report.witness == next(p for p in enum_body(body) if p not in listed)
 
@@ -202,12 +193,12 @@ class TestVerifyCover:
         report = verify_cover(disk(9), gap)
         assert report.contained and report.witness is None
         assert report.cardinality_C == len(brute_disk_points(9, 3))
-        assert report.cardinality_P == len(_brute_gap_points(gap))
+        assert report.cardinality_P == len(gap_points(gap))
 
     def test_dependent_differences_false_claim(self):
         gap = Gap(2, (0, 0), ((1, 0), (0, 1), (1, 1)), (1, 3, 1))
         report = verify_cover(disk(9), gap)
-        listed = _brute_gap_points(gap)
+        listed = gap_points(gap)
         assert not report.contained
         assert report.witness == next(p for p in brute_disk_points(9, 3) if p not in listed)
         assert report.witness == (-3, 0)
@@ -226,6 +217,78 @@ class TestVerifyCover:
         report = verify_cover(body, gap)
         assert report.contained
         assert report.ratio == 1
+
+
+class TestCertifyDimension:
+    @pytest.mark.parametrize(
+        "body, gap",
+        [
+            # #P = 40 001 skips the listing cross-check
+            (ConvexBody.box([1, 1]), Gap(1, (0,), ((1,),), (20000,))),
+            (ConvexBody.box([3, 3]), Gap(3, (0, 0, 0), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (3, 3, 3))),
+            (ConvexBody.box([1, 1]), Gap(1, (0,), ((1,),), (5,))),
+        ],
+        ids=["1d-gap-large", "3d-gap", "1d-gap-small"],
+    )
+    def test_mismatch_raises_before_testing(self, body, gap):
+        with pytest.raises(DimensionError, match="dimension"):
+            verify_cover(body, gap)
+
+
+def _lying_tester(lie_at):
+    """gap_membership_tester with the answer at one point flipped."""
+
+    def build(gap):
+        member = gap_membership_tester(gap)
+        return lambda p: (not member(p)) if tuple(p) == lie_at else member(p)
+
+    return build
+
+
+def _counting_tester(calls):
+    def build(gap):
+        member = gap_membership_tester(gap)
+
+        def counted(p):
+            calls.append(tuple(p))
+            return member(p)
+
+        return counted
+
+    return build
+
+
+class TestListingCrossCheck:
+    GRID = Gap(2, (0, 0), ((1, 0), (0, 1)), (1, 1))  # the 3 x 3 grid
+
+    @pytest.mark.parametrize("lie_at", [(2, 0), (1, 1)], ids=["in-for-outside", "out-for-inside"])
+    def test_lying_tester_raises(self, lie_at, monkeypatch):
+        # (2, 0) is a point of C outside P, (1, 1) one inside P
+        monkeypatch.setattr(gapcover.cover, "gap_membership_tester", _lying_tester(lie_at))
+        with pytest.raises(CertificationError, match="disagrees"):
+            verify_cover(disk(4), self.GRID)
+
+    @pytest.mark.parametrize("halfsides", [(1, 1), (2, 2)], ids=["false-claim", "true-claim"])
+    def test_tester_runs_once_per_point(self, halfsides, monkeypatch):
+        calls = []
+        monkeypatch.setattr(gapcover.cover, "gap_membership_tester", _counting_tester(calls))
+        gap = Gap(2, (0, 0), ((1, 0), (0, 1)), halfsides)
+        report = verify_cover(disk(4), gap)
+        assert report.contained == (halfsides == (2, 2))
+        assert sorted(calls) == list(enum_body(disk(4)))
+
+    def test_large_progression_exits_at_first_missing_point(self, monkeypatch):
+        # #P = 7 * 40 001 > 20 000: no listing, and the test stops at the
+        # witness, the first point of C (lexicographic) with x1 = 3
+        calls = []
+        monkeypatch.setattr(gapcover.cover, "gap_membership_tester", _counting_tester(calls))
+        monkeypatch.setattr(gapcover.cover, "enum_gap", lambda *a: pytest.fail("P was listed"))
+        gap = Gap(2, (-1, 0), ((1, 0), (0, 1)), (3, 20000))
+        report = verify_cover(ConvexBody.box([3, 3]), gap)
+        c_points = list(enum_body(ConvexBody.box([3, 3])))
+        assert not report.contained
+        assert report.witness == (3, -3)
+        assert calls == c_points[: c_points.index((3, -3)) + 1]
 
 
 class TestVerifyProjection:

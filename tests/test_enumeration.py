@@ -1,3 +1,5 @@
+import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,9 @@ from gapcover.enumeration import (
 )
 from gapcover.exactalg import Mat
 from gapcover.geomcore import ConvexBody, Ellipsoid
+from gapcover.harness import batch_report_to_json, parse_instance, run_batch
 
-from _oracles import brute_disk_points, vertex_hull_lattice_points
+from _oracles import brute_disk_points, gap_points, vertex_hull_lattice_points
 
 
 def _rationals(bound):
@@ -173,6 +176,68 @@ class TestEnumGap:
         pts = enum_gap(g)
         if g.diffs_independent():
             assert len(pts) == g.listed_cardinality()
+
+
+def _in_form(form, bound):
+    """Integer points x in [-bound, bound]^2 with x^T form x <= 1, in Fractions."""
+    return [
+        x
+        for x in itertools.product(range(-bound, bound + 1), repeat=2)
+        if sum(form[i][j] * x[i] * x[j] for i in range(2) for j in range(2)) <= 1
+    ]
+
+
+def _verify_entry(doc):
+    """The verify entry of the instance's run_batch report, read back from
+    its JSON text."""
+    text = json.dumps(batch_report_to_json(run_batch([parse_instance(doc)])))
+    return json.loads(text)["instances"][0]["verify"]
+
+
+class TestInt64Prechecks:
+    """Both sides of the overflow prechecks give the oracle's points, as
+    Python ints that the JSON reports can serialize."""
+
+    @pytest.mark.parametrize(
+        "base0, fast",
+        [(2**62 - 33, True), (2**62, False), (-(2**62), False)],
+        ids=["int64", "bigint", "bigint-negative"],
+    )
+    def test_enum_gap(self, base0, fast):
+        # worst coordinate |base0| + 8 * 1 + 8 * 3 is 2**62 - 1 on the fast side
+        gap = Gap(2, (base0, 5), ((1, 2), (3, -1)), (8, 8))
+        assert (enumeration._enum_gap_vectorized(gap, 289) is not None) == fast
+        pts = enum_gap(gap)
+        assert pts == PointSet(2, gap_points(gap))
+        assert len(pts) == 289
+        assert all(type(c) is int for p in pts for c in p)
+        claim = {"base": [base0, 5], "diffs": [[1, 2], [3, -1]], "halfsides": [8, 8]}
+        entry = _verify_entry({"dim": 2, "body": {"type": "ball", "radius": 3}, "gap": claim})
+        assert entry["contained"] is False and entry["cardinality_P"] == 289
+
+    @pytest.mark.parametrize(
+        "off_den, fast", [(2**50, True), (2**64, False)], ids=["int64", "bigint"]
+    )
+    def test_enum_body(self, off_den, fast):
+        # a disk of radius 10 tilted by a tiny off-diagonal term, which moves
+        # boundary points with x1 * x2 > 0 out; the integerized denominator
+        # lcm(100, off_den) is 25 * 2**52 or 25 * 2**64
+        form = [[Fraction(1, 100), Fraction(1, off_den)], [Fraction(1, off_den), Fraction(1, 100)]]
+        body = ConvexBody.from_ellipsoid(Ellipsoid(Mat(form)))
+        bounds = body.int_box_bounds()
+        assert bounds == (10, 10)
+        vectorized = enumeration._enum_ellipsoid_vectorized(body, bounds, 441)
+        assert (vectorized is not None) == fast
+        pts = enum_body(body)
+        assert pts == PointSet(2, _in_form(form, 11))
+        assert (6, 8) not in pts and (6, -8) in pts
+        assert all(type(c) is int for p in pts for c in p)
+        doc = {
+            "dim": 2,
+            "body": {"type": "ellipsoid", "form": [[str(x) for x in row] for row in form]},
+            "gap": {"base": [0, 0], "diffs": [[1, 0], [0, 1]], "halfsides": [9, 9]},
+        }
+        assert _verify_entry(doc)["witness"] == [-10, 0]
 
 
 class TestSubsetCheck:

@@ -1,15 +1,21 @@
 import itertools
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import gapcover.cover
+import gapcover.latred
+
 from gapcover.errors import RankError, UnsupportedDimensionError
+from gapcover.cover import cover
 from gapcover.exactalg import Mat, Vector, det, hnf, inverse, norm_sq, rank, sqrt_upper
+from gapcover.harness import gen_random
 from gapcover.latred import LatticeBasis, certify_reduction, lll_reduce
 
-from _oracles import shortest_basis_2d
+from _oracles import lll_recompute, shortest_basis_2d
 
 MINIMA_MAX_DIM = 4
 
@@ -152,6 +158,89 @@ class TestLll:
         v, t = lll_reduce(b)
         assert t.mat @ b.mat == v.mat
         assert lattices_equal(b.mat, v.mat)
+
+
+@st.composite
+def rational_bases(draw):
+    """Nonsingular rational d x d bases, d = 1..6.  Half of them are skewed
+    by a chain of unimodular shears row_i += m * row_(i-1), which LLL has
+    to undo with many swaps."""
+    d = draw(st.integers(1, 6))
+    bound = draw(st.sampled_from([3, 60, 10**5]))
+    entry = st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 9))
+    rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    if draw(st.booleans()):
+        m = draw(st.integers(2, 50))
+        for i in range(1, d):
+            rows[i] = [a + m * b for a, b in zip(rows[i], rows[i - 1])]
+    assume(det(Mat(rows)) != 0)
+    return rows
+
+
+def assert_same_as_recompute(rows):
+    """lll_reduce rounds the same mu_kj values as the oracle, in the same
+    order, and returns its (reduced, T) exactly; returns the oracle's swap
+    count.  A wrong update makes the entries blow up within a few steps, so
+    each value is compared as it is rounded and the run stops at the first
+    difference."""
+    want_rows, want_t, swaps, want_rounded = lll_recompute(rows)
+    rounded = []
+    round_half_up = gapcover.latred._round_half_up
+
+    def checked(x):
+        assert len(rounded) < len(want_rounded), "more roundings than the oracle"
+        assert x == want_rounded[len(rounded)], f"mu differs at rounding {len(rounded)}"
+        rounded.append(x)
+        return round_half_up(x)
+
+    with mock.patch.object(gapcover.latred, "_round_half_up", checked):
+        reduced, t = lll_reduce(LatticeBasis(rows))
+    assert rounded == want_rounded
+    assert reduced.vectors == want_rows
+    assert t.mat.entries == want_t
+    return swaps
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestLllMatchesRecompute:
+    """The in-place swap update of mu and ||b*_i||^2 must make every
+    decision a full Gram-Schmidt recomputation makes."""
+
+    @given(rational_bases())
+    @settings(max_examples=80, deadline=None)
+    def test_random_rational_bases(self, rows):
+        assert_same_as_recompute(rows)
+
+    def test_many_swaps(self):
+        # knapsack-style basis: the reduction takes 44 swaps
+        rows = [
+            [int(i == j) for j in range(5)] + [a]
+            for i, a in enumerate((10**6, 777_777, 555_553, 313_131, 271_828))
+        ] + [[0] * 5 + [3]]
+        assert assert_same_as_recompute(rows) >= 20
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize(
+        "kind, kw",
+        [("lattice-ball", {}), ("random-ellipsoid", {"scale": 1}), ("random-vertices", {})],
+        ids=["lattice-ball", "random-ellipsoid", "random-vertices"],
+    )
+    def test_pipeline_generator_matrices(self, kind, kw, d, monkeypatch):
+        # the generator matrix cover() hands to LLL on the seed-0 instance;
+        # cover stops there
+        bases = []
+
+        def record(basis, *args):
+            bases.append(basis)
+            raise _Captured
+
+        monkeypatch.setattr(gapcover.cover, "lll_reduce", record)
+        with pytest.raises(_Captured):
+            cover(gen_random(kind, d, 0, **kw).body)
+        assert_same_as_recompute([list(v) for v in bases[0].vectors])
 
 
 class TestCertify:
