@@ -5,7 +5,9 @@ progression containing every lattice point of the body, certify the
 containment point by point with a membership test built from the
 progression alone, and measure the covering ratio.  The body's lattice
 points C are listed once per instance; the certification and the projection
-check both take that listing.  The stages:
+check both take that listing.  The progression P is listed only when its
+differences are dependent; otherwise membership is one exact integer solve
+per point.  The stages:
 
 1. enclosing ellipsoid of the body (exact for ellipsoid bodies, certified
    Khachiyan output otherwise),
@@ -35,12 +37,10 @@ from .enumeration import DEFAULT_BUDGET, Gap, PointSet, enum_body, enum_gap, pro
 from .errors import BudgetError, CertificationError, DimensionError, RankError
 from .exactalg import (
     Mat,
-    as_vector,
     det,
     inverse,
     l1_norm,
     left_kernel,
-    rank,
     rational_kernel,
     unimodular_solve,
 )
@@ -193,13 +193,13 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
         raise RankError("saturated sublattice has unexpected rank")
     embed = Mat(basis_rows).transpose()  # d x k, columns = lattice basis
 
-    solve_embed = _column_solver(embed)
+    solve_embed = _integer_solver(embed)
     reduced = []
     for p in c_points:
-        y = solve_embed(as_vector(p))
-        if y is None or any(c.denominator != 1 for c in y):
+        y = solve_embed(p)
+        if y is None:
             raise RankError("lattice point outside the saturated sublattice")
-        reduced.append(tuple(int(c) for c in y))
+        reduced.append(tuple(y))
 
     if body.kind == "ellipsoid":
         form0 = embed.transpose() @ body.ellipsoid_rep.form @ embed
@@ -209,9 +209,12 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
     return SubspaceReduction(d, k, embed, body0, c_points)
 
 
-def _column_solver(m: Mat) -> Callable:
-    """Exact solver for m @ y = x with m of full column rank: returns y, or
-    None when x is outside the column space."""
+def _integer_solver(m: Mat) -> Callable[[Sequence[int]], list[int] | None]:
+    """Solver for m @ y = x, m integer of full column rank: the integer y, or
+    None when there is none.  k independent rows of m are inverted once and
+    cleared to an integer ``adj`` over a common denominator ``den``, with
+    zero columns at the other rows, so y = adj @ x / den; the other rows
+    must then hold exactly."""
     d, k = m.rows, m.cols
     # pick k independent rows by elimination, remembering original indices
     work = [list(row) for row in m.entries]
@@ -235,14 +238,24 @@ def _column_solver(m: Mat) -> Callable:
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
         pivot_rows.append(order[r])
         r += 1
-    sub = Mat([m.entries[i] for i in pivot_rows])
-    sub_inv = inverse(sub)
+    sub_inv = inverse(Mat([m.entries[i] for i in pivot_rows])).entries
+    den = math.lcm(*(x.denominator for row in sub_inv for x in row))
+    adj = [[0] * d for _ in range(k)]
+    for col, i in enumerate(pivot_rows):
+        for j in range(k):
+            adj[j][i] = int(sub_inv[j][col] * den)
+    rows = m.int_entries()
+    others = [(rows[i], i) for i in range(d) if i not in pivot_rows]
 
-    def solve(x: Sequence[Fraction]):
-        y = sub_inv.mul_vec(tuple(x[i] for i in pivot_rows))
-        for i in range(d):
-            s = sum((m.entries[i][j] * y[j] for j in range(k)), Fraction(0))
-            if s != x[i]:
+    def solve(x: Sequence[int]) -> list[int] | None:
+        y = []
+        for row in adj:
+            q, rem = divmod(sum(map(operator.mul, row, x)), den)
+            if rem:
+                return None
+            y.append(q)
+        for row, i in others:
+            if sum(map(operator.mul, row, y)) != x[i]:
                 return None
         return y
 
@@ -251,43 +264,20 @@ def _column_solver(m: Mat) -> Callable:
 
 def gap_membership_tester(gap: Gap) -> Callable[[Sequence[int]], bool]:
     """Exact membership test built from the progression alone (independent of
-    any pipeline state): solve for the coefficient vector, require it integer
-    and within the half-side bounds."""
+    any pipeline state), for differences whose active ones (half-side >= 1)
+    are independent: solve p - base = sum y_j v_j over the active
+    differences in integers and require |y_j| <= n_j.  The inactive ones
+    only ever take coefficient 0, and they may depend on the active ones."""
     base = gap.base
-    # a difference with half-side 0 only ever takes coefficient 0
     active = [(v, n) for v, n in zip(gap.diffs, gap.halfsides) if n >= 1]
     if not active:
         return lambda p: tuple(p) == base
-    w = Mat.from_columns(gap.diffs)
-    halfsides = gap.halfsides
-
-    if w.is_square() and abs(det(w)) == 1:
-        # unimodular differences: the inverse is integral, test in pure ints
-        inv_rows = inverse(w).int_entries()
-
-        def member_int(p: Sequence[int]) -> bool:
-            x = tuple(int(a) - b for a, b in zip(p, base))
-            for row, n in zip(inv_rows, halfsides):
-                if abs(sum(map(operator.mul, row, x))) > n:
-                    return False
-            return True
-
-        return member_int
-
-    # solve over the active differences only: the inactive ones may depend
-    # on them, which diffs_independent allows
-    solve = _column_solver(Mat.from_columns(v for v, _ in active))
-    active_halfsides = [n for _, n in active]
+    solve = _integer_solver(Mat.from_columns(v for v, _ in active))
+    halfsides = [n for _, n in active]
 
     def member(p: Sequence[int]) -> bool:
-        x = as_vector(tuple(int(a) - b for a, b in zip(p, base)))
-        y = solve(x)
-        if y is None:
-            return False
-        for c, n in zip(y, active_halfsides):
-            if c.denominator != 1 or abs(c) > n:
-                return False
-        return True
+        y = solve(tuple(map(operator.sub, p, base)))
+        return y is not None and all(map(operator.le, map(abs, y), halfsides))
 
     return member
 
@@ -300,10 +290,11 @@ def cover(
     """Run the full pipeline and certify the result.
 
     Returns the covering progression and a report whose ``contained`` flag
-    is the subset_check of every lattice point of the body against the
-    progression-only membership test of verify_cover (no pipeline state
-    such as T enters it); any False here is a bug, not a tolerance issue.
-    The report also carries the stage diagnostics and the listing of C.
+    comes from the same certification as verify_cover: every lattice point
+    of the body is tested with gap_membership_tester, built from the
+    progression alone (no pipeline state such as T enters it), and P is not
+    listed.  Any False here is a bug, not a tolerance issue.  The report
+    also carries the stage diagnostics and the listing of C.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -395,7 +386,9 @@ def verify_cover(body: ConvexBody, gap: Gap, cap: int = DEFAULT_BUDGET) -> Cover
     """Independent verification of a covering claim.
 
     Lists the body's lattice points and certifies them against the
-    progression (see _certify); nothing of the pipeline is used.
+    progression (see _certify): by gap_membership_tester when the active
+    differences are independent, by a listing of P when they are dependent.
+    Nothing of the pipeline is used.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -407,32 +400,20 @@ def verify_cover(body: ConvexBody, gap: Gap, cap: int = DEFAULT_BUDGET) -> Cover
 def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverReport:
     """Certify C ⊆ P from the progression alone.
 
-    Tests each point of C, in lexicographic order, against a membership
-    test derived from the progression only; the witness is the first point
-    that fails.  For small progressions (#P <= 20 000) each answer of the
-    test is also cross-checked against the explicit listing of P, and
-    containment is read from those same answers: the test runs once per
-    point either way.  When the differences are dependent, P is listed once
-    and both the membership test and #P come from that listing.  The
-    certification time is added to ``timings``, which the report keeps.
+    Tests each point of C, in lexicographic order, and stops at the first
+    one outside P, which is the witness.  When the active differences are
+    independent, the test is gap_membership_tester, once per point up to the
+    witness, and #P = prod(2 n_i + 1); P is not listed.  When they are
+    dependent, P is listed once and both the membership test and #P come
+    from that listing.  The certification time is added to ``timings``,
+    which the report keeps.
     """
     if gap.dim != c_points.dim:
         raise DimensionError(f"progression has dimension {gap.dim}, lattice points {c_points.dim}")
     t0 = time.perf_counter()
     if gap.diffs_independent():
-        member = gap_membership_tester(gap)
+        contained, witness = subset_check(c_points, gap_membership_tester(gap))
         card_p = gap.listed_cardinality()
-        if card_p <= 20_000:
-            listed = enum_gap(gap, cap)
-            answers = {}
-            for p in c_points:
-                answers[p] = ok = member(p)
-                if ok != (p in listed):
-                    raise CertificationError(
-                        f"membership test disagrees with explicit listing at {p}"
-                    )
-            member = answers.__getitem__
-        contained, witness = subset_check(c_points, member)
     else:
         listed = enum_gap(gap, cap)
         contained, witness = subset_check(c_points, listed.__contains__)

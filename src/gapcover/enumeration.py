@@ -118,9 +118,6 @@ def enum_gap(gap: Gap, cap: int = DEFAULT_BUDGET) -> PointSet:
     card = gap.listed_cardinality()
     if card > cap:
         raise BudgetError(f"progression lists {card} points, budget {cap}")
-    fast = _enum_gap_vectorized(gap, card)
-    if fast is not None:
-        return fast
     pts = []
     ranges = [range(-n, n + 1) for n in gap.halfsides]
     for coeffs in itertools.product(*ranges):
@@ -131,25 +128,6 @@ def enum_gap(gap: Gap, cap: int = DEFAULT_BUDGET) -> PointSet:
                     p[j] += m * v[j]
         pts.append(tuple(p))
     return PointSet(gap.dim, pts)
-
-
-def _enum_gap_vectorized(gap: Gap, card: int):
-    # int64 bulk expansion, guarded by a worst-case magnitude precheck
-    if card < 256 or gap.order == 0:
-        return None
-    worst = max(
-        abs(gap.base[j]) + sum(n * abs(v[j]) for n, v in zip(gap.halfsides, gap.diffs))
-        for j in range(gap.dim)
-    )
-    if worst >= 2**62:
-        return None
-    import numpy as np
-
-    axes = [np.arange(-n, n + 1, dtype=np.int64) for n in gap.halfsides]
-    coeffs = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(gap.order, -1).T
-    diffs = np.array(gap.diffs, dtype=np.int64)
-    pts = coeffs @ diffs + np.array(gap.base, dtype=np.int64)
-    return PointSet(gap.dim, pts.tolist())
 
 
 def _box_scan_count(bounds: Sequence[int]) -> int:

@@ -3,7 +3,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gapcover.cover
@@ -17,7 +17,7 @@ from gapcover.cover import (
     verify_projection,
 )
 from gapcover.enumeration import Gap, enum_body, enum_gap
-from gapcover.errors import BudgetError, CertificationError, DimensionError
+from gapcover.errors import BudgetError, DimensionError
 from gapcover.exactalg import Mat, det
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
@@ -108,16 +108,6 @@ class TestCoverPipeline:
         assert report.cardinality_P == 1
         assert gap.order == 0
 
-    def test_membership_equivalence_with_listing(self):
-        body = disk(4)
-        gap, report = cover(body)
-        member = gap_membership_tester(gap)
-        listed = enum_gap(gap)
-        bound = max(n + 1 for n in (3, 3))
-        pts = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
-        for p in pts:
-            assert member(p) == (p in listed)
-
     def test_volume_invariance_and_unimodularity(self):
         body = disk(4)
         gap, report = cover(body)
@@ -143,6 +133,62 @@ class TestCoverPipeline:
         assert report.contained
         assert report.cardinality_C == 33
         assert report.ratio <= covering_bound(3)
+
+
+@st.composite
+def membership_cases(draw):
+    """(gap, points) with independent active differences: k = 0..dim of
+    them in dims 1..4, entries in [-3, 3], half-sides 1..3, interleaved
+    with up to two inactive differences (half-side 0), each either an
+    integer combination of the active ones or any vector, and a base in
+    [-5, 5]^dim.  The points are base + sum m_i d_i + e with
+    |m_i| <= n_i + 1 and e in [-1, 1]^dim: a box around the base that
+    reaches one step past P along every difference, and off its lattice."""
+    dim = draw(st.integers(1, 4))
+    k = draw(st.integers(0, dim))
+    coord = st.integers(-3, 3)
+    active = [tuple(draw(coord) for _ in range(dim)) for _ in range(k)]
+    diffs = [(v, draw(st.integers(1, 3))) for v in active]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            ms = [draw(st.integers(-2, 2)) for _ in active]
+            v = tuple(sum(m * a[j] for m, a in zip(ms, active)) for j in range(dim))
+        else:
+            v = tuple(draw(coord) for _ in range(dim))
+        diffs.append((v, 0))
+    diffs = draw(st.permutations(diffs))
+    base = tuple(draw(st.integers(-5, 5)) for _ in range(dim))
+    gap = Gap(dim, base, [v for v, _ in diffs], [n for _, n in diffs])
+    assume(gap.diffs_independent())
+    points = []
+    for _ in range(draw(st.integers(1, 30))):
+        ms = [draw(st.integers(-n - 1, n + 1)) for n in gap.halfsides]
+        p = [b + draw(st.integers(-1, 1)) for b in base]
+        for m, v in zip(ms, gap.diffs):
+            p = [x + m * c for x, c in zip(p, v)]
+        points.append(tuple(p))
+    return gap, points
+
+
+class TestMembershipTester:
+    @given(membership_cases())
+    @settings(max_examples=200, deadline=None)
+    # the pipeline's progression for the disk of radius 2, on a 13 x 13 box
+    @example((cover(disk(4))[0], list(itertools.product(range(-6, 7), repeat=2))))
+    # non-unimodular differences (2, 0), (0, 1) and a nonzero base
+    @example((Gap(2, (1, -1), ((2, 0), (0, 1)), (2, 1)), [(5, 0), (4, 0), (6, 0), (-3, -2), (1, 1)]))
+    # order 1 in Z^3: points off the line must fail the non-pivot rows
+    @example((Gap(3, (0, 0, 1), ((1, 2, 0),), (2,)), [(2, 4, 1), (2, 4, 0), (2, 5, 1), (3, 6, 1)]))
+    # an inactive difference that depends on the active one
+    @example((Gap(2, (0, 0), ((1, 0), (2, 0)), (3, 0)), [(3, 0), (4, 0), (-4, 0), (0, 1)]))
+    # half-side 0 everywhere, and order 0
+    @example((Gap(2, (3, -2), ((1, 0),), (0,)), [(3, -2), (4, -2)]))
+    @example((Gap(2, (3, -2), (), ()), [(3, -2), (3, -1)]))
+    def test_matches_oracle(self, case):
+        gap, points = case
+        member = gap_membership_tester(gap)
+        listed = gap_points(gap)
+        assert [member(p) for p in points] == [p in listed for p in points]
 
 
 class TestCoverCatchesShrunkenProgression:
@@ -223,7 +269,7 @@ class TestCertifyDimension:
     @pytest.mark.parametrize(
         "body, gap",
         [
-            # #P = 40 001 skips the listing cross-check
+            # zip over a 2-D point and a 1-D base would compare one coordinate
             (ConvexBody.box([1, 1]), Gap(1, (0,), ((1,),), (20000,))),
             (ConvexBody.box([3, 3]), Gap(3, (0, 0, 0), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), (3, 3, 3))),
             (ConvexBody.box([1, 1]), Gap(1, (0,), ((1,),), (5,))),
@@ -233,16 +279,6 @@ class TestCertifyDimension:
     def test_mismatch_raises_before_testing(self, body, gap):
         with pytest.raises(DimensionError, match="dimension"):
             verify_cover(body, gap)
-
-
-def _lying_tester(lie_at):
-    """gap_membership_tester with the answer at one point flipped."""
-
-    def build(gap):
-        member = gap_membership_tester(gap)
-        return lambda p: (not member(p)) if tuple(p) == lie_at else member(p)
-
-    return build
 
 
 def _counting_tester(calls):
@@ -259,14 +295,9 @@ def _counting_tester(calls):
 
 
 class TestListingCrossCheck:
-    GRID = Gap(2, (0, 0), ((1, 0), (0, 1)), (1, 1))  # the 3 x 3 grid
-
-    @pytest.mark.parametrize("lie_at", [(2, 0), (1, 1)], ids=["in-for-outside", "out-for-inside"])
-    def test_lying_tester_raises(self, lie_at, monkeypatch):
-        # (2, 0) is a point of C outside P, (1, 1) one inside P
-        monkeypatch.setattr(gapcover.cover, "gap_membership_tester", _lying_tester(lie_at))
-        with pytest.raises(CertificationError, match="disagrees"):
-            verify_cover(disk(4), self.GRID)
+    """P is not listed to cross-check the tester (TestMembershipTester
+    checks it against the oracle instead): the tester runs once per point
+    of C, up to the witness, and only dependent differences list P."""
 
     @pytest.mark.parametrize("halfsides", [(1, 1), (2, 2)], ids=["false-claim", "true-claim"])
     def test_tester_runs_once_per_point(self, halfsides, monkeypatch):
@@ -274,12 +305,38 @@ class TestListingCrossCheck:
         monkeypatch.setattr(gapcover.cover, "gap_membership_tester", _counting_tester(calls))
         gap = Gap(2, (0, 0), ((1, 0), (0, 1)), halfsides)
         report = verify_cover(disk(4), gap)
-        assert report.contained == (halfsides == (2, 2))
-        assert sorted(calls) == list(enum_body(disk(4)))
+        c_points = list(enum_body(disk(4)))
+        if halfsides == (2, 2):
+            assert report.contained and calls == c_points
+        else:
+            # (-2, 0) is the first point of C and lies outside the 3 x 3 grid
+            assert report.witness == (-2, 0) and calls == [(-2, 0)]
+
+    @pytest.mark.parametrize(
+        "gap, listed",
+        [
+            (Gap(2, (0, 0), ((1, 0), (0, 1)), (2, 2)), 0),
+            (Gap(2, (0, 0), ((2, 0), (0, 1), (4, 0)), (1, 2, 0)), 0),
+            (Gap(2, (0, 0), ((1, 0), (0, 1), (1, 1)), (2, 2, 1)), 1),
+        ],
+        ids=["independent", "inactive-dependent", "dependent"],
+    )
+    def test_lists_only_dependent_differences(self, gap, listed, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return enum_gap(*args)
+
+        monkeypatch.setattr(gapcover.cover, "enum_gap", counted)
+        report = verify_cover(disk(4), gap)
+        assert len(calls) == listed
+        assert report.cardinality_P == len(gap_points(gap))
+        assert report.contained == all(p in gap_points(gap) for p in enum_body(disk(4)))
 
     def test_large_progression_exits_at_first_missing_point(self, monkeypatch):
-        # #P = 7 * 40 001 > 20 000: no listing, and the test stops at the
-        # witness, the first point of C (lexicographic) with x1 = 3
+        # #P = 7 * 40 001: no listing, and the test stops at the witness, the
+        # first point of C (lexicographic) with x1 = 3
         calls = []
         monkeypatch.setattr(gapcover.cover, "gap_membership_tester", _counting_tester(calls))
         monkeypatch.setattr(gapcover.cover, "enum_gap", lambda *a: pytest.fail("P was listed"))

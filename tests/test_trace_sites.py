@@ -14,14 +14,14 @@ import pytest
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
-def _sites():
+def traced_sites():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return sorted({site for sites in tracing.SITES.values() for site in sites})
 
 
-@pytest.mark.parametrize("module, attr", _sites())
+@pytest.mark.parametrize("module, attr", traced_sites())
 def test_traced_site_resolves(module, attr):
     mod = importlib.import_module(f"gapcover.{module}")
     assert callable(getattr(mod, attr, None)), f"gapcover.{module}.{attr} is missing"

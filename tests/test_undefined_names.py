@@ -7,10 +7,15 @@ an attribute of that module or to a builtin; otherwise the call site raises
 non-dunder method must be read somewhere in ``gapcover`` (a global or name
 load, an attribute or method load, or a ``from ... import``); otherwise it is
 code that only the tests run.  The names in ``gapcover.__all__`` and the
-console entry point ``cli.main`` are read from outside.  Stdlib only: each
-module's source is compiled and its code objects are walked with ``dis``.
+console entry point ``cli.main`` are read from outside.  Every name a module
+binds with a relative import must be read in that module, annotations
+included, except the package's re-exports and the attributes the
+benchmark's tracer wraps.  Stdlib only: each module's source is compiled and
+its code objects are walked with ``dis``; the imports are read from its
+``ast``.
 """
 
+import ast
 import builtins
 import dis
 import importlib
@@ -21,6 +26,7 @@ import types
 import pytest
 
 import gapcover
+from test_trace_sites import traced_sites
 
 GLOBAL_LOADS = {"LOAD_GLOBAL", "LOAD_NAME"}
 
@@ -98,15 +104,37 @@ def unread_definitions(codes: dict[str, types.CodeType], exempt) -> list[str]:
     ]
 
 
+def unread_imports(source: str) -> list[str]:
+    """Names that a module binds with a relative ``from`` import and never
+    loads, annotations included; a name used only inside a quoted annotation
+    counts as unread."""
+    tree = ast.parse(source)
+    imported = [
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    ]
+    loaded = {
+        node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in loaded]
+
+
 def _module_names():
     subs = (info.name for info in pkgutil.iter_modules(gapcover.__path__))
     return [gapcover.__name__] + sorted(f"{gapcover.__name__}.{name}" for name in subs)
 
 
-def _compile(modname):
+def _source(modname):
     module = importlib.import_module(modname)
     with open(module.__file__, encoding="utf-8") as fh:
-        return module, compile(fh.read(), module.__file__, "exec")
+        return module, fh.read()
+
+
+def _compile(modname):
+    module, source = _source(modname)
+    return module, compile(source, module.__file__, "exec")
 
 
 @pytest.mark.parametrize("modname", _module_names())
@@ -119,6 +147,18 @@ def test_every_definition_is_read():
     codes = {modname: _compile(modname)[1] for modname in _module_names()}
     exempt = set(gapcover.__all__) | {"gapcover.cli.main"}
     assert unread_definitions(codes, exempt) == []
+
+
+def test_every_relative_import_is_read():
+    exempt = {(gapcover.__name__, name) for name in gapcover.__all__}
+    exempt |= {(f"{gapcover.__name__}.{module}", attr) for module, attr in traced_sites()}
+    unread = [
+        f"{modname}.{name}"
+        for modname in _module_names()
+        for name in unread_imports(_source(modname)[1])
+        if (modname, name) not in exempt
+    ]
+    assert unread == []
 
 
 def test_guard_flags_undefined_call():
@@ -170,3 +210,20 @@ def test_guard_flags_unread_definition():
         "lib.C.unused",
         "lib.C.Inner.nested_unused",
     ]
+
+
+def test_guard_flags_unread_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "from os import path\n"
+        "from .a import called, unused, annotated, quoted, renamed as alias\n"
+        "from . import sub\n"
+        "def f(x: annotated) -> 'quoted':\n"
+        "    from .b import local, local_unused\n"
+        "    return called(x) + sub.g() + local\n"
+        "class C:\n"
+        "    def m(self):\n"
+        "        return [alias for _ in ()]\n"
+    )
+    assert unread_imports(source) == ["unused", "quoted", "local_unused"]
