@@ -37,8 +37,11 @@ from .enumeration import DEFAULT_BUDGET, Gap, PointSet, enum_body, enum_gap, pro
 from .errors import BudgetError, CertificationError, DimensionError, RankError
 from .exactalg import (
     Mat,
+    _integer_solver,
+    _span_rank,
     det,
-    inverse,
+    integerize_rows,
+    inverse,  # not called here; perfbench/tracing.py wraps cover.inverse
     l1_norm,
     left_kernel,
     rational_kernel,
@@ -146,31 +149,6 @@ class ProjectionReport:
     degraded: bool
 
 
-def _integerize_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    out = []
-    for row in rows:
-        den = math.lcm(*(Fraction(x).denominator for x in row))
-        out.append([int(Fraction(x) * den) for x in row])
-    return out
-
-
-def _span_rank(points, d: int) -> int:
-    """Rank of a point set with early exit at d (fast for spanning sets)."""
-    basis: list[list[Fraction]] = []
-    for p in points:
-        v = [Fraction(c) for c in p]
-        for row in basis:
-            piv = next(j for j, x in enumerate(row) if x)
-            if v[piv]:
-                f = v[piv] / row[piv]
-                v = [a - f * b for a, b in zip(v, row)]
-        if any(v):
-            basis.append(v)
-            if len(basis) == d:
-                return d
-    return len(basis)
-
-
 def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceReduction:
     """Restrict a body to the saturated sublattice Z^d ∩ span of its lattice
     points.  Identity reduction when the points already span; k = 0 when the
@@ -186,7 +164,7 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
 
     # functionals vanishing on span(C): rational kernel, cleared to integers
     ker = rational_kernel(Mat(nonzero))
-    cmat_rows = _integerize_rows(ker)
+    cmat_rows = integerize_rows(ker)
     # saturated lattice = integer solutions of those functionals
     basis_rows = left_kernel(Mat(cmat_rows).transpose())
     if len(basis_rows) != k:
@@ -207,59 +185,6 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
     else:
         body0 = ConvexBody.vertices([p for p in reduced if any(p)])
     return SubspaceReduction(d, k, embed, body0, c_points)
-
-
-def _integer_solver(m: Mat) -> Callable[[Sequence[int]], list[int] | None]:
-    """Solver for m @ y = x, m integer of full column rank: the integer y, or
-    None when there is none.  k independent rows of m are inverted once and
-    cleared to an integer ``adj`` over a common denominator ``den``, with
-    zero columns at the other rows, so y = adj @ x / den; the other rows
-    must then hold exactly."""
-    d, k = m.rows, m.cols
-    # pick k independent rows by elimination, remembering original indices
-    work = [list(row) for row in m.entries]
-    order = list(range(d))
-    pivot_rows: list[int] = []
-    r = 0
-    for c in range(k):
-        pr = None
-        for i in range(r, d):
-            if work[i][c] != 0:
-                pr = i
-                break
-        if pr is None:
-            raise RankError("embedding matrix is rank deficient")
-        work[r], work[pr] = work[pr], work[r]
-        order[r], order[pr] = order[pr], order[r]
-        pv = work[r][c]
-        for i in range(r + 1, d):
-            if work[i][c] != 0:
-                f = work[i][c] / pv
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivot_rows.append(order[r])
-        r += 1
-    sub_inv = inverse(Mat([m.entries[i] for i in pivot_rows])).entries
-    den = math.lcm(*(x.denominator for row in sub_inv for x in row))
-    adj = [[0] * d for _ in range(k)]
-    for col, i in enumerate(pivot_rows):
-        for j in range(k):
-            adj[j][i] = int(sub_inv[j][col] * den)
-    rows = m.int_entries()
-    others = [(rows[i], i) for i in range(d) if i not in pivot_rows]
-
-    def solve(x: Sequence[int]) -> list[int] | None:
-        y = []
-        for row in adj:
-            q, rem = divmod(sum(map(operator.mul, row, x)), den)
-            if rem:
-                return None
-            y.append(q)
-        for row, i in others:
-            if sum(map(operator.mul, row, y)) != x[i]:
-                return None
-        return y
-
-    return solve
 
 
 def gap_membership_tester(gap: Gap) -> Callable[[Sequence[int]], bool]:

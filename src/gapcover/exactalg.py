@@ -1,15 +1,21 @@
 """Exact integer and rational linear algebra.
 
-Scalars are ``fractions.Fraction`` throughout (arbitrary precision, always
-normalized with positive denominator), so every operation in this module is
-exact: nothing here may round.
+Matrices hold ``fractions.Fraction`` entries (always normalized with positive
+denominator), but the kernels run on Python ints: a rational matrix is
+cleared to integer rows over the lcm of its denominators (per row where only
+the row space matters), and determinants, inverses, ranks and solves are
+fraction-free (Bareiss) eliminations on those ints whose every division is
+exact.  Nothing here may round.  A ``Mat`` is immutable, so its determinant
+and inverse are computed at most once and kept on it.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     DimensionError,
@@ -42,9 +48,10 @@ def l1_norm(u: Sequence) -> Fraction:
 
 
 class Mat:
-    """Immutable dense matrix of exact rationals."""
+    """Immutable dense matrix of exact rationals.  ``det`` and ``inverse``
+    keep their results on the matrix."""
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_det", "_inv")
 
     def __init__(self, entries: Iterable[Iterable]):
         grid = tuple(tuple(Fraction(x) for x in row) for row in entries)
@@ -56,6 +63,8 @@ class Mat:
         object.__setattr__(self, "entries", grid)
         object.__setattr__(self, "rows", len(grid))
         object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "_det", None)
+        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -115,30 +124,35 @@ class Mat:
         return f"Mat[{body}]"
 
 
+def clear_denominators(m: Mat) -> tuple[list[list[int]], int]:
+    """Integer rows n and den > 0, the lcm of m's denominators, with
+    m == n / den."""
+    den = math.lcm(*(x.denominator for row in m.entries for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in m.entries], den
+
+
+def integerize_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row times the lcm of its own denominators: the same row space."""
+    out = []
+    for row in rows:
+        den = math.lcm(*(x.denominator for x in row))
+        out.append([x.numerator * (den // x.denominator) for x in row])
+    return out
+
+
+def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, c)) for c in cols] for row in a]
+
+
 def det(m: Mat) -> Fraction:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant: Bareiss over m's cleared rows, det(n) / den^rows."""
     if not m.is_square():
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    a = [list(row) for row in m.entries]
-    sign = 1
-    prev = Fraction(1)
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
-        prev = pivot
-    return Fraction(sign) * a[n - 1][n - 1]
+    if m._det is None:
+        rows, den = clear_denominators(m)
+        object.__setattr__(m, "_det", Fraction(_int_det(rows), den**m.rows))
+    return m._det
 
 
 def _int_det(rows: Sequence[Sequence[int]]) -> int:
@@ -165,62 +179,146 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def leading_minors_positive(m: Mat) -> bool:
+    """Whether every leading principal minor of the square m is positive.
+    One pivot-free Bareiss pass over m's cleared rows: its k-th pivot is
+    their k-th leading minor, which has the sign of m's."""
+    a, _ = clear_denominators(m)
+    prev = 1
+    for k in range(m.rows):
+        pivot, row_k = a[k][k], a[k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, m.rows):
+            f = a[i][k]
+            a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = pivot
+    return True
+
+
+def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(r, p) with rows^-1 == r / p and p = +-det(rows), by one
+    fraction-free Gauss-Jordan pass over [rows | I]: the step on column k
+    leaves that step's pivot times the identity in the first k + 1 columns,
+    every division by the previous pivot is exact, and the last pivot p
+    leaves [p I | r]."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        pr = next((i for i in range(k, n) if a[i][k]), None)
+        if pr is None:
+            raise SingularMatrixError("matrix is singular")
+        a[k], a[pr] = a[pr], a[k]
+        pivot, row_k = a[k][k], a[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row_k)]
+        prev = pivot
+    return [row[n:] for row in a], prev
+
+
+def _inverse_pair(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int, Mat]:
+    """(r, p, m^-1) with m^-1 == r / p, r and p integers; kept on m."""
+    if m._inv is None:
+        rows, den = clear_denominators(m)
+        r, p = _int_inverse(rows)  # m^-1 = den * r / p
+        r = tuple(tuple(den * x for x in row) for row in r)
+        object.__setattr__(m, "_inv", (r, p, Mat([[Fraction(x, p) for x in row] for row in r])))
+    return m._inv
+
+
 def inverse(m: Mat) -> Mat:
-    """Exact inverse: fraction-free forward elimination, exact back substitution."""
+    """Exact inverse from one fraction-free Gauss-Jordan pass over m's
+    cleared rows."""
     if not m.is_square():
         raise DimensionError(f"inverse needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    a = [list(m.entries[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    prev = Fraction(1)
-    for k in range(n):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    break
-            else:
-                raise SingularMatrixError("matrix is singular")
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, 2 * n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
-            a[i][k] = Fraction(0)
+    return _inverse_pair(m)[2]
+
+
+def _pivot_rows(rows: Sequence[Sequence[int]], cols: int) -> list[int]:
+    """Indices of the rows that fraction-free elimination of the integer
+    rows picks as pivots, one per pivot column from left to right: the
+    first row, after swaps, with a nonzero entry in the column.  Their
+    number is the rank."""
+    a = [list(row) for row in rows]
+    order = list(range(len(a)))
+    picked: list[int] = []
+    prev = 1
+    for c in range(cols):
+        r = len(picked)
+        if r == len(a):
+            break
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        order[r], order[pr] = order[pr], order[r]
+        pivot, row_r = a[r][c], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c]
+            a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row_r)]
         prev = pivot
-    for k in range(n - 1, -1, -1):
-        pivot = a[k][k]
-        for j in range(k + 1, 2 * n):
-            a[k][j] /= pivot
-        a[k][k] = Fraction(1)
-        for i in range(k):
-            f = a[i][k]
-            if f:
-                for j in range(k, 2 * n):
-                    a[i][j] -= f * a[k][j]
-    return Mat([row[n:] for row in a])
+        picked.append(order[r])
+    return picked
 
 
 def rank(m: Mat) -> int:
-    a = [list(row) for row in m.entries]
-    r = 0
-    for c in range(m.cols):
-        pivot_row = None
-        for i in range(r, m.rows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pv = a[r][c]
-        for i in range(r + 1, m.rows):
-            if a[i][c] != 0:
-                f = a[i][c] / pv
-                for j in range(c, m.cols):
-                    a[i][j] -= f * a[r][j]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+    return len(_pivot_rows(integerize_rows(m.entries), m.cols))
+
+
+def _span_rank(points: Iterable[Sequence[int]], d: int) -> int:
+    """Rank of integer points with early exit at d (fast for spanning sets).
+    Each point is eliminated in ints against the kept rows, which are
+    divided by their content."""
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for p in points:
+        v = list(p)
+        for piv, row in basis:
+            f = v[piv]
+            if f:
+                g = row[piv]
+                v = [g * a - f * b for a, b in zip(v, row)]
+        if any(v):
+            content = math.gcd(*v)
+            basis.append((next(j for j, x in enumerate(v) if x), [x // content for x in v]))
+            if len(basis) == d:
+                return d
+    return len(basis)
+
+
+def _integer_solver(m: Mat) -> Callable[[Sequence[int]], list[int] | None]:
+    """Solver for m @ y = x, m integer of full column rank: the integer y, or
+    None when there is none.  k independent rows of m, picked by
+    fraction-free elimination, are inverted once in ints to ``adj`` over
+    ``den`` (zero columns at the other rows), so y = adj @ x / den; the
+    other rows must then hold exactly."""
+    d, k = m.rows, m.cols
+    rows = m.int_entries()
+    pivot_rows = _pivot_rows(rows, k)
+    if len(pivot_rows) < k:
+        raise RankError("embedding matrix is rank deficient")
+    sub_adj, den = _int_inverse([rows[i] for i in pivot_rows])
+    adj = [[0] * d for _ in range(k)]
+    for col, i in enumerate(pivot_rows):
+        for j in range(k):
+            adj[j][i] = sub_adj[j][col]
+    others = [(rows[i], i) for i in range(d) if i not in pivot_rows]
+
+    def solve(x: Sequence[int]) -> list[int] | None:
+        y = []
+        for row in adj:
+            q, rem = divmod(sum(map(operator.mul, row, x)), den)
+            if rem:
+                return None
+            y.append(q)
+        for row, i in others:
+            if sum(map(operator.mul, row, y)) != x[i]:
+                return None
+        return y
+
+    return solve
 
 
 def rational_kernel(m: Mat) -> list[Vector]:
@@ -414,10 +512,19 @@ def unimodular_solve(x: Mat, x2: Mat) -> UnimodularMat:
         raise SingularMatrixError("second basis is singular")
     if abs(dx2 / dx) != 1:
         raise LatticeMismatchError(f"lattices differ: determinant ratio {dx2 / dx}")
-    t = x2 @ inverse(x)
-    if not t.is_integer():
-        raise LatticeMismatchError("lattices differ: transform is not integral")
-    return UnimodularMat(t.int_entries())
+    # x^-1 = r / p and x2 = h / den, so T = x2 @ x^-1 = (h @ r) / (den * p)
+    r, p, _ = _inverse_pair(x)
+    h, den = clear_denominators(x2)
+    t = []
+    for row in int_matmul(h, r):
+        out = []
+        for s in row:
+            q, rem = divmod(s, den * p)
+            if rem:
+                raise LatticeMismatchError("lattices differ: transform is not integral")
+            out.append(q)
+        t.append(out)
+    return UnimodularMat(t)
 
 
 def floor_sqrt(x: Fraction) -> int:

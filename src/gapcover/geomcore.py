@@ -29,9 +29,11 @@ from .exactalg import (
     Vector,
     _int_det,
     as_vector,
+    clear_denominators,
     det,
     floor_sqrt,
     inverse,
+    leading_minors_positive,
     rank,
     rational_kernel,
     vec_dot,
@@ -51,7 +53,7 @@ class Ellipsoid:
     """Origin-centred ellipsoid {x : x^T A x <= 1} with A rational and
     positive definite (checked exactly via leading principal minors)."""
 
-    __slots__ = ("form", "_inv",)
+    __slots__ = ("form",)
 
     def __init__(self, form: Mat):
         if not form.is_square():
@@ -61,12 +63,9 @@ class Ellipsoid:
             for j in range(i):
                 if form.entries[i][j] != form.entries[j][i]:
                     raise DimensionError("ellipsoid form must be symmetric")
-        for k in range(1, n + 1):
-            minor = Mat([row[:k] for row in form.entries[:k]])
-            if det(minor) <= 0:
-                raise RankError("ellipsoid form is not positive definite")
+        if not leading_minors_positive(form):
+            raise RankError("ellipsoid form is not positive definite")
         object.__setattr__(self, "form", form)
-        object.__setattr__(self, "_inv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Ellipsoid is immutable")
@@ -84,9 +83,7 @@ class Ellipsoid:
 
     @property
     def inv_form(self) -> Mat:
-        if self._inv is None:
-            object.__setattr__(self, "_inv", inverse(self.form))
-        return self._inv
+        return inverse(self.form)
 
     def support_sq(self, direction: Sequence) -> Fraction:
         """Squared support function h(c)^2 = c^T A^{-1} c."""
@@ -180,12 +177,8 @@ class ConvexBody:
     def _ellipsoid_int_test(self):
         # integerized quadratic form: x^T N x <= D, all-int arithmetic
         if self._int_form is None:
-            a = self.ellipsoid_rep.form
-            den = math.lcm(*(x.denominator for row in a.entries for x in row))
-            n_rows = tuple(
-                tuple(int(x * den) for x in row) for row in a.entries
-            )
-            object.__setattr__(self, "_int_form", (n_rows, den))
+            n_rows, den = clear_denominators(self.ellipsoid_rep.form)
+            object.__setattr__(self, "_int_form", (tuple(map(tuple, n_rows)), den))
         return self._int_form
 
     def hull_facets(self, cap: int = DEFAULT_BUDGET) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -315,7 +308,7 @@ def hull_line_extent(body: ConvexBody, prefix: Sequence) -> tuple[Fraction, Frac
 class Parallelotope:
     """{sum lambda_i u_i : lambda_i in [-1, 1]} for independent generators u_i."""
 
-    __slots__ = ("gens", "_gmat", "_ginv")
+    __slots__ = ("gens", "_gmat")
 
     def __init__(self, gens: Iterable[Iterable]):
         g = tuple(as_vector(v) for v in gens)
@@ -327,7 +320,6 @@ class Parallelotope:
             raise RankError("parallelotope generators are dependent")
         object.__setattr__(self, "gens", g)
         object.__setattr__(self, "_gmat", gmat)
-        object.__setattr__(self, "_ginv", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Parallelotope is immutable")
@@ -344,9 +336,7 @@ class Parallelotope:
     @property
     def dual_normals(self) -> Mat:
         """Rows n_j with membership test |n_j . x| <= 1 for all j."""
-        if self._ginv is None:
-            object.__setattr__(self, "_ginv", inverse(self._gmat))
-        return self._ginv
+        return inverse(self._gmat)
 
     def contains(self, x: Sequence) -> bool:
         lam = self.dual_normals.mul_vec(as_vector(x))

@@ -1,12 +1,15 @@
 """Lattice basis reduction with exact certificates.
 
-LLL over exact rationals (no floating point anywhere), returning the
-unimodular transform alongside the reduced basis, and a norm-product /
-determinant certificate of how far the reduced basis is from orthogonal.
+LLL in integers (no floating point anywhere): a rational basis is cleared to
+integer rows over one common denominator, and the integral LLL of de Weger
+works on integer Gram determinants; it returns the unimodular transform
+alongside the reduced basis.  A norm-product / determinant certificate says
+how far the reduced basis is from orthogonal.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -16,11 +19,12 @@ from .exactalg import (
     Mat,
     UnimodularMat,
     as_vector,
+    clear_denominators,
     det,
+    int_matmul,
     inverse,  # not called here; perfbench/tracing.py wraps latred.inverse
     norm_sq,
     sqrt_upper,
-    vec_dot,
 )
 
 LLL_DEFAULT_DELTA = Fraction(99, 100)
@@ -76,78 +80,82 @@ class ReductionCert:
     ratio: Fraction
 
 
-def _gram_schmidt(rows: list[list[Fraction]]):
-    d = len(rows)
-    ortho: list[list[Fraction]] = []
-    mu = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        v = list(rows[i])
-        for j in range(i):
-            denom = vec_dot(ortho[j], ortho[j])
-            mu[i][j] = vec_dot(rows[i], ortho[j]) / denom
-            v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
-        ortho.append(v)
-    return ortho, mu
-
-
-def _round_half_up(x: Fraction) -> int:
-    return (2 * x.numerator + x.denominator) // (2 * x.denominator)
+def _round_half_up(num: int, den: int) -> int:
+    """Nearest integer to num / den (den > 0), halves rounded up."""
+    return (2 * num + den) // (2 * den)
 
 
 def lll_reduce(basis: LatticeBasis, delta=LLL_DEFAULT_DELTA) -> tuple[LatticeBasis, UnimodularMat]:
-    """LLL reduction over exact rationals.
+    """LLL reduction in integers.
 
     Returns (reduced, t) with t unimodular and t @ input == reduced, exactly.
     On exit the basis is size-reduced (|mu_ij| <= 1/2) and satisfies the
     Lovasz condition with the given delta at every index.
 
-    Gram-Schmidt runs once; a swap of b_(k-1) and b_k then updates mu and
-    B_i = ||b*_i||^2 in place with the exact formulas of Cohen, Alg. 2.6.3.
-    Those values equal a full recomputation, so every decision and the
-    output are those of recomputing after each swap.
+    The basis is cleared to integer rows b over one common denominator,
+    which changes no mu_ij and scales every B_i = ||b*_i||^2 alike.  The
+    integral LLL of de Weger (Cohen, Alg. 2.6.7) then keeps the Gram
+    determinants dd[i] = B_0 ... B_(i-1) and lam[i][j] = dd[j+1] * mu_ij,
+    all integers: one integral Gram-Schmidt pass sets them up, and size
+    reduction and swaps update them with exact divisions.  Size reduction
+    rounds mu_kj = lam[k][j] / dd[j+1] for j = k-1 down to 0, and the
+    Lovasz test is B_k >= (delta - mu^2) B_(k-1) times dd[k] dd[k-1] and
+    delta's denominator.  Every decision is that of a rational LLL that
+    recomputes Gram-Schmidt after each swap.
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise DimensionError("delta must lie in (1/4, 1)")
+    num, den = delta.numerator, delta.denominator
     d = basis.dim
-    rows = [list(v) for v in basis.vectors]
+    b0, scale = clear_denominators(basis.mat)
+    b = [list(row) for row in b0]
     t = [[int(i == j) for j in range(d)] for i in range(d)]
 
-    ortho, mu = _gram_schmidt(rows)
-    b_sq = [vec_dot(v, v) for v in ortho]
+    dd = [1] * (d + 1)
+    lam = [[0] * d for _ in range(d)]
+    for k in range(d):
+        for j in range(k + 1):
+            u = sum(map(operator.mul, b[k], b[j]))
+            for i in range(j):
+                u = (dd[i + 1] * u - lam[k][i] * lam[j][i]) // dd[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                dd[k + 1] = u
+
     k = 1
     while k < d:
+        lam_k = lam[k]
         for j in range(k - 1, -1, -1):
-            q = _round_half_up(mu[k][j])
+            q = _round_half_up(lam_k[j], dd[j + 1])
             if q:
-                rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
-                t[k] = [a - q * b for a, b in zip(t[k], t[j])]
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                t[k] = [x - q * y for x, y in zip(t[k], t[j])]
                 # size reduction leaves the orthogonalization unchanged
-                for jj in range(j):
-                    mu[k][jj] -= q * mu[j][jj]
-                mu[k][j] -= q
-        m = mu[k][k - 1]
-        if b_sq[k] >= (delta - m**2) * b_sq[k - 1]:
+                lam_j = lam[j]
+                for i in range(j):
+                    lam_k[i] -= q * lam_j[i]
+                lam_k[j] -= q * dd[j + 1]
+        m = lam_k[k - 1]
+        if den * dd[k + 1] * dd[k - 1] >= num * dd[k] ** 2 - den * m * m:
             k += 1
         else:
-            rows[k], rows[k - 1] = rows[k - 1], rows[k]
+            b[k], b[k - 1] = b[k - 1], b[k]
             t[k], t[k - 1] = t[k - 1], t[k]
-            b_new = b_sq[k] + m**2 * b_sq[k - 1]
-            mu[k][k - 1] = m * b_sq[k - 1] / b_new
-            b_sq[k] = b_sq[k - 1] * b_sq[k] / b_new
-            b_sq[k - 1] = b_new
             for j in range(k - 1):
-                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            b_new = (dd[k - 1] * dd[k + 1] + m * m) // dd[k]
             for i in range(k + 1, d):
-                s = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * s
-                mu[i][k - 1] = s + mu[k][k - 1] * mu[i][k]
+                s = lam[i][k]
+                lam[i][k] = (dd[k + 1] * lam[i][k - 1] - m * s) // dd[k]
+                lam[i][k - 1] = (b_new * s + m * lam[i][k]) // dd[k + 1]
+            dd[k] = b_new
             k = max(k - 1, 1)
 
-    reduced = LatticeBasis(rows)
-    transform = UnimodularMat(t)
-    assert transform.mat @ basis.mat == reduced.mat
-    return reduced, transform
+    assert int_matmul(t, b0) == b
+    reduced = LatticeBasis([[Fraction(x, scale) for x in row] for row in b])
+    return reduced, UnimodularMat(t)
 
 
 def certify_reduction(basis: LatticeBasis) -> ReductionCert:

@@ -215,6 +215,100 @@ def enumerated_projection(c_points, gap, phi, cap):
     }
 
 
+def _dot(a, b):
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
+def gram_schmidt(rows):
+    """Gram-Schmidt over the rationals: (b*_i, mu) with
+    b_i = b*_i + sum_(j<i) mu_ij b*_j."""
+    d = len(rows)
+    ortho = []
+    mu = [[Fraction(0)] * d for _ in range(d)]
+    for i, row in enumerate(rows):
+        v = [Fraction(x) for x in row]
+        for j in range(i):
+            mu[i][j] = _dot(row, ortho[j]) / _dot(ortho[j], ortho[j])
+            v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
+        ortho.append(v)
+    return ortho, mu
+
+
+def fraction_det(rows):
+    """Determinant by Bareiss elimination carried out in Fractions."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] for row in rows]
+    sign = 1
+    prev = Fraction(1)
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return Fraction(0)
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
+            a[i][k] = Fraction(0)
+        prev = pivot
+    return Fraction(sign) * a[n - 1][n - 1]
+
+
+def fraction_inverse(rows):
+    """Inverse rows by fraction-free forward elimination and exact back
+    substitution, in Fractions; ZeroDivisionError when singular."""
+    n = len(rows)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
+    prev = Fraction(1)
+    for k in range(n):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    break
+            else:
+                raise ZeroDivisionError("matrix is singular")
+        pivot = a[k][k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, 2 * n):
+                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) / prev
+            a[i][k] = Fraction(0)
+        prev = pivot
+    for k in range(n - 1, -1, -1):
+        pivot = a[k][k]
+        for j in range(k + 1, 2 * n):
+            a[k][j] /= pivot
+        a[k][k] = Fraction(1)
+        for i in range(k):
+            f = a[i][k]
+            if f:
+                for j in range(k, 2 * n):
+                    a[i][j] -= f * a[k][j]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def fraction_rank(rows):
+    """Rank by Gaussian elimination in Fractions."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for c in range(len(a[0])):
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        for i in range(r + 1, len(a)):
+            f = a[i][c] / a[r][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        r += 1
+        if r == len(a):
+            break
+    return r
+
+
 def lll_recompute(rows, delta=Fraction(99, 100)):
     """Textbook exact LLL that recomputes Gram-Schmidt from scratch after
     every swap, with the same size-reduction order (j = k-1 down to 0,
@@ -224,21 +318,6 @@ def lll_recompute(rows, delta=Fraction(99, 100)):
     the rows are tuples of Fractions, T a tuple of int tuples, and rounded
     lists the values mu_kj that size reduction rounded, in order."""
     d = len(rows)
-
-    def dot(a, b):
-        return sum((x * y for x, y in zip(a, b)), Fraction(0))
-
-    def gram_schmidt(rows):
-        ortho = []
-        mu = [[Fraction(0)] * d for _ in range(d)]
-        for i, row in enumerate(rows):
-            v = list(row)
-            for j in range(i):
-                mu[i][j] = dot(row, ortho[j]) / dot(ortho[j], ortho[j])
-                v = [a - mu[i][j] * b for a, b in zip(v, ortho[j])]
-            ortho.append(v)
-        return ortho, mu
-
     rows = [[Fraction(x) for x in r] for r in rows]
     t = [[int(i == j) for j in range(d)] for i in range(d)]
     ortho, mu = gram_schmidt(rows)
@@ -251,7 +330,7 @@ def lll_recompute(rows, delta=Fraction(99, 100)):
                 rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
                 t[k] = [a - q * b for a, b in zip(t[k], t[j])]
                 ortho, mu = gram_schmidt(rows)
-        if dot(ortho[k], ortho[k]) >= (delta - mu[k][k - 1] ** 2) * dot(ortho[k - 1], ortho[k - 1]):
+        if _dot(ortho[k], ortho[k]) >= (delta - mu[k][k - 1] ** 2) * _dot(ortho[k - 1], ortho[k - 1]):
             k += 1
         else:
             rows[k], rows[k - 1] = rows[k - 1], rows[k]

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import gapcover.exactalg
 
 from gapcover.errors import (
     DimensionError,
@@ -13,6 +16,7 @@ from gapcover.errors import (
 from gapcover.exactalg import (
     Mat,
     UnimodularMat,
+    _span_rank,
     det,
     floor_sqrt,
     hnf,
@@ -24,6 +28,8 @@ from gapcover.exactalg import (
     unimodular_solve,
     vec_dot,
 )
+
+from _oracles import fraction_det, fraction_inverse, fraction_rank
 
 
 def cofactor_2x2(m):
@@ -47,6 +53,66 @@ def square_int_mats(max_dim=4):
             st.lists(small_ints, min_size=n, max_size=n), min_size=n, max_size=n
         )
     )
+
+
+# entries over mixed denominators up to 10^9, as in the pipeline's
+# generator matrices
+rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**9))
+
+
+@st.composite
+def square_rational_mats(draw, max_dim=5):
+    """Square rational matrices; about half are made singular by setting
+    one row to a rational combination of two others (or to zero)."""
+    n = draw(st.integers(1, max_dim))
+    rows = draw(st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        a, b = draw(rationals), draw(rationals)
+        i = draw(st.integers(0, n - 1))
+        rows[i] = [a * x + b * y for x, y in zip(rows[i - 1], rows[i - 2])] if n > 2 else [Fraction(0)] * n
+    return rows
+
+
+class TestIntegerKernels:
+    """det, inverse and rank clear denominators and eliminate in ints; the
+    Fraction eliminations in tests/_oracles.py are the reference."""
+
+    @given(square_rational_mats())
+    @settings(max_examples=80, deadline=None)
+    def test_det_matches_fraction_oracle(self, rows):
+        assert det(Mat(rows)) == fraction_det(rows)
+
+    @given(square_rational_mats())
+    @settings(max_examples=80, deadline=None)
+    def test_inverse_matches_fraction_oracle(self, rows):
+        m = Mat(rows)
+        if fraction_det(rows) == 0:
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+        else:
+            assert inverse(m).entries == fraction_inverse(rows)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rank_matches_fraction_oracle(self, data):
+        # a product (m x r)(r x n) has rank <= r, so many draws are deficient
+        m, r, n = (data.draw(st.integers(1, 5)) for _ in range(3))
+        left = data.draw(st.lists(st.lists(rationals, min_size=r, max_size=r), min_size=m, max_size=m))
+        right = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=r, max_size=r))
+        rows = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)] for row in left]
+        assert rank(Mat(rows)) == fraction_rank(rows)
+
+    @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=8))
+    @settings(max_examples=80, deadline=None)
+    def test_span_rank_matches_fraction_oracle(self, points):
+        assert _span_rank(points, 3) == fraction_rank(points)
+
+    def test_computed_once_per_matrix(self):
+        m = Mat([[Fraction(1, 3), 2], [5, Fraction(7, 9)]])
+        with mock.patch.object(gapcover.exactalg, "_int_det", wraps=gapcover.exactalg._int_det) as spy:
+            assert det(m) == det(m) == fraction_det(m.entries)
+        assert spy.call_count == 1
+        assert inverse(m) is inverse(m)
 
 
 class TestDet:
@@ -195,7 +261,7 @@ class TestUnimodularSolve:
         assert t.mat == Mat([[0, 1], [1, 0]])
 
     def test_index_two_sublattice_rejected(self):
-        with pytest.raises(LatticeMismatchError):
+        with pytest.raises(LatticeMismatchError, match="determinant ratio"):
             unimodular_solve(Mat.identity(2), Mat.identity(2).scale(2))
 
     def test_shear(self):
@@ -205,8 +271,41 @@ class TestUnimodularSolve:
 
     def test_non_integer_transform_rejected(self):
         # same determinant but different lattices
-        with pytest.raises(LatticeMismatchError):
+        with pytest.raises(LatticeMismatchError, match="not integral"):
             unimodular_solve(Mat([[2, 0], [0, 1]]), Mat([[1, 0], [0, 2]]))
+
+    @pytest.mark.parametrize(
+        "x, x2, reason",
+        [
+            (
+                Mat([[Fraction(1, 3), 0], [1, Fraction(1, 7)]]),
+                Mat([[Fraction(1, 6), 0], [1, Fraction(1, 7)]]),
+                "determinant ratio",
+            ),
+            (
+                Mat([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]),
+                Mat([[Fraction(1, 4), 0], [0, Fraction(2, 3)]]),
+                "not integral",
+            ),
+        ],
+        ids=["determinant-ratio", "non-integral"],
+    )
+    def test_rational_mismatch_rejected(self, x, x2, reason):
+        with pytest.raises(LatticeMismatchError, match=reason):
+            unimodular_solve(x, x2)
+
+    @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3), elementary_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_rational_bases_match_fraction_oracle(self, rows, ops):
+        # x rational with mixed denominators, x2 = W @ x for a unimodular W;
+        # T must be W, and x2 @ x^-1 with the oracle's inverse
+        if fraction_det(rows) == 0:
+            return
+        w = make_unimodular(ops)
+        x = Mat(rows)
+        x2 = w @ x
+        t = unimodular_solve(x, x2)
+        assert t.mat == w == x2 @ Mat(fraction_inverse(rows))
 
     @given(square_int_mats(3), elementary_ops)
     @settings(max_examples=60, deadline=None)

@@ -16,7 +16,7 @@ from gapcover.geomcore import (
     volume,
 )
 
-from _oracles import ellipsoid_volume, grid_mvee_volume_2d, grid_mvee_volume_3d
+from _oracles import ellipsoid_volume, fraction_det, grid_mvee_volume_2d, grid_mvee_volume_3d
 
 
 class TestEllipsoid:
@@ -25,6 +25,23 @@ class TestEllipsoid:
             Ellipsoid(Mat([[1, 2], [3, 1]]))  # not symmetric
         with pytest.raises(RankError):
             Ellipsoid(Mat([[1, 0], [0, -1]]))  # not positive definite
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_accepts_iff_leading_minors_positive(self, data):
+        # Sylvester's criterion against the Fraction determinant of each
+        # leading minor; M M^T + s I is definite, semidefinite or
+        # indefinite depending on the shift s
+        small = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 1000))
+        n = data.draw(st.integers(1, 4))
+        m = data.draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=n, max_size=n))
+        shift = data.draw(st.builds(Fraction, st.integers(-20, 20), st.integers(1, 1000)))
+        form = [[sum(a * b for a, b in zip(m[i], m[j])) + shift * (i == j) for j in range(n)] for i in range(n)]
+        if all(fraction_det([row[:k] for row in form[:k]]) > 0 for k in range(1, n + 1)):
+            assert Ellipsoid(Mat(form)).form == Mat(form)
+        else:
+            with pytest.raises(RankError, match="not positive definite"):
+                Ellipsoid(Mat(form))
 
     def test_membership_and_support(self):
         e = Ellipsoid(Mat([[Fraction(1, 4), 0], [0, 1]]))

@@ -15,7 +15,7 @@ from gapcover.exactalg import Mat, Vector, det, hnf, inverse, norm_sq, rank, sqr
 from gapcover.harness import gen_random
 from gapcover.latred import LatticeBasis, certify_reduction, lll_reduce
 
-from _oracles import lll_recompute, shortest_basis_2d
+from _oracles import gram_schmidt, lll_recompute, shortest_basis_2d
 
 MINIMA_MAX_DIM = 4
 
@@ -122,12 +122,10 @@ class TestLll:
         assert norm_sq(v.vectors[0]) == q1
 
     def test_lovasz_and_size_reduction_hold(self):
-        from gapcover.latred import _gram_schmidt
-
         b = LatticeBasis([(12, 2, 17), (4, -9, 3), (5, 5, 5)])
         v, _ = lll_reduce(b)
         rows = [list(r) for r in v.vectors]
-        ortho, mu = _gram_schmidt(rows)
+        ortho, mu = gram_schmidt(rows)
         d = len(rows)
         delta = Fraction(99, 100)
         for i in range(d):
@@ -187,11 +185,12 @@ def assert_same_as_recompute(rows):
     rounded = []
     round_half_up = gapcover.latred._round_half_up
 
-    def checked(x):
+    def checked(num, den):
+        x = Fraction(num, den)
         assert len(rounded) < len(want_rounded), "more roundings than the oracle"
         assert x == want_rounded[len(rounded)], f"mu differs at rounding {len(rounded)}"
         rounded.append(x)
-        return round_half_up(x)
+        return round_half_up(num, den)
 
     with mock.patch.object(gapcover.latred, "_round_half_up", checked):
         reduced, t = lll_reduce(LatticeBasis(rows))
@@ -241,6 +240,17 @@ class TestLllMatchesRecompute:
         with pytest.raises(_Captured):
             cover(gen_random(kind, d, 0, **kw).body)
         assert_same_as_recompute([list(v) for v in bases[0].vectors])
+
+
+@given(rational_bases(), st.integers(2, 10**9))
+@settings(max_examples=40, deadline=None)
+def test_scaled_basis_same_transform(rows, c):
+    # lll_reduce clears the denominators, i.e. scales the basis; scaling
+    # changes no decision, so c * basis gives the same T
+    reduced, t = lll_reduce(LatticeBasis(rows))
+    reduced_c, t_c = lll_reduce(LatticeBasis([[c * x for x in row] for row in rows]))
+    assert t_c == t
+    assert reduced_c.mat == reduced.mat.scale(c)
 
 
 class TestCertify:
