@@ -1,0 +1,78 @@
+"""Canonical reports pinned by hash.
+
+``run_batch`` runs each instance of a small fixed list on its own, and the
+sha256 of its canonical JSON report must equal the one recorded in
+``golden_reports.json``.  The list holds ``gen_random`` seeds 0-3 of every
+generator kind at d = 2..4, a box, a ball, a verify-mode claim, an instance
+with a functional phi and a budget skip.
+
+The hashes pin more than the exact stages: the enclosing ellipsoid (MVEE)
+and the parallelotope's eigenvectors come from numpy floating-point steps,
+so they also pin this machine's numpy float results.  Only a change that
+declares a change of output may regenerate the file, with
+
+    PYTHONPATH=src python tests/test_golden_reports.py
+"""
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from gapcover.harness import (
+    GENERATOR_KINDS,
+    batch_report_to_json,
+    gen_random,
+    parse_instance,
+    run_batch,
+    to_canonical_json,
+)
+
+FIXTURE = pathlib.Path(__file__).with_name("golden_reports.json")
+
+FIXED = {
+    "box": {"dim": 3, "body": {"type": "box", "halfwidths": ["5/2", 3, "7/3"]}},
+    "ball": {"dim": 3, "body": {"type": "ball", "radius": "7/2"}},
+    "verify-claim": {
+        "dim": 2,
+        "body": {"type": "ellipsoid", "form": [["17/8", "13/16"], ["13/16", "5/16"]]},
+        "gap": {"base": [0, 0], "diffs": [[1, -3], [0, 1]], "halfsides": [1, 1]},
+    },
+    "phi": {"dim": 3, "body": {"type": "ball", "radius": 3}, "phi": [1, -2, 1]},
+    "budget-skip": {"dim": 3, "body": {"type": "box", "halfwidths": [100, 100, 100]}, "budget": 1000},
+}
+
+
+def instances():
+    """(name, InstanceSpec) for every pinned instance."""
+    out = [
+        (f"{kind}/d{dim}/s{seed}", gen_random(kind, dim, seed))
+        for kind in GENERATOR_KINDS
+        for dim in (2, 3, 4)
+        for seed in range(4)
+    ]
+    return out + [(name, parse_instance(doc)) for name, doc in FIXED.items()]
+
+
+def report_hash(spec) -> str:
+    text = to_canonical_json(batch_report_to_json(run_batch([spec])))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+GOLDEN = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+
+
+@pytest.mark.parametrize("name, spec", instances(), ids=[name for name, _ in instances()])
+def test_report_hash(name, spec):
+    assert report_hash(spec) == GOLDEN[name]
+
+
+def test_fixture_names_every_instance():
+    assert sorted(GOLDEN) == sorted(name for name, _ in instances())
+
+
+if __name__ == "__main__":
+    FIXTURE.write_text(
+        json.dumps({name: report_hash(spec) for name, spec in instances()}, indent=2) + "\n"
+    )
