@@ -1,20 +1,21 @@
 """Exact lattice-point enumeration and counting.
 
-Ground truth for every cardinality claim in the pipeline: scan a bounding box
-and test exact membership.  Scan order is lexicographic, so outputs and
-failure witnesses are deterministic.
+Ground truth for every cardinality claim in the pipeline: one exact line
+sweep lists a body's integer points, visiting only the lines that meet it.
+Point sets are sorted lexicographically, so outputs and failure witnesses
+are deterministic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionError
-from .exactalg import Mat, rank
+from .exactalg import Mat, clear_denominators, rank
 from .geomcore import DEFAULT_BUDGET, ConvexBody, hull_line_extent
 
 IntPoint = tuple[int, ...]
@@ -23,13 +24,14 @@ IntPoint = tuple[int, ...]
 class PointSet:
     """Deduplicated, lexicographically sorted set of integer points.
 
-    Coordinates are normalized to Python ``int`` (numpy listings included),
-    which the JSON reports rely on."""
+    Coordinates must be Python ``int``s, which the JSON reports rely on;
+    both enumerators produce them.  Input that is already sorted, as the
+    line sweep's is, sorts in linear time."""
 
     __slots__ = ("dim", "points", "_index")
 
     def __init__(self, dim: int, points: Iterable[Sequence[int]]):
-        pts = sorted({tuple(map(int, p)) for p in points})
+        pts = [p for p, _ in itertools.groupby(sorted(map(tuple, points)))]
         for p in pts:
             if len(p) != dim:
                 raise DimensionError(f"point {p} does not have dimension {dim}")
@@ -47,7 +49,7 @@ class PointSet:
         return iter(self.points)
 
     def __contains__(self, p) -> bool:
-        return tuple(map(int, p)) in self._index
+        return tuple(p) in self._index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PointSet) and self.points == other.points
@@ -130,90 +132,117 @@ def enum_gap(gap: Gap, cap: int = DEFAULT_BUDGET) -> PointSet:
     return PointSet(gap.dim, pts)
 
 
-def _box_scan_count(bounds: Sequence[int]) -> int:
-    total = 1
-    for b in bounds:
-        total *= 2 * b + 1
-    return total
+def box_point_count(body: ConvexBody) -> int:
+    """Number of integer points in the body's integer bounding box."""
+    return math.prod(2 * b + 1 for b in body.int_box_bounds())
 
 
 def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
-    """Exactly the integer points of the body.
+    """Exactly the integer points of the body, by one line sweep.
 
-    Scans the integer bounding box; membership is exact per representation.
-    Vertex bodies use a line sweep instead: their integer facets are computed
-    once (within the same budget) and each scan line's exact extent is read
-    off them.
+    Coordinates are fixed one at a time; given those already fixed, the
+    next one ranges over the exact integer interval where the line through
+    the prefix meets the body's projection onto one more coordinate, so
+    only lines that meet the body are visited.  By central symmetry, only
+    t >= 0 is swept while the prefix is all zero, and each point is kept
+    together with its negative.  The bounding box is checked against the
+    budget before any work, and a vertex body's facet search before any
+    line.
     """
-    bounds = body.int_box_bounds()
-    total = _box_scan_count(bounds)
+    total = box_point_count(body)
     if total > cap:
         raise BudgetError(f"bounding box holds {total} integer points, budget {cap}")
-
     if body.kind == "vertices":
         body.hull_facets(cap)
-        return _enum_vertices_sweep(body, bounds)
-    if body.kind == "box":
-        # bounds are floors of the halfwidths, so the whole grid is inside
-        return PointSet(body.dim, itertools.product(*(range(-b, b + 1) for b in bounds)))
-    fast = _enum_ellipsoid_vectorized(body, bounds, total)
-    if fast is not None:
-        return fast
-    pts = []
-    for p in itertools.product(*(range(-b, b + 1) for b in bounds)):
-        if body.contains_int_point(p):
-            pts.append(p)
-    return PointSet(body.dim, pts)
-
-
-def _enum_ellipsoid_vectorized(body: ConvexBody, bounds: Sequence[int], total: int):
-    """int64 bulk evaluation of the integerized quadratic form; exact because
-    a worst-case magnitude precheck rules out overflow.  Returns None when
-    the precheck fails (caller falls back to big-int scanning)."""
-    import numpy as np
-
-    n_rows, den = body._ellipsoid_int_test()
-    d = body.dim
-    worst = sum(
-        abs(n_rows[i][j]) * bounds[i] * bounds[j] for i in range(d) for j in range(d)
-    )
-    if worst >= 2**62 or den >= 2**62 or total < 256:
-        return None
-    axes = [np.arange(-b, b + 1, dtype=np.int64) for b in bounds]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(d, -1).T
-    form = np.array(n_rows, dtype=np.int64)
-    keep = []
-    chunk = 1 << 20
-    for start in range(0, grid.shape[0], chunk):
-        block = grid[start : start + chunk]
-        vals = np.einsum("pi,ij,pj->p", block, form, block)
-        keep.append(block[vals <= den])
-    pts = np.concatenate(keep)
-    return PointSet(d, pts.tolist())
-
-
-def _enum_vertices_sweep(body: ConvexBody, bounds: Sequence[int]) -> PointSet:
-    d = body.dim
+    extent = _LINE_EXTENTS[body.kind](body)
+    last = body.dim - 1
+    # the sweep visits the half in lexicographic order, so the mirrors come
+    # out in reverse order
     pts: list[IntPoint] = []
-    # any hull point satisfies ||x||_1 <= max_i ||v_i||_1, so lines whose
-    # prefix already exceeds that bound are empty
-    l1_cap = max(sum(abs(c) for c in v) for v in body.points)
-    prefix_ranges = [range(-b, b + 1) for b in bounds[:-1]]
-    for prefix in itertools.product(*prefix_ranges):
-        # central symmetry: sweep half the prefixes and mirror the rest
+    mirrors: list[IntPoint] = []
+
+    def sweep(prefix: IntPoint, zero: bool) -> None:
+        span = extent(prefix)
+        if span is None:
+            return
+        lo, hi = span
+        if zero:
+            lo = max(lo, 0)
+        if len(prefix) < last:
+            for t in range(lo, hi + 1):
+                sweep(prefix + (t,), zero and t == 0)
+            return
         mirror = tuple(-c for c in prefix)
-        if mirror < prefix:
-            continue
-        if sum(abs(c) for c in prefix) > l1_cap:
-            continue
-        extent = hull_line_extent(body, prefix)
-        if extent is None:
-            continue
-        lo, hi = extent
-        for t in range(math.ceil(lo), math.floor(hi) + 1):
+        for t in range(lo, hi + 1):
             pts.append(prefix + (t,))
-            pts.append(mirror + (-t,))
-    return PointSet(d, pts)
+            mirrors.append(mirror + (-t,))
+
+    sweep((), True)
+    mirrors.reverse()
+    return PointSet(body.dim, mirrors + pts)
+
+
+def _ellipsoid_extent(body: ConvexBody):
+    """Line extents of x^T N x <= den, the ellipsoid's form cleared to
+    integers.  One fraction-free (Bareiss) elimination of the last
+    coordinates first: after j steps the leading block over the last pivot
+    q is the Schur complement, the form of the projection onto the first
+    d - j coordinates, so that projection is y^T M y <= den * q.  On a line
+    the form reads a t^2 + 2 b t + c <= 0, which holds for an integer t iff
+    |a t + b| <= isqrt(b^2 - a c)."""
+    n, den = clear_denominators(body.ellipsoid_rep.form)
+    forms = []  # forms[m]: (rows, bound) of the projection onto m + 1 coordinates
+    q = 1
+    for m in range(body.dim - 1, -1, -1):
+        forms.append((n[: m + 1], den * q))
+        pivot, row_m = n[m][m], n[m]
+        for i in range(m):
+            f = n[i][m]
+            n[i] = [(pivot * x - f * y) // q for x, y in zip(n[i][:m], row_m)]
+        q = pivot
+    forms.reverse()
+
+    def extent(prefix: IntPoint) -> tuple[int, int] | None:
+        rows, bound = forms[len(prefix)]
+        a = rows[-1][-1]
+        b = sum(map(operator.mul, rows[-1], prefix))
+        c = sum(x * sum(map(operator.mul, row, prefix)) for x, row in zip(prefix, rows)) - bound
+        disc = b * b - a * c
+        if disc < 0:
+            return None
+        s = math.isqrt(disc)
+        return -((s + b) // a), (s - b) // a
+
+    return extent
+
+
+def _vertex_extent(body: ConvexBody):
+    """Line extents of a vertex body: the box bounds, narrowed below the
+    last coordinate by ||x||_1 <= max_i ||v_i||_1, which every hull point
+    satisfies; the last coordinate's extent is read off the facets."""
+    bounds = body.int_box_bounds()
+    l1_cap = math.floor(max(sum(abs(c) for c in v) for v in body.points))
+    last = body.dim - 1
+
+    def extent(prefix: IntPoint) -> tuple[int, int] | None:
+        if len(prefix) < last:
+            r = min(bounds[len(prefix)], l1_cap - sum(map(abs, prefix)))
+            return -r, r
+        span = hull_line_extent(body, prefix)
+        if span is None:
+            return None
+        return math.ceil(span[0]), math.floor(span[1])
+
+    return extent
+
+
+def _box_extent(body: ConvexBody):
+    """Line extents of a box: its integer bounds, whatever the prefix."""
+    bounds = body.int_box_bounds()
+    return lambda prefix: (-bounds[len(prefix)], bounds[len(prefix)])
+
+
+_LINE_EXTENTS = {"ellipsoid": _ellipsoid_extent, "vertices": _vertex_extent, "box": _box_extent}
 
 
 def subset_check(

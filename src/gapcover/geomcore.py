@@ -29,7 +29,6 @@ from .exactalg import (
     Vector,
     _int_det,
     as_vector,
-    clear_denominators,
     det,
     floor_sqrt,
     inverse,
@@ -102,7 +101,7 @@ class ConvexBody:
     pair is enough.
     """
 
-    __slots__ = ("kind", "dim", "points", "ellipsoid_rep", "halfwidths", "_int_form", "_facets")
+    __slots__ = ("kind", "dim", "points", "ellipsoid_rep", "halfwidths", "_facets")
 
     KINDS = ("vertices", "ellipsoid", "box")
 
@@ -116,7 +115,6 @@ class ConvexBody:
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "ellipsoid_rep", ellipsoid_rep)
         object.__setattr__(self, "halfwidths", halfwidths)
-        object.__setattr__(self, "_int_form", None)
         object.__setattr__(self, "_facets", None)
 
     def __setattr__(self, name, value):
@@ -174,13 +172,6 @@ class ConvexBody:
             return self.ellipsoid_rep.int_box_bounds()
         return tuple(int(h) for h in self.exact_halfwidths())
 
-    def _ellipsoid_int_test(self):
-        # integerized quadratic form: x^T N x <= D, all-int arithmetic
-        if self._int_form is None:
-            n_rows, den = clear_denominators(self.ellipsoid_rep.form)
-            object.__setattr__(self, "_int_form", (tuple(map(tuple, n_rows)), den))
-        return self._int_form
-
     def hull_facets(self, cap: int = DEFAULT_BUDGET) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Exact H-representation of a vertex body, computed on first use:
         integer rows (N, D) with x inside iff |N.x| <= D for every row; the
@@ -203,20 +194,6 @@ class ConvexBody:
         if self.kind == "ellipsoid":
             return self.ellipsoid_rep.contains(v)
         return all(abs(vec_dot(normal, v)) <= bound for normal, bound in self.hull_facets())
-
-    def contains_int_point(self, x: Sequence[int]) -> bool:
-        """Fast path for integer points (same answer as .contains)."""
-        if self.kind == "ellipsoid":
-            n_rows, den = self._ellipsoid_int_test()
-            d = self.dim
-            acc = 0
-            for i in range(d):
-                xi = x[i]
-                if xi:
-                    row = n_rows[i]
-                    acc += xi * sum(row[j] * x[j] for j in range(d))
-            return acc <= den
-        return self.contains(x)
 
 
 def _primitive(row: Sequence[int]) -> tuple[int, ...]:

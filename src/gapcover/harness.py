@@ -23,7 +23,7 @@ from .cover import (
     verify_cover,
     verify_projection,
 )
-from .enumeration import DEFAULT_BUDGET, Gap
+from .enumeration import DEFAULT_BUDGET, Gap, box_point_count
 from .errors import (
     BudgetError,
     GapCoverError,
@@ -328,7 +328,7 @@ def gen_random(
                 continue
             form = (m @ m.transpose()).scale(1 / (r * r))
             body = ConvexBody.from_ellipsoid(Ellipsoid(form))
-            if _scan_size(body) > box_guard:
+            if box_point_count(body) > box_guard:
                 continue
             return InstanceSpec(dim=dim, body=body, kind=kind, seed=seed)
         raise GenerationError(f"no usable draw after {max_tries} tries")
@@ -343,7 +343,7 @@ def gen_random(
             if rank(Mat(pts)) < dim:
                 continue
             body = ConvexBody.vertices(pts)
-            if _scan_size(body) > box_guard:
+            if box_point_count(body) > box_guard:
                 continue
             return InstanceSpec(dim=dim, body=body, kind=kind, seed=seed)
         raise GenerationError(f"no spanning draw after {max_tries} tries")
@@ -357,17 +357,10 @@ def gen_random(
         fro_sq = sum(x * x for row in rows for x in row)
         form = (m.transpose() @ m).scale(Fraction(1, scale * scale * fro_sq))
         body = ConvexBody.from_ellipsoid(Ellipsoid(form))
-        if _scan_size(body) > box_guard:
+        if box_point_count(body) > box_guard:
             continue
         return InstanceSpec(dim=dim, body=body, kind=kind, seed=seed)
     raise GenerationError(f"no usable draw after {max_tries} tries")
-
-
-def _scan_size(body: ConvexBody) -> int:
-    total = 1
-    for b in body.int_box_bounds():
-        total *= 2 * b + 1
-    return total
 
 
 def gap_to_json(gap: Gap) -> dict:

@@ -150,6 +150,28 @@ def vertex_hull_lattice_points(vertices):
     return [p for p in box if in_vertex_hull(vertices, p)]
 
 
+def ellipsoid_lattice_points(form):
+    """Sorted integer points x with x^T A x <= 1, A = form: the box of the
+    exact axis extents sqrt((A^-1)_jj), each point tested in Fractions."""
+    inv = fraction_inverse(form)
+    diag = [inv[j][j] for j in range(len(form))]
+    bounds = [math.isqrt(x.numerator * x.denominator) // x.denominator for x in diag]
+    box = itertools.product(*(range(-b, b + 1) for b in bounds))
+    return [
+        x
+        for x in box
+        if sum(Fraction(a) * xi * xj for row, xi in zip(form, x) for a, xj in zip(row, x)) <= 1
+    ]
+
+
+def box_lattice_points(halfwidths):
+    """Sorted integer points x with |x_j| <= halfwidths[j], each tested in
+    Fractions over the box of the ceilings."""
+    hw = [Fraction(h) for h in halfwidths]
+    box = itertools.product(*(range(-math.ceil(h), math.ceil(h) + 1) for h in hw))
+    return [x for x in box if all(abs(c) <= h for c, h in zip(x, hw))]
+
+
 def gap_points(gap):
     """The progression's points, by summing every coefficient choice."""
     ranges = [range(-n, n + 1) for n in gap.halfsides]

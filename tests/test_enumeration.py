@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapcover import enumeration
@@ -20,7 +20,13 @@ from gapcover.exactalg import Mat
 from gapcover.geomcore import ConvexBody, Ellipsoid
 from gapcover.harness import batch_report_to_json, parse_instance, run_batch
 
-from _oracles import brute_disk_points, gap_points, vertex_hull_lattice_points
+from _oracles import (
+    box_lattice_points,
+    brute_disk_points,
+    ellipsoid_lattice_points,
+    gap_points,
+    vertex_hull_lattice_points,
+)
 
 
 def _rationals(bound):
@@ -46,6 +52,33 @@ def _flat_3d(draw):
         a, b = draw(coeff), (0 if collinear else draw(coeff))
         pts.append(tuple(a * x + b * y for x, y in zip(u, v)))
     return pts
+
+
+@st.composite
+def _ellipsoid_forms(draw):
+    """Forms (R^T R + I) / r2 at d = 1..4, half of them tilted by
+    off-diagonal terms with denominators up to 2**64, half of them flattened
+    to a plate by adding lam * w w^T: many lines that meet a plate hold no
+    integer point."""
+    d = draw(st.integers(1, 4))
+    r = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
+    r2 = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 2)))
+    form = [
+        [(sum(row[i] * row[j] for row in r) + (i == j)) / r2 for j in range(d)] for i in range(d)
+    ]
+    if draw(st.booleans()):
+        # the tilt's norm is at most 3/64, under 1/6 <= the form's least
+        # eigenvalue, so the form stays positive definite
+        for i in range(d):
+            for j in range(i):
+                tilt = Fraction(draw(st.integers(-1, 1)), draw(st.integers(64, 2**64)))
+                form[i][j] += tilt
+                form[j][i] += tilt
+    if draw(st.booleans()):
+        w = [draw(st.integers(-2, 2)) for _ in range(d)]
+        lam = draw(st.integers(2, 50))
+        form = [[form[i][j] + lam * w[i] * w[j] for j in range(d)] for i in range(d)]
+    return form
 
 
 def disk(radius_sq, dim=2):
@@ -89,6 +122,22 @@ class TestEnumBody:
     def test_vertex_hull_matches_caratheodory_oracle(self, vertices):
         pts = enum_body(ConvexBody.vertices(vertices))
         assert list(pts.points) == vertex_hull_lattice_points(vertices)
+
+    # a plate |x + y + 2z| <= 1/7 inside the ball of radius 3: the z-line
+    # through (1, 0) meets it around z = -1/2 and holds no integer point
+    @example([[Fraction(int(i == j), 9) + 49 * a * b for j, b in enumerate((1, 1, 2))]
+              for i, a in enumerate((1, 1, 2))])
+    @given(_ellipsoid_forms())
+    @settings(max_examples=60, deadline=None)
+    def test_ellipsoid_matches_oracle(self, form):
+        pts = enum_body(ConvexBody.from_ellipsoid(Ellipsoid(Mat(form))))
+        assert list(pts.points) == ellipsoid_lattice_points(form)
+
+    @given(st.lists(_rationals(3).map(abs), min_size=1, max_size=4))
+    @settings(max_examples=30, deadline=None)
+    def test_box_matches_oracle(self, halfwidths):
+        pts = enum_body(ConvexBody.box(halfwidths))
+        assert list(pts.points) == box_lattice_points(halfwidths)
 
     def test_vertex_hull_1d(self):
         pts = enum_body(ConvexBody.vertices([(3,)]))
@@ -195,9 +244,9 @@ def _verify_entry(doc):
 
 
 class TestInt64Prechecks:
-    """Both sides of the ellipsoid scan's overflow precheck, and progressions
-    at and past the int64 range, give the oracle's points, as Python ints
-    that the JSON reports can serialize."""
+    """Ellipsoids with large integerized denominators, and progressions at
+    and past the int64 range, give the oracle's points, as Python ints that
+    the JSON reports can serialize."""
 
     @pytest.mark.parametrize(
         "base0", [2**62 - 33, 2**62, -(2**62)], ids=["int64", "bigint", "bigint-negative"]
@@ -214,19 +263,14 @@ class TestInt64Prechecks:
         entry = _verify_entry({"dim": 2, "body": {"type": "ball", "radius": 3}, "gap": claim})
         assert entry["contained"] is False and entry["cardinality_P"] == 289
 
-    @pytest.mark.parametrize(
-        "off_den, fast", [(2**50, True), (2**64, False)], ids=["int64", "bigint"]
-    )
-    def test_enum_body(self, off_den, fast):
+    @pytest.mark.parametrize("off_den", [2**50, 2**64], ids=["int64", "bigint"])
+    def test_enum_body(self, off_den):
         # a disk of radius 10 tilted by a tiny off-diagonal term, which moves
         # boundary points with x1 * x2 > 0 out; the integerized denominator
         # lcm(100, off_den) is 25 * 2**52 or 25 * 2**64
         form = [[Fraction(1, 100), Fraction(1, off_den)], [Fraction(1, off_den), Fraction(1, 100)]]
         body = ConvexBody.from_ellipsoid(Ellipsoid(Mat(form)))
-        bounds = body.int_box_bounds()
-        assert bounds == (10, 10)
-        vectorized = enumeration._enum_ellipsoid_vectorized(body, bounds, 441)
-        assert (vectorized is not None) == fast
+        assert body.int_box_bounds() == (10, 10)
         pts = enum_body(body)
         assert pts == PointSet(2, _in_form(form, 11))
         assert (6, 8) not in pts and (6, -8) in pts
