@@ -11,10 +11,13 @@ per point.  The stages:
 
 1. enclosing ellipsoid of the body (exact for ellipsoid bodies, certified
    Khachiyan output otherwise),
-2. circumscribed parallelotope Q with generators u_1..u_d (exact slab
-   certificate),
-3. LLL-reduce the coordinate rows of the generator matrix U, obtaining V and
-   a unimodular T with T @ U = V (re-certified independently),
+2. circumscribed parallelotope Q with generators u_1..u_d along the exact
+   factorization A = U D U^T of the ellipsoid's form (columns of
+   U^-T diag(s_m), s_m >= 1 / sqrt(D_m)), with an exact slab certificate
+   against A^-1,
+3. LLL-reduce the coordinate rows of the generator matrix G, obtaining V and
+   a unimodular T with T @ G = V, checked once in integers by lll_reduce;
+   |Q'| = |Q| since |det T| = 1,
 4. axis-aligned box B with half-widths a_j = ||row_j(V)||_1,
 5. progression P = preimage of (B ∩ Z^d) under the coordinate map T, i.e.
    base 0, differences = columns of T^-1, half-sides floor(a_j).
@@ -34,18 +37,20 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .enumeration import DEFAULT_BUDGET, Gap, PointSet, enum_body, enum_gap, project_count, subset_check
-from .errors import BudgetError, CertificationError, DimensionError, RankError
+from .errors import BudgetError, DimensionError, RankError
 from .exactalg import (
     Mat,
     _integer_solver,
     _span_rank,
-    det,
+    clear_denominators,
+    det,  # not called here; perfbench/tracing.py wraps cover.det
+    int_matmul,
     integerize_rows,
     inverse,  # not called here; perfbench/tracing.py wraps cover.inverse
     l1_norm,
     left_kernel,
     rational_kernel,
-    unimodular_solve,
+    unimodular_solve,  # not called here; perfbench/tracing.py wraps cover.unimodular_solve
 )
 from .geomcore import (
     MVEE_DEFAULT_EPS,
@@ -171,7 +176,9 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
         raise RankError("saturated sublattice has unexpected rank")
     embed = Mat(basis_rows).transpose()  # d x k, columns = lattice basis
 
-    solve_embed = _integer_solver(embed)
+    solve_embed = _integer_solver(basis_rows)
+    if solve_embed is None:
+        raise RankError("embedding matrix is rank deficient")
     reduced = []
     for p in c_points:
         y = solve_embed(p)
@@ -180,24 +187,30 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
         reduced.append(tuple(y))
 
     if body.kind == "ellipsoid":
-        form0 = embed.transpose() @ body.ellipsoid_rep.form @ embed
+        # embed^T A embed, with A = n / den and embed^T = basis_rows
+        n, den = clear_denominators(body.ellipsoid_rep.form)
+        pulled = int_matmul(basis_rows, int_matmul(n, list(zip(*basis_rows))))
+        form0 = Mat([[Fraction(x, den) for x in row] for row in pulled])
         body0 = ConvexBody.from_ellipsoid(Ellipsoid(form0))
     else:
         body0 = ConvexBody.vertices([p for p in reduced if any(p)])
     return SubspaceReduction(d, k, embed, body0, c_points)
 
 
-def gap_membership_tester(gap: Gap) -> Callable[[Sequence[int]], bool]:
+def gap_membership_tester(gap: Gap) -> Callable[[Sequence[int]], bool] | None:
     """Exact membership test built from the progression alone (independent of
     any pipeline state), for differences whose active ones (half-side >= 1)
     are independent: solve p - base = sum y_j v_j over the active
     differences in integers and require |y_j| <= n_j.  The inactive ones
-    only ever take coefficient 0, and they may depend on the active ones."""
+    only ever take coefficient 0, and they may depend on the active ones.
+    None when the active differences are dependent."""
     base = gap.base
     active = [(v, n) for v, n in zip(gap.diffs, gap.halfsides) if n >= 1]
     if not active:
         return lambda p: tuple(p) == base
-    solve = _integer_solver(Mat.from_columns(v for v, _ in active))
+    solve = _integer_solver([v for v, _ in active])
+    if solve is None:
+        return None
     halfsides = [n for _, n in active]
 
     def member(p: Sequence[int]) -> bool:
@@ -244,18 +257,12 @@ def cover(
     timings["ellipsoid_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    q = circumscribe_parallelotope(enclosing, 1)
+    q = circumscribe_parallelotope(enclosing)
     timings["parallelotope_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    u_mat = q.generator_matrix  # rows are the coordinate vectors of the generators
-    reduced, t_lll = lll_reduce(LatticeBasis(u_mat.entries))
-    v_mat = reduced.mat
-    t_cert = unimodular_solve(u_mat, v_mat)
-    if t_cert != t_lll:
-        raise CertificationError("reduction transform failed independent re-derivation")
-    if abs(det(v_mat)) != abs(det(u_mat)):
-        raise CertificationError("reduction changed the lattice determinant")
+    # rows of the generator matrix are the coordinate vectors of the generators
+    reduced, t_lll = lll_reduce(LatticeBasis(q.generator_matrix.entries))
     timings["reduce_ms"] = (time.perf_counter() - t0) * 1000.0
 
     halfwidths = tuple(l1_norm(row) for row in reduced.vectors)
@@ -272,15 +279,14 @@ def cover(
     report = _certify(red.ambient_points, gap, cap, timings)
 
     cert = certify_reduction(reduced)
-    vol_q = volume(q)
-    vol_qp = Fraction(2) ** k * abs(det(v_mat))
+    vol_q = volume(q)  # also |Q'|, since |det T| = 1
     vol_box = Fraction(2) ** k * math.prod(halfwidths, start=Fraction(1))
     stages = StageDiagnostics(
         eps=eps if mvee_used else None,
         subspace_dim=k,
         mvee_used=mvee_used,
         volume_parallelotope=vol_q,
-        volume_parallelotope_reduced=vol_qp,
+        volume_parallelotope_reduced=vol_q,
         volume_box=vol_box,
         box_halfwidths=halfwidths,
         a_min=min(halfwidths),
@@ -336,8 +342,9 @@ def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverRepo
     if gap.dim != c_points.dim:
         raise DimensionError(f"progression has dimension {gap.dim}, lattice points {c_points.dim}")
     t0 = time.perf_counter()
-    if gap.diffs_independent():
-        contained, witness = subset_check(c_points, gap_membership_tester(gap))
+    member = gap_membership_tester(gap)
+    if member is not None:
+        contained, witness = subset_check(c_points, member)
         card_p = gap.listed_cardinality()
     else:
         listed = enum_gap(gap, cap)

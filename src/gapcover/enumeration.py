@@ -15,13 +15,13 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionError
-from .exactalg import Mat, clear_denominators, rank
+from .exactalg import Frozen, _pivot_rows
 from .geomcore import DEFAULT_BUDGET, ConvexBody, hull_line_extent
 
 IntPoint = tuple[int, ...]
 
 
-class PointSet:
+class PointSet(Frozen):
     """Deduplicated, lexicographically sorted set of integer points.
 
     Coordinates must be Python ``int``s, which the JSON reports rely on;
@@ -35,12 +35,7 @@ class PointSet:
         for p in pts:
             if len(p) != dim:
                 raise DimensionError(f"point {p} does not have dimension {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "points", tuple(pts))
-        object.__setattr__(self, "_index", frozenset(pts))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PointSet is immutable")
+        self._set(dim=dim, points=tuple(pts), _index=frozenset(pts))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -100,7 +95,7 @@ class Gap:
         active = [v for v, n in zip(self.diffs, self.halfsides) if n >= 1]
         if not active:
             return True
-        return rank(Mat(active)) == len(active)
+        return len(_pivot_rows(active, self.dim)) == len(active)
 
     def doubled(self) -> "Gap":
         """The sumset self + self: same differences, doubled base and ranges."""
@@ -184,23 +179,14 @@ def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
 
 def _ellipsoid_extent(body: ConvexBody):
     """Line extents of x^T N x <= den, the ellipsoid's form cleared to
-    integers.  One fraction-free (Bareiss) elimination of the last
-    coordinates first: after j steps the leading block over the last pivot
-    q is the Schur complement, the form of the projection onto the first
-    d - j coordinates, so that projection is y^T M y <= den * q.  On a line
-    the form reads a t^2 + 2 b t + c <= 0, which holds for an integer t iff
+    integers.  Its schur_chain eliminates the last coordinates first: after
+    j steps the leading block over the last pivot q is the Schur complement,
+    the form of the projection onto the first d - j coordinates, so that
+    projection is y^T M y <= den * q.  On a line the form reads
+    a t^2 + 2 b t + c <= 0, which holds for an integer t iff
     |a t + b| <= isqrt(b^2 - a c)."""
-    n, den = clear_denominators(body.ellipsoid_rep.form)
-    forms = []  # forms[m]: (rows, bound) of the projection onto m + 1 coordinates
-    q = 1
-    for m in range(body.dim - 1, -1, -1):
-        forms.append((n[: m + 1], den * q))
-        pivot, row_m = n[m][m], n[m]
-        for i in range(m):
-            f = n[i][m]
-            n[i] = [(pivot * x - f * y) // q for x, y in zip(n[i][:m], row_m)]
-        q = pivot
-    forms.reverse()
+    den, chain = body.ellipsoid_rep.schur
+    forms = [(rows, den * q) for rows, q in chain]  # forms[m]: onto m + 1 coordinates
 
     def extent(prefix: IntPoint) -> tuple[int, int] | None:
         rows, bound = forms[len(prefix)]

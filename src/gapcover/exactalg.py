@@ -47,7 +47,21 @@ def l1_norm(u: Sequence) -> Fraction:
     return sum((abs(Fraction(a)) for a in u), Fraction(0))
 
 
-class Mat:
+class Frozen:
+    """Base of the immutable classes: attribute assignment raises, and a
+    class sets its own slots, once or as a memo, with ``_set``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
+class Mat(Frozen):
     """Immutable dense matrix of exact rationals.  ``det`` and ``inverse``
     keep their results on the matrix."""
 
@@ -60,14 +74,7 @@ class Mat:
         cols = len(grid[0])
         if any(len(row) != cols for row in grid):
             raise DimensionError("ragged rows in matrix literal")
-        object.__setattr__(self, "entries", grid)
-        object.__setattr__(self, "rows", len(grid))
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "_det", None)
-        object.__setattr__(self, "_inv", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
+        self._set(entries=grid, rows=len(grid), cols=cols, _det=None, _inv=None)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -77,9 +84,6 @@ class Mat:
     def from_columns(cls, columns: Iterable[Iterable]) -> "Mat":
         cols = [list(c) for c in columns]
         return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
 
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
@@ -151,7 +155,7 @@ def det(m: Mat) -> Fraction:
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
     if m._det is None:
         rows, den = clear_denominators(m)
-        object.__setattr__(m, "_det", Fraction(_int_det(rows), den**m.rows))
+        m._set(_det=Fraction(_int_det(rows), den**m.rows))
     return m._det
 
 
@@ -179,21 +183,30 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def leading_minors_positive(m: Mat) -> bool:
-    """Whether every leading principal minor of the square m is positive.
-    One pivot-free Bareiss pass over m's cleared rows: its k-th pivot is
-    their k-th leading minor, which has the sign of m's."""
-    a, _ = clear_denominators(m)
-    prev = 1
-    for k in range(m.rows):
-        pivot, row_k = a[k][k], a[k]
+def schur_chain(n: Sequence[Sequence[int]]) -> list[tuple[tuple, int]] | None:
+    """One fraction-free (Bareiss) elimination of the symmetric integer rows
+    n, last coordinate first; None, as soon as a pivot is not positive, iff
+    n is not positive definite.  Entry m is (block, q): the leading
+    (m + 1) x (m + 1) rows left after eliminating coordinates d - 1, ...,
+    m + 1, q times the Schur complement of n onto the first m + 1
+    coordinates, with q the previous pivot (1 for m = d - 1).  With
+    r = block[m] and pivot p = r[m] = det n[m:, m:], the terms
+    (r . x)^2 / (p q) sum to x^T n x: n = U D U^T, U unit upper
+    triangular with columns r / p and D_m = p / q."""
+    a = [list(row) for row in n]
+    chain = []
+    q = 1
+    for m in range(len(a) - 1, -1, -1):
+        pivot, row_m = a[m][m], a[m]
         if pivot <= 0:
-            return False
-        for i in range(k + 1, m.rows):
-            f = a[i][k]
-            a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row_k)]
-        prev = pivot
-    return True
+            return None
+        chain.append((tuple(map(tuple, a[: m + 1])), q))
+        for i in range(m):
+            f = a[i][m]
+            a[i] = [(pivot * x - f * y) // q for x, y in zip(a[i][:m], row_m)]
+        q = pivot
+    chain.reverse()
+    return chain
 
 
 def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
@@ -225,7 +238,7 @@ def _inverse_pair(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int, Mat]:
         rows, den = clear_denominators(m)
         r, p = _int_inverse(rows)  # m^-1 = den * r / p
         r = tuple(tuple(den * x for x in row) for row in r)
-        object.__setattr__(m, "_inv", (r, p, Mat([[Fraction(x, p) for x in row] for row in r])))
+        m._set(_inv=(r, p, Mat([[Fraction(x, p) for x in row] for row in r])))
     return m._inv
 
 
@@ -288,17 +301,21 @@ def _span_rank(points: Iterable[Sequence[int]], d: int) -> int:
     return len(basis)
 
 
-def _integer_solver(m: Mat) -> Callable[[Sequence[int]], list[int] | None]:
-    """Solver for m @ y = x, m integer of full column rank: the integer y, or
-    None when there is none.  k independent rows of m, picked by
+def _integer_solver(
+    columns: Sequence[Sequence[int]],
+) -> Callable[[Sequence[int]], list[int] | None] | None:
+    """Solver for m @ y = x, m the integer matrix with the given columns: the
+    integer y, or None when there is none; None instead of a solver when
+    the columns are dependent.  k independent rows of m, picked by
     fraction-free elimination, are inverted once in ints to ``adj`` over
     ``den`` (zero columns at the other rows), so y = adj @ x / den; the
     other rows must then hold exactly."""
-    d, k = m.rows, m.cols
-    rows = m.int_entries()
+    k = len(columns)
+    rows = list(zip(*columns))
+    d = len(rows)
     pivot_rows = _pivot_rows(rows, k)
     if len(pivot_rows) < k:
-        raise RankError("embedding matrix is rank deficient")
+        return None
     sub_adj, den = _int_inverse([rows[i] for i in pivot_rows])
     adj = [[0] * d for _ in range(k)]
     for col, i in enumerate(pivot_rows):
@@ -357,7 +374,7 @@ def rational_kernel(m: Mat) -> list[Vector]:
     return basis
 
 
-class UnimodularMat:
+class UnimodularMat(Frozen):
     """Square integer matrix with determinant exactly +1 or -1."""
 
     __slots__ = ("int_rows", "dim", "det")
@@ -379,12 +396,7 @@ class UnimodularMat:
         d = _int_det(rows)
         if d not in (1, -1):
             raise LatticeMismatchError(f"matrix has determinant {d}, expected +1 or -1")
-        object.__setattr__(self, "int_rows", rows)
-        object.__setattr__(self, "dim", n)
-        object.__setattr__(self, "det", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnimodularMat is immutable")
+        self._set(int_rows=rows, dim=n, det=d)
 
     @classmethod
     def identity(cls, n: int) -> "UnimodularMat":

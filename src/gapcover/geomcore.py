@@ -1,21 +1,23 @@
 """Centrally symmetric convex bodies, enclosing ellipsoids, enclosing parallelotopes.
 
-Floating point is allowed internally (Khachiyan iteration, eigenvectors) but
-every claim consumed downstream is re-established in exact rational
-arithmetic: point membership, slab containment, determinants.  A vertex body
-is described exactly by integer rows |N.x| <= D (its facets, and with D = 0
-the equalities of its span), computed once per body; membership and the
-enumeration's line extents are read off those rows.
+Floating point is allowed in one place, Khachiyan's iteration in ``mvee``,
+which runs in CPython floats; every claim consumed downstream is
+established in exact rational arithmetic: point membership, slab
+containment, determinants.  An ellipsoid's form is factored exactly once,
+when it is built; the enumeration's line extents and the parallelotope's
+axes are read off that factorization.  A vertex body is described exactly by
+integer rows |N.x| <= D (its facets, and with D = 0 the equalities of its
+span), computed once per body; membership and the enumeration's line
+extents are read off those rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     BudgetError,
@@ -25,16 +27,20 @@ from .errors import (
     RankError,
 )
 from .exactalg import (
+    Frozen,
     Mat,
     Vector,
     _int_det,
+    _inverse_pair,
     as_vector,
+    clear_denominators,
     det,
     floor_sqrt,
     inverse,
-    leading_minors_positive,
     rank,
     rational_kernel,
+    schur_chain,
+    sqrt_upper,
     vec_dot,
 )
 
@@ -48,11 +54,15 @@ def _rationalize(x: float) -> Fraction:
     return Fraction(float(x)).limit_denominator(_RATIONALIZE_DEN_CAP)
 
 
-class Ellipsoid:
+class Ellipsoid(Frozen):
     """Origin-centred ellipsoid {x : x^T A x <= 1} with A rational and
-    positive definite (checked exactly via leading principal minors)."""
+    positive definite.
 
-    __slots__ = ("form",)
+    ``schur`` is (den, chain): den clears A to integer rows n = den * A, and
+    chain = schur_chain(n) is its exact factorization, computed once here,
+    where it also proves A positive definite."""
+
+    __slots__ = ("form", "schur")
 
     def __init__(self, form: Mat):
         if not form.is_square():
@@ -62,12 +72,11 @@ class Ellipsoid:
             for j in range(i):
                 if form.entries[i][j] != form.entries[j][i]:
                     raise DimensionError("ellipsoid form must be symmetric")
-        if not leading_minors_positive(form):
+        rows, den = clear_denominators(form)
+        chain = schur_chain(rows)
+        if chain is None:
             raise RankError("ellipsoid form is not positive definite")
-        object.__setattr__(self, "form", form)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Ellipsoid is immutable")
+        self._set(form=form, schur=(den, chain))
 
     @property
     def dim(self) -> int:
@@ -80,21 +89,14 @@ class Ellipsoid:
     def contains(self, x: Sequence) -> bool:
         return self.quad(x) <= 1
 
-    @property
-    def inv_form(self) -> Mat:
-        return inverse(self.form)
-
-    def support_sq(self, direction: Sequence) -> Fraction:
-        """Squared support function h(c)^2 = c^T A^{-1} c."""
-        c = as_vector(direction)
-        return vec_dot(c, self.inv_form.mul_vec(c))
-
     def int_box_bounds(self) -> tuple[int, ...]:
-        """Per-axis integer bounds: floor of the exact axis extents."""
-        return tuple(floor_sqrt(self.inv_form.entries[j][j]) for j in range(self.dim))
+        """Per-axis integer bounds: floor of the exact axis extents, the
+        square roots of A^-1's diagonal."""
+        inv = inverse(self.form).entries
+        return tuple(floor_sqrt(inv[j][j]) for j in range(self.dim))
 
 
-class ConvexBody:
+class ConvexBody(Frozen):
     """Symmetric convex body: vertex hull, ellipsoid, or axis-aligned box.
 
     A vertex body is conv(points ∪ -points); listing one of each antipodal
@@ -110,15 +112,8 @@ class ConvexBody:
             raise DimensionError(f"unknown body kind {kind!r}")
         if dim < 1:
             raise DimensionError("body dimension must be >= 1")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "ellipsoid_rep", ellipsoid_rep)
-        object.__setattr__(self, "halfwidths", halfwidths)
-        object.__setattr__(self, "_facets", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ConvexBody is immutable")
+        self._set(kind=kind, dim=dim, points=points, ellipsoid_rep=ellipsoid_rep)
+        self._set(halfwidths=halfwidths, _facets=None)
 
     @classmethod
     def vertices(cls, points: Iterable[Iterable]) -> "ConvexBody":
@@ -181,7 +176,7 @@ class ConvexBody:
         if self.kind != "vertices":
             raise DimensionError("only vertex bodies have a facet description")
         if self._facets is None:
-            object.__setattr__(self, "_facets", _hull_facets(self.points, cap))
+            self._set(_facets=_hull_facets(self.points, cap))
         return self._facets
 
     def contains(self, x: Sequence) -> bool:
@@ -282,7 +277,7 @@ def hull_line_extent(body: ConvexBody, prefix: Sequence) -> tuple[Fraction, Frac
     return Fraction(*lo), Fraction(*hi)
 
 
-class Parallelotope:
+class Parallelotope(Frozen):
     """{sum lambda_i u_i : lambda_i in [-1, 1]} for independent generators u_i."""
 
     __slots__ = ("gens", "_gmat")
@@ -295,11 +290,7 @@ class Parallelotope:
         gmat = Mat.from_columns(g)
         if det(gmat) == 0:
             raise RankError("parallelotope generators are dependent")
-        object.__setattr__(self, "gens", g)
-        object.__setattr__(self, "_gmat", gmat)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Parallelotope is immutable")
+        self._set(gens=g, _gmat=gmat)
 
     @property
     def dim(self) -> int:
@@ -329,10 +320,13 @@ def mvee(points: Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITE
     """Enclosing ellipsoid of points ∪ -points, near-minimal volume.
 
     Khachiyan's barycentric coordinate ascent (the origin-centred variant for
-    symmetric sets) runs in floating point until max_j x_j^T M^{-1} x_j <=
-    d(1+eps).  The resulting form is rationalized and then rescaled exactly so
-    that every input point satisfies x^T A x <= 1 in rational arithmetic, with
-    at least one point exactly on the boundary.
+    symmetric sets) runs in CPython floats until max_j x_j^T M^{-1} x_j <=
+    d(1+eps), with M = sum_i u_i x_i x_i^T.  M^{-1} starts from the exact
+    inverse of M, rounded once, and each step u <- (1 - s) u + s e_j updates
+    it by Sherman-Morrison; the step s = 1, which happens only at d = 1,
+    inverts M again.  The resulting form is rationalized and then rescaled
+    exactly so that every input point satisfies x^T A x <= 1 in rational
+    arithmetic, with at least one point exactly on the boundary.
     """
     pts = tuple(as_vector(p) for p in points)
     if not pts:
@@ -346,81 +340,75 @@ def mvee(points: Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITE
     if rank(Mat(pts)) < d:
         raise RankError("points do not span the space")
 
-    arr = np.array([[float(c) for c in p] for p in pts], dtype=float)
+    xs = [tuple(map(float, p)) for p in pts]
     n = len(pts)
-    u = np.full(n, 1.0 / n)
+    u = [1.0 / n] * n
     target = d * (1.0 + float(eps))
-    m_inv = None
+
+    def direct_inverse() -> list[list[float]]:
+        w = [Fraction(ui) for ui in u]
+        m = [[sum(wi * p[i] * p[j] for wi, p in zip(w, pts)) for j in range(d)] for i in range(d)]
+        return [[float(x) for x in row] for row in inverse(Mat(m)).entries]
+
+    m_inv = direct_inverse()
     for _ in range(max_iter):
-        m = arr.T @ (u[:, None] * arr)
-        m_inv = np.linalg.inv(m)
-        g = np.einsum("ij,jk,ik->i", arr, m_inv, arr)
-        j = int(np.argmax(g))
-        gmax = float(g[j])
+        mx = [[sum(map(operator.mul, row, x)) for row in m_inv] for x in xs]
+        g = [sum(map(operator.mul, x, y)) for x, y in zip(xs, mx)]
+        j = max(range(n), key=g.__getitem__)
+        gmax = g[j]
         if gmax <= target:
             break
         step = (gmax - d) / (d * (gmax - 1.0))
-        u *= 1.0 - step
+        u = [ui * (1.0 - step) for ui in u]
         u[j] += step
+        if step == 1.0:
+            m_inv = direct_inverse()
+            continue
+        # ((1 - s) M + s x x^T)^-1 = (M^-1 - c y y^T / (1 + c g)) / (1 - s),
+        # with y = M^-1 x, g = x^T y and c = s / (1 - s)
+        y = mx[j]
+        c = step / (1.0 - step)
+        f = c / (1.0 + c * gmax)
+        m_inv = [
+            [(a - f * yi * yk) / (1.0 - step) for a, yk in zip(row, y)] for row, yi in zip(m_inv, y)
+        ]
     else:
         raise ConvergenceError(f"no convergence within {max_iter} iterations")
 
-    a_float = m_inv / d
-    approx = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i, d):
-            val = _rationalize((a_float[i][j] + a_float[j][i]) / 2.0)
-            approx[i][j] = val
-            approx[j][i] = val
-    a_mat = Mat(approx)
+    # A ~ M^-1 / d, symmetrized (float addition commutes) and rationalized
+    a = [[x / d for x in row] for row in m_inv]
+    a_mat = Mat([[_rationalize((a[i][j] + a[j][i]) / 2.0) for j in range(d)] for i in range(d)])
     s = max(vec_dot(p, a_mat.mul_vec(p)) for p in pts)
     if s <= 0:
         raise ConvergenceError("degenerate rationalized form")
     return Ellipsoid(a_mat.scale(1 / s))
 
 
-_SLACK_LADDER = (
-    Fraction(1, 1 << 40),
-    Fraction(1, 1 << 30),
-    Fraction(1, 1 << 20),
-    Fraction(1, 1 << 12),
-    Fraction(1, 1 << 6),
-)
+def circumscribe_parallelotope(e: Ellipsoid) -> Parallelotope:
+    """Parallelotope certified (exactly) to contain e.
 
-
-def circumscribe_parallelotope(e: Ellipsoid, inflation=Fraction(1)) -> Parallelotope:
-    """Parallelotope certified (exactly) to contain inflation * e.
-
-    Generators follow the ellipsoid's principal axes: floating eigenvectors
-    scaled by the matching semi-axes, rationalized, and stretched by the
-    smallest slack from a fixed ladder that makes the exact slab certificate
-    pass: inflation^2 * n_j A^{-1} n_j^T <= 1 for every dual normal n_j.
-    """
-    inflation = Fraction(inflation)
-    if inflation < 1:
-        raise DimensionError("inflation must be >= 1")
+    e.schur factors A = U D U^T (see schur_chain), so x^T A x =
+    sum_m D_m (w_m . x)^2 with w_m the columns of U, and e lies in
+    Q = {x : |w_m . x| <= s_m} for s_m = sqrt_upper(1 / D_m): generators the
+    columns of U^-T diag(s_m), volume 2^d prod s_m, within 2^-48 relative
+    per axis of 2^d / sqrt(det A).  The slab certificate n A^-1 n^T <= 1 is
+    then checked for every dual normal n of Q, in integers with A^-1 = R / p
+    as kept on the form; CertificationError if it fails."""
     d = e.dim
-    a = np.array([[float(x) for x in row] for row in e.form.entries])
-    eigvals, eigvecs = np.linalg.eigh(a)
-    if float(eigvals[0]) <= 0:
-        raise CertificationError("floating eigendecomposition lost definiteness")
-    infl = float(inflation)
-    for slack in _SLACK_LADDER:
-        factor = infl * (1.0 + float(slack))
-        gens = []
-        for i in range(d):
-            r = factor / float(np.sqrt(eigvals[i]))
-            gens.append(tuple(_rationalize(r * float(eigvecs[j, i])) for j in range(d)))
-        try:
-            q = Parallelotope(gens)
-        except RankError:
-            continue
-        normals = q.dual_normals
-        ok = True
-        for j in range(d):
-            if inflation * inflation * e.support_sq(normals.row(j)) > 1:
-                ok = False
-                break
-        if ok:
-            return q
-    raise CertificationError("could not certify parallelotope containment")
+    den, chain = e.schur
+    w_rows, scales = [], []
+    for m, (rows, q) in enumerate(chain):
+        r = rows[m]
+        w_rows.append([Fraction(x, r[m]) for x in r] + [0] * (d - 1 - m))
+        scales.append(sqrt_upper(Fraction(q * den, r[m])))
+    u_inv_t = inverse(Mat(w_rows))
+    par = Parallelotope(tuple(s * x for x in u_inv_t.col(m)) for m, s in enumerate(scales))
+
+    r_inv, p, _ = _inverse_pair(e.form)
+    normals, ell = clear_denominators(par.dual_normals)
+    # n_j A^-1 n_j^T = (c R c^T) / (p ell^2) for the integer row c = ell n_j
+    bound = (p * ell) ** 2
+    for c in normals:
+        if p * sum(x * sum(map(operator.mul, row, c)) for x, row in zip(c, r_inv)) > bound:
+            raise CertificationError("parallelotope slab certificate failed")
+    return par

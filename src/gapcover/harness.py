@@ -16,6 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .cover import (
+    BOX_CONSTANT,
+    PARALLELOTOPE_CONSTANT,
     CoverReport,
     ProjectionReport,
     cover,
@@ -426,12 +428,14 @@ def to_canonical_json(doc) -> str:
 
 
 def _stage_factors(report: CoverReport):
+    """Each stage_chain inequality as lhs / rhs with the pinned constants,
+    so a factor is <= 1 exactly when that check holds."""
     s = report.stages
     if s is None or s.subspace_dim == 0:
         return None
     k = s.subspace_dim
-    para = s.volume_parallelotope / (Fraction(k) ** k * report.cardinality_C)
-    box = s.volume_box / (Fraction(k) ** (2 * k) * s.volume_parallelotope_reduced)
+    para = s.volume_parallelotope / ((PARALLELOTOPE_CONSTANT * k) ** k * report.cardinality_C)
+    box = s.volume_box / ((BOX_CONSTANT * k) ** (2 * k) * s.volume_parallelotope_reduced)
     count = Fraction(report.cardinality_P) / (Fraction(2) ** k * s.volume_box)
     return para, box, count
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionError, RankError
+from .errors import CertificationError, DimensionError, RankError
 from .exactalg import (
+    Frozen,
     Mat,
     UnimodularMat,
     as_vector,
@@ -30,7 +31,7 @@ from .exactalg import (
 LLL_DEFAULT_DELTA = Fraction(99, 100)
 
 
-class LatticeBasis:
+class LatticeBasis(Frozen):
     """d independent rational row vectors generating a full-rank lattice."""
 
     __slots__ = ("vectors", "_mat")
@@ -43,11 +44,7 @@ class LatticeBasis:
         m = Mat(vecs)
         if det(m) == 0:
             raise RankError("basis vectors are dependent")
-        object.__setattr__(self, "vectors", vecs)
-        object.__setattr__(self, "_mat", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LatticeBasis is immutable")
+        self._set(vectors=vecs, _mat=m)
 
     @property
     def dim(self) -> int:
@@ -88,7 +85,9 @@ def _round_half_up(num: int, den: int) -> int:
 def lll_reduce(basis: LatticeBasis, delta=LLL_DEFAULT_DELTA) -> tuple[LatticeBasis, UnimodularMat]:
     """LLL reduction in integers.
 
-    Returns (reduced, t) with t unimodular and t @ input == reduced, exactly.
+    Returns (reduced, t) with t unimodular and t @ input == reduced, exactly;
+    that identity is checked on the integer rows and CertificationError is
+    raised if it fails.
     On exit the basis is size-reduced (|mu_ij| <= 1/2) and satisfies the
     Lovasz condition with the given delta at every index.
 
@@ -153,7 +152,8 @@ def lll_reduce(basis: LatticeBasis, delta=LLL_DEFAULT_DELTA) -> tuple[LatticeBas
             dd[k] = b_new
             k = max(k - 1, 1)
 
-    assert int_matmul(t, b0) == b
+    if int_matmul(t, b0) != b:
+        raise CertificationError("reduction transform does not map the basis to the reduced one")
     reduced = LatticeBasis([[Fraction(x, scale) for x in row] for row in b])
     return reduced, UnimodularMat(t)
 

@@ -1,7 +1,11 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import gapcover
 from gapcover.cli import main
 from gapcover.harness import EXIT_BUDGET, EXIT_CERT_FAILURE, EXIT_OK, EXIT_USAGE
 
@@ -134,3 +138,15 @@ def test_parse_error_exit(tmp_path):
 
 def test_usage_error():
     assert main(["cover"]) == EXIT_USAGE
+
+
+def test_import_leaves_numpy_out():
+    # numpy is a test dependency only; the program must not import it
+    src = str(pathlib.Path(gapcover.__file__).resolve().parent.parent)
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import gapcover.cli; "
+        "print('numpy' in sys.modules)"
+    )
+    cmd = [sys.executable, "-I", "-c", probe, src]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["False"]

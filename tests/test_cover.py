@@ -190,6 +190,10 @@ class TestMembershipTester:
         listed = gap_points(gap)
         assert [member(p) for p in points] == [p in listed for p in points]
 
+    def test_dependent_active_differences_give_no_tester(self):
+        # an active difference that depends on another: P must be listed
+        assert gap_membership_tester(Gap(2, (0, 0), ((1, 0), (2, 0)), (3, 1))) is None
+
 
 class TestCoverCatchesShrunkenProgression:
     @pytest.mark.parametrize(

@@ -28,6 +28,9 @@ from gapcover.exactalg import (
     unimodular_solve,
     vec_dot,
 )
+from gapcover.enumeration import PointSet
+from gapcover.geomcore import ConvexBody, Ellipsoid, Parallelotope
+from gapcover.latred import LatticeBasis
 
 from _oracles import fraction_det, fraction_inverse, fraction_rank
 
@@ -179,11 +182,11 @@ def naive_lattice_equal(a: Mat, b: Mat) -> bool:
     of the rows of the other (both directions), via exact solves."""
     inv_a, inv_b = inverse(a), inverse(b)
     for i in range(b.rows):
-        coeffs = inv_a.transpose().mul_vec(b.row(i))
+        coeffs = inv_a.transpose().mul_vec(b.entries[i])
         if any(c.denominator != 1 for c in coeffs):
             return False
     for i in range(a.rows):
-        coeffs = inv_b.transpose().mul_vec(a.row(i))
+        coeffs = inv_b.transpose().mul_vec(a.entries[i])
         if any(c.denominator != 1 for c in coeffs):
             return False
     return True
@@ -366,3 +369,20 @@ class TestSqrtBounds:
 def test_vec_dot_dimension_error():
     with pytest.raises(DimensionError):
         vec_dot((1, 2), (1, 2, 3))
+
+
+IMMUTABLE = [
+    (Mat.identity(2), "rows"),
+    (PointSet(1, [(0,)]), "points"),
+    (Ellipsoid(Mat.identity(2)), "form"),
+    (ConvexBody.box([1, 1]), "kind"),
+    (Parallelotope([(1, 0), (0, 1)]), "gens"),
+    (LatticeBasis([(1, 0), (0, 1)]), "vectors"),
+    (UnimodularMat.identity(2), "int_rows"),
+]
+
+
+@pytest.mark.parametrize("obj, attr", IMMUTABLE, ids=[type(obj).__name__ for obj, _ in IMMUTABLE])
+def test_attribute_assignment_raises(obj, attr):
+    with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable"):
+        setattr(obj, attr, None)

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gapcover.errors import BudgetError, DimensionError, RankError
-from gapcover.exactalg import Mat
+import gapcover.geomcore
+from gapcover.errors import BudgetError, CertificationError, DimensionError, RankError
+from gapcover.exactalg import Mat, det, inverse, sqrt_upper
 from gapcover.geomcore import (
     ConvexBody,
     Ellipsoid,
@@ -48,7 +49,8 @@ class TestEllipsoid:
         assert e.contains((2, 0))
         assert e.contains((0, 1))
         assert not e.contains((2, 1))
-        assert e.support_sq((1, 0)) == 4
+        # squared support in direction (1, 0): (A^-1)_00
+        assert inverse(e.form).entries[0][0] == 4
         assert e.int_box_bounds() == (2, 1)
 
 
@@ -135,16 +137,27 @@ class TestCircumscribe:
         assert q.contains((2, 0))
         assert q.contains((0, 1))
 
-    def test_unit_ball_inflation_two(self):
-        e = Ellipsoid(Mat.identity(3))
-        q = circumscribe_parallelotope(e, inflation=2)
-        assert float(volume(q)) <= 64.0 * 1.001
-        assert q.contains((2, 0, 0))
-        assert q.contains((0, 0, 2))
+    def test_unit_ball(self):
+        q = circumscribe_parallelotope(Ellipsoid(Mat.identity(3)))
+        assert 8 < volume(q) <= 8 * (1 + Fraction(1, 2**48)) ** 3
+        assert q.contains((1, 0, 0))
+        assert q.contains((0, 0, -1))
+
+    def test_volume_matches_determinant(self):
+        # |Q| = 2^d prod s_m, each s_m within 2^-48 relative of its square
+        # root, so |Q|^2 det A lies in [4^d, 4^d (1 + 2^-48)^(2d)]
+        for form in (Mat([[2, 1], [1, 3]]), Mat([[5, 2, 0], [2, 4, 1], [0, 1, 3]])):
+            e = Ellipsoid(form)
+            v_sq = volume(circumscribe_parallelotope(e)) ** 2 * det(form)
+            assert 4**e.dim <= v_sq <= 4**e.dim * (1 + Fraction(1, 2**48)) ** (2 * e.dim)
+
+    def test_wrong_factorization_fails_certificate(self, monkeypatch):
+        # axes shortened by half: the slab check against A^-1 must catch it
+        monkeypatch.setattr(gapcover.geomcore, "sqrt_upper", lambda x: sqrt_upper(x) / 2)
+        with pytest.raises(CertificationError, match="slab certificate"):
+            circumscribe_parallelotope(Ellipsoid(Mat([[2, 1], [1, 3]])))
 
     def test_boundary_points_inside_random_forms(self):
-        from gapcover.exactalg import sqrt_upper
-
         forms = [
             Mat([[2, 1], [1, 3]]),
             Mat([[Fraction(1, 9), 0], [0, 4]]),

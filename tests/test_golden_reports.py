@@ -7,9 +7,10 @@ generator kind at d = 2..4, a box, a ball, a verify-mode claim, an instance
 with a functional phi and a budget skip.
 
 The hashes pin more than the exact stages: the enclosing ellipsoid (MVEE)
-and the parallelotope's eigenvectors come from numpy floating-point steps,
-so they also pin this machine's numpy float results.  Only a change that
-declares a change of output may regenerate the file, with
+comes from Khachiyan's iteration in CPython floats, so they also pin those
+float steps.  These are correctly rounded IEEE operations that depend on no
+numpy or BLAS build.  Only a change that declares a change of output may
+regenerate the file, with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """

@@ -223,6 +223,22 @@ class TestRunBatch:
         ratios = [Fraction(str(e["cover"]["ratio"])) for e in batch.entries]
         assert batch.max_ratio == max(ratios)
 
+    def test_parallelotope_factor_uses_pinned_constant(self):
+        # max |Q| / ((4k)^k #C): <= 1 exactly when every parallelotope
+        # entry of stage_chain holds
+        kinds = ("lattice-ball", "random-vertices")
+        batch = run_batch([gen_random(kind, 2, seed) for kind in kinds for seed in (0, 1)])
+        factors = []
+        for entry in batch.entries:
+            rep = entry["cover"]
+            k = rep["stages"]["subspace_dim"]
+            vol_q = Fraction(str(rep["stages"]["volume_parallelotope"]))
+            factors.append(vol_q / ((4 * k) ** k * rep["cardinality_C"]))
+            assert rep["stage_chain"]["parallelotope"] == (factors[-1] <= 1)
+        assert batch.max_parallelotope_factor == max(factors)
+        agg = batch_report_to_json(batch)["aggregate"]
+        assert Fraction(str(agg["max_parallelotope_factor"])) == max(factors)
+
 
 class TestSerialization:
     def test_rationals_exact(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import gapcover.cover
 import gapcover.latred
 
-from gapcover.errors import RankError, UnsupportedDimensionError
+from gapcover.errors import CertificationError, RankError, UnsupportedDimensionError
 from gapcover.cover import cover
 from gapcover.exactalg import Mat, Vector, det, hnf, inverse, norm_sq, rank, sqrt_upper
 from gapcover.harness import gen_random
@@ -150,6 +150,20 @@ class TestLll:
         d = b.dim
         cert = certify_reduction(v)
         assert cert.ratio <= Fraction(2) ** Fraction(d * (d - 1), 4) * Fraction(1000001, 1000000)
+
+    def test_wrong_transform_raises(self, monkeypatch):
+        # the T @ U == V check is a raised error, not an assert that
+        # python -O strips
+        real = gapcover.latred.int_matmul
+
+        def perturbed(a, b):
+            out = real(a, b)
+            out[0][0] += 1
+            return out
+
+        monkeypatch.setattr(gapcover.latred, "int_matmul", perturbed)
+        with pytest.raises(CertificationError, match="reduction transform"):
+            lll_reduce(LatticeBasis([(1, 0), (4, 1)]))
 
     def test_rational_entries(self):
         b = LatticeBasis([(Fraction(1, 3), 0), (Fraction(5, 2), Fraction(1, 7))])
