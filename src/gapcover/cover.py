@@ -11,14 +11,17 @@ per point.  The stages:
 
 1. enclosing ellipsoid of the body (exact for ellipsoid bodies, certified
    Khachiyan output otherwise),
-2. circumscribed parallelotope Q with generators u_1..u_d along the exact
-   factorization A = U D U^T of the ellipsoid's form (columns of
-   U^-T diag(s_m), s_m >= 1 / sqrt(D_m)), with an exact slab certificate
-   against A^-1,
-3. LLL-reduce the coordinate rows of the generator matrix G, obtaining V and
-   a unimodular T with T @ G = V, checked once in integers by lll_reduce;
-   |Q'| = |Q| since |det T| = 1,
-4. axis-aligned box B with half-widths a_j = ||row_j(V)||_1,
+2. circumscribed parallelotope Q along the exact factorization
+   A = U D U^T of the ellipsoid's form, handed on as its generator matrix
+   G = U^-T diag(s_m), s_m >= 1 / sqrt(D_m), and its exact volume
+   |Q| = 2^d prod s_m, with an exact slab certificate against A^-1 for each
+   dual normal, a row of G^-1 = diag(1 / s_m) U^T,
+3. LLL-reduce the coordinate rows of G, obtaining V and a unimodular T with
+   T @ G = V, checked once in integers by lll_reduce, whose Gram
+   determinants prove the rows independent; |Q'| = |Q| since |det T| = 1,
+4. axis-aligned box B with half-widths a_j = ||row_j(V)||_1, and the
+   reduction certificate of V, whose determinant is the only one the
+   pipeline takes,
 5. progression P = preimage of (B ∩ Z^d) under the coordinate map T, i.e.
    base 0, differences = columns of T^-1, half-sides floor(a_j).
 
@@ -45,11 +48,10 @@ from .exactalg import (
     clear_denominators,
     det,  # not called here; perfbench/tracing.py wraps cover.det
     int_matmul,
-    integerize_rows,
+    integer_kernel,
     inverse,  # not called here; perfbench/tracing.py wraps cover.inverse
     l1_norm,
     left_kernel,
-    rational_kernel,
     unimodular_solve,  # not called here; perfbench/tracing.py wraps cover.unimodular_solve
 )
 from .geomcore import (
@@ -58,9 +60,8 @@ from .geomcore import (
     Ellipsoid,
     circumscribe_parallelotope,
     mvee,
-    volume,
 )
-from .latred import LatticeBasis, certify_reduction, lll_reduce
+from .latred import certify_reduction, lll_reduce
 
 # Pinned pipeline constants; stage_chain checks each inequality exactly on
 # every report:
@@ -167,11 +168,9 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
     if k == d:
         return SubspaceReduction(d, d, Mat.identity(d), body, c_points)
 
-    # functionals vanishing on span(C): rational kernel, cleared to integers
-    ker = rational_kernel(Mat(nonzero))
-    cmat_rows = integerize_rows(ker)
-    # saturated lattice = integer solutions of those functionals
-    basis_rows = left_kernel(Mat(cmat_rows).transpose())
+    # functionals vanishing on span(C); the saturated lattice is the
+    # integer solutions of those functionals
+    basis_rows = left_kernel(Mat(integer_kernel(nonzero, d)).transpose())
     if len(basis_rows) != k:
         raise RankError("saturated sublattice has unexpected rank")
     embed = Mat(basis_rows).transpose()  # d x k, columns = lattice basis
@@ -257,15 +256,15 @@ def cover(
     timings["ellipsoid_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    q = circumscribe_parallelotope(enclosing)
+    gens, vol_q = circumscribe_parallelotope(enclosing)
     timings["parallelotope_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
     # rows of the generator matrix are the coordinate vectors of the generators
-    reduced, t_lll = lll_reduce(LatticeBasis(q.generator_matrix.entries))
+    reduced, t_lll = lll_reduce(gens)
     timings["reduce_ms"] = (time.perf_counter() - t0) * 1000.0
 
-    halfwidths = tuple(l1_norm(row) for row in reduced.vectors)
+    halfwidths = tuple(l1_norm(row) for row in reduced.entries)
     halfsides = tuple(int(a) for a in halfwidths)  # floor: halfwidths >= 0
     t_inv = t_lll.inverse()
     diffs_reduced = [t_inv.col(j) for j in range(k)]
@@ -279,14 +278,13 @@ def cover(
     report = _certify(red.ambient_points, gap, cap, timings)
 
     cert = certify_reduction(reduced)
-    vol_q = volume(q)  # also |Q'|, since |det T| = 1
     vol_box = Fraction(2) ** k * math.prod(halfwidths, start=Fraction(1))
     stages = StageDiagnostics(
         eps=eps if mvee_used else None,
         subspace_dim=k,
         mvee_used=mvee_used,
         volume_parallelotope=vol_q,
-        volume_parallelotope_reduced=vol_q,
+        volume_parallelotope_reduced=vol_q,  # |Q'| = |Q|, since |det T| = 1
         volume_box=vol_box,
         box_halfwidths=halfwidths,
         a_min=min(halfwidths),
@@ -296,8 +294,10 @@ def cover(
     return gap, replace(report, stages=stages)
 
 
-def stage_chain(report: CoverReport) -> dict[str, bool]:
-    """Exact per-stage inequalities with the pinned constants.
+def stage_factors(report: CoverReport) -> dict[str, Fraction] | None:
+    """Exact per-stage inequalities with the pinned constants, each as the
+    factor lhs / rhs, so that it holds iff its factor is <= 1; None for a
+    report without stages.
 
     parallelotope: |Q| <= (PARALLELOTOPE_CONSTANT * k)^k * #C
     box:           |B| <= (BOX_CONSTANT * k)^(2k) * |Q'|
@@ -305,12 +305,22 @@ def stage_chain(report: CoverReport) -> dict[str, bool]:
     """
     s = report.stages
     if s is None:
-        return {"parallelotope": True, "box": True, "count": True}
+        return None
     k = s.subspace_dim
-    ok_q = s.volume_parallelotope <= (PARALLELOTOPE_CONSTANT * k) ** k * report.cardinality_C
-    ok_b = s.volume_box <= (BOX_CONSTANT * k) ** (2 * k) * s.volume_parallelotope_reduced
-    ok_p = report.cardinality_P <= Fraction(2) ** k * s.volume_box
-    return {"parallelotope": ok_q, "box": ok_b, "count": ok_p}
+    return {
+        "parallelotope": s.volume_parallelotope / ((PARALLELOTOPE_CONSTANT * k) ** k * report.cardinality_C),
+        "box": s.volume_box / ((BOX_CONSTANT * k) ** (2 * k) * s.volume_parallelotope_reduced),
+        "count": report.cardinality_P / (Fraction(2) ** k * s.volume_box),
+    }
+
+
+def stage_chain(report: CoverReport) -> dict[str, bool]:
+    """Whether each inequality of stage_factors holds; all True without
+    stages."""
+    factors = stage_factors(report)
+    if factors is None:
+        return {"parallelotope": True, "box": True, "count": True}
+    return {name: factor <= 1 for name, factor in factors.items()}
 
 
 def verify_cover(body: ConvexBody, gap: Gap, cap: int = DEFAULT_BUDGET) -> CoverReport:

@@ -33,10 +33,6 @@ class BudgetError(GapCoverError):
     """An enumeration would exceed the configured point budget."""
 
 
-class UnsupportedDimensionError(GapCoverError):
-    """Requested operation is only available in small dimensions."""
-
-
 class ParseError(GapCoverError):
     """Malformed instance document.
 

@@ -80,11 +80,6 @@ class Mat(Frozen):
     def identity(cls, n: int) -> "Mat":
         return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_columns(cls, columns: Iterable[Iterable]) -> "Mat":
-        cols = [list(c) for c in columns]
-        return cls([[cols[j][i] for j in range(len(cols))] for i in range(len(cols[0]))])
-
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 
@@ -338,39 +333,39 @@ def _integer_solver(
     return solve
 
 
-def rational_kernel(m: Mat) -> list[Vector]:
-    """Basis of the right kernel {x : m @ x = 0} over the rationals."""
-    rows, cols = m.rows, m.cols
-    a = [list(row) for row in m.entries]
+def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, ...]]:
+    """Basis of the right kernel {x : rows @ x = 0} of an integer matrix
+    with ``cols`` columns: one primitive integer vector per non-pivot
+    column f, with x_f > 0 and 0 at the other non-pivot columns.  One
+    fraction-free Gauss-Jordan pass leaves every pivot row with the last
+    pivot D at its own pivot column and 0 at the others, so x_f = D and
+    x_c = -a[c][f] at each pivot column c solve it."""
+    a = [list(row) for row in rows]
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if a[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
             continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
+        a[r], a[pr] = a[pr], a[r]
+        pivot, row_r = a[r][c], a[r]
+        for i in range(len(a)):
+            if i != r:
                 f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row_r)]
+        prev = pivot
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * cols
-        v[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            v[pc] = -a[pr][fc]
-        basis.append(tuple(v))
+    for f in range(cols):
+        if f in pivots:
+            continue
+        v = [0] * cols
+        v[f] = prev
+        for row, c in zip(a, pivots):
+            v[c] = -row[f]
+        g = math.gcd(*v) if prev > 0 else -math.gcd(*v)
+        basis.append(tuple(x // g for x in v))
     return basis
 
 
@@ -402,13 +397,9 @@ class UnimodularMat(Frozen):
     def identity(cls, n: int) -> "UnimodularMat":
         return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
-    @property
-    def mat(self) -> Mat:
-        return Mat(self.int_rows)
-
     def inverse(self) -> "UnimodularMat":
-        inv = inverse(self.mat)
-        return UnimodularMat(inv.int_entries())
+        r, p = _int_inverse(self.int_rows)  # p = +-1, so the inverse is r * p
+        return UnimodularMat([[x * p for x in row] for row in r])
 
     def col(self, j: int) -> tuple[int, ...]:
         return tuple(row[j] for row in self.int_rows)
@@ -537,13 +528,6 @@ def unimodular_solve(x: Mat, x2: Mat) -> UnimodularMat:
             out.append(q)
         t.append(out)
     return UnimodularMat(t)
-
-
-def floor_sqrt(x: Fraction) -> int:
-    """Largest integer t with t*t <= x (x nonnegative)."""
-    if x < 0:
-        raise ValueError("floor_sqrt of a negative value")
-    return isqrt(x.numerator // x.denominator)
 
 
 _SQRT_SCALE = 1 << 48

@@ -2,10 +2,11 @@
 
 Floating point is allowed in one place, Khachiyan's iteration in ``mvee``,
 which runs in CPython floats; every claim consumed downstream is
-established in exact rational arithmetic: point membership, slab
-containment, determinants.  An ellipsoid's form is factored exactly once,
-when it is built; the enumeration's line extents and the parallelotope's
-axes are read off that factorization.  A vertex body is described exactly by
+established in exact rational arithmetic: point membership and slab
+containment.  An ellipsoid's form is factored exactly once, when it is
+built; the enumeration's line extents and the parallelotope's axes are read
+off that factorization, and the parallelotope is handed on as its generator
+matrix and its exact volume, nothing else.  A vertex body is described exactly by
 integer rows |N.x| <= D (its facets, and with D = 0 the equalities of its
 span), computed once per body; membership and the enumeration's line
 extents are read off those rows.
@@ -34,11 +35,10 @@ from .exactalg import (
     _inverse_pair,
     as_vector,
     clear_denominators,
-    det,
-    floor_sqrt,
+    det,  # not called here; perfbench/tracing.py wraps geomcore.det
+    integer_kernel,
     inverse,
     rank,
-    rational_kernel,
     schur_chain,
     sqrt_upper,
     vec_dot,
@@ -91,9 +91,9 @@ class Ellipsoid(Frozen):
 
     def int_box_bounds(self) -> tuple[int, ...]:
         """Per-axis integer bounds: floor of the exact axis extents, the
-        square roots of A^-1's diagonal."""
-        inv = inverse(self.form).entries
-        return tuple(floor_sqrt(inv[j][j]) for j in range(self.dim))
+        square roots of A^-1's diagonal, with A^-1 = R / p in integers."""
+        r, p, _ = _inverse_pair(self.form)
+        return tuple(math.isqrt(r[j][j] // p) for j in range(self.dim))
 
 
 class ConvexBody(Frozen):
@@ -222,10 +222,7 @@ def _hull_facets(points: Sequence[Vector], cap: int) -> tuple[tuple[tuple[int, .
             f"facet stage: {candidates} candidate hyperplanes "
             f"(C({n}, {r}) * 2^{r - 1}), budget {cap}"
         )
-    rows: dict[tuple, None] = {}
-    for e in rational_kernel(Mat(w)):
-        e_den = math.lcm(*(c.denominator for c in e))
-        rows[_primitive([int(c * e_den) for c in e]) + (0,)] = None
+    rows: dict[tuple, None] = {e + (0,): None for e in integer_kernel(w, d)}
     proj = [tuple(p[c] for c in cols) for p in w]
     for subset in itertools.combinations(proj, r) if r else ():
         d0 = _int_det(subset)
@@ -275,45 +272,6 @@ def hull_line_extent(body: ConvexBody, prefix: Sequence) -> tuple[Fraction, Frac
     if lo[0] * hi[1] > hi[0] * lo[1]:
         return None
     return Fraction(*lo), Fraction(*hi)
-
-
-class Parallelotope(Frozen):
-    """{sum lambda_i u_i : lambda_i in [-1, 1]} for independent generators u_i."""
-
-    __slots__ = ("gens", "_gmat")
-
-    def __init__(self, gens: Iterable[Iterable]):
-        g = tuple(as_vector(v) for v in gens)
-        d = len(g)
-        if d == 0 or any(len(v) != d for v in g):
-            raise DimensionError("need d generators of dimension d")
-        gmat = Mat.from_columns(g)
-        if det(gmat) == 0:
-            raise RankError("parallelotope generators are dependent")
-        self._set(gens=g, _gmat=gmat)
-
-    @property
-    def dim(self) -> int:
-        return len(self.gens)
-
-    @property
-    def generator_matrix(self) -> Mat:
-        """Matrix whose columns are the generators."""
-        return self._gmat
-
-    @property
-    def dual_normals(self) -> Mat:
-        """Rows n_j with membership test |n_j . x| <= 1 for all j."""
-        return inverse(self._gmat)
-
-    def contains(self, x: Sequence) -> bool:
-        lam = self.dual_normals.mul_vec(as_vector(x))
-        return all(abs(c) <= 1 for c in lam)
-
-
-def volume(q: Parallelotope) -> Fraction:
-    """2^d |det(generators)|."""
-    return Fraction(2) ** q.dim * abs(det(q.generator_matrix))
 
 
 def mvee(points: Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITER) -> Ellipsoid:
@@ -384,31 +342,32 @@ def mvee(points: Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITE
     return Ellipsoid(a_mat.scale(1 / s))
 
 
-def circumscribe_parallelotope(e: Ellipsoid) -> Parallelotope:
-    """Parallelotope certified (exactly) to contain e.
+def circumscribe_parallelotope(e: Ellipsoid) -> tuple[Mat, Fraction]:
+    """Parallelotope Q certified (exactly) to contain e, as (G, |Q|): the
+    generator matrix G, whose columns are the generators, and the volume.
 
     e.schur factors A = U D U^T (see schur_chain), so x^T A x =
     sum_m D_m (w_m . x)^2 with w_m the columns of U, and e lies in
-    Q = {x : |w_m . x| <= s_m} for s_m = sqrt_upper(1 / D_m): generators the
-    columns of U^-T diag(s_m), volume 2^d prod s_m, within 2^-48 relative
-    per axis of 2^d / sqrt(det A).  The slab certificate n A^-1 n^T <= 1 is
-    then checked for every dual normal n of Q, in integers with A^-1 = R / p
-    as kept on the form; CertificationError if it fails."""
+    Q = {x : |w_m . x| <= s_m} for s_m = sqrt_upper(1 / D_m): G = U^-T
+    diag(s_m), from the one inverse of U^T, and |Q| = 2^d prod s_m since
+    det U = 1, within 2^-48 relative per axis of 2^d / sqrt(det A).  The dual
+    normals of Q are the rows w_m / s_m of G^-1 = diag(1 / s_m) U^T; the slab
+    certificate n A^-1 n^T <= 1 is checked for each, in integers with
+    A^-1 = R / p as kept on the form; CertificationError if it fails."""
     d = e.dim
     den, chain = e.schur
+    r_inv, p, _ = _inverse_pair(e.form)
     w_rows, scales = [], []
     for m, (rows, q) in enumerate(chain):
         r = rows[m]
-        w_rows.append([Fraction(x, r[m]) for x in r] + [0] * (d - 1 - m))
-        scales.append(sqrt_upper(Fraction(q * den, r[m])))
-    u_inv_t = inverse(Mat(w_rows))
-    par = Parallelotope(tuple(s * x for x in u_inv_t.col(m)) for m, s in enumerate(scales))
-
-    r_inv, p, _ = _inverse_pair(e.form)
-    normals, ell = clear_denominators(par.dual_normals)
-    # n_j A^-1 n_j^T = (c R c^T) / (p ell^2) for the integer row c = ell n_j
-    bound = (p * ell) ** 2
-    for c in normals:
-        if p * sum(x * sum(map(operator.mul, row, c)) for x, row in zip(c, r_inv)) > bound:
+        s = sqrt_upper(Fraction(q * den, r[m]))
+        # n = r / (r[m] s) with s = a / b: n A^-1 n^T <= 1 iff
+        # p b^2 (r R r^T) <= p^2 r[m]^2 a^2
+        r_quad = sum(x * sum(map(operator.mul, row, r)) for x, row in zip(r, r_inv))
+        if p * s.denominator**2 * r_quad > (p * r[m] * s.numerator) ** 2:
             raise CertificationError("parallelotope slab certificate failed")
-    return par
+        w_rows.append([Fraction(x, r[m]) for x in r] + [0] * (d - 1 - m))
+        scales.append(s)
+    u_inv_t = inverse(Mat(w_rows))
+    gens = Mat([[x * s for x, s in zip(row, scales)] for row in u_inv_t.entries])
+    return gens, 2**d * math.prod(scales)

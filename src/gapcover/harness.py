@@ -13,15 +13,14 @@ import json
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .cover import (
-    BOX_CONSTANT,
-    PARALLELOTOPE_CONSTANT,
     CoverReport,
     ProjectionReport,
     cover,
     stage_chain,
+    stage_factors,
     verify_cover,
     verify_projection,
 )
@@ -427,19 +426,6 @@ def to_canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _stage_factors(report: CoverReport):
-    """Each stage_chain inequality as lhs / rhs with the pinned constants,
-    so a factor is <= 1 exactly when that check holds."""
-    s = report.stages
-    if s is None or s.subspace_dim == 0:
-        return None
-    k = s.subspace_dim
-    para = s.volume_parallelotope / ((PARALLELOTOPE_CONSTANT * k) ** k * report.cardinality_C)
-    box = s.volume_box / ((BOX_CONSTANT * k) ** (2 * k) * s.volume_parallelotope_reduced)
-    count = Fraction(report.cardinality_P) / (Fraction(2) ** k * s.volume_box)
-    return para, box, count
-
-
 def run_batch(
     specs: Sequence[InstanceSpec],
     *,
@@ -471,9 +457,9 @@ def run_batch(
                 entry["mode"] = "cover"
                 entry["gap"] = gap_to_json(gap)
                 entry["cover"] = cover_report_to_json(report, include_timings)
-                factors = _stage_factors(report)
+                factors = stage_factors(report)
                 if factors is not None:
-                    para, box, count = factors
+                    para, box, count = factors["parallelotope"], factors["box"], factors["count"]
                     if batch.max_parallelotope_factor is None or para > batch.max_parallelotope_factor:
                         batch.max_parallelotope_factor = para
                     if batch.max_box_factor is None or box > batch.max_box_factor:

@@ -1,10 +1,12 @@
 """Lattice basis reduction with exact certificates.
 
-LLL in integers (no floating point anywhere): a rational basis is cleared to
-integer rows over one common denominator, and the integral LLL of de Weger
-works on integer Gram determinants; it returns the unimodular transform
-alongside the reduced basis.  A norm-product / determinant certificate says
-how far the reduced basis is from orthogonal.
+LLL in integers (no floating point anywhere): a basis, the rows of a square
+rational ``Mat``, is cleared to integer rows over one common denominator, and
+the integral LLL of de Weger works on integer Gram determinants, which also
+prove the rows independent; it returns the unimodular transform alongside
+the reduced basis.  A norm-product / determinant certificate says how far
+the reduced basis is from orthogonal; its determinant is the one computed on
+the pipeline's path.
 """
 
 from __future__ import annotations
@@ -12,14 +14,11 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import CertificationError, DimensionError, RankError
 from .exactalg import (
-    Frozen,
     Mat,
     UnimodularMat,
-    as_vector,
     clear_denominators,
     det,
     int_matmul,
@@ -29,36 +28,6 @@ from .exactalg import (
 )
 
 LLL_DEFAULT_DELTA = Fraction(99, 100)
-
-
-class LatticeBasis(Frozen):
-    """d independent rational row vectors generating a full-rank lattice."""
-
-    __slots__ = ("vectors", "_mat")
-
-    def __init__(self, vectors: Iterable[Iterable]):
-        vecs = tuple(as_vector(v) for v in vectors)
-        d = len(vecs)
-        if d == 0 or any(len(v) != d for v in vecs):
-            raise DimensionError("need d vectors of dimension d")
-        m = Mat(vecs)
-        if det(m) == 0:
-            raise RankError("basis vectors are dependent")
-        self._set(vectors=vecs, _mat=m)
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    @property
-    def mat(self) -> Mat:
-        return self._mat
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LatticeBasis) and self.vectors == other.vectors
-
-    def __repr__(self):
-        return f"LatticeBasis({[tuple(map(str, v)) for v in self.vectors]})"
 
 
 @dataclass(frozen=True)
@@ -82,12 +51,14 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def lll_reduce(basis: LatticeBasis, delta=LLL_DEFAULT_DELTA) -> tuple[LatticeBasis, UnimodularMat]:
-    """LLL reduction in integers.
+def lll_reduce(basis: Mat, delta=LLL_DEFAULT_DELTA) -> tuple[Mat, UnimodularMat]:
+    """LLL reduction in integers of the rows of a square rational matrix.
 
-    Returns (reduced, t) with t unimodular and t @ input == reduced, exactly;
+    Returns (reduced, t) with t unimodular and t @ basis == reduced, exactly;
     that identity is checked on the integer rows and CertificationError is
-    raised if it fails.
+    raised if it fails.  The rows must be independent: the Gram pass below
+    computes dd[i] = det(b_j . b_l)_(j,l < i), and RankError is raised at the
+    first dd[i] = 0; no separate determinant is taken.
     On exit the basis is size-reduced (|mu_ij| <= 1/2) and satisfies the
     Lovasz condition with the given delta at every index.
 
@@ -105,9 +76,11 @@ def lll_reduce(basis: LatticeBasis, delta=LLL_DEFAULT_DELTA) -> tuple[LatticeBas
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise DimensionError("delta must lie in (1/4, 1)")
+    if not basis.is_square():
+        raise DimensionError(f"need d vectors of dimension d, got {basis.rows}x{basis.cols}")
     num, den = delta.numerator, delta.denominator
-    d = basis.dim
-    b0, scale = clear_denominators(basis.mat)
+    d = basis.rows
+    b0, scale = clear_denominators(basis)
     b = [list(row) for row in b0]
     t = [[int(i == j) for j in range(d)] for i in range(d)]
 
@@ -120,6 +93,8 @@ def lll_reduce(basis: LatticeBasis, delta=LLL_DEFAULT_DELTA) -> tuple[LatticeBas
                 u = (dd[i + 1] * u - lam[k][i] * lam[j][i]) // dd[i]
             if j < k:
                 lam[k][j] = u
+            elif u == 0:
+                raise RankError("basis vectors are dependent")
             else:
                 dd[k + 1] = u
 
@@ -154,16 +129,17 @@ def lll_reduce(basis: LatticeBasis, delta=LLL_DEFAULT_DELTA) -> tuple[LatticeBas
 
     if int_matmul(t, b0) != b:
         raise CertificationError("reduction transform does not map the basis to the reduced one")
-    reduced = LatticeBasis([[Fraction(x, scale) for x in row] for row in b])
+    reduced = Mat([[Fraction(x, scale) for x in row] for row in b])
     return reduced, UnimodularMat(t)
 
 
-def certify_reduction(basis: LatticeBasis) -> ReductionCert:
-    """Exact norm-product/determinant certificate (see ReductionCert)."""
+def certify_reduction(basis: Mat) -> ReductionCert:
+    """Exact norm-product/determinant certificate (see ReductionCert) of the
+    rows of a square matrix."""
     prod_sq = Fraction(1)
-    for v in basis.vectors:
+    for v in basis.entries:
         prod_sq *= norm_sq(v)
-    det_abs = abs(det(basis.mat))
+    det_abs = abs(det(basis))
     upper = sqrt_upper(prod_sq)
     return ReductionCert(
         norm_product=upper,

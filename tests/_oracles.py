@@ -331,6 +331,43 @@ def fraction_rank(rows):
     return r
 
 
+def fraction_kernel(rows, cols):
+    """Basis of the right kernel {x : rows @ x = 0} by Gauss-Jordan
+    elimination in Fractions: per non-pivot column f the solution with
+    x_f = 1 and 0 at the other non-pivot columns, times the lcm of its
+    denominators."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        a[r], a[pivot_row] = a[pivot_row], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for pr, pc in enumerate(pivots):
+            v[pc] = -a[pr][f]
+        den = math.lcm(*(x.denominator for x in v))
+        basis.append(tuple(int(x * den) for x in v))
+    return basis
+
+
+def parallelotope_contains(gens, x):
+    """x in {G lam : |lam_i| <= 1}, with lam = G^-1 x by fraction_inverse;
+    ``gens`` is the generator matrix G, its columns the generators."""
+    g_inv = fraction_inverse(gens)
+    return all(abs(_dot(row, x)) <= 1 for row in g_inv)
+
+
 def lll_recompute(rows, delta=Fraction(99, 100)):
     """Textbook exact LLL that recomputes Gram-Schmidt from scratch after
     every swap, with the same size-reduction order (j = k-1 down to 0,

@@ -113,7 +113,7 @@ class TestCoverPipeline:
         gap, report = cover(body)
         s = report.stages
         assert s.volume_parallelotope == s.volume_parallelotope_reduced
-        w = Mat.from_columns(gap.diffs)
+        w = Mat(gap.diffs).transpose()
         assert abs(det(w)) == 1
 
     def test_skewed_lattice_ellipsoid(self):

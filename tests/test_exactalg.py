@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -18,21 +19,19 @@ from gapcover.exactalg import (
     UnimodularMat,
     _span_rank,
     det,
-    floor_sqrt,
     hnf,
+    integer_kernel,
     inverse,
     left_kernel,
     rank,
-    rational_kernel,
     sqrt_upper,
     unimodular_solve,
     vec_dot,
 )
 from gapcover.enumeration import PointSet
-from gapcover.geomcore import ConvexBody, Ellipsoid, Parallelotope
-from gapcover.latred import LatticeBasis
+from gapcover.geomcore import ConvexBody, Ellipsoid
 
-from _oracles import fraction_det, fraction_inverse, fraction_rank
+from _oracles import fraction_det, fraction_inverse, fraction_kernel, fraction_rank
 
 
 def cofactor_2x2(m):
@@ -201,13 +200,13 @@ class TestHnf:
     def test_row_swap(self):
         h, u = hnf(Mat([[0, 1], [1, 0]]))
         assert h == Mat.identity(2)
-        assert u.mat @ Mat([[0, 1], [1, 0]]) == h
+        assert Mat(u.int_rows) @ Mat([[0, 1], [1, 0]]) == h
 
     def test_det_preserved(self):
         m = Mat([[2, 4], [6, 8]])
         h, u = hnf(m)
         assert abs(det(h)) == 8
-        assert u.mat @ m == h
+        assert Mat(u.int_rows) @ m == h
         # canonical shape: lower triangular, positive pivots
         assert h.entries[0][1] == 0
         assert h.entries[0][0] > 0 and h.entries[1][1] > 0
@@ -227,7 +226,7 @@ class TestHnf:
         h, u = hnf(m)
         h2, _ = hnf(h)
         assert h2 == h
-        assert u.mat @ m == h
+        assert Mat(u.int_rows) @ m == h
         assert naive_lattice_equal(m, h)
 
 
@@ -261,7 +260,7 @@ elementary_ops = st.lists(
 class TestUnimodularSolve:
     def test_identity_to_swap(self):
         t = unimodular_solve(Mat.identity(2), Mat([[0, 1], [1, 0]]))
-        assert t.mat == Mat([[0, 1], [1, 0]])
+        assert Mat(t.int_rows) == Mat([[0, 1], [1, 0]])
 
     def test_index_two_sublattice_rejected(self):
         with pytest.raises(LatticeMismatchError, match="determinant ratio"):
@@ -269,8 +268,8 @@ class TestUnimodularSolve:
 
     def test_shear(self):
         t = unimodular_solve(Mat([[1, 0], [4, 1]]), Mat.identity(2))
-        assert t.mat @ Mat([[1, 0], [4, 1]]) == Mat.identity(2)
-        assert t.mat == Mat([[1, 0], [-4, 1]])
+        assert Mat(t.int_rows) @ Mat([[1, 0], [4, 1]]) == Mat.identity(2)
+        assert Mat(t.int_rows) == Mat([[1, 0], [-4, 1]])
 
     def test_non_integer_transform_rejected(self):
         # same determinant but different lattices
@@ -308,7 +307,7 @@ class TestUnimodularSolve:
         x = Mat(rows)
         x2 = w @ x
         t = unimodular_solve(x, x2)
-        assert t.mat == w == x2 @ Mat(fraction_inverse(rows))
+        assert Mat(t.int_rows) == w == x2 @ Mat(fraction_inverse(rows))
 
     @given(square_int_mats(3), elementary_ops)
     @settings(max_examples=60, deadline=None)
@@ -321,7 +320,7 @@ class TestUnimodularSolve:
         w = make_unimodular(ops)
         m2 = w @ m
         t = unimodular_solve(m, m2)
-        assert t.mat == w
+        assert Mat(t.int_rows) == w
         assert hnf(m)[0] == hnf(m2)[0]
         m3 = m.scale(2)
         with pytest.raises((LatticeMismatchError, SingularMatrixError)):
@@ -329,13 +328,45 @@ class TestUnimodularSolve:
         assert hnf(m)[0] != hnf(m3)[0]
 
 
+@st.composite
+def kernel_inputs(draw):
+    """(rows, cols): up to 6 integer rows, some of them zero or combinations
+    of earlier rows, so that the rank is often below both sizes."""
+    cols = draw(st.integers(1, 6))
+    entry = st.integers(-9, 9)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["free", "zero", "combination"]))
+        if kind == "zero" or (kind == "combination" and not rows):
+            rows.append([0] * cols)
+        elif kind == "free":
+            rows.append(draw(st.lists(entry, min_size=cols, max_size=cols)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entry), draw(entry)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return rows, cols
+
+
 class TestKernels:
-    def test_rational_kernel(self):
+    def test_integer_kernel(self):
         m = Mat([[1, 1, 0], [0, 0, 1]])
-        basis = rational_kernel(m)
-        assert len(basis) == 1
+        basis = integer_kernel(m.int_entries(), 3)
+        assert basis == [(-1, 1, 0)]
         for v in basis:
             assert m.mul_vec(v) == (0, 0)
+        assert integer_kernel([], 2) == [(1, 0), (0, 1)]
+        assert integer_kernel([[0, 0, 0]], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        # the last pivot is negative; the vectors still have x_f > 0
+        assert integer_kernel([[2, 4, 6], [0, -3, 3]], 3) == [(-5, 1, 1)]
+
+    @given(kernel_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_integer_kernel_matches_fraction_oracle(self, data):
+        rows, cols = data
+        basis = integer_kernel(rows, cols)
+        assert basis == fraction_kernel(rows, cols)
+        assert len(basis) == cols - (fraction_rank(rows) if rows else 0)
 
     def test_left_kernel_saturated(self):
         m = Mat([[1], [-1]])
@@ -358,9 +389,14 @@ class TestSqrtBounds:
         assert x <= up * up
 
     def test_floor_sqrt(self):
-        assert floor_sqrt(Fraction(89, 10)) == 2
-        assert floor_sqrt(Fraction(91, 10)) == 3
-        assert floor_sqrt(Fraction(0)) == 0
+        # Ellipsoid.int_box_bounds is floor(sqrt((A^-1)_jj)), from A^-1 = R / p
+        e = Ellipsoid(Mat([[Fraction(10, 89), 0], [0, Fraction(10, 91)]]))
+        assert e.int_box_bounds() == (2, 3)
+        assert Ellipsoid(Mat([[Fraction(1, 4)]])).int_box_bounds() == (2,)
+        form = [[Fraction(x, 50) for x in row] for row in ((5, 2, 0), (2, 4, 1), (0, 1, 3))]
+        inv = fraction_inverse(form)
+        want = tuple(math.isqrt(math.floor(inv[j][j])) for j in range(3))
+        assert Ellipsoid(Mat(form)).int_box_bounds() == want
 
     def test_exact_square(self):
         assert 2 <= sqrt_upper(Fraction(4))
@@ -376,8 +412,6 @@ IMMUTABLE = [
     (PointSet(1, [(0,)]), "points"),
     (Ellipsoid(Mat.identity(2)), "form"),
     (ConvexBody.box([1, 1]), "kind"),
-    (Parallelotope([(1, 0), (0, 1)]), "gens"),
-    (LatticeBasis([(1, 0), (0, 1)]), "vectors"),
     (UnimodularMat.identity(2), "int_rows"),
 ]
 

@@ -9,18 +9,18 @@ from hypothesis import strategies as st
 import gapcover.cover
 import gapcover.latred
 
-from gapcover.errors import CertificationError, RankError, UnsupportedDimensionError
+from gapcover.errors import CertificationError, DimensionError, RankError
 from gapcover.cover import cover
 from gapcover.exactalg import Mat, Vector, det, hnf, inverse, norm_sq, rank, sqrt_upper
 from gapcover.harness import gen_random
-from gapcover.latred import LatticeBasis, certify_reduction, lll_reduce
+from gapcover.latred import certify_reduction, lll_reduce
 
 from _oracles import gram_schmidt, lll_recompute, shortest_basis_2d
 
 MINIMA_MAX_DIM = 4
 
 
-def successive_minima_bruteforce(basis: LatticeBasis) -> list[Vector]:
+def successive_minima_bruteforce(basis: Mat) -> list[Vector]:
     """Lattice vectors realizing the successive minima, by exhaustive search.
 
     Only for dim <= 4.  The basis is LLL-reduced first, giving rows b_i and
@@ -35,14 +35,14 @@ def successive_minima_bruteforce(basis: LatticeBasis) -> list[Vector]:
     (||v||^2, m).  Vectors are then picked greedily in that order subject to
     linear independence, so they are returned in nondecreasing norm.
     """
-    d = basis.dim
+    d = basis.rows
     if d > MINIMA_MAX_DIM:
-        raise UnsupportedDimensionError(f"brute-force minima limited to dim <= {MINIMA_MAX_DIM}")
+        raise ValueError(f"brute-force minima limited to dim <= {MINIMA_MAX_DIM}")
     reduced, _ = lll_reduce(basis)
-    rows = reduced.vectors
+    rows = reduced.entries
     radius_sq = max(norm_sq(v) for v in rows)
 
-    inv = inverse(reduced.mat)
+    inv = inverse(reduced)
     bounds = []
     for i in range(d):
         col = inv.col(i)
@@ -98,33 +98,33 @@ def basis_strategy(max_dim=4, bound=25):
 
 class TestLll:
     def test_identity(self):
-        b = LatticeBasis([(1, 0), (0, 1)])
+        b = Mat([(1, 0), (0, 1)])
         v, t = lll_reduce(b)
         assert v == b
-        assert t.mat == Mat.identity(2)
+        assert Mat(t.int_rows) == Mat.identity(2)
 
     def test_size_reduction_shear(self):
-        b = LatticeBasis([(1, 0), (4, 1)])
+        b = Mat([(1, 0), (4, 1)])
         v, t = lll_reduce(b)
-        assert v.vectors == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        assert t.mat == Mat([[1, 0], [-4, 1]])
-        assert t.mat @ b.mat == v.mat
+        assert v.entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+        assert Mat(t.int_rows) == Mat([[1, 0], [-4, 1]])
+        assert Mat(t.int_rows) @ b == v
 
     def test_finds_short_basis(self):
         rows = ((1, 1), (0, 2))
-        b = LatticeBasis(rows)
+        b = Mat(rows)
         v, t = lll_reduce(b)
-        for vec in v.vectors:
+        for vec in v.entries:
             assert norm_sq(vec) <= 2
         # exhaustive oracle: the two shortest independent vectors have norms^2 (2, 2)
         q1, q2 = shortest_basis_2d(rows)
-        assert {norm_sq(v.vectors[0]), norm_sq(v.vectors[1])} <= {q1, q2} | {q1} | {q2}
-        assert norm_sq(v.vectors[0]) == q1
+        assert {norm_sq(v.entries[0]), norm_sq(v.entries[1])} <= {q1, q2} | {q1} | {q2}
+        assert norm_sq(v.entries[0]) == q1
 
     def test_lovasz_and_size_reduction_hold(self):
-        b = LatticeBasis([(12, 2, 17), (4, -9, 3), (5, 5, 5)])
+        b = Mat([(12, 2, 17), (4, -9, 3), (5, 5, 5)])
         v, _ = lll_reduce(b)
-        rows = [list(r) for r in v.vectors]
+        rows = [list(r) for r in v.entries]
         ortho, mu = gram_schmidt(rows)
         d = len(rows)
         delta = Fraction(99, 100)
@@ -139,15 +139,14 @@ class TestLll:
     @given(basis_strategy())
     @settings(max_examples=40, deadline=None)
     def test_lattice_preserved_and_bound(self, rows):
-        m = Mat(rows)
-        if det(m) == 0:
+        b = Mat(rows)
+        if det(b) == 0:
             return
-        b = LatticeBasis(rows)
         v, t = lll_reduce(b)
-        assert t.mat @ b.mat == v.mat
-        assert lattices_equal(b.mat, v.mat)
-        assert abs(det(v.mat)) == abs(det(b.mat))
-        d = b.dim
+        assert Mat(t.int_rows) @ b == v
+        assert lattices_equal(b, v)
+        assert abs(det(v)) == abs(det(b))
+        d = b.rows
         cert = certify_reduction(v)
         assert cert.ratio <= Fraction(2) ** Fraction(d * (d - 1), 4) * Fraction(1000001, 1000000)
 
@@ -163,13 +162,26 @@ class TestLll:
 
         monkeypatch.setattr(gapcover.latred, "int_matmul", perturbed)
         with pytest.raises(CertificationError, match="reduction transform"):
-            lll_reduce(LatticeBasis([(1, 0), (4, 1)]))
+            lll_reduce(Mat([(1, 0), (4, 1)]))
+
+    def test_dependent_rows_rejected(self):
+        # the Gram pass finds dd[2] = 0; no determinant is taken first
+        with pytest.raises(RankError, match="dependent"):
+            lll_reduce(Mat([[1, 2], [2, 4]]))
+        with pytest.raises(RankError, match="dependent"):
+            lll_reduce(Mat([[0, 0], [1, 1]]))
+        with pytest.raises(RankError, match="dependent"):
+            lll_reduce(Mat([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DimensionError):
+            lll_reduce(Mat([[1, 0, 0], [0, 1, 0]]))
 
     def test_rational_entries(self):
-        b = LatticeBasis([(Fraction(1, 3), 0), (Fraction(5, 2), Fraction(1, 7))])
+        b = Mat([(Fraction(1, 3), 0), (Fraction(5, 2), Fraction(1, 7))])
         v, t = lll_reduce(b)
-        assert t.mat @ b.mat == v.mat
-        assert lattices_equal(b.mat, v.mat)
+        assert Mat(t.int_rows) @ b == v
+        assert lattices_equal(b, v)
 
 
 @st.composite
@@ -207,10 +219,10 @@ def assert_same_as_recompute(rows):
         return round_half_up(num, den)
 
     with mock.patch.object(gapcover.latred, "_round_half_up", checked):
-        reduced, t = lll_reduce(LatticeBasis(rows))
+        reduced, t = lll_reduce(Mat(rows))
     assert rounded == want_rounded
-    assert reduced.vectors == want_rows
-    assert t.mat.entries == want_t
+    assert reduced.entries == want_rows
+    assert t.int_rows == want_t
     return swaps
 
 
@@ -253,7 +265,7 @@ class TestLllMatchesRecompute:
         monkeypatch.setattr(gapcover.cover, "lll_reduce", record)
         with pytest.raises(_Captured):
             cover(gen_random(kind, d, 0, **kw).body)
-        assert_same_as_recompute([list(v) for v in bases[0].vectors])
+        assert_same_as_recompute([list(v) for v in bases[0].entries])
 
 
 @given(rational_bases(), st.integers(2, 10**9))
@@ -261,72 +273,71 @@ class TestLllMatchesRecompute:
 def test_scaled_basis_same_transform(rows, c):
     # lll_reduce clears the denominators, i.e. scales the basis; scaling
     # changes no decision, so c * basis gives the same T
-    reduced, t = lll_reduce(LatticeBasis(rows))
-    reduced_c, t_c = lll_reduce(LatticeBasis([[c * x for x in row] for row in rows]))
+    reduced, t = lll_reduce(Mat(rows))
+    reduced_c, t_c = lll_reduce(Mat([[c * x for x in row] for row in rows]))
     assert t_c == t
-    assert reduced_c.mat == reduced.mat.scale(c)
+    assert reduced_c == reduced.scale(c)
 
 
 class TestCertify:
     def test_identity_ratio_one(self):
-        cert = certify_reduction(LatticeBasis([(1, 0), (0, 1)]))
+        cert = certify_reduction(Mat([(1, 0), (0, 1)]))
         assert cert.norm_product_sq == 1
         assert cert.det_abs == 1
         assert 1 <= cert.ratio < Fraction(1000001, 1000000)
 
     def test_sqrt2_ratio(self):
-        cert = certify_reduction(LatticeBasis([(1, 0), (1, 1)]))
+        cert = certify_reduction(Mat([(1, 0), (1, 1)]))
         assert cert.norm_product_sq == 2
         assert cert.ratio ** 2 >= 2
         assert cert.ratio ** 2 <= Fraction(2) * Fraction(1000001, 1000000)
 
     def test_unreduced_flagged(self):
-        cert = certify_reduction(LatticeBasis([(1, 0), (100, 1)]))
+        cert = certify_reduction(Mat([(1, 0), (100, 1)]))
         assert Fraction(100004, 1000) < cert.ratio < Fraction(100006, 1000)
 
     def test_hadamard_lower_bound(self):
         for rows in [((3, 1), (1, 2)), ((5, 0, 0), (1, 1, 0), (2, 3, 4))]:
-            cert = certify_reduction(LatticeBasis(rows))
+            cert = certify_reduction(Mat(rows))
             assert cert.ratio >= 1
 
 
 class TestSuccessiveMinima:
     def test_identity(self):
-        mins = successive_minima_bruteforce(LatticeBasis([(1, 0), (0, 1)]))
+        mins = successive_minima_bruteforce(Mat([(1, 0), (0, 1)]))
         assert sorted(norm_sq(v) for v in mins) == [1, 1]
 
     def test_sheared_is_standard(self):
-        mins = successive_minima_bruteforce(LatticeBasis([(1, 0), (4, 1)]))
+        mins = successive_minima_bruteforce(Mat([(1, 0), (4, 1)]))
         assert sorted(norm_sq(v) for v in mins) == [1, 1]
 
     def test_rectangular(self):
-        mins = successive_minima_bruteforce(LatticeBasis([(2, 0), (0, 3)]))
+        mins = successive_minima_bruteforce(Mat([(2, 0), (0, 3)]))
         assert sorted(norm_sq(v) for v in mins) == [4, 9]
 
     def test_dimension_cap(self):
         rows = [[int(i == j) for j in range(5)] for i in range(5)]
-        with pytest.raises(UnsupportedDimensionError):
-            successive_minima_bruteforce(LatticeBasis(rows))
+        with pytest.raises(ValueError, match="limited to dim <= 4"):
+            successive_minima_bruteforce(Mat(rows))
 
     def test_independent(self):
-        mins = successive_minima_bruteforce(LatticeBasis([(2, 1, 0), (1, 2, 0), (0, 0, 5)]))
+        mins = successive_minima_bruteforce(Mat([(2, 1, 0), (1, 2, 0), (0, 0, 5)]))
         assert rank(Mat(mins)) == 3
         assert norm_sq(mins[0]) <= norm_sq(mins[1]) <= norm_sq(mins[2])
 
     @given(basis_strategy(max_dim=3, bound=6))
     @settings(max_examples=20, deadline=None)
     def test_cross_check_with_lll(self, rows):
-        m = Mat(rows)
-        if det(m) == 0:
+        b = Mat(rows)
+        if det(b) == 0:
             return
-        b = LatticeBasis(rows)
         mins = successive_minima_bruteforce(b)
         reduced, _ = lll_reduce(b)
         cert = certify_reduction(reduced)
         prod_min_sq = Fraction(1)
         for v in mins:
             prod_min_sq *= norm_sq(v)
-        d = b.dim
+        d = b.rows
         # minima product <= reduced norm product <= LLL factor * minima product
         assert prod_min_sq <= cert.norm_product_sq
         factor = Fraction(2) ** Fraction(d * (d - 1), 2)
@@ -337,12 +348,12 @@ class TestSuccessiveMinima:
     def test_minima_match_2d_oracle(self, rows):
         # exact minima, not merely short independent vectors: the exhaustive
         # 2-D oracle on the LLL-reduced rows, where coefficients up to 4 suffice
-        if det(Mat(rows)) == 0:
+        b = Mat(rows)
+        if det(b) == 0:
             return
-        b = LatticeBasis(rows)
         mins = successive_minima_bruteforce(b)
         reduced, _ = lll_reduce(b)
-        assert [norm_sq(v) for v in mins] == list(shortest_basis_2d(reduced.vectors))
+        assert [norm_sq(v) for v in mins] == list(shortest_basis_2d(reduced.entries))
 
     def test_minkowski_lower_bound(self):
         # prod lambda_i >= c_d |det| with explicit rational c_d understating
@@ -355,10 +366,10 @@ class TestSuccessiveMinima:
             ((1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 3, 0), (1, 1, 1, 2)),
         ]
         for rows in cases:
-            b = LatticeBasis(rows)
-            d = b.dim
+            b = Mat(rows)
+            d = b.rows
             mins = successive_minima_bruteforce(b)
             prod_sq = Fraction(1)
             for v in mins:
                 prod_sq *= norm_sq(v)
-            assert prod_sq >= (cds[d] * abs(det(b.mat))) ** 2
+            assert prod_sq >= (cds[d] * abs(det(b))) ** 2
