@@ -3,8 +3,9 @@
 ``run_batch`` runs each instance of a small fixed list on its own, and the
 sha256 of its canonical JSON report must equal the one recorded in
 ``golden_reports.json``.  The list holds ``gen_random`` seeds 0-3 of every
-generator kind at d = 2..4, a box, a ball, a verify-mode claim, an instance
-with a functional phi and a budget skip.
+generator kind at d = 2..4, a box, a ball, verify-mode claims (true and
+false, with base 0 and nonzero, over a lattice of determinant 2 and of
+lower order), an instance with a functional phi and a budget skip.
 
 The hashes pin more than the exact stages: the enclosing ellipsoid (MVEE)
 comes from Khachiyan's iteration in CPython floats, so they also pin those
@@ -42,6 +43,31 @@ FIXED = {
     },
     "phi": {"dim": 3, "body": {"type": "ball", "radius": 3}, "phi": [1, -2, 1]},
     "budget-skip": {"dim": 3, "body": {"type": "box", "halfwidths": [100, 100, 100]}, "budget": 1000},
+    # false; the witness (-2, 0, -1) is the mirror of the lexicographically
+    # positive (2, 0, 1)
+    "claim-mirror-witness": {
+        "dim": 3,
+        "body": {"type": "ball", "radius": "5/2"},
+        "gap": {"base": [0, 0, 0], "diffs": [[1, 0, 0], [1, 1, 0], [0, 1, 1]], "halfsides": [2, 2, 1]},
+    },
+    # false; P is not symmetric and the witness (0, 0, 2) lies in the swept half
+    "claim-nonzero-base": {
+        "dim": 3,
+        "body": {"type": "ball", "radius": 2},
+        "gap": {"base": [-1, 0, -1], "diffs": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "halfsides": [2, 2, 2]},
+    },
+    # false; the differences span a lattice of determinant 2 without e_2
+    "claim-det2-lattice": {
+        "dim": 2,
+        "body": {"type": "ball", "radius": 2},
+        "gap": {"base": [0, 0], "diffs": [[1, 0], [1, 2]], "halfsides": [4, 2]},
+    },
+    # true; a progression of order 2 in Z^3 covering a planar body
+    "claim-lower-order": {
+        "dim": 3,
+        "body": {"type": "vertices", "points": [[2, 1, 0], [1, -1, 0]]},
+        "gap": {"base": [0, 0, 0], "diffs": [[1, 0, 0], [0, 1, 0]], "halfsides": [2, 1]},
+    },
 }
 
 
