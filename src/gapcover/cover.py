@@ -2,12 +2,13 @@
 
 Given a centrally symmetric convex body, produce a generalized arithmetic
 progression containing every lattice point of the body, certify the
-containment point by point with a membership test built from the
-progression alone, and measure the covering ratio.  The body's lattice
-points C are listed once per instance; the certification and the projection
-check both take that listing.  The progression P is listed only when its
-differences are dependent; otherwise membership is one exact integer solve
-per point.  The stages:
+containment with a membership test built from the progression alone, and
+measure the covering ratio.  The body's lattice points C are listed once per
+instance, as the runs of its line sweep (the points on one line of the last
+coordinate); the certification and the projection check both take that
+listing.  The progression P is listed only when its differences are
+dependent; otherwise membership of a whole run is one exact integer solve.
+The stages:
 
 1. enclosing ellipsoid of the body (exact for ellipsoid bodies, certified
    Khachiyan output otherwise),
@@ -37,11 +38,12 @@ import operator
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .enumeration import DEFAULT_BUDGET, Gap, PointSet, enum_body, enum_gap, project_count, subset_check
-from .errors import BudgetError, DimensionError, RankError
+from .enumeration import DEFAULT_BUDGET, Gap, PointSet, Run, enum_body, enum_gap, project_count, subset_check
+from .errors import BudgetError, CertificationError, DimensionError, RankError
 from .exactalg import (
+    Frozen,
     Mat,
     _integer_solver,
     _span_rank,
@@ -114,9 +116,9 @@ class StageDiagnostics:
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Outcome of certifying C ⊆ P.  ``lattice_points`` is the listing of C
-    that was tested; the projection check reuses it, and the JSON reports
-    leave it out."""
+    """Outcome of certifying C ⊆ P.  ``lattice_points`` is the listing of C,
+    whose runs were tested; the projection check reuses its points, and the
+    JSON reports leave it out."""
 
     dim: int
     cardinality_C: int
@@ -196,27 +198,53 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
     return SubspaceReduction(d, k, embed, body0, c_points)
 
 
-def gap_membership_tester(gap: Gap) -> Callable[[Sequence[int]], bool] | None:
+class GapMembership(Frozen):
+    """Exact membership in a progression whose active differences
+    (half-side >= 1) are independent, from one integer solver of
+    p - base = sum y_j v_j over them.  Calling it tests one point; ``run``
+    tests a run at once.  ``step`` is the solve of e_d, None when e_d is
+    outside the lattice of the active differences."""
+
+    __slots__ = ("base", "halfsides", "solve", "step")
+
+    def __init__(self, base: tuple[int, ...], halfsides: tuple[int, ...], solve):
+        step = solve((0,) * (len(base) - 1) + (1,))
+        self._set(base=base, halfsides=halfsides, solve=solve, step=step)
+
+    def _coeffs(self, p: Sequence[int]) -> list[int] | None:
+        return self.solve(tuple(map(operator.sub, p, self.base)) if any(self.base) else p)
+
+    def __call__(self, p: Sequence[int]) -> bool:
+        y = self._coeffs(p)
+        return y is not None and all(map(operator.le, map(abs, y), self.halfsides))
+
+    def run(self, prefix: tuple[int, ...], lo: int, hi: int) -> bool:
+        """Whether every point prefix + (t,), lo <= t <= hi, lies in P.  The
+        solve is linear, so y(t) = y(lo) + (t - lo) s, s = ``step``, and the
+        box |y_j| <= n_j is convex: the run lies in P iff y(lo) exists, both
+        ends pass, and, when hi > lo, s exists (two consecutive points in P
+        differ by e_d)."""
+        y = self._coeffs(prefix + (lo,))
+        if y is None or (hi > lo and self.step is None):
+            return False
+        y_hi = [a + (hi - lo) * s for a, s in zip(y, self.step)] if hi > lo else y
+        return all(abs(a) <= n and abs(b) <= n for a, b, n in zip(y, y_hi, self.halfsides))
+
+
+def gap_membership_tester(gap: Gap) -> GapMembership | None:
     """Exact membership test built from the progression alone (independent of
     any pipeline state), for differences whose active ones (half-side >= 1)
     are independent: solve p - base = sum y_j v_j over the active
-    differences in integers and require |y_j| <= n_j.  The inactive ones
-    only ever take coefficient 0, and they may depend on the active ones.
-    None when the active differences are dependent."""
-    base = gap.base
+    differences in integers and require |y_j| <= n_j, for one point or for
+    a whole run (GapMembership.run).  The inactive ones only ever take
+    coefficient 0, and they may depend on the active ones.  None when the
+    active differences are dependent."""
     active = [(v, n) for v, n in zip(gap.diffs, gap.halfsides) if n >= 1]
-    if not active:
-        return lambda p: tuple(p) == base
-    solve = _integer_solver([v for v, _ in active])
+    # without active differences P = {base}: only 0 solves, by the empty y
+    solve = _integer_solver([v for v, _ in active]) if active else lambda x: None if any(x) else []
     if solve is None:
         return None
-    halfsides = [n for _, n in active]
-
-    def member(p: Sequence[int]) -> bool:
-        y = solve(tuple(map(operator.sub, p, base)))
-        return y is not None and all(map(operator.le, map(abs, y), halfsides))
-
-    return member
+    return GapMembership(gap.base, tuple(n for _, n in active), solve)
 
 
 def cover(
@@ -227,10 +255,10 @@ def cover(
     """Run the full pipeline and certify the result.
 
     Returns the covering progression and a report whose ``contained`` flag
-    comes from the same certification as verify_cover: every lattice point
-    of the body is tested with gap_membership_tester, built from the
-    progression alone (no pipeline state such as T enters it), and P is not
-    listed.  Any False here is a bug, not a tolerance issue.  The report
+    comes from the same certification as verify_cover: every run of the
+    body's lattice points is tested with gap_membership_tester, built from
+    the progression alone (no pipeline state such as T enters it), and P is
+    not listed.  Any False here is a bug, not a tolerance issue.  The report
     also carries the stage diagnostics and the listing of C.
     """
     timings: dict[str, float] = {}
@@ -266,15 +294,11 @@ def cover(
 
     halfwidths = tuple(l1_norm(row) for row in reduced.entries)
     halfsides = tuple(int(a) for a in halfwidths)  # floor: halfwidths >= 0
-    t_inv = t_lll.inverse()
-    diffs_reduced = [t_inv.col(j) for j in range(k)]
-    if red.is_identity:
-        diffs = diffs_reduced
-    else:
-        diffs = [
-            tuple(int(c) for c in red.embed.mul_vec(w)) for w in diffs_reduced
-        ]
-    gap = Gap(d, (0,) * d, tuple(diffs), halfsides)
+    # the differences are the columns of T^-1, pushed back by the embedding
+    cols = t_lll.inverse().int_rows
+    if not red.is_identity:
+        cols = int_matmul(red.embed.int_entries(), cols)
+    gap = Gap(d, (0,) * d, tuple(zip(*cols)), halfsides)
     report = _certify(red.ambient_points, gap, cap, timings)
 
     cert = certify_reduction(reduced)
@@ -339,28 +363,31 @@ def verify_cover(body: ConvexBody, gap: Gap, cap: int = DEFAULT_BUDGET) -> Cover
 
 
 def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverReport:
-    """Certify C ⊆ P from the progression alone.
+    """Certify C ⊆ P from the progression alone; the witness is the
+    lexicographically first point of C outside P.
 
-    Tests each point of C, in lexicographic order, and stops at the first
-    one outside P, which is the witness.  When the active differences are
-    independent, the test is gap_membership_tester, once per point up to the
-    witness, and #P = prod(2 n_i + 1); P is not listed.  When they are
-    dependent, P is listed once and both the membership test and #P come
-    from that listing.  The certification time is added to ``timings``,
-    which the report keeps.
+    With independent active differences, gap_membership_tester tests each
+    run of C (see PointSet) at once, and only the first failing run point by
+    point (_first_outside); #P = prod(2 n_i + 1), and P is not listed.
+    With dependent ones, P is listed once and gives #P and the membership
+    of each point in turn.  The certification time and the numbers of runs
+    and points tested are added to ``timings``, which the report keeps.
     """
     if gap.dim != c_points.dim:
         raise DimensionError(f"progression has dimension {gap.dim}, lattice points {c_points.dim}")
     t0 = time.perf_counter()
     member = gap_membership_tester(gap)
     if member is not None:
-        contained, witness = subset_check(c_points, member)
+        witness, runs_tested, points_tested = _first_outside(c_points.runs, member)
+        contained = witness is None
         card_p = gap.listed_cardinality()
     else:
         listed = enum_gap(gap, cap)
         contained, witness = subset_check(c_points, listed.__contains__)
         card_p = len(listed)
+        runs_tested, points_tested = 0, len(c_points) if contained else c_points.points.index(witness) + 1
     timings["certify_ms"] = (time.perf_counter() - t0) * 1000.0
+    timings.update(runs_tested=runs_tested, points_tested=points_tested)
 
     card_c = len(c_points)
     return CoverReport(
@@ -375,6 +402,31 @@ def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverRepo
         timings_ms=timings,
         lattice_points=c_points,
     )
+
+
+def _first_outside(runs: Sequence[Run], member: GapMembership) -> tuple[tuple[int, ...] | None, int, int]:
+    """(first point of C outside P in lexicographic order or None, runs
+    tested, points tested), C being the runs and their negatives.  With base
+    0, P = -P: the swept runs are tested last first, and the first failing
+    one from t = hi down, since minus its first failing point is the
+    witness.  Otherwise the mirrored runs, last first, and then the swept
+    runs are C in order, and the first failing run is tested in t order."""
+    shifted = any(member.base)
+    if shifted:
+        order = [(tuple(-c for c in prefix), -hi, -lo) for prefix, lo, hi in reversed(runs)]
+        order += runs
+    else:
+        order = runs[::-1]
+    for tested, (prefix, lo, hi) in enumerate(order, 1):
+        if member.run(prefix, lo, hi):
+            continue
+        ts = range(lo, hi + 1) if shifted else range(hi, lo - 1, -1)
+        for count, t in enumerate(ts, 1):
+            p = prefix + (t,)
+            if not member(p):
+                return (p if shifted else tuple(-c for c in p)), tested, count
+        raise CertificationError(f"run {prefix} + [{lo}, {hi}] fails its run test, but none of its points")
+    return None, len(order), 0
 
 
 def verify_projection(

@@ -19,6 +19,7 @@ from .exactalg import Frozen, _pivot_rows
 from .geomcore import DEFAULT_BUDGET, ConvexBody, hull_line_extent
 
 IntPoint = tuple[int, ...]
+Run = tuple[IntPoint, int, int]  # (prefix, lo, hi): the points prefix + (t,), lo <= t <= hi
 
 
 class PointSet(Frozen):
@@ -26,16 +27,21 @@ class PointSet(Frozen):
 
     Coordinates must be Python ``int``s, which the JSON reports rely on;
     both enumerators produce them.  Input that is already sorted, as the
-    line sweep's is, sorts in linear time."""
+    line sweep's is, sorts in linear time.
 
-    __slots__ = ("dim", "points", "_index")
+    A body's listing (enum_body) carries the ``runs`` of its sweep: one per
+    last-coordinate line of the lexicographically nonnegative half, in sweep
+    order; the points are these runs and their negatives.  Other sets have
+    ``runs`` None.  Runs do not enter equality."""
 
-    def __init__(self, dim: int, points: Iterable[Sequence[int]]):
+    __slots__ = ("dim", "points", "runs", "_index")
+
+    def __init__(self, dim: int, points: Iterable[Sequence[int]], runs: Sequence[Run] | None = None):
         pts = [p for p, _ in itertools.groupby(sorted(map(tuple, points)))]
         for p in pts:
             if len(p) != dim:
                 raise DimensionError(f"point {p} does not have dimension {dim}")
-        self._set(dim=dim, points=tuple(pts), _index=frozenset(pts))
+        self._set(dim=dim, points=tuple(pts), runs=runs, _index=frozenset(pts))
 
     def __len__(self) -> int:
         return len(self.points)
@@ -133,16 +139,18 @@ def box_point_count(body: ConvexBody) -> int:
 
 
 def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
-    """Exactly the integer points of the body, by one line sweep.
+    """Exactly the integer points of the body, by one line sweep, with the
+    runs the sweep found (see PointSet).
 
     Coordinates are fixed one at a time; given those already fixed, the
     next one ranges over the exact integer interval where the line through
     the prefix meets the body's projection onto one more coordinate, so
     only lines that meet the body are visited.  By central symmetry, only
     t >= 0 is swept while the prefix is all zero, and each point is kept
-    together with its negative.  The bounding box is checked against the
-    budget before any work, and a vertex body's facet search before any
-    line.
+    together with its negative.  On the last coordinate that interval is a
+    run: its points are listed, and the run is recorded once.  The bounding
+    box is checked against the budget before any work, and a vertex body's
+    facet search before any line.
     """
     total = box_point_count(body)
     if total > cap:
@@ -155,6 +163,7 @@ def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
     # out in reverse order
     pts: list[IntPoint] = []
     mirrors: list[IntPoint] = []
+    runs: list[Run] = []
 
     def sweep(prefix: IntPoint, zero: bool) -> None:
         span = extent(prefix)
@@ -167,6 +176,8 @@ def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
             for t in range(lo, hi + 1):
                 sweep(prefix + (t,), zero and t == 0)
             return
+        if lo <= hi:
+            runs.append((prefix, lo, hi))
         mirror = tuple(-c for c in prefix)
         for t in range(lo, hi + 1):
             pts.append(prefix + (t,))
@@ -174,7 +185,7 @@ def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
 
     sweep((), True)
     mirrors.reverse()
-    return PointSet(body.dim, mirrors + pts)
+    return PointSet(body.dim, mirrors + pts, tuple(runs))
 
 
 def _ellipsoid_extent(body: ConvexBody):

@@ -39,10 +39,6 @@ def vec_dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def norm_sq(u: Sequence) -> Fraction:
-    return vec_dot(u, u)
-
-
 def l1_norm(u: Sequence) -> Fraction:
     return sum((abs(Fraction(a)) for a in u), Fraction(0))
 
@@ -65,7 +61,7 @@ class Mat(Frozen):
     """Immutable dense matrix of exact rationals.  ``det`` and ``inverse``
     keep their results on the matrix."""
 
-    __slots__ = ("rows", "cols", "entries", "_det", "_inv")
+    __slots__ = ("rows", "cols", "entries", "_det", "_inv", "_inv_mat")
 
     def __init__(self, entries: Iterable[Iterable]):
         grid = tuple(tuple(Fraction(x) for x in row) for row in entries)
@@ -74,7 +70,7 @@ class Mat(Frozen):
         cols = len(grid[0])
         if any(len(row) != cols for row in grid):
             raise DimensionError("ragged rows in matrix literal")
-        self._set(entries=grid, rows=len(grid), cols=cols, _det=None, _inv=None)
+        self._set(entries=grid, rows=len(grid), cols=cols, _det=None, _inv=None, _inv_mat=None)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -227,22 +223,24 @@ def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
     return [row[n:] for row in a], prev
 
 
-def _inverse_pair(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int, Mat]:
-    """(r, p, m^-1) with m^-1 == r / p, r and p integers; kept on m."""
+def _inverse_pair(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(r, p) with m^-1 == r / p, r and p integers; kept on m."""
     if m._inv is None:
         rows, den = clear_denominators(m)
         r, p = _int_inverse(rows)  # m^-1 = den * r / p
-        r = tuple(tuple(den * x for x in row) for row in r)
-        m._set(_inv=(r, p, Mat([[Fraction(x, p) for x in row] for row in r])))
+        m._set(_inv=(tuple(tuple(den * x for x in row) for row in r), p))
     return m._inv
 
 
 def inverse(m: Mat) -> Mat:
     """Exact inverse from one fraction-free Gauss-Jordan pass over m's
-    cleared rows."""
+    cleared rows; the rational matrix is built on the first call and kept."""
     if not m.is_square():
         raise DimensionError(f"inverse needs a square matrix, got {m.rows}x{m.cols}")
-    return _inverse_pair(m)[2]
+    if m._inv_mat is None:
+        r, p = _inverse_pair(m)
+        m._set(_inv_mat=Mat([[Fraction(x, p) for x in row] for row in r]))
+    return m._inv_mat
 
 
 def _pivot_rows(rows: Sequence[Sequence[int]], cols: int) -> list[int]:
@@ -401,9 +399,6 @@ class UnimodularMat(Frozen):
         r, p = _int_inverse(self.int_rows)  # p = +-1, so the inverse is r * p
         return UnimodularMat([[x * p for x in row] for row in r])
 
-    def col(self, j: int) -> tuple[int, ...]:
-        return tuple(row[j] for row in self.int_rows)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, UnimodularMat) and self.int_rows == other.int_rows
 
@@ -516,7 +511,7 @@ def unimodular_solve(x: Mat, x2: Mat) -> UnimodularMat:
     if abs(dx2 / dx) != 1:
         raise LatticeMismatchError(f"lattices differ: determinant ratio {dx2 / dx}")
     # x^-1 = r / p and x2 = h / den, so T = x2 @ x^-1 = (h @ r) / (den * p)
-    r, p, _ = _inverse_pair(x)
+    r, p = _inverse_pair(x)
     h, den = clear_denominators(x2)
     t = []
     for row in int_matmul(h, r):

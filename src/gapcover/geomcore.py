@@ -92,7 +92,7 @@ class Ellipsoid(Frozen):
     def int_box_bounds(self) -> tuple[int, ...]:
         """Per-axis integer bounds: floor of the exact axis extents, the
         square roots of A^-1's diagonal, with A^-1 = R / p in integers."""
-        r, p, _ = _inverse_pair(self.form)
+        r, p = _inverse_pair(self.form)
         return tuple(math.isqrt(r[j][j] // p) for j in range(self.dim))
 
 
@@ -356,7 +356,7 @@ def circumscribe_parallelotope(e: Ellipsoid) -> tuple[Mat, Fraction]:
     A^-1 = R / p as kept on the form; CertificationError if it fails."""
     d = e.dim
     den, chain = e.schur
-    r_inv, p, _ = _inverse_pair(e.form)
+    r_inv, p = _inverse_pair(e.form)
     w_rows, scales = [], []
     for m, (rows, q) in enumerate(chain):
         r = rows[m]

@@ -11,6 +11,7 @@ the pipeline's path.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,6 @@ from .exactalg import (
     det,
     int_matmul,
     inverse,  # not called here; perfbench/tracing.py wraps latred.inverse
-    norm_sq,
     sqrt_upper,
 )
 
@@ -135,10 +135,10 @@ def lll_reduce(basis: Mat, delta=LLL_DEFAULT_DELTA) -> tuple[Mat, UnimodularMat]
 
 def certify_reduction(basis: Mat) -> ReductionCert:
     """Exact norm-product/determinant certificate (see ReductionCert) of the
-    rows of a square matrix."""
-    prod_sq = Fraction(1)
-    for v in basis.entries:
-        prod_sq *= norm_sq(v)
+    rows of a square matrix.  The norm product is taken on the rows cleared
+    to integers n over den: prod ||n_j||^2 / den^(2 rows)."""
+    rows, den = clear_denominators(basis)
+    prod_sq = Fraction(math.prod(sum(x * x for x in row) for row in rows), den ** (2 * basis.rows))
     det_abs = abs(det(basis))
     upper = sqrt_upper(prod_sq)
     return ReductionCert(

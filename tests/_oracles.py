@@ -181,6 +181,18 @@ def gap_points(gap):
     }
 
 
+def gap_contains(gap, p):
+    """p in the progression, whose active differences (half-side >= 1) must
+    be independent: the unique rational solution of
+    p - base = sum y_j v_j over them must be integral with |y_j| <= n_j."""
+    active = [(v, n) for v, n in zip(gap.diffs, gap.halfsides) if n >= 1]
+    rhs = [a - b for a, b in zip(p, gap.base)]
+    if not active:
+        return not any(rhs)
+    y = _unique_solution([v for v, _ in active], rhs)
+    return y is not None and all(c.denominator == 1 and abs(c) <= n for c, (_, n) in zip(y, active))
+
+
 def enumerated_projection(c_points, gap, phi, cap):
     """The fields of a projection report, by listing P and P+P point by
     point and counting the fibres of phi on C and on P with a dict.
@@ -239,6 +251,10 @@ def enumerated_projection(c_points, gap, phi, cap):
 
 def _dot(a, b):
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
+def norm_sq(u):
+    return _dot(u, u)
 
 
 def gram_schmidt(rows):

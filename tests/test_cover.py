@@ -21,7 +21,7 @@ from gapcover.errors import BudgetError, DimensionError
 from gapcover.exactalg import Mat, det
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
-from _oracles import brute_disk_points, enumerated_projection, gap_points
+from _oracles import brute_disk_points, enumerated_projection, gap_contains, gap_points
 
 
 def disk(radius_sq, dim=2):
@@ -195,6 +195,82 @@ class TestMembershipTester:
         assert gap_membership_tester(Gap(2, (0, 0), ((1, 0), (2, 0)), (3, 1))) is None
 
 
+@st.composite
+def claim_cases(draw):
+    """(body, gap): an ellipsoid, box or vertex body in dims 1..4 and a
+    progression with independent active differences.  The progression is
+    the pipeline's, sometimes with one half-side lowered by 1, or a random
+    one as in membership_cases: order 0..dim (lower order in Z^dim, and
+    lattices of any determinant), entries in [-2, 2], half-sides 0..3 with
+    up to two inactive differences, each either a combination of the
+    active ones or any vector, and a base that is 0 or in [-2, 2]^dim."""
+    dim = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["ellipsoid", "box", "vertices"]))
+    coord = st.integers(-2, 2)
+    if kind == "box":
+        body = ConvexBody.box([Fraction(draw(st.integers(0, 5)), 2) for _ in range(dim)])
+    elif kind == "vertices":
+        body = ConvexBody.vertices(
+            [tuple(draw(coord) for _ in range(dim)) for _ in range(draw(st.integers(1, 3)))]
+        )
+    else:
+        # (m^T m + I) / r: positive definite
+        m = [[draw(coord) for _ in range(dim)] for _ in range(dim)]
+        r = draw(st.integers(1, 6))
+        form = [
+            [Fraction(sum(row[i] * row[j] for row in m) + (i == j), r) for j in range(dim)]
+            for i in range(dim)
+        ]
+        body = ConvexBody.from_ellipsoid(Ellipsoid(Mat(form)))
+    if draw(st.booleans()):
+        gap = cover(body)[0]
+        if gap.order and draw(st.booleans()):
+            i = draw(st.integers(0, gap.order - 1))
+            halfsides = list(gap.halfsides)
+            halfsides[i] = max(halfsides[i] - 1, 0)
+            gap = Gap(dim, gap.base, gap.diffs, halfsides)
+        return body, gap
+    k = draw(st.integers(0, dim))
+    active = [tuple(draw(coord) for _ in range(dim)) for _ in range(k)]
+    diffs = [(v, draw(st.integers(1, 3))) for v in active]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            ms = [draw(coord) for _ in active]
+            v = tuple(sum(m * a[j] for m, a in zip(ms, active)) for j in range(dim))
+        else:
+            v = tuple(draw(coord) for _ in range(dim))
+        diffs.append((v, 0))
+    diffs = draw(st.permutations(diffs))
+    base = (0,) * dim if draw(st.booleans()) else tuple(draw(coord) for _ in range(dim))
+    gap = Gap(dim, base, [v for v, _ in diffs], [n for _, n in diffs])
+    assume(gap.diffs_independent())
+    return body, gap
+
+
+class TestRunCertificate:
+    @given(claim_cases())
+    @settings(max_examples=150, deadline=None)
+    # det 2 without e_2, true: every run of C = {t (1, 1)} is a single point
+    @example((ConvexBody.vertices([(1, 1)]), Gap(2, (0, 0), ((1, 1), (1, -1)), (1, 1))))
+    # det 2 without e_2, false: (0, 1) and (1, 0) are off the lattice
+    @example((disk(1), Gap(2, (0, 0), ((1, 1), (1, -1)), (3, 3))))
+    # order 1 in Z^3 with a nonzero base, and an inactive dependent difference
+    @example((ConvexBody.vertices([(0, 0, 2)]), Gap(3, (0, 0, 1), ((0, 0, 1), (0, 0, 2)), (3, 0))))
+    # only the far end of a run is outside P, with base 0 and with another
+    @example((ConvexBody.box([2]), Gap(1, (0,), ((1,),), (1,))))
+    @example((ConvexBody.box([1, 2]), Gap(2, (0, -1), ((1, 0), (0, 1)), (1, 2))))
+    # no active difference, base 0
+    @example((ConvexBody.box([Fraction(1, 2)] * 3), Gap(3, (0, 0, 0), ((1, 2, 3),), (0,))))
+    def test_matches_point_walk(self, case):
+        # verify_cover tests runs; the oracle walks C point by point in
+        # lexicographic order
+        body, gap = case
+        report = verify_cover(body, gap)
+        first = next((p for p in enum_body(body) if not gap_contains(gap, p)), None)
+        assert report.contained == (first is None)
+        assert report.witness == first
+
+
 class TestCoverCatchesShrunkenProgression:
     @pytest.mark.parametrize(
         "body",
@@ -285,36 +361,56 @@ class TestCertifyDimension:
             verify_cover(body, gap)
 
 
-def _counting_tester(calls):
-    def build(gap):
-        member = gap_membership_tester(gap)
+class _CountingTester:
+    """A membership tester that records each run test in ``runs`` and each
+    point test in ``points``."""
 
-        def counted(p):
-            calls.append(tuple(p))
-            return member(p)
+    def __init__(self, member, runs, points):
+        self.member, self.base, self.runs, self.points = member, member.base, runs, points
 
-        return counted
+    def __call__(self, p):
+        self.points.append(tuple(p))
+        return self.member(p)
 
-    return build
+    def run(self, prefix, lo, hi):
+        self.runs.append((prefix, lo, hi))
+        return self.member.run(prefix, lo, hi)
+
+
+def _counting_tester(runs, points):
+    return lambda gap: _CountingTester(gap_membership_tester(gap), runs, points)
+
+
+def _assert_one_test_per_run(c_points, runs, points):
+    # each run (or, with a nonzero base, its mirror) is tested at most once,
+    # and points are tested only inside the last run tested, which failed
+    assert len(set(runs)) == len(runs) <= 2 * len(c_points.runs)
+    if points:
+        prefix, lo, hi = runs[-1]
+        assert all(p[:-1] == prefix and lo <= p[-1] <= hi for p in points)
 
 
 class TestListingCrossCheck:
     """P is not listed to cross-check the tester (TestMembershipTester
-    checks it against the oracle instead): the tester runs once per point
-    of C, up to the witness, and only dependent differences list P."""
+    checks it against the oracle instead): the tester runs once per run of
+    C, up to the first failing run, and point by point only inside that
+    run; only dependent differences list P."""
 
     @pytest.mark.parametrize("halfsides", [(1, 1), (2, 2)], ids=["false-claim", "true-claim"])
-    def test_tester_runs_once_per_point(self, halfsides, monkeypatch):
-        calls = []
-        monkeypatch.setattr(gapcover.cover, "gap_membership_tester", _counting_tester(calls))
+    def test_tester_runs_once_per_run(self, halfsides, monkeypatch):
+        runs, points = [], []
+        monkeypatch.setattr(gapcover.cover, "gap_membership_tester", _counting_tester(runs, points))
         gap = Gap(2, (0, 0), ((1, 0), (0, 1)), halfsides)
         report = verify_cover(disk(4), gap)
-        c_points = list(enum_body(disk(4)))
+        c_points = enum_body(disk(4))
+        _assert_one_test_per_run(c_points, runs, points)
         if halfsides == (2, 2):
-            assert report.contained and calls == c_points
+            assert report.contained and runs == list(reversed(c_points.runs)) and points == []
         else:
-            # (-2, 0) is the first point of C and lies outside the 3 x 3 grid
-            assert report.witness == (-2, 0) and calls == [(-2, 0)]
+            # (-2, 0) is the first point of C and lies outside the 3 x 3 grid;
+            # its mirror (2, 0) is the last swept run, tested first
+            assert report.witness == (-2, 0)
+            assert runs == [((2,), 0, 0)] and points == [(2, 0)]
 
     @pytest.mark.parametrize(
         "gap, listed",
@@ -340,16 +436,19 @@ class TestListingCrossCheck:
 
     def test_large_progression_exits_at_first_missing_point(self, monkeypatch):
         # #P = 7 * 40 001: no listing, and the test stops at the witness, the
-        # first point of C (lexicographic) with x1 = 3
-        calls = []
-        monkeypatch.setattr(gapcover.cover, "gap_membership_tester", _counting_tester(calls))
+        # first point of C (lexicographic) with x1 = 3.  The base is not 0, so
+        # the mirrored runs come first, then the swept ones up to x1 = 3.
+        runs, points = [], []
+        monkeypatch.setattr(gapcover.cover, "gap_membership_tester", _counting_tester(runs, points))
         monkeypatch.setattr(gapcover.cover, "enum_gap", lambda *a: pytest.fail("P was listed"))
         gap = Gap(2, (-1, 0), ((1, 0), (0, 1)), (3, 20000))
         report = verify_cover(ConvexBody.box([3, 3]), gap)
-        c_points = list(enum_body(ConvexBody.box([3, 3])))
+        c_points = enum_body(ConvexBody.box([3, 3]))
         assert not report.contained
         assert report.witness == (3, -3)
-        assert calls == c_points[: c_points.index((3, -3)) + 1]
+        _assert_one_test_per_run(c_points, runs, points)
+        assert runs[-1] == ((3,), -3, 3) and len(runs) == 2 * len(c_points.runs)
+        assert points == [(3, -3)]
 
 
 class TestVerifyProjection:

@@ -262,6 +262,10 @@ class TestSerialization:
 
         walk(doc)
         assert "timings_ms_approx" in doc
+        # the certification's work: every run of the disk tested, no point
+        assert doc["timings_ms_approx"]["runs_tested"] == len(report.lattice_points.runs) == 3
+        assert doc["timings_ms_approx"]["points_tested"] == 0
+        assert "runs_tested" not in to_canonical_json(cover_report_to_json(report))
 
     def test_canonical_json_stable(self):
         batch1 = run_batch([parse_instance({"dim": 1, "body": {"type": "box", "halfwidths": [2]}})])

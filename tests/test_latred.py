@@ -11,11 +11,11 @@ import gapcover.latred
 
 from gapcover.errors import CertificationError, DimensionError, RankError
 from gapcover.cover import cover
-from gapcover.exactalg import Mat, Vector, det, hnf, inverse, norm_sq, rank, sqrt_upper
+from gapcover.exactalg import Mat, Vector, det, hnf, inverse, rank, sqrt_upper
 from gapcover.harness import gen_random
 from gapcover.latred import certify_reduction, lll_reduce
 
-from _oracles import gram_schmidt, lll_recompute, shortest_basis_2d
+from _oracles import gram_schmidt, lll_recompute, norm_sq, shortest_basis_2d
 
 MINIMA_MAX_DIM = 4
 
