@@ -3,7 +3,9 @@
 Subcommands: cover, verify, project, random, batch.  Input and output are
 JSON documents, read by harness.parse_instance and written by the harness
 *_to_json functions; exit codes: 0 all certificates hold, 1 certification
-failure, 2 usage or parse error, 3 budget exhausted without --allow-skip.
+failure, 2 usage, parse or generation error, 3 budget exhausted without
+--allow-skip.  --eps and --budget are put into the instance document and
+checked with its other keys.
 """
 
 from __future__ import annotations
@@ -11,10 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .cover import cover, verify_cover, verify_projection
-from .errors import BudgetError, GapCoverError, ParseError
+from .errors import BudgetError, GapCoverError, GenerationError, ParseError
 from .harness import (
     EXIT_BUDGET,
     EXIT_CERT_FAILURE,
@@ -33,11 +34,17 @@ from .harness import (
 )
 
 
-def _read_input(path: str):
+def _read_json(path: str):
+    """The JSON document in a file, or on stdin for -."""
     if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        raw = sys.stdin.read()
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read()
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise ParseError("", f"invalid JSON: {exc}") from None
 
 
 def _write_output(text: str, path: str | None):
@@ -93,18 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(spec, args):
-    from dataclasses import replace
-
-    if args.eps is not None:
-        spec = replace(spec, eps=Fraction(args.eps))
-    if args.budget is not None:
-        spec = replace(spec, budget=args.budget)
-    return spec
+def _parse_with_overrides(doc, args):
+    """parse_instance on the document with --eps and --budget put in as its
+    keys, so that one validator serves the flags and the document."""
+    flags = {"eps": args.eps, "budget": args.budget}
+    if isinstance(doc, dict):
+        doc = {**doc, **{key: v for key, v in flags.items() if v is not None}}
+    return parse_instance(doc)
 
 
 def _cmd_cover(args) -> int:
-    spec = _apply_overrides(parse_instance(_read_input(args.input)), args)
+    spec = _parse_with_overrides(_read_json(args.input), args)
     gap, report = cover(spec.body, spec.eps, spec.budget)
     doc = {
         "instance": spec.to_json_dict(),
@@ -116,7 +122,7 @@ def _cmd_cover(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = _apply_overrides(parse_instance(_read_input(args.input)), args)
+    spec = _parse_with_overrides(_read_json(args.input), args)
     if spec.gap is None:
         raise ParseError("gap", "verify needs an instance with a 'gap' object")
     report = verify_cover(spec.body, spec.gap, spec.budget)
@@ -129,7 +135,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    spec = _apply_overrides(parse_instance(_read_input(args.input)), args)
+    spec = _parse_with_overrides(_read_json(args.input), args)
     phi = spec.phi
     if args.phi is not None:
         phi = tuple(int(c) for c in args.phi.split(","))
@@ -156,7 +162,7 @@ def _cmd_random(args) -> int:
         args.dim,
         args.seed,
         entry_bound=args.entry_bound,
-        radius=Fraction(args.radius),
+        radius=args.radius,
         num_points=args.num_points,
         coord_bound=args.coord_bound,
         scale=args.scale,
@@ -166,11 +172,7 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    raw = _read_input(args.input)
-    try:
-        docs = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ParseError("", f"invalid JSON: {exc}") from None
+    docs = _read_json(args.input)
     if isinstance(docs, dict) and "instances" in docs:
         docs = docs["instances"]
     if not isinstance(docs, list):
@@ -178,7 +180,7 @@ def _cmd_batch(args) -> int:
     specs = []
     for i, doc in enumerate(docs):
         try:
-            specs.append(_apply_overrides(parse_instance(doc), args))
+            specs.append(_parse_with_overrides(doc, args))
         except ParseError as exc:
             raise ParseError(f"[{i}].{exc.path}" if exc.path else f"[{i}]", exc.message) from None
     batch = run_batch(
@@ -217,6 +219,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except GenerationError as exc:
+        print(f"generation error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -3,11 +3,12 @@
 Given a centrally symmetric convex body, produce a generalized arithmetic
 progression containing every lattice point of the body, certify the
 containment with a membership test built from the progression alone, and
-measure the covering ratio.  The body's lattice points C are listed once per
+measure the covering ratio.  The body's lattice points C are found once per
 instance, as the runs of its line sweep (the points on one line of the last
-coordinate); the certification and the projection check both take that
-listing.  The progression P is listed only when its differences are
-dependent; otherwise membership of a whole run is one exact integer solve.
+coordinate), and kept as runs; C is listed only for a proper subspace, a
+listed P or a projection.  The progression P is listed only when its
+differences are dependent; otherwise membership of a whole run is one exact
+integer solve.
 The stages:
 
 1. enclosing ellipsoid of the body (exact for ellipsoid bodies, certified
@@ -116,8 +117,8 @@ class StageDiagnostics:
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Outcome of certifying C ⊆ P.  ``lattice_points`` is the listing of C,
-    whose runs were tested; the projection check reuses its points, and the
+    """Outcome of certifying C ⊆ P.  ``lattice_points`` is C as the runs of
+    its sweep, which were tested; the projection check reuses it, and the
     JSON reports leave it out."""
 
     dim: int
@@ -135,8 +136,8 @@ class CoverReport:
 @dataclass(frozen=True)
 class ProjectionReport:
     """Images of C and of P under an integer functional, with #P and #(P+P)
-    (see verify_projection).  The C side comes from the listing the
-    certification made, the P side from closed forms or a listing of P.
+    (see verify_projection).  The C side comes from the point set the
+    certification found, the P side from closed forms or a listing of P.
 
     ``sumset_cardinality`` and ``doubling_ok`` are None only when
     ``degraded``: P has dependent differences and P+P lists more points than
@@ -160,19 +161,21 @@ class ProjectionReport:
 def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceReduction:
     """Restrict a body to the saturated sublattice Z^d ∩ span of its lattice
     points.  Identity reduction when the points already span; k = 0 when the
-    only lattice point is the origin."""
+    only lattice point is the origin.  The span is read off the nonzero run
+    ends, which span C; only a proper subspace lists C, to check each point
+    against the sublattice and to give a vertex body's restricted vertices."""
     c_points = enum_body(body, cap)
     d = body.dim
-    nonzero = [p for p in c_points if any(p)]
-    if not nonzero:
+    ends = [p for prefix, lo, hi in c_points.runs for p in (prefix + (lo,), prefix + (hi,)) if any(p)]
+    if not ends:
         return SubspaceReduction(d, 0, None, None, c_points)
-    k = _span_rank(nonzero, d)
+    k = _span_rank(ends, d)
     if k == d:
         return SubspaceReduction(d, d, Mat.identity(d), body, c_points)
 
     # functionals vanishing on span(C); the saturated lattice is the
     # integer solutions of those functionals
-    basis_rows = left_kernel(Mat(integer_kernel(nonzero, d)).transpose())
+    basis_rows = left_kernel(Mat(integer_kernel(ends, d)).transpose())
     if len(basis_rows) != k:
         raise RankError("saturated sublattice has unexpected rank")
     embed = Mat(basis_rows).transpose()  # d x k, columns = lattice basis
@@ -259,7 +262,7 @@ def cover(
     body's lattice points is tested with gap_membership_tester, built from
     the progression alone (no pipeline state such as T enters it), and P is
     not listed.  Any False here is a bug, not a tolerance issue.  The report
-    also carries the stage diagnostics and the listing of C.
+    also carries the stage diagnostics and the point set C.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -350,7 +353,7 @@ def stage_chain(report: CoverReport) -> dict[str, bool]:
 def verify_cover(body: ConvexBody, gap: Gap, cap: int = DEFAULT_BUDGET) -> CoverReport:
     """Independent verification of a covering claim.
 
-    Lists the body's lattice points and certifies them against the
+    Finds the body's lattice points and certifies them against the
     progression (see _certify): by gap_membership_tester when the active
     differences are independent, by a listing of P when they are dependent.
     Nothing of the pipeline is used.
@@ -369,7 +372,7 @@ def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverRepo
     With independent active differences, gap_membership_tester tests each
     run of C (see PointSet) at once, and only the first failing run point by
     point (_first_outside); #P = prod(2 n_i + 1), and P is not listed.
-    With dependent ones, P is listed once and gives #P and the membership
+    With dependent ones, P and C are listed once, for #P and the membership
     of each point in turn.  The certification time and the numbers of runs
     and points tested are added to ``timings``, which the report keeps.
     """
@@ -440,8 +443,9 @@ def verify_projection(
     Checks #phi(P) * m' <= #(P+P), #(P+P) * m <= 2^order * #P * m', the
     doubling fact #(P+P) <= 2^order * #P, and the covering corollary
     #phi(P) <= bound * #phi(C), where m and m' are the largest fibres of phi
-    on C and on P.  C is passed in as the listing the certification already
-    made (``CoverReport.lattice_points``); it is not listed again here.
+    on C and on P.  C is passed in as the point set the certification
+    already found (``CoverReport.lattice_points``); it is not swept again
+    here, only listed.
 
     When the differences with half-side >= 1 are independent
     (``gap.diffs_independent()``), P and P+P are proper and nothing of them

@@ -1,14 +1,14 @@
 """Exact lattice-point enumeration and counting.
 
 Ground truth for every cardinality claim in the pipeline: one exact line
-sweep lists a body's integer points, visiting only the lines that meet it.
-Point sets are sorted lexicographically, so outputs and failure witnesses
-are deterministic.
+sweep finds a body's integer points, visiting only the lines that meet it,
+and keeps them as runs, the points on one line of the last coordinate.
+They are listed, in lexicographic order, only where a caller asks for the
+points; outputs and failure witnesses are deterministic.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -23,40 +23,44 @@ Run = tuple[IntPoint, int, int]  # (prefix, lo, hi): the points prefix + (t,), l
 
 
 class PointSet(Frozen):
-    """Deduplicated, lexicographically sorted set of integer points.
+    """The integer points of a centrally symmetric convex body, as the
+    ``runs`` of its line sweep (enum_body): one run per last-coordinate line
+    of the lexicographically nonnegative half, in sweep order.  The origin
+    opens the first run and is its own mirror; the points are the runs and
+    their negatives.  A convex body's points on one line are contiguous, so
+    the runs determine the set, and equal runs mean equal sets.
 
-    Coordinates must be Python ``int``s, which the JSON reports rely on;
-    both enumerators produce them.  Input that is already sorted, as the
-    line sweep's is, sorts in linear time.
+    ``points``, the lexicographic listing, is built on first use and kept.
+    Coordinates are Python ``int``s, which the JSON reports rely on."""
 
-    A body's listing (enum_body) carries the ``runs`` of its sweep: one per
-    last-coordinate line of the lexicographically nonnegative half, in sweep
-    order; the points are these runs and their negatives.  Other sets have
-    ``runs`` None.  Runs do not enter equality."""
+    __slots__ = ("dim", "runs", "_points")
 
-    __slots__ = ("dim", "points", "runs", "_index")
+    def __init__(self, dim: int, runs: Sequence[Run]):
+        self._set(dim=dim, runs=tuple(runs), _points=None)
 
-    def __init__(self, dim: int, points: Iterable[Sequence[int]], runs: Sequence[Run] | None = None):
-        pts = [p for p, _ in itertools.groupby(sorted(map(tuple, points)))]
-        for p in pts:
-            if len(p) != dim:
-                raise DimensionError(f"point {p} does not have dimension {dim}")
-        self._set(dim=dim, points=tuple(pts), runs=runs, _index=frozenset(pts))
+    @property
+    def points(self) -> tuple[IntPoint, ...]:
+        """The points in lexicographic order: the negatives of the swept
+        points, last first, up to the origin, then the swept points."""
+        if self._points is None:
+            mirrors = [
+                tuple(-c for c in prefix) + (-t,)
+                for prefix, lo, hi in reversed(self.runs)
+                for t in range(hi, lo - 1, -1)
+            ]
+            mirrors.pop()  # the origin, swept first
+            mirrors += [prefix + (t,) for prefix, lo, hi in self.runs for t in range(lo, hi + 1)]
+            self._set(_points=tuple(mirrors))
+        return self._points
 
     def __len__(self) -> int:
-        return len(self.points)
+        return 2 * sum(hi - lo + 1 for _, lo, hi in self.runs) - 1
 
     def __iter__(self):
         return iter(self.points)
 
-    def __contains__(self, p) -> bool:
-        return tuple(p) in self._index
-
     def __eq__(self, other) -> bool:
-        return isinstance(other, PointSet) and self.points == other.points
-
-    def __repr__(self):
-        return f"PointSet(dim={self.dim}, n={len(self.points)})"
+        return isinstance(other, PointSet) and self.dim == other.dim and self.runs == other.runs
 
 
 @dataclass(frozen=True)
@@ -113,24 +117,20 @@ class Gap:
         )
 
 
-def enum_gap(gap: Gap, cap: int = DEFAULT_BUDGET) -> PointSet:
-    """All listed points of the progression, deduplicated.
+def enum_gap(gap: Gap, cap: int = DEFAULT_BUDGET) -> frozenset[IntPoint]:
+    """The set of the progression's listed points.
 
     The progression is proper iff len(result) == gap.listed_cardinality().
     """
     card = gap.listed_cardinality()
     if card > cap:
         raise BudgetError(f"progression lists {card} points, budget {cap}")
-    pts = []
-    ranges = [range(-n, n + 1) for n in gap.halfsides]
-    for coeffs in itertools.product(*ranges):
-        p = list(gap.base)
-        for m, v in zip(coeffs, gap.diffs):
-            if m:
-                for j in range(gap.dim):
-                    p[j] += m * v[j]
-        pts.append(tuple(p))
-    return PointSet(gap.dim, pts)
+    # base + the sumset of the differences' ranges, deduplicated per step
+    pts = {gap.base}
+    for v, n in zip(gap.diffs, gap.halfsides):
+        steps = [tuple(m * c for c in v) for m in range(-n, n + 1)]
+        pts = {tuple(map(operator.add, p, step)) for p in pts for step in steps}
+    return frozenset(pts)
 
 
 def box_point_count(body: ConvexBody) -> int:
@@ -139,18 +139,17 @@ def box_point_count(body: ConvexBody) -> int:
 
 
 def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
-    """Exactly the integer points of the body, by one line sweep, with the
-    runs the sweep found (see PointSet).
+    """Exactly the integer points of the body, as the runs of one line
+    sweep (see PointSet).
 
     Coordinates are fixed one at a time; given those already fixed, the
     next one ranges over the exact integer interval where the line through
     the prefix meets the body's projection onto one more coordinate, so
     only lines that meet the body are visited.  By central symmetry, only
-    t >= 0 is swept while the prefix is all zero, and each point is kept
-    together with its negative.  On the last coordinate that interval is a
-    run: its points are listed, and the run is recorded once.  The bounding
-    box is checked against the budget before any work, and a vertex body's
-    facet search before any line.
+    t >= 0 is swept while the prefix is all zero.  On the last coordinate
+    that interval, when not empty, is a run.  The bounding box is checked
+    against the budget before any work, and a vertex body's facet search
+    before any line.
     """
     total = box_point_count(body)
     if total > cap:
@@ -159,10 +158,6 @@ def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
         body.hull_facets(cap)
     extent = _LINE_EXTENTS[body.kind](body)
     last = body.dim - 1
-    # the sweep visits the half in lexicographic order, so the mirrors come
-    # out in reverse order
-    pts: list[IntPoint] = []
-    mirrors: list[IntPoint] = []
     runs: list[Run] = []
 
     def sweep(prefix: IntPoint, zero: bool) -> None:
@@ -175,17 +170,11 @@ def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
         if len(prefix) < last:
             for t in range(lo, hi + 1):
                 sweep(prefix + (t,), zero and t == 0)
-            return
-        if lo <= hi:
+        elif lo <= hi:
             runs.append((prefix, lo, hi))
-        mirror = tuple(-c for c in prefix)
-        for t in range(lo, hi + 1):
-            pts.append(prefix + (t,))
-            mirrors.append(mirror + (-t,))
 
     sweep((), True)
-    mirrors.reverse()
-    return PointSet(body.dim, mirrors + pts, tuple(runs))
+    return PointSet(body.dim, runs)
 
 
 def _ellipsoid_extent(body: ConvexBody):
@@ -253,14 +242,14 @@ def subset_check(
     return True, None
 
 
-def project_count(s: PointSet, phi: Sequence[int]) -> tuple[int, int]:
-    """Exact (#phi(s), max fiber size) for an integer linear functional."""
+def project_count(points: Iterable[IntPoint], phi: Sequence[int]) -> tuple[int, int]:
+    """Exact (#phi(points), max fiber size) for an integer linear functional."""
     coeffs = tuple(int(c) for c in phi)
-    if len(coeffs) != s.dim:
-        raise DimensionError(f"functional has {len(coeffs)} coefficients, points {s.dim}")
     fibers: dict[int, int] = {}
-    for p in s:
-        val = sum(c * x for c, x in zip(coeffs, p))
+    for p in points:
+        if len(p) != len(coeffs):
+            raise DimensionError(f"functional has {len(coeffs)} coefficients, point {p} {len(p)}")
+        val = sum(map(operator.mul, coeffs, p))
         fibers[val] = fibers.get(val, 0) + 1
     if not fibers:
         return 0, 0

@@ -291,7 +291,7 @@ def gen_random(
     seed: int,
     *,
     entry_bound: int = 3,
-    radius: Fraction | int | str = 0,
+    radius: Fraction | int | str = 4,
     num_points: int = 0,
     coord_bound: int = 4,
     scale: int = 2,
@@ -305,7 +305,7 @@ def gen_random(
     coordinates, i.e. an ellipsoid instance with form B B^T / radius^2.
     random-vertices: num_points integer points spanning the space.
     random-ellipsoid: form R^T R / (scale^2 ||R||_F^2), which contains the
-    ball of radius `scale`.
+    ball of radius `scale`.  Radius and scale must be positive.
 
     Draws whose enumeration box would be excessive are rejected and redrawn,
     deterministically.
@@ -314,11 +314,13 @@ def gen_random(
         raise GenerationError("dim must be >= 1")
     if kind not in GENERATOR_KINDS:
         raise GenerationError(f"unknown generator kind {kind!r}")
+    r = Fraction(radius)
+    if r <= 0 or scale <= 0:
+        raise GenerationError(f"radius and scale must be positive, not {r} and {scale}")
     # stream separated by kind so different generators never share draws
     rng = SplitMix64((seed << 8) ^ GENERATOR_KINDS.index(kind))
 
     if kind == "lattice-ball":
-        r = Fraction(radius) if radius else Fraction(4)
         for _ in range(max_tries):
             rows = [
                 [rng.randint(-entry_bound, entry_bound) for _ in range(dim)]
@@ -435,11 +437,11 @@ def run_batch(
 ) -> BatchReport:
     """Certify each instance once and check its projection when phi is given.
 
-    An instance without a ``gap`` runs the pipeline (cover), which lists C
+    An instance without a ``gap`` runs the pipeline (cover), which sweeps C
     and certifies the progression it builds; one carrying a ``gap`` is
     verification-only (verify_cover).  Either way the report's ``verify``
     entry is that certificate without the stage diagnostics, and the
-    projection check reuses its listing of C.  Per-instance errors are
+    projection check reuses its sweep of C.  Per-instance errors are
     captured in the report; the batch aborts early only with fail_fast.
     Report order follows input order.
     """

@@ -172,6 +172,24 @@ def box_lattice_points(halfwidths):
     return [x for x in box if all(abs(c) <= h for c, h in zip(x, hw))]
 
 
+def sweep_runs(points):
+    """The runs (prefix, lo, hi) of a centrally symmetric set of integer
+    points: over the points whose first nonzero coordinate is positive, and
+    the origin, the least and largest last coordinate on each line of the
+    last coordinate, by prefix in lexicographic order.  Each line's points
+    must be contiguous."""
+    lines = {}
+    for p in points:
+        if next((c for c in p if c), 0) >= 0:
+            lines.setdefault(tuple(p[:-1]), []).append(p[-1])
+    runs = []
+    for prefix in sorted(lines):
+        ts = lines[prefix]
+        assert len(ts) == max(ts) - min(ts) + 1, f"line {prefix} is not contiguous"
+        runs.append((prefix, min(ts), max(ts)))
+    return runs
+
+
 def gap_points(gap):
     """The progression's points, by summing every coefficient choice."""
     ranges = [range(-n, n + 1) for n in gap.halfsides]

@@ -150,3 +150,60 @@ def test_import_leaves_numpy_out():
     cmd = [sys.executable, "-I", "-c", probe, src]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["False"]
+
+
+VERTEX_BODY = {"type": "vertices", "points": [[2, 1], [1, 2]]}
+BALL = {"type": "ball", "radius": 2}
+
+
+@pytest.mark.parametrize("body", [VERTEX_BODY, BALL], ids=["vertices", "ellipsoid"])
+@pytest.mark.parametrize(
+    "flag, key, value",
+    [
+        ("--eps", "eps", "2"),
+        ("--eps", "eps", "5"),
+        ("--eps", "eps", "0"),
+        ("--budget", "budget", 0),
+        ("--budget", "budget", -5),
+    ],
+)
+def test_overrides_validated_as_document_keys(tmp_path, capsys, body, flag, key, value):
+    # an out-of-range flag is refused like the same key in the document
+    plain = write(tmp_path, "plain.json", {"dim": 2, "body": body})
+    keyed = write(tmp_path, "keyed.json", {"dim": 2, "body": body, key: value})
+    for command in ("cover", "project", "batch"):
+        extra = ["--phi", "1,1"] if command == "project" else []
+        assert main([command, "--input", keyed] + extra) == EXIT_USAGE
+        assert main([command, "--input", plain, flag, str(value)] + extra) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"parse error: {key}: must" in err and "certification error" not in err
+
+
+def test_overrides_echoed_and_applied(tmp_path):
+    inst = write(tmp_path, "inst.json", {"dim": 2, "body": VERTEX_BODY})
+    out = tmp_path / "c.json"
+    assert main(["cover", "--input", inst, "--eps", "1/50", "--output", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["instance"]["eps"] == "1/50"
+    big = write(tmp_path, "big.json", {"dim": 2, "body": {"type": "ball", "radius": 60}})
+    assert main(["cover", "--input", big, "--budget", "10"]) == EXIT_BUDGET
+    batch = write(tmp_path, "batch.json", [{"dim": 2, "body": BALL, "budget": 10**6}])
+    assert main(["batch", "--input", batch, "--budget", "10", "--output", str(out)]) == EXIT_BUDGET
+    assert json.loads(out.read_text())["instances"][0]["instance"]["budget"] == 10
+
+
+@pytest.mark.parametrize(
+    "kind, flags",
+    [
+        ("random-ellipsoid", ["--scale", "0"]),
+        ("random-ellipsoid", ["--scale", "-2"]),
+        ("lattice-ball", ["--radius", "0"]),
+        ("lattice-ball", ["--radius", "-1"]),
+        ("lattice-ball", ["--dim", "0"]),
+        ("random-vertices", ["--coord-bound", "0"]),
+    ],
+)
+def test_random_bad_parameters_exit_usage(capsys, kind, flags):
+    dim = [] if "--dim" in flags else ["--dim", "2"]
+    args = ["random", "--kind", kind, "--seed", "1"] + dim + flags
+    assert main(args) == EXIT_USAGE
+    assert "generation error" in capsys.readouterr().err

@@ -16,9 +16,9 @@ from gapcover.cover import (
     verify_cover,
     verify_projection,
 )
-from gapcover.enumeration import Gap, enum_body, enum_gap
+from gapcover.enumeration import Gap, PointSet, enum_body, enum_gap
 from gapcover.errors import BudgetError, DimensionError
-from gapcover.exactalg import Mat, det
+from gapcover.exactalg import Mat, _span_rank, det, integer_kernel, left_kernel
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
 from _oracles import brute_disk_points, enumerated_projection, gap_contains, gap_points
@@ -29,7 +29,47 @@ def disk(radius_sq, dim=2):
     return ConvexBody.from_ellipsoid(Ellipsoid(Mat(form)))
 
 
+@st.composite
+def spanless_bodies(draw):
+    """Bodies whose lattice points need not span: hulls of 1 to 3 integer
+    combinations of two vectors in Z^2..Z^4, and ellipsoids
+    I / r2 + 2 (w w^T + u u^T), whose lattice points lie on w^T x = 0 (and
+    u^T x = 0 for half the draws)."""
+    d = draw(st.integers(2, 4))
+    vec = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    if draw(st.booleans()):
+        a, b = draw(vec), draw(vec)
+        coeff = st.integers(-2, 2)
+        combos = [draw(st.tuples(coeff, coeff)) for _ in range(draw(st.integers(1, 3)))]
+        pts = [[m * x + n * y for x, y in zip(a, b)] for m, n in combos]
+        assume(any(map(any, pts)))
+        return ConvexBody.vertices(pts)
+    w = draw(vec.filter(any))
+    u = draw(vec) if draw(st.booleans()) else [0] * d
+    r2 = Fraction(draw(st.integers(1, 20)), draw(st.integers(1, 2)))
+    form = [[(i == j) / r2 + 2 * (w[i] * w[j] + u[i] * u[j]) for j in range(d)] for i in range(d)]
+    return ConvexBody.from_ellipsoid(Ellipsoid(Mat(form)))
+
+
 class TestRestrictToSpan:
+    # runs (0, 0) + [0, 0] and (0, 1) + [0, 1]: only both ends of the
+    # second run span the plane x1 = 0
+    @example(ConvexBody.vertices([(0, 1, 0), (0, 1, 1)]))
+    @given(spanless_bodies())
+    @settings(max_examples=40, deadline=None)
+    def test_span_from_run_ends_matches_every_point(self, body):
+        # the run ends span what every nonzero point of C spans
+        red = restrict_to_span(body)
+        nonzero = [p for p in enum_body(body).points if any(p)]
+        if not nonzero:
+            assert red.k == 0 and red.embed is None
+            return
+        d = body.dim
+        assert red.k == _span_rank(nonzero, d)
+        if red.k < d:
+            basis_rows = left_kernel(Mat(integer_kernel(nonzero, d)).transpose())
+            assert red.embed == Mat(basis_rows).transpose()
+
     def test_identity_for_full_dimensional(self):
         red = restrict_to_span(disk(4))
         assert red.is_identity
@@ -65,8 +105,7 @@ class TestCoverPipeline:
     def test_interval_ratio_one(self):
         body = ConvexBody.box([Fraction(7, 2)])
         gap, report = cover(body)
-        pts = enum_gap(gap)
-        assert pts.points == tuple((t,) for t in range(-3, 4))
+        assert enum_gap(gap) == frozenset((t,) for t in range(-3, 4))
         assert report.ratio == 1
         assert report.contained
 
@@ -433,6 +472,21 @@ class TestListingCrossCheck:
         assert len(calls) == listed
         assert report.cardinality_P == len(gap_points(gap))
         assert report.contained == all(p in gap_points(gap) for p in enum_body(disk(4)))
+
+    @pytest.mark.parametrize(
+        "body",
+        [disk(9), ConvexBody.vertices([(2, 1), (1, 2)]), ConvexBody.box([2, 1, 1])],
+        ids=["ellipsoid", "vertices", "box"],
+    )
+    def test_spanning_body_never_lists_c(self, body, monkeypatch):
+        # full rank and independent differences: C stays runs throughout
+        monkeypatch.setattr(PointSet, "points", property(lambda self: pytest.fail("C was listed")))
+        gap, report = cover(body)
+        assert report.contained and gap.diffs_independent()
+        assert report.cardinality_C == len(report.lattice_points)
+        d = body.dim
+        unit = Gap(d, (0,) * d, tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), (1,) * d)
+        assert verify_cover(body, unit).cardinality_C == report.cardinality_C
 
     def test_large_progression_exits_at_first_missing_point(self, monkeypatch):
         # #P = 7 * 40 001: no listing, and the test stops at the witness, the

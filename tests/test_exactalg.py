@@ -409,7 +409,7 @@ def test_vec_dot_dimension_error():
 
 IMMUTABLE = [
     (Mat.identity(2), "rows"),
-    (PointSet(1, [(0,)]), "points"),
+    (PointSet(1, [((), 0, 0)]), "runs"),
     (Ellipsoid(Mat.identity(2)), "form"),
     (ConvexBody.box([1, 1]), "kind"),
     (UnimodularMat.identity(2), "int_rows"),

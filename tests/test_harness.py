@@ -124,6 +124,24 @@ class TestGenRandom:
         b = gen_random("lattice-ball", 2, 2)
         assert a.to_json_dict() != b.to_json_dict()
 
+    def test_default_radius_is_four(self):
+        default = gen_random("lattice-ball", 2, 7)
+        assert default.to_json_dict() == gen_random("lattice-ball", 2, 7, radius=4).to_json_dict()
+
+    @pytest.mark.parametrize(
+        "kind, kw",
+        [
+            ("lattice-ball", {"radius": 0}),
+            ("lattice-ball", {"radius": -1}),
+            ("lattice-ball", {"radius": "-1/2"}),
+            ("random-ellipsoid", {"scale": 0}),
+            ("random-ellipsoid", {"scale": -2}),
+        ],
+    )
+    def test_nonpositive_radius_or_scale(self, kind, kw):
+        with pytest.raises(GenerationError, match="must be positive"):
+            gen_random(kind, 2, 1, **kw)
+
 
 class TestRunBatch:
     def trivial_specs(self):
