@@ -1,15 +1,15 @@
 """Centrally symmetric convex bodies, enclosing ellipsoids, enclosing parallelotopes.
 
 Floating point is allowed in one place, Khachiyan's iteration in ``mvee``,
-which runs in CPython floats; every claim consumed downstream is
-established in exact rational arithmetic: point membership and slab
-containment.  An ellipsoid's form is factored exactly once, when it is
-built; the enumeration's line extents and the parallelotope's axes are read
-off that factorization, and the parallelotope is handed on as its generator
-matrix and its exact volume, nothing else.  A vertex body is described exactly by
-integer rows |N.x| <= D (its facets, and with D = 0 the equalities of its
-span), computed once per body; membership and the enumeration's line
-extents are read off those rows.
+which runs in CPython floats between an exact set-up (one integer inverse,
+rounded once per entry) and an exact finish (the rationalized form rescaled
+over the integer points); every claim consumed downstream is established in
+exact rational arithmetic: point membership and slab containment.  An
+ellipsoid's form is factored exactly once, when it is built; the line
+extents and the parallelotope's axes are read off that factorization, and
+the parallelotope is handed on as its generator matrix and exact volume.  A
+vertex body is described exactly by integer rows |N.x| <= D (its facets, and
+with D = 0 the equalities of its span), computed once per body.
 """
 
 from __future__ import annotations
@@ -32,10 +32,13 @@ from .exactalg import (
     Mat,
     Vector,
     _int_det,
+    _int_inverse,
     _inverse_pair,
+    _span_rank,
     as_vector,
     clear_denominators,
     det,  # not called here; perfbench/tracing.py wraps geomcore.det
+    int_matmul,
     integer_kernel,
     inverse,
     rank,
@@ -48,10 +51,6 @@ DEFAULT_BUDGET = 10**7  # lattice points, or facet candidates, one call may visi
 MVEE_MAX_ITER = 100_000
 MVEE_DEFAULT_EPS = Fraction(1, 100)
 _RATIONALIZE_DEN_CAP = 10**9  # well under the 2**48 coefficient-growth cap
-
-
-def _rationalize(x: float) -> Fraction:
-    return Fraction(float(x)).limit_denominator(_RATIONALIZE_DEN_CAP)
 
 
 class Ellipsoid(Frozen):
@@ -277,69 +276,70 @@ def hull_line_extent(body: ConvexBody, prefix: Sequence) -> tuple[Fraction, Frac
 def mvee(points: Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITER) -> Ellipsoid:
     """Enclosing ellipsoid of points ∪ -points, near-minimal volume.
 
-    Khachiyan's barycentric coordinate ascent (the origin-centred variant for
-    symmetric sets) runs in CPython floats until max_j x_j^T M^{-1} x_j <=
-    d(1+eps), with M = sum_i u_i x_i x_i^T.  M^{-1} starts from the exact
-    inverse of M, rounded once, and each step u <- (1 - s) u + s e_j updates
-    it by Sherman-Morrison; the step s = 1, which happens only at d = 1,
-    inverts M again.  The resulting form is rationalized and then rescaled
-    exactly so that every input point satisfies x^T A x <= 1 in rational
-    arithmetic, with at least one point exactly on the boundary.
+    At d = 1 it is the interval itself, A = 1 / max x^2.  Otherwise
+    Khachiyan's ascent runs in CPython floats until max_j x_j^T M^-1 x_j <=
+    d (1 + eps), M = sum u_i x_i x_i^T.  With p = den x the integer points
+    and u_i = float(1 / n) = a / b, the first M^-1 is b den^2 R / (a q), R / q
+    the integer inverse of sum p p^T, rounded once per entry; Sherman-Morrison
+    updates it, and as each step s < 1 / d, u is never needed.  A = M^-1 / d,
+    rationalized at denominators <= _RATIONALIZE_DEN_CAP and cleared to
+    K / qa, is rescaled to K den^2 / max p^T K p: every point lies in it
+    exactly, one on the boundary.  ConvergenceError, naming the entry
+    rounded worst, if that form is not positive definite.
     """
-    pts = tuple(as_vector(p) for p in points)
+    pts = tuple(points)
     if not pts:
         raise RankError("empty point set")
-    d = len(pts[0])
-    if any(len(p) != d for p in pts):
-        raise DimensionError("point dimensions disagree")
+    x_mat = Mat(pts)  # DimensionError unless the points share one dimension d >= 1
+    ip, den = clear_denominators(x_mat)
+    d = x_mat.cols
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise DimensionError("eps must lie in (0, 1)")
-    if rank(Mat(pts)) < d:
+    if _span_rank(ip, d) < d:
         raise RankError("points do not span the space")
+    if d == 1:
+        return Ellipsoid(Mat([[Fraction(den**2, max(p[0] * p[0] for p in ip))]]))
 
-    xs = [tuple(map(float, p)) for p in pts]
-    n = len(pts)
-    u = [1.0 / n] * n
+    r, q = _int_inverse(int_matmul(list(zip(*ip)), ip))
+    w_num, w_den = (1.0 / len(pts)).as_integer_ratio()
+    m_inv = [[w_den * den**2 * x / (w_num * q) for x in row] for row in r]  # int / int rounds correctly
+    xs = [tuple(map(float, p)) for p in x_mat.entries]
     target = d * (1.0 + float(eps))
-
-    def direct_inverse() -> list[list[float]]:
-        w = [Fraction(ui) for ui in u]
-        m = [[sum(wi * p[i] * p[j] for wi, p in zip(w, pts)) for j in range(d)] for i in range(d)]
-        return [[float(x) for x in row] for row in inverse(Mat(m)).entries]
-
-    m_inv = direct_inverse()
     for _ in range(max_iter):
-        mx = [[sum(map(operator.mul, row, x)) for row in m_inv] for x in xs]
-        g = [sum(map(operator.mul, x, y)) for x, y in zip(xs, mx)]
-        j = max(range(n), key=g.__getitem__)
-        gmax = g[j]
+        gmax = None
+        for x in xs:
+            y = [sum(map(operator.mul, row, x)) for row in m_inv]
+            g = sum(map(operator.mul, x, y))
+            if gmax is None or g > gmax:  # the first maximum, as max() keeps it
+                gmax, ymax = g, y
         if gmax <= target:
             break
         step = (gmax - d) / (d * (gmax - 1.0))
-        u = [ui * (1.0 - step) for ui in u]
-        u[j] += step
-        if step == 1.0:
-            m_inv = direct_inverse()
-            continue
         # ((1 - s) M + s x x^T)^-1 = (M^-1 - c y y^T / (1 + c g)) / (1 - s),
         # with y = M^-1 x, g = x^T y and c = s / (1 - s)
-        y = mx[j]
         c = step / (1.0 - step)
         f = c / (1.0 + c * gmax)
         m_inv = [
-            [(a - f * yi * yk) / (1.0 - step) for a, yk in zip(row, y)] for row, yi in zip(m_inv, y)
+            [(a - f * yi * yk) / (1.0 - step) for a, yk in zip(row, ymax)]
+            for row, yi in zip(m_inv, ymax)
         ]
     else:
         raise ConvergenceError(f"no convergence within {max_iter} iterations")
 
-    # A ~ M^-1 / d, symmetrized (float addition commutes) and rationalized
-    a = [[x / d for x in row] for row in m_inv]
-    a_mat = Mat([[_rationalize((a[i][j] + a[j][i]) / 2.0) for j in range(d)] for i in range(d)])
-    s = max(vec_dot(p, a_mat.mul_vec(p)) for p in pts)
-    if s <= 0:
-        raise ConvergenceError("degenerate rationalized form")
-    return Ellipsoid(a_mat.scale(1 / s))
+    # A ~ M^-1 / d, symmetric since float addition commutes
+    upper = {(i, k): (m_inv[i][k] / d + m_inv[k][i] / d) / 2.0 for i in range(d) for k in range(i, d)}
+    rat = {ik: Fraction(x).limit_denominator(_RATIONALIZE_DEN_CAP) for ik, x in upper.items()}
+    k_rows, qa = clear_denominators(Mat([[rat[min(i, k), max(i, k)] for k in range(d)] for i in range(d)]))
+    smax = max(sum(pi * sum(map(operator.mul, row, p)) for pi, row in zip(p, k_rows)) for p in ip)
+    try:  # smax <= 0 only if K is not positive definite, and then neither is K den^2
+        return Ellipsoid(Mat([[Fraction(x * den**2, max(smax, 1)) for x in row] for row in k_rows]))
+    except RankError:
+        (i, k), x = max(upper.items(), key=lambda e: abs(float(rat[e[0]]) / e[1] - 1.0) if e[1] else 0.0)
+        raise ConvergenceError(
+            f"mvee: the form rationalized at denominators <= {_RATIONALIZE_DEN_CAP} is not"
+            f" positive definite; its entry ({i}, {k}) = {x!r} became {rat[i, k]}"
+        ) from None
 
 
 def circumscribe_parallelotope(e: Ellipsoid) -> tuple[Mat, Fraction]:

@@ -6,7 +6,10 @@ exhaustive enumeration, and hand formulas.
 
 import itertools
 import math
+import operator
 from fractions import Fraction
+
+from gapcover.errors import ConvergenceError, DimensionError, RankError
 
 
 def grid_mvee_volume_2d(points, n_theta=180, n_aspect=160, max_aspect=40.0):
@@ -432,3 +435,69 @@ def lll_recompute(rows, delta=Fraction(99, 100)):
             swaps += 1
             k = max(k - 1, 1)
     return tuple(map(tuple, rows)), tuple(map(tuple, t)), swaps, rounded
+
+
+def khachiyan_reference(points, eps=Fraction(1, 100), max_iter=100_000):
+    """The form rows of the enclosing ellipsoid by the plain Khachiyan loop.
+
+    Every float step is that of the straightforward implementation: a
+    weight vector u kept throughout, M^-1 taken from the exact Fraction
+    inverse of M = sum u_i x_i x_i^T (again whenever a step has s = 1), the
+    argmax over a list of all g_j, and a Fraction rescale by
+    max x^T A x.  Exact steps use this module's Fraction oracles.  Raises
+    RankError, DimensionError or ConvergenceError where ``mvee`` should.
+    """
+    pts = tuple(tuple(Fraction(x) for x in p) for p in points)
+    if not pts:
+        raise RankError("empty point set")
+    d = len(pts[0])
+    if any(len(p) != d for p in pts):
+        raise DimensionError("point dimensions disagree")
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise DimensionError("eps must lie in (0, 1)")
+    if fraction_rank(pts) < d:
+        raise RankError("points do not span the space")
+
+    xs = [tuple(map(float, p)) for p in pts]
+    n = len(pts)
+    u = [1.0 / n] * n
+    target = d * (1.0 + float(eps))
+
+    def direct_inverse():
+        w = [Fraction(ui) for ui in u]
+        m = [[sum(wi * p[i] * p[j] for wi, p in zip(w, pts)) for j in range(d)] for i in range(d)]
+        return [[float(x) for x in row] for row in fraction_inverse(m)]
+
+    m_inv = direct_inverse()
+    for _ in range(max_iter):
+        mx = [[sum(map(operator.mul, row, x)) for row in m_inv] for x in xs]
+        g = [sum(map(operator.mul, x, y)) for x, y in zip(xs, mx)]
+        j = max(range(n), key=g.__getitem__)
+        gmax = g[j]
+        if gmax <= target:
+            break
+        step = (gmax - d) / (d * (gmax - 1.0))
+        u = [ui * (1.0 - step) for ui in u]
+        u[j] += step
+        if step == 1.0:
+            m_inv = direct_inverse()
+            continue
+        y = mx[j]
+        c = step / (1.0 - step)
+        f = c / (1.0 + c * gmax)
+        m_inv = [
+            [(a - f * yi * yk) / (1.0 - step) for a, yk in zip(row, y)] for row, yi in zip(m_inv, y)
+        ]
+    else:
+        raise ConvergenceError(f"no convergence within {max_iter} iterations")
+
+    a = [[x / d for x in row] for row in m_inv]
+    a_rows = [
+        [Fraction((a[i][j] + a[j][i]) / 2.0).limit_denominator(10**9) for j in range(d)]
+        for i in range(d)
+    ]
+    s = max(_dot(p, [_dot(row, p) for row in a_rows]) for p in pts)
+    if s <= 0:
+        raise ConvergenceError("degenerate rationalized form")
+    return [[x / s for x in row] for row in a_rows]

@@ -109,6 +109,13 @@ class TestCoverPipeline:
         assert report.ratio == 1
         assert report.contained
 
+    def test_long_interval(self):
+        # its form 1 / 10^10 rationalizes to 0 at denominators <= 10^9; at
+        # d = 1 mvee returns the interval exactly
+        gap, report = cover(ConvexBody.vertices([(100000,)]))
+        assert report.contained
+        assert report.cardinality_C == report.cardinality_P == 200_001
+
     def test_box_2d(self):
         body = ConvexBody.box([2, 3])
         gap, report = cover(body)

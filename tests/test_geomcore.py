@@ -5,7 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gapcover.geomcore
-from gapcover.errors import BudgetError, CertificationError, DimensionError, RankError
+from gapcover.errors import (
+    BudgetError,
+    CertificationError,
+    ConvergenceError,
+    DimensionError,
+    RankError,
+)
 from gapcover.exactalg import Mat, det, inverse, sqrt_upper
 from gapcover.geomcore import (
     ConvexBody,
@@ -20,6 +26,7 @@ from _oracles import (
     fraction_det,
     grid_mvee_volume_2d,
     grid_mvee_volume_3d,
+    khachiyan_reference,
     parallelotope_contains,
 )
 
@@ -83,9 +90,53 @@ class TestMvee:
         e = mvee([(1,)])
         assert e.form == Mat([[1]])
 
+    def test_dim1_is_exact_past_the_rationalization_cap(self):
+        # 1 / 10^12 has no approximation with denominator <= 10^9 but 0
+        assert mvee([(10**6,)]).form == Mat([[Fraction(1, 10**12)]])
+        assert mvee([(Fraction(3, 2),), (-1,)]).form == Mat([[Fraction(4, 9)]])
+
+    def test_under_resolved_form_names_the_stage(self):
+        # A[0][0] ~ 1.4e-10 rounds to 0 at denominators <= 10^9
+        with pytest.raises(ConvergenceError, match=r"mvee.*1000000000.*entry \(0, 0\)"):
+            mvee([(60000, 0), (0, 1)])
+
     def test_degenerate_raises(self):
         with pytest.raises(RankError):
             mvee([(1, 0), (2, 0)])
+
+    def test_max_iter_exhausted(self):
+        with pytest.raises(ConvergenceError, match="within 1 iterations"):
+            mvee([(3, 1), (1, 2), (-1, 3)], max_iter=1)
+
+    @pytest.mark.parametrize("eps", [0, 1, Fraction(-1, 2), Fraction(3, 2)])
+    def test_eps_outside_unit_interval(self, eps):
+        with pytest.raises(DimensionError, match="eps"):
+            mvee([(1, 0), (0, 1)], eps)
+
+    def test_mixed_dimensions(self):
+        with pytest.raises(DimensionError):
+            mvee([(1, 0), (0, 1, 0)])
+
+    def test_empty_set(self):
+        with pytest.raises(RankError, match="empty"):
+            mvee([])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_loop(self, data):
+        # bit-identical float steps: the same exact form, or the same error
+        d = data.draw(st.integers(1, 4))
+        n = data.draw(st.integers(d, 8))
+        coord = st.fractions(min_value=-6, max_value=6, max_denominator=5)
+        pts = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+        eps = data.draw(st.sampled_from([Fraction(1, 100), Fraction(1, 10), Fraction(1, 3)]))
+        try:
+            expected = khachiyan_reference(pts, eps)
+        except (RankError, ConvergenceError) as exc:
+            with pytest.raises(type(exc)):
+                mvee(pts, eps)
+        else:
+            assert mvee(pts, eps).form == Mat(expected)
 
     @given(
         st.lists(

@@ -10,8 +10,11 @@ lower order), an instance with a functional phi and a budget skip.
 The hashes pin more than the exact stages: the enclosing ellipsoid (MVEE)
 comes from Khachiyan's iteration in CPython floats, so they also pin those
 float steps.  These are correctly rounded IEEE operations that depend on no
-numpy or BLAS build.  Only a change that declares a change of output may
-regenerate the file, with
+numpy or BLAS build, but they also pin CPython's ``sum()`` of floats: it
+adds left to right up to 3.11 and is compensated from 3.12 on, while
+``pyproject.toml`` allows 3.10 and later, so under 3.12 the hashes can
+differ with no change to this code.  Only a change that declares a change
+of output may regenerate the file, with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
