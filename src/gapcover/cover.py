@@ -5,25 +5,24 @@ progression containing every lattice point of the body, certify the
 containment with a membership test built from the progression alone, and
 measure the covering ratio.  The body's lattice points C are found once per
 instance, as the runs of its line sweep (the points on one line of the last
-coordinate), and kept as runs; C is listed only for a proper subspace, a
-listed P or a projection.  The progression P is listed only when its
-differences are dependent; otherwise membership of a whole run is one exact
-integer solve.
+coordinate), and kept as runs; C is listed only for a proper subspace or a
+listed P.  The progression P is listed only when its differences are
+dependent; otherwise membership of a whole run is one exact integer solve.
 The stages:
 
 1. enclosing ellipsoid of the body (exact for ellipsoid bodies, certified
    Khachiyan output otherwise),
 2. circumscribed parallelotope Q along the exact factorization
    A = U D U^T of the ellipsoid's form, handed on as its generator matrix
-   G = U^-T diag(s_m), s_m >= 1 / sqrt(D_m), and its exact volume
-   |Q| = 2^d prod s_m, with an exact slab certificate against A^-1 for each
-   dual normal, a row of G^-1 = diag(1 / s_m) U^T,
-3. LLL-reduce the coordinate rows of G, obtaining V and a unimodular T with
+   G = U^-T diag(s_m), s_m >= 1 / sqrt(D_m), integer rows over one den, and
+   its exact volume |Q| = 2^d prod s_m, with an exact slab certificate
+   against A^-1 for each dual normal, a row of G^-1 = diag(1 / s_m) U^T,
+3. LLL-reduce the integer rows den G to den V, with a unimodular T and
    T @ G = V, checked once in integers by lll_reduce, whose Gram
    determinants prove the rows independent; |Q'| = |Q| since |det T| = 1,
-4. axis-aligned box B with half-widths a_j = ||row_j(V)||_1, and the
-   reduction certificate of V, whose determinant is the only one the
-   pipeline takes,
+4. axis-aligned box B with half-widths a_j = ||row_j(den V)||_1 / den, and
+   the reduction certificate of V, whose determinant (of den V) is the only
+   one the pipeline takes,
 5. progression P = preimage of (B ∩ Z^d) under the coordinate map T, i.e.
    base 0, differences = columns of T^-1, half-sides floor(a_j).
 
@@ -53,7 +52,6 @@ from .exactalg import (
     int_matmul,
     integer_kernel,
     inverse,  # not called here; perfbench/tracing.py wraps cover.inverse
-    l1_norm,
     left_kernel,
     unimodular_solve,  # not called here; perfbench/tracing.py wraps cover.unimodular_solve
 )
@@ -118,8 +116,8 @@ class StageDiagnostics:
 @dataclass(frozen=True)
 class CoverReport:
     """Outcome of certifying C ⊆ P.  ``lattice_points`` is C as the runs of
-    its sweep, which were tested; the projection check reuses it, and the
-    JSON reports leave it out."""
+    its sweep, which were tested; the projection check reads its runs, and
+    the JSON reports leave it out."""
 
     dim: int
     cardinality_C: int
@@ -136,8 +134,8 @@ class CoverReport:
 @dataclass(frozen=True)
 class ProjectionReport:
     """Images of C and of P under an integer functional, with #P and #(P+P)
-    (see verify_projection).  The C side comes from the point set the
-    certification found, the P side from closed forms or a listing of P.
+    (see verify_projection).  The C side comes from the runs of the point set
+    the certification found, the P side from closed forms or a listing of P.
 
     ``sumset_cardinality`` and ``doubling_ok`` are None only when
     ``degraded``: P has dependent differences and P+P lists more points than
@@ -166,12 +164,13 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
     against the sublattice and to give a vertex body's restricted vertices."""
     c_points = enum_body(body, cap)
     d = body.dim
-    ends = [p for prefix, lo, hi in c_points.runs for p in (prefix + (lo,), prefix + (hi,)) if any(p)]
-    if not ends:
+    # the last runs first: a spanning body reaches rank d after a few ends
+    k = _span_rank(_run_ends(reversed(c_points.runs)), d)
+    if k == 0:
         return SubspaceReduction(d, 0, None, None, c_points)
-    k = _span_rank(ends, d)
     if k == d:
         return SubspaceReduction(d, d, Mat.identity(d), body, c_points)
+    ends = list(_run_ends(c_points.runs))
 
     # functionals vanishing on span(C); the saturated lattice is the
     # integer solutions of those functionals
@@ -199,6 +198,11 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
     else:
         body0 = ConvexBody.vertices([p for p in reduced if any(p)])
     return SubspaceReduction(d, k, embed, body0, c_points)
+
+
+def _run_ends(runs: Sequence[Run]):
+    """The nonzero ends of the runs, lo before hi, in the runs' order."""
+    return (p for prefix, lo, hi in runs for p in (prefix + (lo,), prefix + (hi,)) if any(p))
 
 
 class GapMembership(Frozen):
@@ -287,7 +291,7 @@ def cover(
     timings["ellipsoid_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    gens, vol_q = circumscribe_parallelotope(enclosing)
+    gens, den, vol_q = circumscribe_parallelotope(enclosing)
     timings["parallelotope_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
@@ -295,7 +299,7 @@ def cover(
     reduced, t_lll = lll_reduce(gens)
     timings["reduce_ms"] = (time.perf_counter() - t0) * 1000.0
 
-    halfwidths = tuple(l1_norm(row) for row in reduced.entries)
+    halfwidths = tuple(Fraction(sum(map(abs, row)), den) for row in reduced)
     halfsides = tuple(int(a) for a in halfwidths)  # floor: halfwidths >= 0
     # the differences are the columns of T^-1, pushed back by the embedding
     cols = t_lll.inverse().int_rows
@@ -304,7 +308,7 @@ def cover(
     gap = Gap(d, (0,) * d, tuple(zip(*cols)), halfsides)
     report = _certify(red.ambient_points, gap, cap, timings)
 
-    cert = certify_reduction(reduced)
+    cert = certify_reduction(reduced, den)
     vol_box = Fraction(2) ** k * math.prod(halfwidths, start=Fraction(1))
     stages = StageDiagnostics(
         eps=eps if mvee_used else None,
@@ -444,8 +448,10 @@ def verify_projection(
     doubling fact #(P+P) <= 2^order * #P, and the covering corollary
     #phi(P) <= bound * #phi(C), where m and m' are the largest fibres of phi
     on C and on P.  C is passed in as the point set the certification
-    already found (``CoverReport.lattice_points``); it is not swept again
-    here, only listed.
+    already found (``CoverReport.lattice_points``); it is neither swept again
+    nor listed here: the fibres of phi on C are read off its runs, a run
+    adding phi(prefix) + phi_d t for lo <= t <= hi and its mirror the
+    negatives, the origin once.
 
     When the differences with half-side >= 1 are independent
     (``gap.diffs_independent()``), P and P+P are proper and nothing of them
@@ -483,7 +489,16 @@ def verify_projection(
                 f"projection stage: convolving the image of P takes up to {work} steps, budget {cap}"
             )
 
-    img_c, fiber_c = project_count(c_points, phi)
+    if c_points.dim != len(phi):
+        raise DimensionError(f"functional has {len(phi)} coefficients, lattice points {c_points.dim}")
+    fibres_c = {0: -1}  # the origin is its own mirror
+    for prefix, lo, hi in c_points.runs:
+        v = sum(map(operator.mul, phi, prefix))
+        for t in range(lo, hi + 1):
+            x = v + phi[-1] * t
+            fibres_c[x] = fibres_c.get(x, 0) + 1
+            fibres_c[-x] = fibres_c.get(-x, 0) + 1
+    img_c, fiber_c = len(fibres_c), max(fibres_c.values())
 
     degraded = False
     if proper:

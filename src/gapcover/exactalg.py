@@ -39,10 +39,6 @@ def vec_dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def l1_norm(u: Sequence) -> Fraction:
-    return sum((abs(Fraction(a)) for a in u), Fraction(0))
-
-
 class Frozen:
     """Base of the immutable classes: attribute assignment raises, and a
     class sets its own slots, once or as a memo, with ``_set``."""

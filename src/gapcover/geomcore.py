@@ -7,9 +7,10 @@ over the integer points); every claim consumed downstream is established in
 exact rational arithmetic: point membership and slab containment.  An
 ellipsoid's form is factored exactly once, when it is built; the line
 extents and the parallelotope's axes are read off that factorization, and
-the parallelotope is handed on as its generator matrix and exact volume.  A
-vertex body is described exactly by integer rows |N.x| <= D (its facets, and
-with D = 0 the equalities of its span), computed once per body.
+the parallelotope is handed on as its generator matrix, integer rows over
+one denominator, and its exact volume.  A vertex body is described exactly
+by integer rows |N.x| <= D (its facets, and with D = 0 the equalities of its
+span), computed once per body.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .exactalg import (
     det,  # not called here; perfbench/tracing.py wraps geomcore.det
     int_matmul,
     integer_kernel,
-    inverse,
+    inverse,  # not called here; perfbench/tracing.py wraps geomcore.inverse
     rank,
     schur_chain,
     sqrt_upper,
@@ -342,22 +343,25 @@ def mvee(points: Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITE
         ) from None
 
 
-def circumscribe_parallelotope(e: Ellipsoid) -> tuple[Mat, Fraction]:
-    """Parallelotope Q certified (exactly) to contain e, as (G, |Q|): the
-    generator matrix G, whose columns are the generators, and the volume.
+def circumscribe_parallelotope(e: Ellipsoid) -> tuple[list[list[int]], int, Fraction]:
+    """Parallelotope Q certified (exactly) to contain e, as (rows, den, |Q|):
+    its generator matrix G = rows / den, whose columns are the generators,
+    in lowest terms (den is the lcm of G's denominators), and the volume.
 
     e.schur factors A = U D U^T (see schur_chain), so x^T A x =
     sum_m D_m (w_m . x)^2 with w_m the columns of U, and e lies in
     Q = {x : |w_m . x| <= s_m} for s_m = sqrt_upper(1 / D_m): G = U^-T
-    diag(s_m), from the one inverse of U^T, and |Q| = 2^d prod s_m since
-    det U = 1, within 2^-48 relative per axis of 2^d / sqrt(det A).  The dual
-    normals of Q are the rows w_m / s_m of G^-1 = diag(1 / s_m) U^T; the slab
-    certificate n A^-1 n^T <= 1 is checked for each, in integers with
-    A^-1 = R / p as kept on the form; CertificationError if it fails."""
+    diag(s_m), and |Q| = 2^d prod s_m since det U = 1, within 2^-48 relative
+    per axis of 2^d / sqrt(det A).  Row m of U^T is r_m / r_m[m], r_m the
+    integer row the chain keeps, so with the integer inverse of the rows r_m
+    as K / k_den, G = K diag(r_m[m] s_m) / k_den.  The dual normals of Q are
+    the rows w_m / s_m of G^-1 = diag(1 / s_m) U^T; the slab certificate
+    n A^-1 n^T <= 1 is checked for each, in integers with A^-1 = R / p as
+    kept on the form; CertificationError if it fails."""
     d = e.dim
     den, chain = e.schur
     r_inv, p = _inverse_pair(e.form)
-    w_rows, scales = [], []
+    r_rows, scales = [], []
     for m, (rows, q) in enumerate(chain):
         r = rows[m]
         s = sqrt_upper(Fraction(q * den, r[m]))
@@ -366,8 +370,12 @@ def circumscribe_parallelotope(e: Ellipsoid) -> tuple[Mat, Fraction]:
         r_quad = sum(x * sum(map(operator.mul, row, r)) for x, row in zip(r, r_inv))
         if p * s.denominator**2 * r_quad > (p * r[m] * s.numerator) ** 2:
             raise CertificationError("parallelotope slab certificate failed")
-        w_rows.append([Fraction(x, r[m]) for x in r] + [0] * (d - 1 - m))
+        r_rows.append(list(r) + [0] * (d - 1 - m))
         scales.append(s)
-    u_inv_t = inverse(Mat(w_rows))
-    gens = Mat([[x * s for x, s in zip(row, scales)] for row in u_inv_t.entries])
-    return gens, 2**d * math.prod(scales)
+    k, k_den = _int_inverse(r_rows)
+    # column m of G is r_m[m] a_m / (b_m k_den) times K's, s_m = a_m / b_m, over g_den
+    g_den = abs(k_den) * math.lcm(*(s.denominator for s in scales))
+    col = [r_rows[m][m] * s.numerator * g_den // (s.denominator * k_den) for m, s in enumerate(scales)]
+    g = [[x * c for x, c in zip(row, col)] for row in k]
+    content = math.gcd(g_den, *(x for row in g for x in row))
+    return [[x // content for x in row] for row in g], g_den // content, 2**d * math.prod(scales)

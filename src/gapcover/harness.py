@@ -25,15 +25,9 @@ from .cover import (
     verify_projection,
 )
 from .enumeration import DEFAULT_BUDGET, Gap, box_point_count
-from .errors import (
-    BudgetError,
-    GapCoverError,
-    GenerationError,
-    ParseError,
-)
+from .errors import BudgetError, DimensionError, GapCoverError, GenerationError, ParseError, RankError
 from .exactalg import Mat, det, rank
 from .geomcore import MVEE_DEFAULT_EPS, ConvexBody, Ellipsoid
-from .errors import DimensionError, RankError
 
 EXIT_OK = 0
 EXIT_CERT_FAILURE = 1
@@ -307,8 +301,9 @@ def gen_random(
     random-ellipsoid: form R^T R / (scale^2 ||R||_F^2), which contains the
     ball of radius `scale`.  Radius and scale must be positive.
 
-    Draws whose enumeration box would be excessive are rejected and redrawn,
-    deterministically.
+    Draws that do not span, or whose enumeration box holds more than
+    box_guard points, are rejected and redrawn, deterministically; after
+    max_tries GenerationError names which of the two rejected them.
     """
     if dim < 1:
         raise GenerationError("dim must be >= 1")
@@ -319,51 +314,36 @@ def gen_random(
         raise GenerationError(f"radius and scale must be positive, not {r} and {scale}")
     # stream separated by kind so different generators never share draws
     rng = SplitMix64((seed << 8) ^ GENERATOR_KINDS.index(kind))
-
-    if kind == "lattice-ball":
-        for _ in range(max_tries):
-            rows = [
-                [rng.randint(-entry_bound, entry_bound) for _ in range(dim)]
-                for _ in range(dim)
-            ]
-            m = Mat(rows)
-            if det(m) == 0:
-                continue
-            form = (m @ m.transpose()).scale(1 / (r * r))
-            body = ConvexBody.from_ellipsoid(Ellipsoid(form))
-            if box_point_count(body) > box_guard:
-                continue
-            return InstanceSpec(dim=dim, body=body, kind=kind, seed=seed)
-        raise GenerationError(f"no usable draw after {max_tries} tries")
-
-    if kind == "random-vertices":
-        n = num_points if num_points else dim + 2
-        for _ in range(max_tries):
+    box = None  # bounding box of the last spanning draw, which box_guard rejected
+    for _ in range(max_tries):
+        if kind == "random-vertices":
             pts = [
                 [rng.randint(-coord_bound, coord_bound) for _ in range(dim)]
-                for _ in range(n)
+                for _ in range(num_points or dim + 2)
             ]
             if rank(Mat(pts)) < dim:
                 continue
             body = ConvexBody.vertices(pts)
-            if box_point_count(body) > box_guard:
+        else:
+            bound = entry_bound if kind == "lattice-ball" else 2
+            m = Mat([[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)])
+            if det(m) == 0:
                 continue
+            if kind == "lattice-ball":
+                form = (m @ m.transpose()).scale(1 / (r * r))
+            else:
+                fro_sq = sum(x * x for row in m.entries for x in row)
+                form = (m.transpose() @ m).scale(Fraction(1, scale * scale * fro_sq))
+            body = ConvexBody.from_ellipsoid(Ellipsoid(form))
+        box = box_point_count(body)
+        if box <= box_guard:
             return InstanceSpec(dim=dim, body=body, kind=kind, seed=seed)
+    if box is None:
         raise GenerationError(f"no spanning draw after {max_tries} tries")
-
-    # random-ellipsoid
-    for _ in range(max_tries):
-        rows = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
-        m = Mat(rows)
-        if det(m) == 0:
-            continue
-        fro_sq = sum(x * x for row in rows for x in row)
-        form = (m.transpose() @ m).scale(Fraction(1, scale * scale * fro_sq))
-        body = ConvexBody.from_ellipsoid(Ellipsoid(form))
-        if box_point_count(body) > box_guard:
-            continue
-        return InstanceSpec(dim=dim, body=body, kind=kind, seed=seed)
-    raise GenerationError(f"no usable draw after {max_tries} tries")
+    raise GenerationError(
+        f"no usable draw after {max_tries} tries: the bounding box of every spanning draw"
+        f" holds more than box_guard = {box_guard} integer points, the last {box}"
+    )
 
 
 def gap_to_json(gap: Gap) -> dict:

@@ -1,12 +1,13 @@
 """Lattice basis reduction with exact certificates.
 
-LLL in integers (no floating point anywhere): a basis, the rows of a square
-rational ``Mat``, is cleared to integer rows over one common denominator, and
-the integral LLL of de Weger works on integer Gram determinants, which also
-prove the rows independent; it returns the unimodular transform alongside
-the reduced basis.  A norm-product / determinant certificate says how far
-the reduced basis is from orthogonal; its determinant is the one computed on
-the pipeline's path.
+LLL in integers (no floating point anywhere): a basis is given as integer
+rows, a rational basis being those rows over one common denominator, which
+changes no decision of the reduction.  The integral LLL of de Weger works on
+integer Gram determinants, which also prove the rows independent; it returns
+the reduced rows with the unimodular transform.  A norm-product /
+determinant certificate of the rows over their denominator says how far the
+reduced basis is from orthogonal; its determinant, taken on the integer
+rows, is the one computed on the pipeline's path.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import CertificationError, DimensionError, RankError
 from .exactalg import (
-    Mat,
     UnimodularMat,
-    clear_denominators,
-    det,
+    _int_det,
+    det,  # not called here; perfbench/tracing.py wraps latred.det
     int_matmul,
     inverse,  # not called here; perfbench/tracing.py wraps latred.inverse
     sqrt_upper,
@@ -51,8 +52,8 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-def lll_reduce(basis: Mat, delta=LLL_DEFAULT_DELTA) -> tuple[Mat, UnimodularMat]:
-    """LLL reduction in integers of the rows of a square rational matrix.
+def lll_reduce(basis: Sequence[Sequence[int]], delta=LLL_DEFAULT_DELTA) -> tuple[list[list[int]], UnimodularMat]:
+    """LLL reduction in integers of d integer rows of length d.
 
     Returns (reduced, t) with t unimodular and t @ basis == reduced, exactly;
     that identity is checked on the integer rows and CertificationError is
@@ -62,9 +63,10 @@ def lll_reduce(basis: Mat, delta=LLL_DEFAULT_DELTA) -> tuple[Mat, UnimodularMat]
     On exit the basis is size-reduced (|mu_ij| <= 1/2) and satisfies the
     Lovasz condition with the given delta at every index.
 
-    The basis is cleared to integer rows b over one common denominator,
-    which changes no mu_ij and scales every B_i = ||b*_i||^2 alike.  The
-    integral LLL of de Weger (Cohen, Alg. 2.6.7) then keeps the Gram
+    A rational basis is passed as its rows over a common denominator: that
+    scaling changes no mu_ij and scales every B_i = ||b*_i||^2 alike, so the
+    same t reduces it to reduced over the same denominator.  The
+    integral LLL of de Weger (Cohen, Alg. 2.6.7) keeps the Gram
     determinants dd[i] = B_0 ... B_(i-1) and lam[i][j] = dd[j+1] * mu_ij,
     all integers: one integral Gram-Schmidt pass sets them up, and size
     reduction and swaps update them with exact divisions.  Size reduction
@@ -76,12 +78,11 @@ def lll_reduce(basis: Mat, delta=LLL_DEFAULT_DELTA) -> tuple[Mat, UnimodularMat]
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
         raise DimensionError("delta must lie in (1/4, 1)")
-    if not basis.is_square():
-        raise DimensionError(f"need d vectors of dimension d, got {basis.rows}x{basis.cols}")
+    d = len(basis)
+    if any(len(row) != d for row in basis):
+        raise DimensionError(f"need d vectors of dimension d, got lengths {[len(row) for row in basis]}")
     num, den = delta.numerator, delta.denominator
-    d = basis.rows
-    b0, scale = clear_denominators(basis)
-    b = [list(row) for row in b0]
+    b = [list(row) for row in basis]
     t = [[int(i == j) for j in range(d)] for i in range(d)]
 
     dd = [1] * (d + 1)
@@ -127,19 +128,18 @@ def lll_reduce(basis: Mat, delta=LLL_DEFAULT_DELTA) -> tuple[Mat, UnimodularMat]
             dd[k] = b_new
             k = max(k - 1, 1)
 
-    if int_matmul(t, b0) != b:
+    if int_matmul(t, basis) != b:
         raise CertificationError("reduction transform does not map the basis to the reduced one")
-    reduced = Mat([[Fraction(x, scale) for x in row] for row in b])
-    return reduced, UnimodularMat(t)
+    return b, UnimodularMat(t)
 
 
-def certify_reduction(basis: Mat) -> ReductionCert:
+def certify_reduction(rows: Sequence[Sequence[int]], den: int) -> ReductionCert:
     """Exact norm-product/determinant certificate (see ReductionCert) of the
-    rows of a square matrix.  The norm product is taken on the rows cleared
-    to integers n over den: prod ||n_j||^2 / den^(2 rows)."""
-    rows, den = clear_denominators(basis)
-    prod_sq = Fraction(math.prod(sum(x * x for x in row) for row in rows), den ** (2 * basis.rows))
-    det_abs = abs(det(basis))
+    basis rows / den, d integer rows of length d and den > 0: prod ||n_j||^2
+    / den^(2d) and |det(rows)| / den^d."""
+    d = len(rows)
+    prod_sq = Fraction(math.prod(sum(x * x for x in row) for row in rows), den ** (2 * d))
+    det_abs = Fraction(abs(_int_det(rows)), den**d)
     upper = sqrt_upper(prod_sq)
     return ReductionCert(
         norm_product=upper,

@@ -9,7 +9,8 @@ import math
 import operator
 from fractions import Fraction
 
-from gapcover.errors import ConvergenceError, DimensionError, RankError
+from gapcover.errors import CertificationError, ConvergenceError, DimensionError, RankError
+from gapcover.exactalg import sqrt_upper
 
 
 def grid_mvee_volume_2d(points, n_theta=180, n_aspect=160, max_aspect=40.0):
@@ -403,6 +404,32 @@ def parallelotope_contains(gens, x):
     ``gens`` is the generator matrix G, its columns the generators."""
     g_inv = fraction_inverse(gens)
     return all(abs(_dot(row, x)) <= 1 for row in g_inv)
+
+
+def circumscribe_reference(e):
+    """(G, |Q|) of the circumscribed parallelotope of an ``Ellipsoid``, as
+    ``geomcore.circumscribe_parallelotope`` built them as rational matrices:
+    the rows w_m = r_m / r_m[m] of U^T from e.schur, padded with zeros,
+    G = U^-T diag(s_m) with s_m = sqrt_upper(q den / r_m[m]) from the
+    Fraction inverse of U^T, and |Q| = 2^d prod s_m.  Each dual normal
+    n = w_m / s_m is checked against the Fraction inverse of the form,
+    n A^-1 n^T <= 1, and CertificationError raised if it fails."""
+    d = e.dim
+    den, chain = e.schur
+    a_inv = fraction_inverse(e.form.entries)
+    w_rows, scales = [], []
+    for m, (rows, q) in enumerate(chain):
+        r = rows[m]
+        s = sqrt_upper(Fraction(q * den, r[m]))
+        w = [Fraction(x, r[m]) for x in r] + [0] * (d - 1 - m)
+        n = [x / s for x in w]
+        if _dot(n, [_dot(row, n) for row in a_inv]) > 1:
+            raise CertificationError("parallelotope slab certificate failed")
+        w_rows.append(w)
+        scales.append(s)
+    u_inv_t = fraction_inverse(w_rows)
+    gens = [[x * s for x, s in zip(row, scales)] for row in u_inv_t]
+    return gens, 2**d * math.prod(scales)
 
 
 def lll_recompute(rows, delta=Fraction(99, 100)):

@@ -16,7 +16,7 @@ from gapcover.cover import (
     verify_cover,
     verify_projection,
 )
-from gapcover.enumeration import Gap, PointSet, enum_body, enum_gap
+from gapcover.enumeration import Gap, PointSet, enum_body, enum_gap, project_count
 from gapcover.errors import BudgetError, DimensionError
 from gapcover.exactalg import Mat, _span_rank, det, integer_kernel, left_kernel
 from gapcover.geomcore import ConvexBody, Ellipsoid
@@ -330,10 +330,17 @@ class TestCoverCatchesShrunkenProgression:
         ids=["disk", "skewed", "segment"],
     )
     def test_witness_is_first_missing_point(self, body, monkeypatch):
-        # half the box widths: P no longer holds C, and cover must say so
-        # with the first point of C that is outside P
-        l1_norm = gapcover.cover.l1_norm
-        monkeypatch.setattr("gapcover.cover.l1_norm", lambda row: l1_norm(row) / 2)
+        # half the box widths: the generator matrix over twice its
+        # denominator halves every a_j = ||row_j||_1 / den, so P no longer
+        # holds C, and cover must say so with the first point of C that is
+        # outside P
+        circumscribe = gapcover.cover.circumscribe_parallelotope
+
+        def halved(e):
+            rows, den, vol = circumscribe(e)
+            return rows, 2 * den, vol
+
+        monkeypatch.setattr("gapcover.cover.circumscribe_parallelotope", halved)
         gap, report = cover(body)
         listed = gap_points(gap)
         assert not report.contained
@@ -548,6 +555,30 @@ class TestVerifyProjection:
             assert rep.corollary_ok
             assert rep.fiber_monotone
             assert rep.doubling_ok
+
+
+@st.composite
+def vertex_bodies(draw):
+    """Hulls of 1 to 3 integer points in [-3, 3]^d, d = 1..4."""
+    d = draw(st.integers(1, 4))
+    point = st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+    return ConvexBody.vertices(draw(st.lists(point, min_size=1, max_size=3)))
+
+
+class TestProjectionOfRuns:
+    @given(st.one_of(spanless_bodies(), vertex_bodies()), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_image_of_c_matches_listing(self, body, data):
+        # phi's fibres on C, read off the runs, against project_count over
+        # the listed points
+        phi = data.draw(st.lists(st.integers(-3, 3), min_size=body.dim, max_size=body.dim))
+        c_points = enum_body(body)
+        rep = verify_projection(c_points, Gap(body.dim, (0,) * body.dim, (), ()), phi)
+        assert (rep.image_count_C, rep.max_fiber_C) == project_count(c_points.points, phi)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError, match="lattice points 2"):
+            verify_projection(enum_body(disk(4)), Gap(3, (0, 0, 0), (), ()), (1, 2, 3))
 
 
 @st.composite

@@ -176,10 +176,16 @@ class TestMvee:
         assert vol <= (1 + 2 * 0.01) * oracle
 
 
+def generators(e):
+    """circumscribe_parallelotope's (G, |Q|), G the rational Mat rows / den."""
+    rows, den, vol = circumscribe_parallelotope(e)
+    return Mat(rows).scale(Fraction(1, den)), vol
+
+
 class TestCircumscribe:
     def test_unit_disk_square(self):
         e = Ellipsoid(Mat.identity(2))
-        g, vol = circumscribe_parallelotope(e)
+        g, vol = generators(e)
         # any rotation is fine; volume must be (2 side)^2 up to tiny slack
         assert float(vol) <= 4.0 * 1.001
         # exact certificate is part of construction; spot-check a boundary point
@@ -187,13 +193,13 @@ class TestCircumscribe:
 
     def test_axis_aligned_ellipse(self):
         e = Ellipsoid(Mat([[Fraction(1, 4), 0], [0, 1]]))
-        g, vol = circumscribe_parallelotope(e)
+        g, vol = generators(e)
         assert float(vol) <= 8.0 * 1.001
         assert parallelotope_contains(g.entries, (2, 0))
         assert parallelotope_contains(g.entries, (0, 1))
 
     def test_unit_ball(self):
-        g, vol = circumscribe_parallelotope(Ellipsoid(Mat.identity(3)))
+        g, vol = generators(Ellipsoid(Mat.identity(3)))
         assert 8 < vol <= 8 * (1 + Fraction(1, 2**48)) ** 3
         assert parallelotope_contains(g.entries, (1, 0, 0))
         assert parallelotope_contains(g.entries, (0, 0, -1))
@@ -203,7 +209,7 @@ class TestCircumscribe:
         # root, so |Q|^2 det A lies in [4^d, 4^d (1 + 2^-48)^(2d)]
         for form in (Mat([[2, 1], [1, 3]]), Mat([[5, 2, 0], [2, 4, 1], [0, 1, 3]])):
             e = Ellipsoid(form)
-            v_sq = circumscribe_parallelotope(e)[1] ** 2 * det(form)
+            v_sq = generators(e)[1] ** 2 * det(form)
             assert 4**e.dim <= v_sq <= 4**e.dim * (1 + Fraction(1, 2**48)) ** (2 * e.dim)
 
     def test_wrong_factorization_fails_certificate(self, monkeypatch):
@@ -221,7 +227,7 @@ class TestCircumscribe:
         directions = [(1, 0), (0, 1), (1, 1), (2, -1)]
         for form in forms:
             e = Ellipsoid(form)
-            g, _ = circumscribe_parallelotope(e)
+            g, _ = generators(e)
             for c in directions[: e.dim + 1]:
                 c = c + (0,) * (e.dim - len(c))
                 # exact point of the ellipsoid in direction c: c / sqrt_upper(c^T A c)
@@ -347,5 +353,5 @@ class TestParallelotope:
             [[4, 1, 0, 1], [1, 3, 1, 0], [0, 1, 2, 0], [1, 0, 0, 6]],
         ]
         for form in forms:
-            g, vol = circumscribe_parallelotope(Ellipsoid(Mat(form)))
+            g, vol = generators(Ellipsoid(Mat(form)))
             assert vol == 2**g.rows * abs(fraction_det(g.entries))

@@ -5,7 +5,8 @@ sha256 of its canonical JSON report must equal the one recorded in
 ``golden_reports.json``.  The list holds ``gen_random`` seeds 0-3 of every
 generator kind at d = 2..4, a box, a ball, verify-mode claims (true and
 false, with base 0 and nonzero, over a lattice of determinant 2 and of
-lower order), an instance with a functional phi and a budget skip.
+lower order), an instance with a functional phi, a budget skip, and two
+cover-mode bodies whose lattice points span a proper subspace.
 
 The hashes pin more than the exact stages: the enclosing ellipsoid (MVEE)
 comes from Khachiyan's iteration in CPython floats, so they also pin those
@@ -70,6 +71,16 @@ FIXED = {
         "dim": 3,
         "body": {"type": "vertices", "points": [[2, 1, 0], [1, -1, 0]]},
         "gap": {"base": [0, 0, 0], "diffs": [[1, 0, 0], [0, 1, 0]], "halfsides": [2, 1]},
+    },
+    # cover mode on a proper subspace: C = {(-1, 0), (0, 0), (1, 0)}, so the
+    # ellipsoid is pulled back to its 1-D sublattice
+    "restricted-ellipsoid": {"dim": 2, "body": {"type": "ellipsoid", "form": [["1/2", 0], [0, 25]]}},
+    # cover mode on a planar vertex body in Z^3 (mvee in the plane), with a
+    # functional whose fibres on C hold more than one point
+    "restricted-vertices-phi": {
+        "dim": 3,
+        "body": {"type": "vertices", "points": [[2, 1, 0], [1, -1, 0]]},
+        "phi": [1, 1, 2],
     },
 }
 

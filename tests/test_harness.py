@@ -115,6 +115,15 @@ class TestGenRandom:
         assert spec.dim == 1
         assert spec.body.kind == "ellipsoid"
 
+    def test_box_guard_rejection_is_named(self):
+        # d = 7, seed 0: the first draw spans, but its box holds 9^7 points
+        with pytest.raises(GenerationError, match=r"box_guard = 200000 .* the last 4782969$"):
+            gen_random("random-vertices", 7, 0, max_tries=1)
+
+    def test_no_spanning_draw(self):
+        with pytest.raises(GenerationError, match="no spanning draw after 3 tries"):
+            gen_random("random-vertices", 3, 0, num_points=1, max_tries=3)
+
     def test_unknown_kind(self):
         with pytest.raises(GenerationError):
             gen_random("nope", 2, 1)

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 from unittest import mock
 
@@ -11,13 +12,34 @@ import gapcover.latred
 
 from gapcover.errors import CertificationError, DimensionError, RankError
 from gapcover.cover import cover
-from gapcover.exactalg import Mat, Vector, det, hnf, inverse, rank, sqrt_upper
+from gapcover.exactalg import Mat, Vector, clear_denominators, det, hnf, inverse, rank, sqrt_upper
 from gapcover.harness import gen_random
-from gapcover.latred import certify_reduction, lll_reduce
+from gapcover.geomcore import Ellipsoid, circumscribe_parallelotope
+from gapcover.latred import ReductionCert, certify_reduction, lll_reduce
 
-from _oracles import gram_schmidt, lll_recompute, norm_sq, shortest_basis_2d
+from _oracles import (
+    circumscribe_reference,
+    fraction_det,
+    gram_schmidt,
+    lll_recompute,
+    norm_sq,
+    shortest_basis_2d,
+)
 
 MINIMA_MAX_DIM = 4
+
+
+def reduce_mat(basis: Mat):
+    """lll_reduce of the rows of a square rational matrix, passed as integer
+    rows over their common denominator: (the reduced Mat, T)."""
+    rows, den = clear_denominators(basis)
+    reduced, t = lll_reduce(rows)
+    return Mat(reduced).scale(Fraction(1, den)), t
+
+
+def certify_mat(basis: Mat):
+    """certify_reduction of the rows of a square rational matrix."""
+    return certify_reduction(*clear_denominators(basis))
 
 
 def successive_minima_bruteforce(basis: Mat) -> list[Vector]:
@@ -38,7 +60,7 @@ def successive_minima_bruteforce(basis: Mat) -> list[Vector]:
     d = basis.rows
     if d > MINIMA_MAX_DIM:
         raise ValueError(f"brute-force minima limited to dim <= {MINIMA_MAX_DIM}")
-    reduced, _ = lll_reduce(basis)
+    reduced, _ = reduce_mat(basis)
     rows = reduced.entries
     radius_sq = max(norm_sq(v) for v in rows)
 
@@ -99,13 +121,13 @@ def basis_strategy(max_dim=4, bound=25):
 class TestLll:
     def test_identity(self):
         b = Mat([(1, 0), (0, 1)])
-        v, t = lll_reduce(b)
+        v, t = reduce_mat(b)
         assert v == b
         assert Mat(t.int_rows) == Mat.identity(2)
 
     def test_size_reduction_shear(self):
         b = Mat([(1, 0), (4, 1)])
-        v, t = lll_reduce(b)
+        v, t = reduce_mat(b)
         assert v.entries == ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
         assert Mat(t.int_rows) == Mat([[1, 0], [-4, 1]])
         assert Mat(t.int_rows) @ b == v
@@ -113,7 +135,7 @@ class TestLll:
     def test_finds_short_basis(self):
         rows = ((1, 1), (0, 2))
         b = Mat(rows)
-        v, t = lll_reduce(b)
+        v, t = reduce_mat(b)
         for vec in v.entries:
             assert norm_sq(vec) <= 2
         # exhaustive oracle: the two shortest independent vectors have norms^2 (2, 2)
@@ -123,7 +145,7 @@ class TestLll:
 
     def test_lovasz_and_size_reduction_hold(self):
         b = Mat([(12, 2, 17), (4, -9, 3), (5, 5, 5)])
-        v, _ = lll_reduce(b)
+        v, _ = reduce_mat(b)
         rows = [list(r) for r in v.entries]
         ortho, mu = gram_schmidt(rows)
         d = len(rows)
@@ -142,12 +164,12 @@ class TestLll:
         b = Mat(rows)
         if det(b) == 0:
             return
-        v, t = lll_reduce(b)
+        v, t = reduce_mat(b)
         assert Mat(t.int_rows) @ b == v
         assert lattices_equal(b, v)
         assert abs(det(v)) == abs(det(b))
         d = b.rows
-        cert = certify_reduction(v)
+        cert = certify_mat(v)
         assert cert.ratio <= Fraction(2) ** Fraction(d * (d - 1), 4) * Fraction(1000001, 1000000)
 
     def test_wrong_transform_raises(self, monkeypatch):
@@ -162,24 +184,24 @@ class TestLll:
 
         monkeypatch.setattr(gapcover.latred, "int_matmul", perturbed)
         with pytest.raises(CertificationError, match="reduction transform"):
-            lll_reduce(Mat([(1, 0), (4, 1)]))
+            lll_reduce([(1, 0), (4, 1)])
 
     def test_dependent_rows_rejected(self):
         # the Gram pass finds dd[2] = 0; no determinant is taken first
         with pytest.raises(RankError, match="dependent"):
-            lll_reduce(Mat([[1, 2], [2, 4]]))
+            lll_reduce([[1, 2], [2, 4]])
         with pytest.raises(RankError, match="dependent"):
-            lll_reduce(Mat([[0, 0], [1, 1]]))
+            lll_reduce([[0, 0], [1, 1]])
         with pytest.raises(RankError, match="dependent"):
-            lll_reduce(Mat([[1, 0, 0], [0, 1, 0], [1, 1, 0]]))
+            lll_reduce([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
 
     def test_non_square_rejected(self):
         with pytest.raises(DimensionError):
-            lll_reduce(Mat([[1, 0, 0], [0, 1, 0]]))
+            lll_reduce([[1, 0, 0], [0, 1, 0]])
 
     def test_rational_entries(self):
         b = Mat([(Fraction(1, 3), 0), (Fraction(5, 2), Fraction(1, 7))])
-        v, t = lll_reduce(b)
+        v, t = reduce_mat(b)
         assert Mat(t.int_rows) @ b == v
         assert lattices_equal(b, v)
 
@@ -219,7 +241,7 @@ def assert_same_as_recompute(rows):
         return round_half_up(num, den)
 
     with mock.patch.object(gapcover.latred, "_round_half_up", checked):
-        reduced, t = lll_reduce(Mat(rows))
+        reduced, t = reduce_mat(Mat(rows))
     assert rounded == want_rounded
     assert reduced.entries == want_rows
     assert t.int_rows == want_t
@@ -265,40 +287,73 @@ class TestLllMatchesRecompute:
         monkeypatch.setattr(gapcover.cover, "lll_reduce", record)
         with pytest.raises(_Captured):
             cover(gen_random(kind, d, 0, **kw).body)
-        assert_same_as_recompute([list(v) for v in bases[0].entries])
+        assert_same_as_recompute([list(v) for v in bases[0]])
 
 
 @given(rational_bases(), st.integers(2, 10**9))
 @settings(max_examples=40, deadline=None)
 def test_scaled_basis_same_transform(rows, c):
-    # lll_reduce clears the denominators, i.e. scales the basis; scaling
-    # changes no decision, so c * basis gives the same T
-    reduced, t = lll_reduce(Mat(rows))
-    reduced_c, t_c = lll_reduce(Mat([[c * x for x in row] for row in rows]))
+    # a rational basis reaches lll_reduce as its rows over a common
+    # denominator, i.e. scaled; scaling changes no decision, so c * basis
+    # gives the same T
+    reduced, t = reduce_mat(Mat(rows))
+    reduced_c, t_c = reduce_mat(Mat([[c * x for x in row] for row in rows]))
     assert t_c == t
     assert reduced_c == reduced.scale(c)
 
 
+@st.composite
+def definite_forms(draw):
+    """Positive-definite rational forms B B^T, d = 1..5, B nonsingular with
+    entries n / m, |n| <= 6 and 1 <= m <= 9."""
+    d = draw(st.integers(1, 5))
+    entry = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 9))
+    b = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    assume(fraction_det(b) != 0)
+    return Mat(b) @ Mat(b).transpose()
+
+
+@given(definite_forms())
+@settings(max_examples=40, deadline=None)
+def test_integer_handoff_matches_rational_matrices(form):
+    # the parallelotope reaches LLL as integer rows over one denominator:
+    # exactly the rational generator matrix cleared, with the same |Q|, T
+    # and reduction certificate
+    e = Ellipsoid(form)
+    rows, den, vol = circumscribe_parallelotope(e)
+    gens, vol_ref = circumscribe_reference(e)
+    assert (rows, den) == clear_denominators(Mat(gens))
+    assert vol == vol_ref
+    reduced, t = lll_reduce(rows)
+    want_rows, want_t, _, _ = lll_recompute(gens)
+    assert t.int_rows == want_t
+    assert Mat(reduced).scale(Fraction(1, den)).entries == want_rows
+    prod_sq = math.prod(norm_sq(row) for row in want_rows)
+    det_abs = abs(fraction_det(want_rows))
+    upper = sqrt_upper(prod_sq)
+    assert certify_reduction(reduced, den) == ReductionCert(upper, prod_sq, det_abs, upper / det_abs)
+
+
 class TestCertify:
     def test_identity_ratio_one(self):
-        cert = certify_reduction(Mat([(1, 0), (0, 1)]))
+        cert = certify_mat(Mat([(1, 0), (0, 1)]))
         assert cert.norm_product_sq == 1
         assert cert.det_abs == 1
         assert 1 <= cert.ratio < Fraction(1000001, 1000000)
 
     def test_sqrt2_ratio(self):
-        cert = certify_reduction(Mat([(1, 0), (1, 1)]))
+        cert = certify_mat(Mat([(1, 0), (1, 1)]))
         assert cert.norm_product_sq == 2
         assert cert.ratio ** 2 >= 2
         assert cert.ratio ** 2 <= Fraction(2) * Fraction(1000001, 1000000)
 
     def test_unreduced_flagged(self):
-        cert = certify_reduction(Mat([(1, 0), (100, 1)]))
+        cert = certify_mat(Mat([(1, 0), (100, 1)]))
         assert Fraction(100004, 1000) < cert.ratio < Fraction(100006, 1000)
 
     def test_hadamard_lower_bound(self):
         for rows in [((3, 1), (1, 2)), ((5, 0, 0), (1, 1, 0), (2, 3, 4))]:
-            cert = certify_reduction(Mat(rows))
+            cert = certify_mat(Mat(rows))
             assert cert.ratio >= 1
 
 
@@ -332,8 +387,8 @@ class TestSuccessiveMinima:
         if det(b) == 0:
             return
         mins = successive_minima_bruteforce(b)
-        reduced, _ = lll_reduce(b)
-        cert = certify_reduction(reduced)
+        reduced, _ = reduce_mat(b)
+        cert = certify_mat(reduced)
         prod_min_sq = Fraction(1)
         for v in mins:
             prod_min_sq *= norm_sq(v)
@@ -352,7 +407,7 @@ class TestSuccessiveMinima:
         if det(b) == 0:
             return
         mins = successive_minima_bruteforce(b)
-        reduced, _ = lll_reduce(b)
+        reduced, _ = reduce_mat(b)
         assert [norm_sq(v) for v in mins] == list(shortest_basis_2d(reduced.entries))
 
     def test_minkowski_lower_bound(self):
