@@ -37,6 +37,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -44,6 +45,7 @@ from .enumeration import DEFAULT_BUDGET, Gap, PointSet, Run, enum_body, enum_gap
 from .errors import BudgetError, CertificationError, DimensionError, RankError
 from .exactalg import (
     Frozen,
+    IntegerSolver,
     Mat,
     _integer_solver,
     _span_rank,
@@ -130,6 +132,27 @@ class CoverReport:
     timings_ms: dict
     lattice_points: PointSet = field(compare=False, repr=False)
 
+    @cached_property
+    def stage_factors(self) -> dict[str, Fraction] | None:
+        """Exact per-stage inequalities with the pinned constants, each as
+        the factor lhs / rhs, so that it holds iff its factor is <= 1; None
+        for a report without stages.  Computed once per report, for
+        stage_chain and the batch maxima alike.
+
+        parallelotope: |Q| <= (PARALLELOTOPE_CONSTANT * k)^k * #C
+        box:           |B| <= (BOX_CONSTANT * k)^(2k) * |Q'|
+        count:         #P  <= 2^k * |B|
+        """
+        s = self.stages
+        if s is None:
+            return None
+        k = s.subspace_dim
+        return {
+            "parallelotope": s.volume_parallelotope / ((PARALLELOTOPE_CONSTANT * k) ** k * self.cardinality_C),
+            "box": s.volume_box / ((BOX_CONSTANT * k) ** (2 * k) * s.volume_parallelotope_reduced),
+            "count": self.cardinality_P / (Fraction(2) ** k * s.volume_box),
+        }
+
 
 @dataclass(frozen=True)
 class ProjectionReport:
@@ -179,7 +202,7 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
         raise RankError("saturated sublattice has unexpected rank")
     embed = Mat(basis_rows).transpose()  # d x k, columns = lattice basis
 
-    solve_embed = _integer_solver(basis_rows)
+    solve_embed = _integer_solver(basis_rows, d)
     if solve_embed is None:
         raise RankError("embedding matrix is rank deficient")
     reduced = []
@@ -207,35 +230,46 @@ def _run_ends(runs: Sequence[Run]):
 
 class GapMembership(Frozen):
     """Exact membership in a progression whose active differences
-    (half-side >= 1) are independent, from one integer solver of
+    (half-side >= 1) are independent, from one IntegerSolver of
     p - base = sum y_j v_j over them.  Calling it tests one point; ``run``
-    tests a run at once.  ``step`` is the solve of e_d, None when e_d is
-    outside the lattice of the active differences."""
+    tests a run at once, in numerator space.  ``step`` is the solve of e_d,
+    None when e_d is outside the lattice of the active differences."""
 
-    __slots__ = ("base", "halfsides", "solve", "step")
+    __slots__ = ("base", "halfsides", "solve", "step", "_shifted", "_rows")
 
-    def __init__(self, base: tuple[int, ...], halfsides: tuple[int, ...], solve):
+    def __init__(self, base: tuple[int, ...], halfsides: tuple[int, ...], solve: IntegerSolver):
         step = solve((0,) * (len(base) - 1) + (1,))
-        self._set(base=base, halfsides=halfsides, solve=solve, step=step)
+        # per active difference j: row j of adj, n_j |den| and adj_j[d - 1]
+        rows = [(row, n * abs(solve.den), row[-1]) for row, n in zip(solve.adj, halfsides)]
+        self._set(base=base, halfsides=halfsides, solve=solve, step=step, _shifted=any(base), _rows=rows)
 
-    def _coeffs(self, p: Sequence[int]) -> list[int] | None:
-        return self.solve(tuple(map(operator.sub, p, self.base)) if any(self.base) else p)
+    def _offset(self, p: Sequence[int]) -> Sequence[int]:
+        return tuple(map(operator.sub, p, self.base)) if self._shifted else p
 
     def __call__(self, p: Sequence[int]) -> bool:
-        y = self._coeffs(p)
+        y = self.solve(self._offset(p))
         return y is not None and all(map(operator.le, map(abs, y), self.halfsides))
 
     def run(self, prefix: tuple[int, ...], lo: int, hi: int) -> bool:
-        """Whether every point prefix + (t,), lo <= t <= hi, lies in P.  The
-        solve is linear, so y(t) = y(lo) + (t - lo) s, s = ``step``, and the
-        box |y_j| <= n_j is convex: the run lies in P iff y(lo) exists, both
-        ends pass, and, when hi > lo, s exists (two consecutive points in P
-        differ by e_d)."""
-        y = self._coeffs(prefix + (lo,))
-        if y is None or (hi > lo and self.step is None):
+        """Whether every point prefix + (t,), lo <= t <= hi, lies in P.  With
+        x = prefix + (lo,) - base and v = adj @ x, the numerators of
+        y(lo) = v / den, the solve is linear, so y(t) = y(lo) + (t - lo) s,
+        s = ``step`` = adj[:, d - 1] / den, and the box |y_j| <= n_j is
+        convex: the run lies in P iff den divides each v_j, the ``others``
+        rows hold (row . v = den x_i), |v_j| <= n_j |den| and
+        |v_j + (hi - lo) adj_j[d - 1]| <= n_j |den| for each j, and, when
+        hi > lo, s exists (two consecutive points in P differ by e_d)."""
+        if hi > lo and self.step is None:
             return False
-        y_hi = [a + (hi - lo) * s for a, s in zip(y, self.step)] if hi > lo else y
-        return all(abs(a) <= n and abs(b) <= n for a, b, n in zip(y, y_hi, self.halfsides))
+        x = self._offset(prefix + (lo,))
+        den, span = self.solve.den, hi - lo
+        v = []
+        for row, bound, last in self._rows:
+            vj = sum(map(operator.mul, row, x))
+            if vj % den or abs(vj) > bound or abs(vj + span * last) > bound:
+                return False
+            v.append(vj)
+        return all(sum(map(operator.mul, row, v)) == den * x[i] for row, i in self.solve.others)
 
 
 def gap_membership_tester(gap: Gap) -> GapMembership | None:
@@ -244,11 +278,11 @@ def gap_membership_tester(gap: Gap) -> GapMembership | None:
     are independent: solve p - base = sum y_j v_j over the active
     differences in integers and require |y_j| <= n_j, for one point or for
     a whole run (GapMembership.run).  The inactive ones only ever take
-    coefficient 0, and they may depend on the active ones.  None when the
-    active differences are dependent."""
+    coefficient 0, and they may depend on the active ones.  Without active
+    differences P = {base}.  None when the active differences are
+    dependent."""
     active = [(v, n) for v, n in zip(gap.diffs, gap.halfsides) if n >= 1]
-    # without active differences P = {base}: only 0 solves, by the empty y
-    solve = _integer_solver([v for v, _ in active]) if active else lambda x: None if any(x) else []
+    solve = _integer_solver([v for v, _ in active], gap.dim)
     if solve is None:
         return None
     return GapMembership(gap.base, tuple(n for _, n in active), solve)
@@ -325,30 +359,10 @@ def cover(
     return gap, replace(report, stages=stages)
 
 
-def stage_factors(report: CoverReport) -> dict[str, Fraction] | None:
-    """Exact per-stage inequalities with the pinned constants, each as the
-    factor lhs / rhs, so that it holds iff its factor is <= 1; None for a
-    report without stages.
-
-    parallelotope: |Q| <= (PARALLELOTOPE_CONSTANT * k)^k * #C
-    box:           |B| <= (BOX_CONSTANT * k)^(2k) * |Q'|
-    count:         #P  <= 2^k * |B|
-    """
-    s = report.stages
-    if s is None:
-        return None
-    k = s.subspace_dim
-    return {
-        "parallelotope": s.volume_parallelotope / ((PARALLELOTOPE_CONSTANT * k) ** k * report.cardinality_C),
-        "box": s.volume_box / ((BOX_CONSTANT * k) ** (2 * k) * s.volume_parallelotope_reduced),
-        "count": report.cardinality_P / (Fraction(2) ** k * s.volume_box),
-    }
-
-
 def stage_chain(report: CoverReport) -> dict[str, bool]:
-    """Whether each inequality of stage_factors holds; all True without
-    stages."""
-    factors = stage_factors(report)
+    """Whether each inequality of CoverReport.stage_factors holds; all True
+    without stages."""
+    factors = report.stage_factors
     if factors is None:
         return {"parallelotope": True, "box": True, "count": True}
     return {name: factor <= 1 for name, factor in factors.items()}

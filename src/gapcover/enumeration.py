@@ -3,8 +3,11 @@
 Ground truth for every cardinality claim in the pipeline: one exact line
 sweep finds a body's integer points, visiting only the lines that meet it,
 and keeps them as runs, the points on one line of the last coordinate.
-They are listed, in lexicographic order, only where a caller asks for the
-points; outputs and failure witnesses are deterministic.
+Each line hands its children the integer sums their extents need, so no
+line re-reads its prefix: an ellipsoid line its Schur-chain polynomial
+(Fincke-Pohst partial sums), a vertex line its facet sums N.(prefix, 0)
+and l1 norm.  The points are listed, in lexicographic order, only where a
+caller asks for them; outputs and failure witnesses are deterministic.
 """
 
 from __future__ import annotations
@@ -24,8 +27,9 @@ Run = tuple[IntPoint, int, int]  # (prefix, lo, hi): the points prefix + (t,), l
 
 class PointSet(Frozen):
     """The integer points of a centrally symmetric convex body, as the
-    ``runs`` of its line sweep (enum_body): one run per last-coordinate line
-    of the lexicographically nonnegative half, in sweep order.  The origin
+    ``runs`` of its line sweep (enum_body, which finds each run's ends from
+    the integer sums its parent line carried): one run per last-coordinate
+    line of the lexicographically nonnegative half, in sweep order.  The origin
     opens the first run and is its own mirror; the points are the runs and
     their negatives.  A convex body's points on one line are contiguous, so
     the runs determine the set, and equal runs mean equal sets.
@@ -145,90 +149,142 @@ def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
     Coordinates are fixed one at a time; given those already fixed, the
     next one ranges over the exact integer interval where the line through
     the prefix meets the body's projection onto one more coordinate, so
-    only lines that meet the body are visited.  By central symmetry, only
-    t >= 0 is swept while the prefix is all zero.  On the last coordinate
-    that interval, when not empty, is a run.  The bounding box is checked
-    against the budget before any work, and a vertex body's facet search
-    before any line.
+    only lines that meet the body are visited.  A line's integer state is
+    carried to its children, each of which costs O(1) big-int operations
+    for an ellipsoid (the Schur recurrence of _ellipsoid_lines) and
+    O(#facets) for a vertex body (the facet sums of _vertex_lines), not a
+    pass over its prefix.  By central symmetry, only t >= 0 is swept while
+    the prefix is all zero.  On the last coordinate that interval, when not
+    empty, is a run.  The bounding box is checked against the budget before
+    any work, and a vertex body's facet search before any line.
     """
-    total = box_point_count(body)
+    bounds = body.int_box_bounds()
+    total = math.prod(2 * b + 1 for b in bounds)
     if total > cap:
         raise BudgetError(f"bounding box holds {total} integer points, budget {cap}")
     if body.kind == "vertices":
         body.hull_facets(cap)
-    extent = _LINE_EXTENTS[body.kind](body)
+    root, children = _LINES[body.kind](body, bounds)
     last = body.dim - 1
     runs: list[Run] = []
 
-    def sweep(prefix: IntPoint, zero: bool) -> None:
-        span = extent(prefix)
-        if span is None:
-            return
-        lo, hi = span
+    def sweep(prefix: IntPoint, state, lo: int, hi: int, zero: bool) -> None:
+        # the line through prefix meets the body in [lo, hi]
         if zero:
             lo = max(lo, 0)
-        if len(prefix) < last:
-            for t in range(lo, hi + 1):
-                sweep(prefix + (t,), zero and t == 0)
-        elif lo <= hi:
-            runs.append((prefix, lo, hi))
+        if len(prefix) == last:
+            if lo <= hi:
+                runs.append((prefix, lo, hi))
+            return
+        for t, child, c_lo, c_hi in children(prefix, state, lo, hi):
+            sweep(prefix + (t,), child, c_lo, c_hi, zero and t == 0)
 
-    sweep((), True)
+    if root is not None:
+        sweep((), *root, True)
     return PointSet(body.dim, runs)
 
 
-def _ellipsoid_extent(body: ConvexBody):
-    """Line extents of x^T N x <= den, the ellipsoid's form cleared to
-    integers.  Its schur_chain eliminates the last coordinates first: after
-    j steps the leading block over the last pivot q is the Schur complement,
-    the form of the projection onto the first d - j coordinates, so that
-    projection is y^T M y <= den * q.  On a line the form reads
-    a t^2 + 2 b t + c <= 0, which holds for an integer t iff
-    |a t + b| <= isqrt(b^2 - a c)."""
+def _ellipsoid_lines(body: ConvexBody, bounds: Sequence[int]):
+    """The lines of x^T N x <= den, the ellipsoid's form cleared to integers.
+
+    Its schur_chain eliminates the last coordinates first: block m, over
+    the previous pivot q_m, is the form of the projection onto the first
+    m + 1 coordinates, y^T block_m y <= den q_m.  On the line through a
+    prefix p of length m that reads Q(t) = a t^2 + 2 b t + c <= 0, with
+    a = block_m[m][m], b = block_m[m][:m] . p and c = p^T block_m p - den q_m,
+    which holds for an integer t iff |a t + b| <= isqrt(b^2 - a c).  The
+    chain's step block_m = (a' block'[:m+1, :m+1] - v v^T) / q', block'
+    the next block with last diagonal entry a', last column v and pivot
+    q', gives for the child line through (p, t)
+    b' = v . (p, t) and c' = (q' Q(t) + b'^2) / a', an exact division,
+    so its discriminant b'^2 - a' c' is -q' Q(t), >= 0 on the parent's
+    extent: the partial sums of Fincke and Pohst (Math. Comp. 44, 1985) in
+    integers.  A line's state is (b, c); v . p is taken once per parent."""
     den, chain = body.ellipsoid_rep.schur
-    forms = [(rows, den * q) for rows, q in chain]  # forms[m]: onto m + 1 coordinates
+    last = body.dim - 1
+    ((a0,),), q0 = chain[0]
+    s = math.isqrt(a0 * den * q0)  # b = 0, c = -den q_0
+    root = ((0, -den * q0), -(s // a0), s // a0)
 
-    def extent(prefix: IntPoint) -> tuple[int, int] | None:
-        rows, bound = forms[len(prefix)]
-        a = rows[-1][-1]
-        b = sum(map(operator.mul, rows[-1], prefix))
-        c = sum(x * sum(map(operator.mul, row, prefix)) for x, row in zip(prefix, rows)) - bound
-        disc = b * b - a * c
-        if disc < 0:
-            return None
-        s = math.isqrt(disc)
-        return -((s + b) // a), (s - b) // a
+    def children(prefix, state, lo, hi):
+        m = len(prefix)
+        b, c = state
+        a = chain[m][0][m][m]
+        rows, q = chain[m + 1]
+        v = rows[m + 1]
+        a1, v_t = v[m + 1], v[m]
+        base = sum(map(operator.mul, v, prefix))
+        inner = m + 1 < last
+        for t in range(lo, hi + 1):
+            qt = (a * t + 2 * b) * t + c
+            b1 = base + v_t * t
+            s = math.isqrt(-q * qt)
+            c1 = (q * qt + b1 * b1) // a1 if inner else None
+            yield t, (b1, c1), -((s + b1) // a1), (s - b1) // a1
 
-    return extent
+    return root, children
 
 
-def _vertex_extent(body: ConvexBody):
-    """Line extents of a vertex body: the box bounds, narrowed below the
-    last coordinate by ||x||_1 <= max_i ||v_i||_1, which every hull point
-    satisfies; the last coordinate's extent is read off the facets."""
-    bounds = body.int_box_bounds()
+def _vertex_lines(body: ConvexBody, bounds: Sequence[int]):
+    """The lines of a vertex body: the box bounds, narrowed below the last
+    coordinate by ||x||_1 <= max_i ||v_i||_1, which every hull point
+    satisfies; the last coordinate's extent is read off the facets by
+    hull_line_extent, from the sums N_f . (p, 0) of the facet rows.  A
+    line's state is (sums, ||p||_1): each child adds N_f[m] t to each sum
+    and |t| to the norm."""
     l1_cap = math.floor(max(sum(abs(c) for c in v) for v in body.points))
     last = body.dim - 1
+    facets = body.hull_facets()
+    columns = list(zip(*(normal for normal, _ in facets)))
 
-    def extent(prefix: IntPoint) -> tuple[int, int] | None:
-        if len(prefix) < last:
-            r = min(bounds[len(prefix)], l1_cap - sum(map(abs, prefix)))
-            return -r, r
-        span = hull_line_extent(body, prefix)
+    def last_extent(sums):
+        span = hull_line_extent(body, sums)
         if span is None:
             return None
-        return math.ceil(span[0]), math.floor(span[1])
+        (lo, lo_den), (hi, hi_den) = span
+        return -(-lo // lo_den), hi // hi_den
 
-    return extent
+    zeros = [0] * len(facets)
+    if last:
+        r = min(bounds[0], l1_cap)
+        root = ((zeros, 0), -r, r)
+    else:
+        span = last_extent(zeros)
+        root = None if span is None else (None, *span)
+
+    def children(prefix, state, lo, hi):
+        m = len(prefix)
+        sums, l1 = state
+        column = columns[m]
+        for t in range(lo, hi + 1):
+            child = [s + n * t for s, n in zip(sums, column)]
+            if m + 1 == last:
+                span = last_extent(child)
+                if span is not None:
+                    yield t, None, *span
+            else:
+                norm = l1 + abs(t)
+                r = min(bounds[m + 1], l1_cap - norm)
+                yield t, (child, norm), -r, r
+
+    return root, children
 
 
-def _box_extent(body: ConvexBody):
-    """Line extents of a box: its integer bounds, whatever the prefix."""
-    bounds = body.int_box_bounds()
-    return lambda prefix: (-bounds[len(prefix)], bounds[len(prefix)])
+def _box_lines(body: ConvexBody, bounds: Sequence[int]):
+    """The lines of a box: its integer bounds, whatever the prefix."""
+
+    def children(prefix, state, lo, hi):
+        b = bounds[len(prefix) + 1]
+        return ((t, None, -b, b) for t in range(lo, hi + 1))
+
+    return (None, -bounds[0], bounds[0]), children
 
 
-_LINE_EXTENTS = {"ellipsoid": _ellipsoid_extent, "vertices": _vertex_extent, "box": _box_extent}
+# kind -> (body, bounds) -> (root, children): root is (state, lo, hi) of the
+# line through the empty prefix, or None when it misses the body;
+# children(prefix, state, lo, hi) yields (t, child state, lo', hi') for each
+# t in [lo, hi] whose line through prefix + (t,) meets the body
+_LINES = {"ellipsoid": _ellipsoid_lines, "vertices": _vertex_lines, "box": _box_lines}
 
 
 def subset_check(

@@ -15,7 +15,7 @@ import math
 import operator
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionError,
@@ -290,41 +290,48 @@ def _span_rank(points: Iterable[Sequence[int]], d: int) -> int:
     return len(basis)
 
 
-def _integer_solver(
-    columns: Sequence[Sequence[int]],
-) -> Callable[[Sequence[int]], list[int] | None] | None:
-    """Solver for m @ y = x, m the integer matrix with the given columns: the
-    integer y, or None when there is none; None instead of a solver when
-    the columns are dependent.  k independent rows of m, picked by
-    fraction-free elimination, are inverted once in ints to ``adj`` over
-    ``den`` (zero columns at the other rows), so y = adj @ x / den; the
-    other rows must then hold exactly."""
-    k = len(columns)
-    rows = list(zip(*columns))
-    d = len(rows)
-    pivot_rows = _pivot_rows(rows, k)
-    if len(pivot_rows) < k:
-        return None
-    sub_adj, den = _int_inverse([rows[i] for i in pivot_rows])
-    adj = [[0] * d for _ in range(k)]
-    for col, i in enumerate(pivot_rows):
-        for j in range(k):
-            adj[j][i] = sub_adj[j][col]
-    others = [(rows[i], i) for i in range(d) if i not in pivot_rows]
+class IntegerSolver(Frozen):
+    """Solver for m @ y = x, m an integer matrix with independent columns:
+    calling it gives the integer y, or None when there is none.  k
+    independent rows of m, picked by fraction-free elimination, are
+    inverted once in ints to ``adj`` over ``den`` (zero columns at the
+    other rows), so y = adj @ x / den; ``others`` holds each other row with
+    its index, (row, i), whose equation row . y = x[i] must then hold."""
 
-    def solve(x: Sequence[int]) -> list[int] | None:
+    __slots__ = ("adj", "den", "others")
+
+    def __init__(self, adj: list[list[int]], den: int, others: list[tuple[tuple[int, ...], int]]):
+        self._set(adj=adj, den=den, others=others)
+
+    def __call__(self, x: Sequence[int]) -> list[int] | None:
         y = []
-        for row in adj:
-            q, rem = divmod(sum(map(operator.mul, row, x)), den)
+        for row in self.adj:
+            q, rem = divmod(sum(map(operator.mul, row, x)), self.den)
             if rem:
                 return None
             y.append(q)
-        for row, i in others:
+        for row, i in self.others:
             if sum(map(operator.mul, row, y)) != x[i]:
                 return None
         return y
 
-    return solve
+
+def _integer_solver(columns: Sequence[Sequence[int]], dim: int) -> IntegerSolver | None:
+    """The IntegerSolver of the dim x k integer matrix with the given
+    columns (k = 0 allowed: then only 0 solves, by the empty y); None when
+    the columns are dependent."""
+    k = len(columns)
+    rows = list(zip(*columns)) if k else [()] * dim
+    pivot_rows = _pivot_rows(rows, k)
+    if len(pivot_rows) < k:
+        return None
+    sub_adj, den = _int_inverse([rows[i] for i in pivot_rows])
+    adj = [[0] * dim for _ in range(k)]
+    for col, i in enumerate(pivot_rows):
+        for j in range(k):
+            adj[j][i] = sub_adj[j][col]
+    others = [(rows[i], i) for i in range(dim) if i not in pivot_rows]
+    return IntegerSolver(adj, den, others)
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, ...]]:

@@ -248,16 +248,20 @@ def _hull_facets(points: Sequence[Vector], cap: int) -> tuple[tuple[tuple[int, .
     return tuple((row[:-1], row[-1]) for row in rows)
 
 
-def hull_line_extent(body: ConvexBody, prefix: Sequence) -> tuple[Fraction, Fraction] | None:
-    """Exact extent {t : (prefix, t) in body} of a vertex body; None when
-    the line misses it.  Each row |N.x| <= D of the body cuts the line to an
-    interval, compared exactly as integer fractions.  Used once per scan
-    line by the enumeration sweep."""
-    if len(prefix) != body.dim - 1:
-        raise DimensionError("prefix must fix all but the last coordinate")
+def hull_line_extent(body: ConvexBody, sums: Sequence) -> tuple[tuple, tuple] | None:
+    """Exact extent {t : (p, t) in body} of a vertex body on the line
+    through a prefix p of the first d - 1 coordinates, as its two ends
+    (numerator, positive denominator); None when the line misses it.
+    ``sums`` holds N.(p, 0) for each row |N.x| <= D of hull_facets, in
+    order, so the line reads |s + N[-1] t| <= D on each row: an interval,
+    compared exactly as integer fractions.  The sweep carries the sums
+    down from each line to its children and calls this once per
+    last-coordinate line."""
+    facets = body.hull_facets()
+    if len(sums) != len(facets):
+        raise DimensionError(f"{len(sums)} facet sums for {len(facets)} facet rows")
     lo = hi = None  # (numerator, positive denominator)
-    for normal, bound in body.hull_facets():
-        s = sum(a * b for a, b in zip(normal, prefix))
+    for (normal, bound), s in zip(facets, sums):
         c = normal[-1]
         if c == 0:
             if abs(s) > bound:
@@ -271,7 +275,7 @@ def hull_line_extent(body: ConvexBody, prefix: Sequence) -> tuple[Fraction, Frac
             hi = (bound - s, c)
     if lo[0] * hi[1] > hi[0] * lo[1]:
         return None
-    return Fraction(*lo), Fraction(*hi)
+    return lo, hi
 
 
 def mvee(points: Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITER) -> Ellipsoid:

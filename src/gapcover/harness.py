@@ -20,7 +20,6 @@ from .cover import (
     ProjectionReport,
     cover,
     stage_chain,
-    stage_factors,
     verify_cover,
     verify_projection,
 )
@@ -439,7 +438,7 @@ def run_batch(
                 entry["mode"] = "cover"
                 entry["gap"] = gap_to_json(gap)
                 entry["cover"] = cover_report_to_json(report, include_timings)
-                factors = stage_factors(report)
+                factors = report.stage_factors
                 if factors is not None:
                     para, box, count = factors["parallelotope"], factors["box"], factors["count"]
                     if batch.max_parallelotope_factor is None or para > batch.max_parallelotope_factor:

@@ -528,3 +528,74 @@ def khachiyan_reference(points, eps=Fraction(1, 100), max_iter=100_000):
     if s <= 0:
         raise ConvergenceError("degenerate rationalized form")
     return [[x / s for x in row] for row in a_rows]
+
+
+def sweep_reference(body, lines=None):
+    """The runs (prefix, lo, hi) of a body's line sweep, each line's extent
+    recomputed from its whole prefix: for an ellipsoid, b and c of the
+    line a t^2 + 2 b t + c <= 0 from the Schur block over the prefix; for a
+    vertex body, the box bounds narrowed by the vertices' largest l1 norm
+    below the last coordinate and, on it, N.(prefix, t) against every
+    facet row |N.x| <= D; for a box, its bounds.  Only t >= 0 is swept
+    while the prefix is all zero.  No budget is checked.  ``lines``, when
+    a list, receives the prefix of each last-coordinate line visited, in
+    order."""
+    last = body.dim - 1
+    bounds = body.int_box_bounds()
+
+    if body.kind == "ellipsoid":
+        den, chain = body.ellipsoid_rep.schur
+
+        def extent(prefix):
+            rows, q = chain[len(prefix)]
+            a = rows[-1][-1]
+            b = sum(map(operator.mul, rows[-1], prefix))
+            c = sum(x * sum(map(operator.mul, row, prefix)) for x, row in zip(prefix, rows)) - den * q
+            if b * b - a * c < 0:
+                return None
+            s = math.isqrt(b * b - a * c)
+            return -((s + b) // a), (s - b) // a
+
+    elif body.kind == "vertices":
+        l1_cap = math.floor(max(sum(abs(c) for c in v) for v in body.points))
+
+        def extent(prefix):
+            if len(prefix) < last:
+                r = min(bounds[len(prefix)], l1_cap - sum(map(abs, prefix)))
+                return -r, r
+            lo, hi = -math.inf, math.inf
+            for normal, bound in body.hull_facets():
+                s = sum(map(operator.mul, normal, prefix))
+                c = normal[-1]
+                if c == 0:
+                    if abs(s) > bound:
+                        return None
+                    continue
+                ends = (Fraction(-bound - s, c), Fraction(bound - s, c))
+                lo, hi = max(lo, min(ends)), min(hi, max(ends))
+            return (math.ceil(lo), math.floor(hi)) if lo <= hi else None
+
+    else:
+
+        def extent(prefix):
+            return -bounds[len(prefix)], bounds[len(prefix)]
+
+    runs = []
+
+    def sweep(prefix, zero):
+        if lines is not None and len(prefix) == last:
+            lines.append(prefix)
+        span = extent(prefix)
+        if span is None:
+            return
+        lo, hi = span
+        if zero:
+            lo = max(lo, 0)
+        if len(prefix) < last:
+            for t in range(lo, hi + 1):
+                sweep(prefix + (t,), zero and t == 0)
+        elif lo <= hi:
+            runs.append((prefix, lo, hi))
+
+    sweep((), True)
+    return runs

@@ -131,6 +131,10 @@ class TestCoverPipeline:
         assert report.ratio <= covering_bound(2)
         chain = stage_chain(report)
         assert all(chain.values())
+        # computed once per report, and only for one with stages
+        assert report.stage_factors is report.stage_factors
+        assert chain == {name: f <= 1 for name, f in report.stage_factors.items()}
+        assert dataclasses.replace(report, stages=None).stage_factors is None
 
     def test_vertex_body(self):
         body = ConvexBody.vertices([(3, 1), (1, 3), (2, -2)])
@@ -216,6 +220,19 @@ def membership_cases(draw):
     return gap, points
 
 
+@st.composite
+def run_cases(draw):
+    """(gap, runs): membership_cases with each point p opening the run
+    prefix = p[:-1], lo = p[-1] - a, hi = p[-1] + b, a and b in 0..2, so
+    that a ninth of the runs are single points."""
+    gap, points = draw(membership_cases())
+    runs = []
+    for p in points:
+        a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        runs.append((p[:-1], p[-1] - a, p[-1] + b))
+    return gap, runs
+
+
 class TestMembershipTester:
     @given(membership_cases())
     @settings(max_examples=200, deadline=None)
@@ -235,6 +252,29 @@ class TestMembershipTester:
         member = gap_membership_tester(gap)
         listed = gap_points(gap)
         assert [member(p) for p in points] == [p in listed for p in points]
+
+    @given(run_cases())
+    @settings(max_examples=200, deadline=None)
+    # a nonzero base on Z^2 = the lattice of (1, 0), (1, 1): runs inside
+    # P, one point past its end, and below it
+    @example((Gap(2, (1, -1), ((1, 0), (1, 1)), (2, 2)), [((1,), -1, 1), ((1,), -1, 2), ((1,), -4, -1)]))
+    # order 2 in Z^3, e_3 among the differences: the non-pivot row holds
+    # on the first runs and fails on the last
+    @example((Gap(3, (0, 0, 1), ((0, 0, 1), (1, 2, 0)), (2, 1)),
+              [((1, 2), -1, 3), ((1, 2), -1, 4), ((0, 0), 1, 1), ((1, 3), 0, 0)]))
+    # e_2 outside the lattice of (1, 1), (1, -1): single points only
+    @example((Gap(2, (0, 1), ((1, 1), (1, -1)), (2, 2)), [((1,), 0, 0), ((1,), 0, 2), ((0,), 1, 1)]))
+    # an inactive difference (2, 2) that depends on the active ones
+    @example((Gap(2, (0, 0), ((1, 0), (2, 2), (0, 1)), (1, 0, 1)), [((1,), -1, 1), ((1,), -1, 2), ((2,), 0, 0)]))
+    # order 0: P = {base}
+    @example((Gap(2, (3, -2), (), ()), [((3,), -2, -2), ((3,), -2, -1), ((2,), -2, -2)]))
+    def test_run_matches_oracle(self, case):
+        gap, runs = case
+        member = gap_membership_tester(gap)
+        listed = gap_points(gap)
+        for prefix, lo, hi in runs:
+            expected = all(prefix + (t,) in listed for t in range(lo, hi + 1))
+            assert member.run(prefix, lo, hi) == expected, (prefix, lo, hi)
 
     def test_dependent_active_differences_give_no_tester(self):
         # an active difference that depends on another: P must be listed

@@ -18,13 +18,14 @@ from gapcover.enumeration import (
 )
 from gapcover.exactalg import Mat
 from gapcover.geomcore import ConvexBody, Ellipsoid
-from gapcover.harness import batch_report_to_json, parse_instance, run_batch
+from gapcover.harness import GENERATOR_KINDS, batch_report_to_json, gen_random, parse_instance, run_batch
 
 from _oracles import (
     box_lattice_points,
     brute_disk_points,
     ellipsoid_lattice_points,
     gap_points,
+    sweep_reference,
     sweep_runs,
     vertex_hull_lattice_points,
 )
@@ -57,11 +58,11 @@ def _flat_3d(draw):
 
 @st.composite
 def _ellipsoid_forms(draw):
-    """Forms (R^T R + I) / r2 at d = 1..4, half of them tilted by
+    """Forms (R^T R + I) / r2 at d = 1..5, half of them tilted by
     off-diagonal terms with denominators up to 2**64, half of them flattened
     to a plate by adding lam * w w^T: many lines that meet a plate hold no
     integer point."""
-    d = draw(st.integers(1, 4))
+    d = draw(st.integers(1, 5))
     r = [[draw(st.integers(-2, 2)) for _ in range(d)] for _ in range(d)]
     r2 = Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 2)))
     form = [
@@ -118,13 +119,15 @@ class TestEnumBody:
         ]
         assert pts.points == tuple(sorted(expected))
 
-    @given(st.one_of(_points(2, 3), _points(3, 2), _flat_3d()))
+    @given(st.one_of(_points(2, 3), _points(3, 2), _flat_3d(), _points(4, 1)))
     @settings(max_examples=30, deadline=None)
     def test_vertex_hull_matches_caratheodory_oracle(self, vertices):
-        pts = enum_body(ConvexBody.vertices(vertices))
+        body = ConvexBody.vertices(vertices)
+        pts = enum_body(body)
         oracle = vertex_hull_lattice_points(vertices)
         assert list(pts.points) == oracle
         assert len(pts) == len(oracle)
+        assert list(pts.runs) == sweep_reference(body)
 
     # a plate |x + y + 2z| <= 1/7 inside the ball of radius 3: the z-line
     # through (1, 0) meets it around z = -1/2 and holds no integer point
@@ -133,19 +136,63 @@ class TestEnumBody:
     @given(_ellipsoid_forms())
     @settings(max_examples=60, deadline=None)
     def test_ellipsoid_matches_oracle(self, form):
-        pts = enum_body(ConvexBody.from_ellipsoid(Ellipsoid(Mat(form))))
+        body = ConvexBody.from_ellipsoid(Ellipsoid(Mat(form)))
+        pts = enum_body(body)
         oracle = ellipsoid_lattice_points(form)
         assert list(pts.points) == oracle
         assert len(pts) == len(oracle)
         assert pts == PointSet(len(form), sweep_runs(oracle))
+        assert list(pts.runs) == sweep_reference(body)
 
     @given(st.lists(_rationals(3).map(abs), min_size=1, max_size=4))
     @settings(max_examples=30, deadline=None)
     def test_box_matches_oracle(self, halfwidths):
-        pts = enum_body(ConvexBody.box(halfwidths))
+        body = ConvexBody.box(halfwidths)
+        pts = enum_body(body)
         oracle = box_lattice_points(halfwidths)
         assert list(pts.points) == oracle
         assert len(pts) == len(oracle)
+        assert list(pts.runs) == sweep_reference(body)
+
+    # at d = 5 one draw, seed 1 (test_random_vertices_5d takes seed 0), and
+    # random-ellipsoid needs scale 1 to fit the default box guard
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", GENERATOR_KINDS)
+    def test_matches_sweep_reference(self, kind, dim):
+        for seed in range(3) if dim < 5 else (1,):
+            body = gen_random(kind, dim, seed, scale=1 if dim == 5 else 2).body
+            assert list(enum_body(body).runs) == sweep_reference(body), seed
+
+    def test_random_vertices_5d(self, monkeypatch):
+        # 7 vertices, 40 facet rows; both sweeps visit 1 977 last-coordinate
+        # lines, which the l1 cut narrows below the last coordinate
+        body = gen_random("random-vertices", 5, 0, box_guard=10**30).body
+        lines, calls = [], []
+        extent = enumeration.hull_line_extent
+        monkeypatch.setattr(enumeration, "hull_line_extent", lambda *a: calls.append(a) or extent(*a))
+        runs = sweep_reference(body, lines)
+        pts = enum_body(body)
+        assert list(pts.runs) == runs
+        assert (len(calls), len(lines), len(runs), len(pts)) == (1977, 1977, 90, 353)
+
+    def test_facet_test_once_per_last_line(self, monkeypatch):
+        # hull_line_extent runs once per last-coordinate line, on the facet
+        # sums N.(prefix, 0) of the lines the reference sweep visits
+        body = ConvexBody.vertices([(3, 1, 0), (0, 2, 1), (1, -1, 2)])
+        facets = body.hull_facets()
+        calls = []
+        extent = enumeration.hull_line_extent
+
+        def counted(body, sums):
+            calls.append(list(sums))
+            return extent(body, sums)
+
+        monkeypatch.setattr(enumeration, "hull_line_extent", counted)
+        pts = enum_body(body)
+        lines = []
+        assert list(pts.runs) == sweep_reference(body, lines)
+        assert calls == [[sum(a * x for a, x in zip(normal, p)) for normal, _ in facets] for p in lines]
+        assert len(calls) == 16
 
     def test_vertex_hull_1d(self):
         pts = enum_body(ConvexBody.vertices([(3,)]))

@@ -237,6 +237,14 @@ class TestCircumscribe:
                 assert parallelotope_contains(g.entries, x)
 
 
+def line_extent(body, prefix):
+    """hull_line_extent on the line through prefix, given the facet sums
+    N.(prefix, 0) it takes, with the two ends as Fractions."""
+    sums = [sum(a * x for a, x in zip(normal, prefix)) for normal, _ in body.hull_facets()]
+    span = hull_line_extent(body, sums)
+    return None if span is None else tuple(Fraction(*end) for end in span)
+
+
 class TestBodiesAndMembership:
     def test_box_membership_boundary(self):
         b = ConvexBody.box([1, 1])
@@ -263,50 +271,50 @@ class TestBodiesAndMembership:
 
     def test_line_extent(self):
         body = ConvexBody.vertices([(Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))])
-        ext = hull_line_extent(body, (0,))
+        ext = line_extent(body, (0,))
         assert ext is not None
         lo, hi = ext
         # x=0 slice of conv(±{(2,1),(1,2)}): segment between (0,-1) and (0,1)
         assert lo == -1 and hi == 1
-        assert hull_line_extent(body, (3,)) is None
+        assert line_extent(body, (3,)) is None
 
     def test_line_extent_segment(self):
         # conv(±(2, 2)) is the diagonal from (-2, -2) to (2, 2)
         body = ConvexBody.vertices([(2, 2)])
         for x in range(-2, 3):
-            assert hull_line_extent(body, (x,)) == (x, x)
-        assert hull_line_extent(body, (Fraction(1, 2),)) == (Fraction(1, 2), Fraction(1, 2))
-        assert hull_line_extent(body, (3,)) is None
+            assert line_extent(body, (x,)) == (x, x)
+        assert line_extent(body, (Fraction(1, 2),)) == (Fraction(1, 2), Fraction(1, 2))
+        assert line_extent(body, (3,)) is None
         assert body.contains((1, 1))
         assert not body.contains((1, 0))
 
     def test_line_extent_1d(self):
         body = ConvexBody.vertices([(3,)])
-        assert hull_line_extent(body, ()) == (-3, 3)
+        assert line_extent(body, ()) == (-3, 3)
         assert body.contains((3,))
         assert not body.contains((Fraction(7, 2),))
 
     def test_zero_vertex(self):
         body = ConvexBody.vertices([(0, 0)])
-        assert hull_line_extent(body, (0,)) == (0, 0)
-        assert hull_line_extent(body, (1,)) is None
+        assert line_extent(body, (0,)) == (0, 0)
+        assert line_extent(body, (1,)) is None
         assert body.contains((0, 0))
         assert not body.contains((0, Fraction(1, 5)))
 
     def test_collinear_3d(self):
         # all three points lie on the line through (1, 2, 3)
         body = ConvexBody.vertices([(1, 2, 3), (2, 4, 6), (Fraction(1, 2), 1, Fraction(3, 2))])
-        assert hull_line_extent(body, (1, 2)) == (3, 3)
-        assert hull_line_extent(body, (1, 1)) is None
-        assert hull_line_extent(body, (3, 6)) is None
+        assert line_extent(body, (1, 2)) == (3, 3)
+        assert line_extent(body, (1, 1)) is None
+        assert line_extent(body, (3, 6)) is None
         assert body.contains((-2, -4, -6))
         assert not body.contains((1, 2, 4))
 
     def test_coplanar_3d(self):
         # a hexagon in the plane z = x + y
         body = ConvexBody.vertices([(1, 0, 1), (0, 1, 1), (1, -1, 0)])
-        assert hull_line_extent(body, (1, 0)) == (1, 1)
-        assert hull_line_extent(body, (1, 1)) is None
+        assert line_extent(body, (1, 0)) == (1, 1)
+        assert line_extent(body, (1, 1)) is None
         assert body.contains((Fraction(1, 2), Fraction(1, 2), 1))
         assert not body.contains((Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)))
         assert not body.contains((1, 1, 2))
