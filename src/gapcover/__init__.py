@@ -5,16 +5,14 @@ lattice basis reduction, and a certified covering progression, with brute-force
 enumeration oracles for verification at desk scale.
 """
 
-from .exactalg import Mat, Rat, UnimodularMat, det, hnf, inverse, unimodular_solve
+from .exactalg import Mat, UnimodularMat, det, inverse, unimodular_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Mat",
-    "Rat",
     "UnimodularMat",
     "det",
-    "hnf",
     "inverse",
     "unimodular_solve",
     "__version__",

@@ -74,6 +74,7 @@ from .latred import certify_reduction, lll_reduce
 RATIO_CONSTANT = Fraction(1)
 PARALLELOTOPE_CONSTANT = Fraction(4)
 BOX_CONSTANT = Fraction(1)
+STAGES = ("parallelotope", "box", "count")  # the keys of CoverReport.stage_factors
 
 
 def covering_bound(dim: int) -> Fraction:
@@ -231,24 +232,21 @@ def _run_ends(runs: Sequence[Run]):
 class GapMembership(Frozen):
     """Exact membership in a progression whose active differences
     (half-side >= 1) are independent, from one IntegerSolver of
-    p - base = sum y_j v_j over them.  Calling it tests one point; ``run``
-    tests a run at once, in numerator space.  ``step`` is the solve of e_d,
-    None when e_d is outside the lattice of the active differences."""
+    p - base = sum y_j v_j over them.  ``run`` tests a run at once, in
+    numerator space; calling it tests one point, as a run of one.  ``step``
+    is the solve of e_d, None when e_d is outside the lattice of the active
+    differences."""
 
-    __slots__ = ("base", "halfsides", "solve", "step", "_shifted", "_rows")
+    __slots__ = ("base", "solve", "step", "_shifted", "_rows")
 
     def __init__(self, base: tuple[int, ...], halfsides: tuple[int, ...], solve: IntegerSolver):
         step = solve((0,) * (len(base) - 1) + (1,))
         # per active difference j: row j of adj, n_j |den| and adj_j[d - 1]
         rows = [(row, n * abs(solve.den), row[-1]) for row, n in zip(solve.adj, halfsides)]
-        self._set(base=base, halfsides=halfsides, solve=solve, step=step, _shifted=any(base), _rows=rows)
+        self._set(base=base, solve=solve, step=step, _shifted=any(base), _rows=rows)
 
-    def _offset(self, p: Sequence[int]) -> Sequence[int]:
-        return tuple(map(operator.sub, p, self.base)) if self._shifted else p
-
-    def __call__(self, p: Sequence[int]) -> bool:
-        y = self.solve(self._offset(p))
-        return y is not None and all(map(operator.le, map(abs, y), self.halfsides))
+    def __call__(self, p: tuple[int, ...]) -> bool:
+        return self.run(p[:-1], p[-1], p[-1])
 
     def run(self, prefix: tuple[int, ...], lo: int, hi: int) -> bool:
         """Whether every point prefix + (t,), lo <= t <= hi, lies in P.  With
@@ -261,7 +259,9 @@ class GapMembership(Frozen):
         hi > lo, s exists (two consecutive points in P differ by e_d)."""
         if hi > lo and self.step is None:
             return False
-        x = self._offset(prefix + (lo,))
+        x = prefix + (lo,)
+        if self._shifted:
+            x = tuple(map(operator.sub, x, self.base))
         den, span = self.solve.den, hi - lo
         v = []
         for row, bound, last in self._rows:
@@ -364,7 +364,7 @@ def stage_chain(report: CoverReport) -> dict[str, bool]:
     without stages."""
     factors = report.stage_factors
     if factors is None:
-        return {"parallelotope": True, "box": True, "count": True}
+        return dict.fromkeys(STAGES, True)
     return {name: factor <= 1 for name, factor in factors.items()}
 
 

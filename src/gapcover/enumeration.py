@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionError
-from .exactalg import Frozen, _pivot_rows
+from .exactalg import Frozen, _gauss_jordan
 from .geomcore import DEFAULT_BUDGET, ConvexBody, hull_line_extent
 
 IntPoint = tuple[int, ...]
@@ -109,7 +109,7 @@ class Gap:
         active = [v for v, n in zip(self.diffs, self.halfsides) if n >= 1]
         if not active:
             return True
-        return len(_pivot_rows(active, self.dim)) == len(active)
+        return len(_gauss_jordan(active, self.dim)[1]) == len(active)
 
     def doubled(self) -> "Gap":
         """The sumset self + self: same differences, doubled base and ranges."""

@@ -22,7 +22,8 @@ class LatticeMismatchError(GapCoverError):
 
 
 class ConvergenceError(GapCoverError):
-    """An iterative solver exceeded its iteration cap."""
+    """An iterative solver exceeded its iteration cap, or its result was
+    too coarse to use: mvee's form, rationalized, not positive definite."""
 
 
 class CertificationError(GapCoverError):
@@ -30,7 +31,8 @@ class CertificationError(GapCoverError):
 
 
 class BudgetError(GapCoverError):
-    """An enumeration would exceed the configured point budget."""
+    """A stage would exceed the configured budget: lattice points to
+    enumerate, facet candidates, or projection convolution steps."""
 
 
 class ParseError(GapCoverError):

@@ -2,11 +2,12 @@
 
 Matrices hold ``fractions.Fraction`` entries (always normalized with positive
 denominator), but the kernels run on Python ints: a rational matrix is
-cleared to integer rows over the lcm of its denominators (per row where only
-the row space matters), and determinants, inverses, ranks and solves are
-fraction-free (Bareiss) eliminations on those ints whose every division is
-exact.  Nothing here may round.  A ``Mat`` is immutable, so its determinant
-and inverse are computed at most once and kept on it.
+cleared to integer rows over the lcm of its denominators, and the
+eliminations are fraction-free (Bareiss): every division is exact.  One
+Gauss-Jordan pass, ``_gauss_jordan``, serves every inverse, kernel, pivot
+choice and integer solver; determinants take the forward-only half of it,
+``_int_det``.  Nothing here may round.  A ``Mat`` is immutable, so its
+determinant and inverse are computed at most once and kept on it.
 """
 
 from __future__ import annotations
@@ -20,11 +21,8 @@ from typing import Iterable, Sequence
 from .errors import (
     DimensionError,
     LatticeMismatchError,
-    RankError,
     SingularMatrixError,
 )
-
-Rat = Fraction
 
 Vector = tuple[Fraction, ...]
 
@@ -122,15 +120,6 @@ def clear_denominators(m: Mat) -> tuple[list[list[int]], int]:
     return [[x.numerator * (den // x.denominator) for x in row] for row in m.entries], den
 
 
-def integerize_rows(rows: Iterable[Sequence[Fraction]]) -> list[list[int]]:
-    """Each row times the lcm of its own denominators: the same row space."""
-    out = []
-    for row in rows:
-        den = math.lcm(*(x.denominator for x in row))
-        out.append([x.numerator * (den // x.denominator) for x in row])
-    return out
-
-
 def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, c)) for c in cols] for row in a]
@@ -196,27 +185,53 @@ def schur_chain(n: Sequence[Sequence[int]]) -> list[tuple[tuple, int]] | None:
     return chain
 
 
-def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
-    """(r, p) with rows^-1 == r / p and p = +-det(rows), by one
-    fraction-free Gauss-Jordan pass over [rows | I]: the step on column k
-    leaves that step's pivot times the identity in the first k + 1 columns,
-    every division by the previous pivot is exact, and the last pivot p
-    leaves [p I | r]."""
-    n = len(rows)
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+def _gauss_jordan(
+    rows: Sequence[Sequence[int]], cols: int
+) -> tuple[list[list[int]], list[tuple[int, int]], int]:
+    """One fraction-free Gauss-Jordan pass over the first ``cols`` columns
+    of integer rows; any further columns (an identity block, say) are
+    carried along.  Returns (a, pivots, D): pivots lists (i, c) for each
+    pivot from left to right, i the row's index in ``rows`` and c its
+    column, so their number is the rank; a holds the pivot rows first, in
+    that order, then the rest; D is the last pivot (1 without pivots).  In
+    each column the first remaining row with a nonzero entry is picked,
+    every division by the previous pivot is exact, and each pivot row ends
+    with D at its own pivot column and 0 at the other pivot columns."""
+    a = [list(row) for row in rows]
+    order = list(range(len(a)))
+    pivots: list[tuple[int, int]] = []
     prev = 1
-    for k in range(n):
-        pr = next((i for i in range(k, n) if a[i][k]), None)
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
         if pr is None:
-            raise SingularMatrixError("matrix is singular")
-        a[k], a[pr] = a[pr], a[k]
-        pivot, row_k = a[k][k], a[k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row_k)]
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        order[r], order[pr] = order[pr], order[r]
+        pivot, row_r = a[r][c], a[r]
+        for i in range(len(a)):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row_r)]
         prev = pivot
-    return [row[n:] for row in a], prev
+        pivots.append((order[r], c))
+    return a, pivots, prev
+
+
+def _with_identity(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """[rows | I]: each row followed by its unit vector."""
+    n = len(rows)
+    return [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+
+
+def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(r, p) with rows^-1 == r / p and p = +-det(rows): the Gauss-Jordan
+    pass over [rows | I] leaves [p I | r]."""
+    n = len(rows)
+    a, pivots, p = _gauss_jordan(_with_identity(rows), n)
+    if len(pivots) < n:
+        raise SingularMatrixError("matrix is singular")
+    return [row[n:] for row in a], p
 
 
 def _inverse_pair(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -237,37 +252,6 @@ def inverse(m: Mat) -> Mat:
         r, p = _inverse_pair(m)
         m._set(_inv_mat=Mat([[Fraction(x, p) for x in row] for row in r]))
     return m._inv_mat
-
-
-def _pivot_rows(rows: Sequence[Sequence[int]], cols: int) -> list[int]:
-    """Indices of the rows that fraction-free elimination of the integer
-    rows picks as pivots, one per pivot column from left to right: the
-    first row, after swaps, with a nonzero entry in the column.  Their
-    number is the rank."""
-    a = [list(row) for row in rows]
-    order = list(range(len(a)))
-    picked: list[int] = []
-    prev = 1
-    for c in range(cols):
-        r = len(picked)
-        if r == len(a):
-            break
-        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        order[r], order[pr] = order[pr], order[r]
-        pivot, row_r = a[r][c], a[r]
-        for i in range(r + 1, len(a)):
-            f = a[i][c]
-            a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row_r)]
-        prev = pivot
-        picked.append(order[r])
-    return picked
-
-
-def rank(m: Mat) -> int:
-    return len(_pivot_rows(integerize_rows(m.entries), m.cols))
 
 
 def _span_rank(points: Iterable[Sequence[int]], d: int) -> int:
@@ -292,11 +276,10 @@ def _span_rank(points: Iterable[Sequence[int]], d: int) -> int:
 
 class IntegerSolver(Frozen):
     """Solver for m @ y = x, m an integer matrix with independent columns:
-    calling it gives the integer y, or None when there is none.  k
-    independent rows of m, picked by fraction-free elimination, are
-    inverted once in ints to ``adj`` over ``den`` (zero columns at the
-    other rows), so y = adj @ x / den; ``others`` holds each other row with
-    its index, (row, i), whose equation row . y = x[i] must then hold."""
+    calling it gives the integer y, or None when there is none.  With
+    adj @ m = den I (adj zero at all but k independent rows of m),
+    y = adj @ x / den; ``others`` holds each other row with its index,
+    (row, i), whose equation row . y = x[i] must then hold."""
 
     __slots__ = ("adj", "den", "others")
 
@@ -317,55 +300,38 @@ class IntegerSolver(Frozen):
 
 
 def _integer_solver(columns: Sequence[Sequence[int]], dim: int) -> IntegerSolver | None:
-    """The IntegerSolver of the dim x k integer matrix with the given
+    """The IntegerSolver of the dim x k integer matrix m with the given
     columns (k = 0 allowed: then only 0 solves, by the empty y); None when
-    the columns are dependent."""
+    the columns are dependent.  The Gauss-Jordan pass over [m | I], pivoting
+    in m's k columns, leaves pivot row j as [den e_j | adj_j]."""
     k = len(columns)
     rows = list(zip(*columns)) if k else [()] * dim
-    pivot_rows = _pivot_rows(rows, k)
-    if len(pivot_rows) < k:
+    a, pivots, den = _gauss_jordan(_with_identity(rows), k)
+    if len(pivots) < k:
         return None
-    sub_adj, den = _int_inverse([rows[i] for i in pivot_rows])
-    adj = [[0] * dim for _ in range(k)]
-    for col, i in enumerate(pivot_rows):
-        for j in range(k):
-            adj[j][i] = sub_adj[j][col]
-    others = [(rows[i], i) for i in range(dim) if i not in pivot_rows]
-    return IntegerSolver(adj, den, others)
+    picked = {i for i, _ in pivots}
+    others = [(rows[i], i) for i in range(dim) if i not in picked]
+    return IntegerSolver([row[k:] for row in a[:k]], den, others)
 
 
 def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, ...]]:
     """Basis of the right kernel {x : rows @ x = 0} of an integer matrix
     with ``cols`` columns: one primitive integer vector per non-pivot
-    column f, with x_f > 0 and 0 at the other non-pivot columns.  One
-    fraction-free Gauss-Jordan pass leaves every pivot row with the last
-    pivot D at its own pivot column and 0 at the others, so x_f = D and
-    x_c = -a[c][f] at each pivot column c solve it."""
-    a = [list(row) for row in rows]
-    pivots: list[int] = []
-    prev = 1
-    for c in range(cols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pr is None:
-            continue
-        a[r], a[pr] = a[pr], a[r]
-        pivot, row_r = a[r][c], a[r]
-        for i in range(len(a)):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row_r)]
-        prev = pivot
-        pivots.append(c)
+    column f, with x_f > 0 and 0 at the other non-pivot columns.  The
+    Gauss-Jordan pass leaves every pivot row with the last pivot D at its
+    own pivot column and 0 at the others, so x_f = D and x_c = -a[c][f] at
+    each pivot column c solve it."""
+    a, pivots, last = _gauss_jordan(rows, cols)
+    pivot_cols = [c for _, c in pivots]
     basis = []
     for f in range(cols):
-        if f in pivots:
+        if f in pivot_cols:
             continue
         v = [0] * cols
-        v[f] = prev
-        for row, c in zip(a, pivots):
+        v[f] = last
+        for row, c in zip(a, pivot_cols):
             v[c] = -row[f]
-        g = math.gcd(*v) if prev > 0 else -math.gcd(*v)
+        g = math.gcd(*v) if last > 0 else -math.gcd(*v)
         basis.append(tuple(x // g for x in v))
     return basis
 
@@ -393,10 +359,6 @@ class UnimodularMat(Frozen):
         if d not in (1, -1):
             raise LatticeMismatchError(f"matrix has determinant {d}, expected +1 or -1")
         self._set(int_rows=rows, dim=n, det=d)
-
-    @classmethod
-    def identity(cls, n: int) -> "UnimodularMat":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
 
     def inverse(self) -> "UnimodularMat":
         r, p = _int_inverse(self.int_rows)  # p = +-1, so the inverse is r * p
@@ -464,20 +426,6 @@ def _hnf_with_transform(rows: Sequence[Sequence[int]]):
         pr -= 1
     rk = m - 1 - pr
     return h, u, rk
-
-
-def hnf(m: Mat) -> tuple[Mat, UnimodularMat]:
-    """Canonical Hermite normal form of a full-row-rank integer matrix.
-
-    Convention: row-style, lower triangular, positive pivots, entries below
-    each pivot reduced modulo the pivot.  Two integer matrices generate the
-    same row lattice iff their forms are equal.
-    """
-    rows = m.int_entries()
-    h, u, rk = _hnf_with_transform(rows)
-    if rk < m.rows:
-        raise RankError(f"matrix has row rank {rk} < {m.rows}")
-    return Mat(h), UnimodularMat(u)
 
 
 def left_kernel(m: Mat) -> list[tuple[int, ...]]:

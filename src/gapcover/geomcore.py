@@ -32,6 +32,7 @@ from .exactalg import (
     Frozen,
     Mat,
     Vector,
+    _gauss_jordan,
     _int_det,
     _int_inverse,
     _inverse_pair,
@@ -42,7 +43,6 @@ from .exactalg import (
     int_matmul,
     integer_kernel,
     inverse,  # not called here; perfbench/tracing.py wraps geomcore.inverse
-    rank,
     schur_chain,
     sqrt_upper,
     vec_dot,
@@ -51,7 +51,7 @@ from .exactalg import (
 DEFAULT_BUDGET = 10**7  # lattice points, or facet candidates, one call may visit
 MVEE_MAX_ITER = 100_000
 MVEE_DEFAULT_EPS = Fraction(1, 100)
-_RATIONALIZE_DEN_CAP = 10**9  # well under the 2**48 coefficient-growth cap
+_RATIONALIZE_DEN_CAP = 10**9  # largest denominator of an entry of mvee's rationalized form
 
 
 class Ellipsoid(Frozen):
@@ -200,21 +200,18 @@ def _hull_facets(points: Sequence[Vector], cap: int) -> tuple[tuple[tuple[int, .
     """Exact H-representation of conv(±points) in integers.
 
     With den the lcm of the denominators and W = den * points, let r be the
-    rank of W and J r coordinates on which W has rank r.  Every facet of
-    conv(±W) within span(W) contains r independent points of ±W, so its
-    normal (supported on J) solves s_i w_i[J] . a = D for an r-subset of W
-    and signs s; Cramer's rule in integers gives a and D = |det|.  Taking
-    s_1 = +1 keeps one of each ±a pair: C(n, r) * 2^(r-1) candidates, each
-    kept when |a . w| <= D for every w.  An integer basis e of the kernel
-    of W comes first, as rows |e . x| <= 0.
+    rank of W and J its r pivot columns (_gauss_jordan), on which W has rank
+    r.  Every facet of conv(±W) within span(W) contains r independent points
+    of ±W, so its normal (supported on J) solves s_i w_i[J] . a = D for an
+    r-subset of W and signs s; Cramer's rule in integers gives a and
+    D = |det|.  Taking s_1 = +1 keeps one of each ±a pair: C(n, r) * 2^(r-1)
+    candidates, each kept when |a . w| <= D for every w.  An integer basis e
+    of the kernel of W comes first, as rows |e . x| <= 0.
     """
     den = math.lcm(*(c.denominator for p in points for c in p))
     w = [tuple(int(c * den) for c in p) for p in points]
     n, d = len(w), len(w[0])
-    cols: list[int] = []
-    for j in range(d):
-        if rank(Mat([[p[c] for c in cols + [j]] for p in w])) > len(cols):
-            cols.append(j)
+    cols = [c for _, c in _gauss_jordan(w, d)[1]]
     r = len(cols)
     candidates = math.comb(n, r) << (r - 1) if r else 0
     if candidates > cap:

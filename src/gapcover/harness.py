@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .cover import (
+    STAGES,
     CoverReport,
     ProjectionReport,
     cover,
@@ -25,7 +26,7 @@ from .cover import (
 )
 from .enumeration import DEFAULT_BUDGET, Gap, box_point_count
 from .errors import BudgetError, DimensionError, GapCoverError, GenerationError, ParseError, RankError
-from .exactalg import Mat, det, rank
+from .exactalg import Mat, _span_rank, det
 from .geomcore import MVEE_DEFAULT_EPS, ConvexBody, Ellipsoid
 
 EXIT_OK = 0
@@ -102,9 +103,8 @@ class InstanceSpec:
 class BatchReport:
     entries: list = field(default_factory=list)
     max_ratio: Fraction | None = None
-    max_parallelotope_factor: Fraction | None = None
-    max_box_factor: Fraction | None = None
-    max_count_factor: Fraction | None = None
+    # stage name -> largest CoverReport.stage_factors value over the cover entries
+    max_factors: dict = field(default_factory=lambda: dict.fromkeys(STAGES))
     failures: list = field(default_factory=list)
     budget_skips: list = field(default_factory=list)
 
@@ -320,7 +320,7 @@ def gen_random(
                 [rng.randint(-coord_bound, coord_bound) for _ in range(dim)]
                 for _ in range(num_points or dim + 2)
             ]
-            if rank(Mat(pts)) < dim:
+            if _span_rank(pts, dim) < dim:
                 continue
             body = ConvexBody.vertices(pts)
         else:
@@ -438,15 +438,9 @@ def run_batch(
                 entry["mode"] = "cover"
                 entry["gap"] = gap_to_json(gap)
                 entry["cover"] = cover_report_to_json(report, include_timings)
-                factors = report.stage_factors
-                if factors is not None:
-                    para, box, count = factors["parallelotope"], factors["box"], factors["count"]
-                    if batch.max_parallelotope_factor is None or para > batch.max_parallelotope_factor:
-                        batch.max_parallelotope_factor = para
-                    if batch.max_box_factor is None or box > batch.max_box_factor:
-                        batch.max_box_factor = box
-                    if batch.max_count_factor is None or count > batch.max_count_factor:
-                        batch.max_count_factor = count
+                for name, factor in (report.stage_factors or {}).items():
+                    if batch.max_factors[name] is None or factor > batch.max_factors[name]:
+                        batch.max_factors[name] = factor
             entry["verify"] = cover_report_to_json(replace(report, stages=None), include_timings)
             contained = report.contained
             ratio = report.ratio
@@ -482,17 +476,10 @@ def batch_report_to_json(batch: BatchReport) -> dict:
         "instances": batch.entries,
         "aggregate": {
             "max_ratio": rat_to_json(batch.max_ratio) if batch.max_ratio is not None else None,
-            "max_parallelotope_factor": (
-                rat_to_json(batch.max_parallelotope_factor)
-                if batch.max_parallelotope_factor is not None
-                else None
-            ),
-            "max_box_factor": (
-                rat_to_json(batch.max_box_factor) if batch.max_box_factor is not None else None
-            ),
-            "max_count_factor": (
-                rat_to_json(batch.max_count_factor) if batch.max_count_factor is not None else None
-            ),
+            **{
+                f"max_{name}_factor": rat_to_json(factor) if factor is not None else None
+                for name, factor in batch.max_factors.items()
+            },
         },
         "failures": batch.failures,
         "budget_skips": batch.budget_skips,

@@ -1,7 +1,9 @@
 """Independent brute-force oracles used only by the test suite.
 
 These deliberately avoid the library's own algorithms: grid searches,
-exhaustive enumeration, and hand formulas.
+exhaustive enumeration, and hand formulas.  The one exception, ``hnf``, is
+the canonical form over the library's ``_hnf_with_transform`` that the
+lattice-equality checks compare.
 """
 
 import itertools
@@ -10,7 +12,7 @@ import operator
 from fractions import Fraction
 
 from gapcover.errors import CertificationError, ConvergenceError, DimensionError, RankError
-from gapcover.exactalg import sqrt_upper
+from gapcover.exactalg import Mat, UnimodularMat, _hnf_with_transform, sqrt_upper
 
 
 def grid_mvee_volume_2d(points, n_theta=180, n_aspect=160, max_aspect=40.0):
@@ -349,6 +351,20 @@ def fraction_inverse(rows):
                 for j in range(k, 2 * n):
                     a[i][j] -= f * a[k][j]
     return tuple(tuple(row[n:]) for row in a)
+
+
+def hnf(m):
+    """Canonical Hermite normal form (h, u) of a full-row-rank integer Mat,
+    u unimodular with u @ m == h, from the library's _hnf_with_transform.
+
+    Convention: row-style, lower triangular, positive pivots, entries below
+    each pivot reduced modulo the pivot.  Two integer matrices generate the
+    same row lattice iff their forms are equal.
+    """
+    h, u, rk = _hnf_with_transform(m.int_entries())
+    if rk < m.rows:
+        raise RankError(f"matrix has row rank {rk} < {m.rows}")
+    return Mat(h), UnimodularMat(u)
 
 
 def fraction_rank(rows):

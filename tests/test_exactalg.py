@@ -17,13 +17,13 @@ from gapcover.errors import (
 from gapcover.exactalg import (
     Mat,
     UnimodularMat,
+    _gauss_jordan,
     _span_rank,
+    clear_denominators,
     det,
-    hnf,
     integer_kernel,
     inverse,
     left_kernel,
-    rank,
     sqrt_upper,
     unimodular_solve,
     vec_dot,
@@ -31,7 +31,7 @@ from gapcover.exactalg import (
 from gapcover.enumeration import PointSet
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
-from _oracles import fraction_det, fraction_inverse, fraction_kernel, fraction_rank
+from _oracles import fraction_det, fraction_inverse, fraction_kernel, fraction_rank, hnf
 
 
 def cofactor_2x2(m):
@@ -76,8 +76,9 @@ def square_rational_mats(draw, max_dim=5):
 
 
 class TestIntegerKernels:
-    """det, inverse and rank clear denominators and eliminate in ints; the
-    Fraction eliminations in tests/_oracles.py are the reference."""
+    """det, inverse and the Gauss-Jordan rank clear denominators and
+    eliminate in ints; the Fraction eliminations in tests/_oracles.py are
+    the reference."""
 
     @given(square_rational_mats())
     @settings(max_examples=80, deadline=None)
@@ -102,7 +103,8 @@ class TestIntegerKernels:
         left = data.draw(st.lists(st.lists(rationals, min_size=r, max_size=r), min_size=m, max_size=m))
         right = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=r, max_size=r))
         rows = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)] for row in left]
-        assert rank(Mat(rows)) == fraction_rank(rows)
+        ints, _ = clear_denominators(Mat(rows))
+        assert len(_gauss_jordan(ints, n)[1]) == fraction_rank(rows)
 
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=8))
     @settings(max_examples=80, deadline=None)
@@ -195,7 +197,7 @@ class TestHnf:
     def test_identity(self):
         h, u = hnf(Mat.identity(3))
         assert h == Mat.identity(3)
-        assert u == UnimodularMat.identity(3)
+        assert u == UnimodularMat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_row_swap(self):
         h, u = hnf(Mat([[0, 1], [1, 0]]))
@@ -377,8 +379,24 @@ class TestKernels:
         assert left_kernel(Mat.identity(3)) == []
 
     def test_rank(self):
-        assert rank(Mat([[1, 2], [2, 4]])) == 1
-        assert rank(Mat.identity(3)) == 3
+        assert _gauss_jordan([[1, 2], [2, 4]], 2)[1] == [(0, 0)]
+        assert _span_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3) == 3
+
+    @given(kernel_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_gauss_jordan_matches_fraction_oracle(self, data):
+        # the pivot columns are those where the rank of the leading columns
+        # rises; the pivot rows are independent rows of the input, and each
+        # ends with the last pivot at its own pivot column, 0 at the others
+        rows, cols = data
+        a, pivots, last = _gauss_jordan(rows, cols)
+        ranks = [fraction_rank([row[:c] for row in rows]) if rows and c else 0 for c in range(cols + 1)]
+        assert [c for _, c in pivots] == [c for c in range(cols) if ranks[c + 1] > ranks[c]]
+        assert len(pivots) == ranks[cols]
+        if pivots:
+            assert fraction_rank([rows[i] for i, _ in pivots]) == len(pivots)
+        for row, (_, c) in zip(a, pivots):
+            assert [row[f] for _, f in pivots] == [last if f == c else 0 for _, f in pivots]
 
 
 class TestSqrtBounds:
@@ -412,7 +430,7 @@ IMMUTABLE = [
     (PointSet(1, [((), 0, 0)]), "runs"),
     (Ellipsoid(Mat.identity(2)), "form"),
     (ConvexBody.box([1, 1]), "kind"),
-    (UnimodularMat.identity(2), "int_rows"),
+    (UnimodularMat([[1, 0], [0, 1]]), "int_rows"),
 ]
 
 

@@ -12,7 +12,7 @@ from gapcover.errors import (
     DimensionError,
     RankError,
 )
-from gapcover.exactalg import Mat, det, inverse, sqrt_upper
+from gapcover.exactalg import Mat, _span_rank, det, inverse, sqrt_upper
 from gapcover.geomcore import (
     ConvexBody,
     Ellipsoid,
@@ -147,9 +147,7 @@ class TestMvee:
     )
     @settings(max_examples=25, deadline=None)
     def test_exact_containment_random(self, pts):
-        from gapcover.exactalg import rank as mat_rank
-
-        if mat_rank(Mat(pts)) < 2:
+        if _span_rank(pts, 2) < 2:
             return
         e = mvee(pts)
         for p in pts:
@@ -318,6 +316,12 @@ class TestBodiesAndMembership:
         assert body.contains((Fraction(1, 2), Fraction(1, 2), 1))
         assert not body.contains((Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)))
         assert not body.contains((1, 1, 2))
+
+    def test_facets_skip_dependent_first_coordinate(self):
+        # x_1 = 0 on the body, so J = {2, 3}: the kernel row, then the
+        # facets in candidate order
+        body = ConvexBody.vertices([(0, 1, 1), (0, 1, 2)])
+        assert body.hull_facets() == (((1, 0, 0), 0), ((0, 1, 0), 1), ((0, 3, -2), 1))
 
     def test_facet_budget(self):
         # 12 points of rank 3: C(12, 3) * 2^2 = 880 facet candidates

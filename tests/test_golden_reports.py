@@ -13,9 +13,13 @@ comes from Khachiyan's iteration in CPython floats, so they also pin those
 float steps.  These are correctly rounded IEEE operations that depend on no
 numpy or BLAS build, but they also pin CPython's ``sum()`` of floats: it
 adds left to right up to 3.11 and is compensated from 3.12 on, while
-``pyproject.toml`` allows 3.10 and later, so under 3.12 the hashes can
-differ with no change to this code.  Only a change that declares a change
-of output may regenerate the file, with
+``pyproject.toml`` allows 3.10 and later.  So the reports depend on the
+interpreter: all 47 hashes hold on CPython 3.10.13 and 3.11.7, while on
+3.12.1 and 3.13.0 eight differ, all ``random-vertices`` at d = 3 and 4.
+Summing with ``functools.reduce(operator.add, ..., 0.0)`` in ``mvee``
+would make all 47 hold on 3.11 to 3.13, at about 20 % more ``mvee`` time.
+Only a change that declares a change of output may regenerate the file,
+under CPython 3.11 or older, with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 """
@@ -23,6 +27,7 @@ of output may regenerate the file, with
 import hashlib
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -114,6 +119,8 @@ def test_fixture_names_every_instance():
 
 
 if __name__ == "__main__":
+    if sys.version_info >= (3, 12):
+        sys.exit("golden hashes are written under CPython 3.11 or older: from 3.12 on, sum() of floats is compensated")
     FIXTURE.write_text(
         json.dumps({name: report_hash(spec) for name, spec in instances()}, indent=2) + "\n"
     )

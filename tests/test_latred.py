@@ -12,7 +12,7 @@ import gapcover.latred
 
 from gapcover.errors import CertificationError, DimensionError, RankError
 from gapcover.cover import cover
-from gapcover.exactalg import Mat, Vector, clear_denominators, det, hnf, inverse, rank, sqrt_upper
+from gapcover.exactalg import Mat, Vector, clear_denominators, det, inverse, sqrt_upper
 from gapcover.harness import gen_random
 from gapcover.geomcore import Ellipsoid, circumscribe_parallelotope
 from gapcover.latred import ReductionCert, certify_reduction, lll_reduce
@@ -20,7 +20,9 @@ from gapcover.latred import ReductionCert, certify_reduction, lll_reduce
 from _oracles import (
     circumscribe_reference,
     fraction_det,
+    fraction_rank,
     gram_schmidt,
+    hnf,
     lll_recompute,
     norm_sq,
     shortest_basis_2d,
@@ -88,7 +90,7 @@ def successive_minima_bruteforce(basis: Mat) -> list[Vector]:
     chosen_rows: list[list[Fraction]] = []
     for q, _, v in candidates:
         trial = chosen_rows + [list(v)]
-        if rank(Mat(trial)) == len(trial):
+        if fraction_rank(trial) == len(trial):
             chosen.append(v)
             chosen_rows = trial
             if len(chosen) == d:
@@ -377,7 +379,7 @@ class TestSuccessiveMinima:
 
     def test_independent(self):
         mins = successive_minima_bruteforce(Mat([(2, 1, 0), (1, 2, 0), (0, 0, 5)]))
-        assert rank(Mat(mins)) == 3
+        assert fraction_rank(mins) == 3
         assert norm_sq(mins[0]) <= norm_sq(mins[1]) <= norm_sq(mins[2])
 
     @given(basis_strategy(max_dim=3, bound=6))
