@@ -87,8 +87,9 @@ def covering_bound(dim: int) -> Fraction:
 class SubspaceReduction:
     """Restriction of a body to the saturated lattice of span(C).
 
-    ``embed`` maps Z^k onto Z^dim ∩ span(C) (columns are a lattice basis);
-    it is None only in the trivial case k = 0 (C = {0}).
+    ``embed`` maps Z^k onto Z^dim ∩ span(C) (columns are a lattice basis)
+    when that is a proper subspace, 0 < k < dim; it is None when no
+    embedding is needed: k = 0 (C = {0}) or k = dim (``is_identity``).
     """
 
     dim: int
@@ -193,7 +194,7 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
     if k == 0:
         return SubspaceReduction(d, 0, None, None, c_points)
     if k == d:
-        return SubspaceReduction(d, d, Mat.identity(d), body, c_points)
+        return SubspaceReduction(d, d, None, body, c_points)
     ends = list(_run_ends(c_points.runs))
 
     # functionals vanishing on span(C); the saturated lattice is the

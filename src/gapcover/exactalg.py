@@ -66,10 +66,6 @@ class Mat(Frozen):
             raise DimensionError("ragged rows in matrix literal")
         self._set(entries=grid, rows=len(grid), cols=cols, _det=None, _inv=None, _inv_mat=None)
 
-    @classmethod
-    def identity(cls, n: int) -> "Mat":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
     def col(self, j: int) -> Vector:
         return tuple(row[j] for row in self.entries)
 

@@ -162,9 +162,13 @@ class ConvexBody(Frozen):
         raise DimensionError("use int_box_bounds for ellipsoid bodies")
 
     def int_box_bounds(self) -> tuple[int, ...]:
-        """Integer per-axis bounds of the body: floor of the exact extents."""
+        """Integer per-axis bounds of the body: floor of the exact extents,
+        for a vertex body max |w_j| // den over its cleared points w."""
         if self.kind == "ellipsoid":
             return self.ellipsoid_rep.int_box_bounds()
+        if self.kind == "vertices":
+            w, den = clear_points(self.points)
+            return tuple(max(map(abs, col)) // den for col in zip(*w))
         return tuple(int(h) for h in self.exact_halfwidths())
 
     def hull_facets(self, cap: int = DEFAULT_BUDGET) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -196,6 +200,13 @@ def _primitive(row: Sequence[int]) -> tuple[int, ...]:
     return tuple(c // g for c in row)
 
 
+def clear_points(points: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
+    """The points as integer rows w = den * p, den > 0 the lcm of their
+    denominators."""
+    den = math.lcm(*(c.denominator for p in points for c in p))
+    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in points], den
+
+
 def _hull_facets(points: Sequence[Vector], cap: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Exact H-representation of conv(±points) in integers.
 
@@ -208,8 +219,7 @@ def _hull_facets(points: Sequence[Vector], cap: int) -> tuple[tuple[tuple[int, .
     candidates, each kept when |a . w| <= D for every w.  An integer basis e
     of the kernel of W comes first, as rows |e . x| <= 0.
     """
-    den = math.lcm(*(c.denominator for p in points for c in p))
-    w = [tuple(int(c * den) for c in p) for p in points]
+    w, den = clear_points(points)
     n, d = len(w), len(w[0])
     cols = [c for _, c in _gauss_jordan(w, d)[1]]
     r = len(cols)

@@ -11,8 +11,9 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .cover import (
@@ -116,11 +117,9 @@ class BatchReport:
         return EXIT_OK
 
 
-def rat_to_json(x: Fraction):
-    x = Fraction(x)
-    if x.denominator == 1:
-        return int(x)
-    return f"{x.numerator}/{x.denominator}"
+def rat_to_json(x: Fraction | int):
+    num, den = x.as_integer_ratio()
+    return num if den == 1 else f"{num}/{den}"
 
 
 def _parse_rat(value, path: str) -> Fraction:
@@ -403,8 +402,66 @@ def projection_report_to_json(rep: ProjectionReport) -> dict:
 
 
 def to_canonical_json(doc) -> str:
-    """Deterministic serialization: sorted keys, fixed separators, newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """Deterministic serialization, exactly ``json.dumps(doc, sort_keys=True,
+    indent=2) + "\n"``.
+
+    Keys are sorted; each member or item sits on its own line, indented two
+    spaces per level, members separated by ``","`` and keys by ``": "``;
+    empty containers are ``{}`` and ``[]``.  Strings and keys are escaped to
+    ASCII by ``json.encoder.encode_basestring_ascii``, ints written in full,
+    tuples as lists, and floats (only the ``*_approx`` diagnostics) as
+    ``json.dumps`` writes them.  Anything else raises TypeError: a Fraction
+    value here, a key that is not a str in the escaping function.
+
+    It does not call ``json.dumps`` on the document: CPython's C encoder
+    ignores ``indent``, so with indent=2 every report would go through
+    ``json.encoder``'s pure-Python generators.  One recursive pass that
+    appends to a list, joined once, takes about half their time.
+    """
+    out: list[str] = []
+    _emit(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(x, newline: str, out: list[str]) -> None:
+    # newline: a line break and the indentation of the line x starts on
+    if isinstance(x, str):
+        out.append(encode_basestring_ascii(x))
+    elif x is None:
+        out.append("null")
+    elif x is True:
+        out.append("true")
+    elif x is False:
+        out.append("false")
+    elif isinstance(x, int):
+        out.append(int.__repr__(x))
+    elif isinstance(x, float):
+        out.append(json.dumps(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _emit(x[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in x:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def run_batch(
@@ -433,15 +490,22 @@ def run_batch(
                 gap = spec.gap
                 report = verify_cover(spec.body, gap, spec.budget)
                 entry["mode"] = "verify"
+                entry["verify"] = cover_report_to_json(report, include_timings)
             else:
                 gap, report = cover(spec.body, spec.eps, spec.budget)
                 entry["mode"] = "cover"
                 entry["gap"] = gap_to_json(gap)
-                entry["cover"] = cover_report_to_json(report, include_timings)
+                certificate = cover_report_to_json(report, include_timings)
+                entry["cover"] = certificate
+                # the same certificate, without the stage diagnostics
+                entry["verify"] = {
+                    key: value
+                    for key, value in certificate.items()
+                    if key not in ("stages", "stage_chain")
+                }
                 for name, factor in (report.stage_factors or {}).items():
                     if batch.max_factors[name] is None or factor > batch.max_factors[name]:
                         batch.max_factors[name] = factor
-            entry["verify"] = cover_report_to_json(replace(report, stages=None), include_timings)
             contained = report.contained
             ratio = report.ratio
             if spec.phi is not None:

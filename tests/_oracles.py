@@ -353,6 +353,11 @@ def fraction_inverse(rows):
     return tuple(tuple(row[n:]) for row in a)
 
 
+def identity(n):
+    """The n x n identity Mat."""
+    return Mat([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def hnf(m):
     """Canonical Hermite normal form (h, u) of a full-row-rank integer Mat,
     u unimodular with u @ m == h, from the library's _hnf_with_transform.

@@ -207,3 +207,26 @@ def test_random_bad_parameters_exit_usage(capsys, kind, flags):
     args = ["random", "--kind", kind, "--seed", "1"] + dim + flags
     assert main(args) == EXIT_USAGE
     assert "generation error" in capsys.readouterr().err
+
+
+def test_outputs_are_canonical_json(tmp_path):
+    # every document the program writes, the *_approx floats of --timings
+    # included, is json.dumps(doc, sort_keys=True, indent=2) plus a newline
+    ball = {"dim": 2, "body": {"type": "ball", "radius": 2}, "phi": [1, 1]}
+    inst = write(tmp_path, "inst.json", ball)
+    names = ("cover", "verify", "project", "random", "batch")
+    out = {name: tmp_path / f"{name}.json" for name in names}
+    assert main(["cover", "--input", inst, "--timings", "--output", str(out["cover"])]) == EXIT_OK
+    gap = json.loads(out["cover"].read_text())["gap"]
+    claim = write(tmp_path, "claim.json", {**ball, "gap": gap})
+    assert main(["verify", "--input", claim, "--timings", "--output", str(out["verify"])]) == EXIT_OK
+    assert main(["project", "--input", inst, "--output", str(out["project"])]) == EXIT_OK
+    random_args = ["random", "--kind", "random-vertices", "--dim", "3", "--seed", "5"]
+    assert main(random_args + ["--output", str(out["random"])]) == EXIT_OK
+    drawn = json.loads(out["random"].read_text())
+    batch = write(tmp_path, "batch.json", [ball, {**ball, "gap": gap}, drawn])
+    assert main(["batch", "--input", batch, "--timings", "--output", str(out["batch"])]) == EXIT_OK
+    for name, path in out.items():
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
+    assert "runtime_ms_approx" in out["batch"].read_text()

@@ -69,10 +69,12 @@ class TestRestrictToSpan:
         if red.k < d:
             basis_rows = left_kernel(Mat(integer_kernel(nonzero, d)).transpose())
             assert red.embed == Mat(basis_rows).transpose()
+        else:
+            assert red.embed is None
 
     def test_identity_for_full_dimensional(self):
         red = restrict_to_span(disk(4))
-        assert red.is_identity
+        assert red.is_identity and red.embed is None
         assert red.k == 2
         assert len(red.ambient_points) == 13
 

@@ -31,7 +31,7 @@ from gapcover.exactalg import (
 from gapcover.enumeration import PointSet
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
-from _oracles import fraction_det, fraction_inverse, fraction_kernel, fraction_rank, hnf
+from _oracles import fraction_det, fraction_inverse, fraction_kernel, fraction_rank, hnf, identity
 
 
 def cofactor_2x2(m):
@@ -124,7 +124,7 @@ class TestDet:
         assert det(Mat([[2, 0], [0, 3]])) == 6
 
     def test_identity_4x4(self):
-        assert det(Mat.identity(4)) == 1
+        assert det(identity(4)) == 1
 
     def test_2x2_against_cofactor_oracle(self):
         m = Mat([[1, 2], [3, 4]])
@@ -156,7 +156,7 @@ class TestDet:
 
 class TestInverse:
     def test_identity(self):
-        assert inverse(Mat.identity(3)) == Mat.identity(3)
+        assert inverse(identity(3)) == identity(3)
 
     def test_shear(self):
         assert inverse(Mat([[1, 0], [-4, 1]])) == Mat([[1, 0], [4, 1]])
@@ -175,7 +175,7 @@ class TestInverse:
         m = Mat(rows)
         if det(m) == 0:
             return
-        assert m @ inverse(m) == Mat.identity(m.rows)
+        assert m @ inverse(m) == identity(m.rows)
 
 
 def naive_lattice_equal(a: Mat, b: Mat) -> bool:
@@ -195,13 +195,13 @@ def naive_lattice_equal(a: Mat, b: Mat) -> bool:
 
 class TestHnf:
     def test_identity(self):
-        h, u = hnf(Mat.identity(3))
-        assert h == Mat.identity(3)
+        h, u = hnf(identity(3))
+        assert h == identity(3)
         assert u == UnimodularMat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_row_swap(self):
         h, u = hnf(Mat([[0, 1], [1, 0]]))
-        assert h == Mat.identity(2)
+        assert h == identity(2)
         assert Mat(u.int_rows) @ Mat([[0, 1], [1, 0]]) == h
 
     def test_det_preserved(self):
@@ -261,16 +261,16 @@ elementary_ops = st.lists(
 
 class TestUnimodularSolve:
     def test_identity_to_swap(self):
-        t = unimodular_solve(Mat.identity(2), Mat([[0, 1], [1, 0]]))
+        t = unimodular_solve(identity(2), Mat([[0, 1], [1, 0]]))
         assert Mat(t.int_rows) == Mat([[0, 1], [1, 0]])
 
     def test_index_two_sublattice_rejected(self):
         with pytest.raises(LatticeMismatchError, match="determinant ratio"):
-            unimodular_solve(Mat.identity(2), Mat.identity(2).scale(2))
+            unimodular_solve(identity(2), identity(2).scale(2))
 
     def test_shear(self):
-        t = unimodular_solve(Mat([[1, 0], [4, 1]]), Mat.identity(2))
-        assert Mat(t.int_rows) @ Mat([[1, 0], [4, 1]]) == Mat.identity(2)
+        t = unimodular_solve(Mat([[1, 0], [4, 1]]), identity(2))
+        assert Mat(t.int_rows) @ Mat([[1, 0], [4, 1]]) == identity(2)
         assert Mat(t.int_rows) == Mat([[1, 0], [-4, 1]])
 
     def test_non_integer_transform_rejected(self):
@@ -376,7 +376,7 @@ class TestKernels:
         assert basis == [(1, 1)]
 
     def test_left_kernel_full_rank_empty(self):
-        assert left_kernel(Mat.identity(3)) == []
+        assert left_kernel(identity(3)) == []
 
     def test_rank(self):
         assert _gauss_jordan([[1, 2], [2, 4]], 2)[1] == [(0, 0)]
@@ -426,9 +426,9 @@ def test_vec_dot_dimension_error():
 
 
 IMMUTABLE = [
-    (Mat.identity(2), "rows"),
+    (identity(2), "rows"),
     (PointSet(1, [((), 0, 0)]), "runs"),
-    (Ellipsoid(Mat.identity(2)), "form"),
+    (Ellipsoid(identity(2)), "form"),
     (ConvexBody.box([1, 1]), "kind"),
     (UnimodularMat([[1, 0], [0, 1]]), "int_rows"),
 ]

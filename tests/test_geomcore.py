@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from _oracles import (
     fraction_det,
     grid_mvee_volume_2d,
     grid_mvee_volume_3d,
+    identity,
     khachiyan_reference,
     parallelotope_contains,
 )
@@ -182,7 +184,7 @@ def generators(e):
 
 class TestCircumscribe:
     def test_unit_disk_square(self):
-        e = Ellipsoid(Mat.identity(2))
+        e = Ellipsoid(identity(2))
         g, vol = generators(e)
         # any rotation is fine; volume must be (2 side)^2 up to tiny slack
         assert float(vol) <= 4.0 * 1.001
@@ -197,7 +199,7 @@ class TestCircumscribe:
         assert parallelotope_contains(g.entries, (0, 1))
 
     def test_unit_ball(self):
-        g, vol = generators(Ellipsoid(Mat.identity(3)))
+        g, vol = generators(Ellipsoid(identity(3)))
         assert 8 < vol <= 8 * (1 + Fraction(1, 2**48)) ** 3
         assert parallelotope_contains(g.entries, (1, 0, 0))
         assert parallelotope_contains(g.entries, (0, 0, -1))
@@ -250,7 +252,7 @@ class TestBodiesAndMembership:
         assert not b.contains((Fraction(3, 2), 0))
 
     def test_disk_membership(self):
-        b = ConvexBody.from_ellipsoid(Ellipsoid(Mat.identity(2)))
+        b = ConvexBody.from_ellipsoid(Ellipsoid(identity(2)))
         assert not b.contains((1, 1))
         assert b.contains((1, 0))
 
@@ -339,6 +341,19 @@ class TestBodiesAndMembership:
         b = ConvexBody.vertices([(2, 1), (1, -3)])
         assert b.exact_halfwidths() == (2, 3)
         assert b.int_box_bounds() == (2, 3)
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.lists(
+                st.tuples(*[st.fractions(-7, 7, max_denominator=12)] * d), min_size=1, max_size=4
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_int_box_bounds_floor_exact_halfwidths(self, points):
+        # the cleared-integer bounds are the floors of the exact extents
+        b = ConvexBody.vertices(points)
+        assert b.int_box_bounds() == tuple(math.floor(h) for h in b.exact_halfwidths())
 
 
 class TestParallelotope:

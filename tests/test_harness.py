@@ -1,9 +1,14 @@
+import dataclasses
 import json
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gapcover.cover
+import gapcover.harness
 from gapcover.cover import cover
 from gapcover.enumeration import Gap
 from gapcover.errors import GenerationError, ParseError
@@ -23,6 +28,31 @@ from gapcover.harness import (
     rat_to_json,
     run_batch,
     to_canonical_json,
+)
+
+
+# JSON trees for the canonical emitter: strings and keys with non-ASCII,
+# control, quote and backslash characters; ints past 300 digits; the floats
+# the stdlib spells specially; nested and empty dicts, lists and tuples
+_CHARS = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé\u2028\ud800😀a') | st.characters()
+_TEXT = st.text(_CHARS, max_size=6)
+_HUGE = st.integers(10**300, 10**320)
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | _HUGE
+    | _HUGE.map(lambda n: -n)
+    | st.floats()
+    | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e300])
+    | _TEXT
+)
+_JSON_TREES = st.recursive(
+    _JSON_SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, kids, max_size=4),
+    max_leaves=30,
 )
 
 
@@ -238,6 +268,42 @@ class TestRunBatch:
         assert batch.exit_code() == EXIT_OK
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("include_timings", [False, True])
+    def test_verify_entry_is_cover_without_stages(self, include_timings):
+        specs = [gen_random(kind, 2, 0) for kind in ("lattice-ball", "random-vertices")]
+        for spec, entry in zip(specs, run_batch(specs, include_timings=include_timings).entries):
+            stageless = {k: v for k, v in entry["cover"].items() if k not in ("stages", "stage_chain")}
+            assert entry["verify"] == stageless
+            assert ("timings_ms_approx" in entry["verify"]) == include_timings
+            if not include_timings:
+                _, report = cover(spec.body, spec.eps, spec.budget)
+                assert entry["verify"] == cover_report_to_json(dataclasses.replace(report, stages=None))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"dim": 2, "body": {"type": "ball", "radius": 2}},
+            {
+                "dim": 2,
+                "body": {"type": "ball", "radius": 2},
+                "gap": {"base": [0, 0], "diffs": [[1, 0], [0, 1]], "halfsides": [2, 2]},
+            },
+        ],
+        ids=["cover", "verify"],
+    )
+    def test_certificate_serialized_once(self, doc, monkeypatch):
+        calls = []
+        to_json = gapcover.harness.cover_report_to_json
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return to_json(*args, **kwargs)
+
+        monkeypatch.setattr(gapcover.harness, "cover_report_to_json", counting)
+        batch = run_batch([parse_instance(doc)], include_timings=True)
+        assert batch.exit_code() == EXIT_OK
+        assert len(calls) == 1
+
     def test_csv_columns(self):
         batch = run_batch(self.trivial_specs(), include_timings=True)
         text = batch_to_csv(batch)
@@ -271,6 +337,28 @@ class TestSerialization:
     def test_rationals_exact(self):
         assert rat_to_json(Fraction(3)) == 3
         assert rat_to_json(Fraction(7, 2)) == "7/2"
+        assert rat_to_json(-5) == -5
+        assert rat_to_json(Fraction(-7, 3)) == "-7/3"
+        assert rat_to_json(Fraction(6, 3)) == 2 and type(rat_to_json(Fraction(6, 3))) is int
+        num, den = 3**419, 2**664  # coprime, 200 digits each
+        assert len(str(num)) == len(str(den)) == 200
+        assert rat_to_json(Fraction(num, den)) == f"{num}/{den}"
+        assert rat_to_json(Fraction(-num, den)) == f"-{num}/{den}"
+
+    @example({"a": {}, "b": [], "c": (), "d": [{}, [], ()], "e": {"f": {"g": []}}})
+    @given(_JSON_TREES)
+    @settings(max_examples=200, deadline=None)
+    def test_canonical_json_matches_stdlib(self, doc):
+        assert to_canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"ratio": Fraction(1, 2)}, [1, (2, Fraction(3))], {1: 2}, {"a": {"b": 1, 2: 3}}],
+        ids=["fraction", "nested-fraction", "int-key", "nested-int-key"],
+    )
+    def test_canonical_json_rejects_non_json(self, doc):
+        with pytest.raises(TypeError):
+            to_canonical_json(doc)
 
     def test_report_json_numbers_exact_or_tagged(self):
         body = parse_instance({"dim": 2, "body": {"type": "ball", "radius": 2}}).body
