@@ -1,9 +1,12 @@
 """Centrally symmetric convex bodies, enclosing ellipsoids, enclosing parallelotopes.
 
 Floating point is allowed in one place, Khachiyan's iteration in ``mvee``,
-which runs in CPython floats between an exact set-up (one integer inverse,
-rounded once per entry) and an exact finish (the rationalized form rescaled
-over the integer points); every claim consumed downstream is established in
+which runs in floats between an exact set-up (one integer inverse, rounded
+once per entry) and an exact finish (the rationalized form rescaled over the
+integer points).  The iteration is straight-line code generated per
+dimension, with the IEEE operations of the reference loop in
+tests/_oracles.py and no float sum(), so its steps, and the reports, do not
+depend on the interpreter.  Every claim consumed downstream is established in
 exact rational arithmetic: point membership and slab containment.  An
 ellipsoid's form is factored exactly once, when it is built; the line
 extents and the parallelotope's axes are read off that factorization, and
@@ -15,6 +18,7 @@ span), computed once per body.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -150,17 +154,6 @@ class ConvexBody(Frozen):
             return tuple(corners)
         raise DimensionError("ellipsoid bodies have no vertex description")
 
-    def exact_halfwidths(self) -> tuple[Fraction, ...]:
-        """Exact per-axis extents max{|x_j| : x in body} (rational for vertex
-        and box kinds; not available for ellipsoids)."""
-        if self.kind == "vertices":
-            return tuple(
-                max(abs(p[j]) for p in self.points) for j in range(self.dim)
-            )
-        if self.kind == "box":
-            return self.halfwidths
-        raise DimensionError("use int_box_bounds for ellipsoid bodies")
-
     def int_box_bounds(self) -> tuple[int, ...]:
         """Integer per-axis bounds of the body: floor of the exact extents,
         for a vertex body max |w_j| // den over its cleared points w."""
@@ -169,7 +162,7 @@ class ConvexBody(Frozen):
         if self.kind == "vertices":
             w, den = clear_points(self.points)
             return tuple(max(map(abs, col)) // den for col in zip(*w))
-        return tuple(int(h) for h in self.exact_halfwidths())
+        return tuple(int(h) for h in self.halfwidths)
 
     def hull_facets(self, cap: int = DEFAULT_BUDGET) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Exact H-representation of a vertex body, computed on first use:
@@ -285,12 +278,77 @@ def hull_line_extent(body: ConvexBody, sums: Sequence) -> tuple[tuple, tuple] | 
     return lo, hi
 
 
+def _float_dot(terms: Iterable[tuple[str, str]]) -> str:
+    """Source of sum(a * b for a, b in terms) as sum() adds floats up to
+    CPython 3.11: left to right from its int 0, written 0.0, the double that
+    int + float converts it to before adding."""
+    return " + ".join(f"{a} * {b}" if i else f"(0.0 + {a} * {b})" for i, (a, b) in enumerate(terms))
+
+
+@functools.cache
+def _khachiyan_kernel(d: int):
+    """Khachiyan's ascent at dimension d >= 2 as a function compiled once
+    per d: kernel(m_inv, xs, target, max_iter) returns M^-1 as a tuple of
+    rows, or None when max_iter iterations leave max g above target.
+
+    Only the int d enters the generated source.  It unpacks M^-1 and each
+    point into locals, writes y_i = M^-1_i . x and g = x . y out term by
+    term (``_float_dot``), keeps the first point of largest g, and sets each
+    entry to (M^-1_ik - (f y_i) y_k) / (1 - s), f y_i formed once per row.
+    These are the IEEE operations, in their order, of the generic loop
+    ``khachiyan_loop`` in tests/_oracles.py, and no float sum() is called,
+    whose order CPython 3.12 changed."""
+    r = range(d)
+    m = [[f"m{i}_{k}" for k in r] for i in r]
+    x, y, z = ([f"{c}{i}" for i in r] for c in "xyz")
+    matrix = "(" + ", ".join(f"({', '.join(row)})" for row in m) + ")"
+    point = ", ".join(x)
+
+    def scan(out: list[str], g: str, indent: str) -> list[str]:
+        # out = M^-1 x and g = x . out for the point in x0, x1, ...
+        lines = [f"{o} = {_float_dot(zip(row, x))}" for o, row in zip(out, m)]
+        return [indent + line for line in lines + [f"{g} = {_float_dot(zip(x, out))}"]]
+
+    source = "\n".join([
+        "def kernel(m_inv, xs, target, max_iter):",
+        f"    {matrix} = m_inv",
+        "    first, rest = xs[0], xs[1:]",
+        "    for _ in range(max_iter):",
+        f"        {point} = first",
+        *scan(z, "gmax", " " * 8),
+        f"        for {point} in rest:",
+        *scan(y, "g", " " * 12),
+        "            if g > gmax:",
+        f"                gmax, {', '.join(z)} = g, {', '.join(y)}",
+        "        if gmax <= target:",
+        f"            return {matrix}",
+        # ((1 - s) M + s x x^T)^-1 = (M^-1 - c y y^T / (1 + c g)) / (1 - s),
+        # with y = M^-1 x, g = x^T y and c = s / (1 - s)
+        f"        step = (gmax - {d}.0) / ({d}.0 * (gmax - 1.0))",
+        "        c = step / (1.0 - step)",
+        "        f = c / (1.0 + c * gmax)",
+        "        shrink = 1.0 - step",
+        *(
+            f"        fz = f * {z[i]}; "
+            + "; ".join(f"{m[i][k]} = ({m[i][k]} - fz * {z[k]}) / shrink" for k in r)
+            for i in r
+        ),
+        "    return None",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<khachiyan kernel d={d}>", "exec"), {}, namespace)
+    return namespace["kernel"]
+
+
 def mvee(points: Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITER) -> Ellipsoid:
     """Enclosing ellipsoid of points ∪ -points, near-minimal volume.
 
     At d = 1 it is the interval itself, A = 1 / max x^2.  Otherwise
-    Khachiyan's ascent runs in CPython floats until max_j x_j^T M^-1 x_j <=
-    d (1 + eps), M = sum u_i x_i x_i^T.  With p = den x the integer points
+    Khachiyan's ascent runs in floats until max_j x_j^T M^-1 x_j <=
+    d (1 + eps), M = sum u_i x_i x_i^T, as straight-line code generated for
+    d (``_khachiyan_kernel``): the IEEE operations of the reference loop in
+    tests/_oracles.py, and no float sum(), so its steps are the same on
+    every interpreter.  With p = den x the integer points
     and u_i = float(1 / n) = a / b, the first M^-1 is b den^2 R / (a q), R / q
     the integer inverse of sum p p^T, rounded once per entry; Sherman-Morrison
     updates it, and as each step s < 1 / d, u is never needed.  A = M^-1 / d,
@@ -317,26 +375,8 @@ def mvee(points: Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITE
     w_num, w_den = (1.0 / len(pts)).as_integer_ratio()
     m_inv = [[w_den * den**2 * x / (w_num * q) for x in row] for row in r]  # int / int rounds correctly
     xs = [tuple(map(float, p)) for p in x_mat.entries]
-    target = d * (1.0 + float(eps))
-    for _ in range(max_iter):
-        gmax = None
-        for x in xs:
-            y = [sum(map(operator.mul, row, x)) for row in m_inv]
-            g = sum(map(operator.mul, x, y))
-            if gmax is None or g > gmax:  # the first maximum, as max() keeps it
-                gmax, ymax = g, y
-        if gmax <= target:
-            break
-        step = (gmax - d) / (d * (gmax - 1.0))
-        # ((1 - s) M + s x x^T)^-1 = (M^-1 - c y y^T / (1 + c g)) / (1 - s),
-        # with y = M^-1 x, g = x^T y and c = s / (1 - s)
-        c = step / (1.0 - step)
-        f = c / (1.0 + c * gmax)
-        m_inv = [
-            [(a - f * yi * yk) / (1.0 - step) for a, yk in zip(row, ymax)]
-            for row, yi in zip(m_inv, ymax)
-        ]
-    else:
+    m_inv = _khachiyan_kernel(d)(m_inv, xs, d * (1.0 + float(eps)), max_iter)
+    if m_inv is None:
         raise ConvergenceError(f"no convergence within {max_iter} iterations")
 
     # A ~ M^-1 / d, symmetric since float addition commutes

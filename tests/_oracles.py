@@ -6,6 +6,7 @@ the canonical form over the library's ``_hnf_with_transform`` that the
 lattice-equality checks compare.
 """
 
+import functools
 import itertools
 import math
 import operator
@@ -79,6 +80,16 @@ def ellipsoid_volume(form_entries, dim):
     det = float(np.linalg.det(np.array(a)))
     unit = math.pi ** (dim / 2.0) / math.gamma(dim / 2.0 + 1.0)
     return unit / math.sqrt(det)
+
+
+def exact_halfwidths(body):
+    """Exact per-axis extents max{|x_j| : x in body} of a vertex or box
+    body, rational."""
+    if body.kind == "vertices":
+        return tuple(max(abs(p[j]) for p in body.points) for j in range(body.dim))
+    if body.kind == "box":
+        return body.halfwidths
+    raise DimensionError("use int_box_bounds for ellipsoid bodies")
 
 
 def brute_disk_points(radius_sq, bound):
@@ -485,6 +496,38 @@ def lll_recompute(rows, delta=Fraction(99, 100)):
     return tuple(map(tuple, rows)), tuple(map(tuple, t)), swaps, rounded
 
 
+def float_dot(a, b):
+    """sum(a_i * b_i) of floats added left to right from the int 0, as
+    ``sum()`` adds up to CPython 3.11 (3.12 compensates)."""
+    return functools.reduce(operator.add, map(operator.mul, a, b), 0)
+
+
+def khachiyan_loop(m_inv, xs, target, max_iter):
+    """Khachiyan's ascent on M^-1 as the generic loop over lists: the
+    bitwise reference for ``geomcore._khachiyan_kernel(d)``.  Returns M^-1
+    as lists of rows once max_j x_j^T M^-1 x_j <= target, or None after
+    max_iter iterations; the first point of largest g is the one kept, and
+    Sherman-Morrison updates M^-1 entry by entry."""
+    d = len(m_inv)
+    for _ in range(max_iter):
+        gmax = None
+        for x in xs:
+            y = [float_dot(row, x) for row in m_inv]
+            g = float_dot(x, y)
+            if gmax is None or g > gmax:
+                gmax, ymax = g, y
+        if gmax <= target:
+            return m_inv
+        step = (gmax - d) / (d * (gmax - 1.0))
+        c = step / (1.0 - step)
+        f = c / (1.0 + c * gmax)
+        m_inv = [
+            [(a - f * yi * yk) / (1.0 - step) for a, yk in zip(row, ymax)]
+            for row, yi in zip(m_inv, ymax)
+        ]
+    return None
+
+
 def khachiyan_reference(points, eps=Fraction(1, 100), max_iter=100_000):
     """The form rows of the enclosing ellipsoid by the plain Khachiyan loop.
 
@@ -492,8 +535,11 @@ def khachiyan_reference(points, eps=Fraction(1, 100), max_iter=100_000):
     weight vector u kept throughout, M^-1 taken from the exact Fraction
     inverse of M = sum u_i x_i x_i^T (again whenever a step has s = 1), the
     argmax over a list of all g_j, and a Fraction rescale by
-    max x^T A x.  Exact steps use this module's Fraction oracles.  Raises
-    RankError, DimensionError or ConvergenceError where ``mvee`` should.
+    max x^T A x.  Float dot products add left to right from an int 0
+    (``float_dot``), as ``sum()`` does up to CPython 3.11, so the steps are
+    the same on every interpreter.  Exact steps use this module's Fraction
+    oracles.  Raises RankError, DimensionError or ConvergenceError where
+    ``mvee`` should.
     """
     pts = tuple(tuple(Fraction(x) for x in p) for p in points)
     if not pts:
@@ -519,8 +565,8 @@ def khachiyan_reference(points, eps=Fraction(1, 100), max_iter=100_000):
 
     m_inv = direct_inverse()
     for _ in range(max_iter):
-        mx = [[sum(map(operator.mul, row, x)) for row in m_inv] for x in xs]
-        g = [sum(map(operator.mul, x, y)) for x, y in zip(xs, mx)]
+        mx = [[float_dot(row, x) for row in m_inv] for x in xs]
+        g = [float_dot(x, y) for x, y in zip(xs, mx)]
         j = max(range(n), key=g.__getitem__)
         gmax = g[j]
         if gmax <= target:

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import gapcover.geomcore
@@ -24,10 +24,14 @@ from gapcover.geomcore import (
 
 from _oracles import (
     ellipsoid_volume,
+    exact_halfwidths,
     fraction_det,
+    fraction_inverse,
+    fraction_rank,
     grid_mvee_volume_2d,
     grid_mvee_volume_3d,
     identity,
+    khachiyan_loop,
     khachiyan_reference,
     parallelotope_contains,
 )
@@ -126,8 +130,8 @@ class TestMvee:
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_matches_reference_loop(self, data):
-        # bit-identical float steps: the same exact form, or the same error
-        d = data.draw(st.integers(1, 4))
+        # the same exact form, or the same error
+        d = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(d, 8))
         coord = st.fractions(min_value=-6, max_value=6, max_denominator=5)
         pts = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
@@ -139,6 +143,29 @@ class TestMvee:
                 mvee(pts, eps)
         else:
             assert mvee(pts, eps).form == Mat(expected)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_matches_reference_loop_bitwise(self, data):
+        # every entry of M^-1 by float.hex, from the same start; a third of
+        # the coordinates are 0, and a small max_iter often runs out
+        d = data.draw(st.integers(2, 7))
+        n = data.draw(st.integers(d, d + 3))
+        coord = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6, max_denominator=5))
+        pts = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+        assume(fraction_rank(pts) == d)
+        eps = data.draw(st.sampled_from([Fraction(1, 100), Fraction(1, 10), Fraction(1, 3)]))
+        max_iter = data.draw(st.sampled_from([1, 4, 30, 400]))
+        m = [[sum(p[i] * p[k] for p in pts) / n for k in range(d)] for i in range(d)]
+        m_inv = [[float(x) for x in row] for row in fraction_inverse(m)]
+        xs = [tuple(map(float, p)) for p in pts]
+        target = d * (1.0 + float(eps))
+        got = gapcover.geomcore._khachiyan_kernel(d)(m_inv, xs, target, max_iter)
+        expected = khachiyan_loop(m_inv, xs, target, max_iter)
+        if expected is None:
+            assert got is None
+        else:
+            assert [[x.hex() for x in row] for row in got] == [[x.hex() for x in row] for row in expected]
 
     @given(
         st.lists(
@@ -339,7 +366,7 @@ class TestBodiesAndMembership:
 
     def test_exact_halfwidths(self):
         b = ConvexBody.vertices([(2, 1), (1, -3)])
-        assert b.exact_halfwidths() == (2, 3)
+        assert exact_halfwidths(b) == (2, 3)
         assert b.int_box_bounds() == (2, 3)
 
     @given(
@@ -353,7 +380,7 @@ class TestBodiesAndMembership:
     def test_int_box_bounds_floor_exact_halfwidths(self, points):
         # the cleared-integer bounds are the floors of the exact extents
         b = ConvexBody.vertices(points)
-        assert b.int_box_bounds() == tuple(math.floor(h) for h in b.exact_halfwidths())
+        assert b.int_box_bounds() == tuple(math.floor(h) for h in exact_halfwidths(b))
 
 
 class TestParallelotope:
