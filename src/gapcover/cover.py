@@ -7,8 +7,9 @@ measure the covering ratio.  The body's lattice points C are found once per
 instance, as the runs of its line sweep (the points on one line of the last
 coordinate), and kept as runs; C is listed only for a proper subspace or a
 listed P.  The progression P is listed only when its differences are
-dependent; otherwise membership of a whole run is one exact integer solve.
-The stages:
+dependent; otherwise the runs are tested in one scan, straight-line integer
+code compiled once per shape, and each run is tested at once from the
+numerators of one exact integer solve.  The stages:
 
 1. enclosing ellipsoid of the body (exact for ellipsoid bodies, certified
    Khachiyan output otherwise),
@@ -37,7 +38,7 @@ import math
 import operator
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -230,47 +231,85 @@ def _run_ends(runs: Sequence[Run]):
     return (p for prefix, lo, hi in runs for p in (prefix + (lo,), prefix + (hi,)) if any(p))
 
 
+@cache
+def _run_kernel(d: int, k: int, shifted: bool):
+    """The run certificate of a progression in Z^d with k independent
+    active differences, compiled once per (d, k, shifted):
+    make(adj, den, bounds, others, base, stepless) returns scan(runs), the
+    index of the first run not inside P, or None.  The IntegerSolver's
+    entries (adj, den, its d - k ``others`` rows), the bounds n_j |den|,
+    the base and whether e_d has no solve are arguments of make; only d, k
+    and ``shifted`` (a nonzero base) enter the generated source.
+
+    Each run prefix + (t,), lo <= t <= hi, is unpacked into locals x_i, the
+    base subtracted, and v = adj @ x, the numerators of y(lo) = v / den,
+    written out term by term.  The solve is linear, so y(t) = y(lo) +
+    (t - lo) adj[:, d - 1] / den, and the box |y_j| <= n_j is convex: the
+    run lies in P iff, when hi > lo, e_d has a solve (two consecutive points
+    in P differ by e_d), and for each j den divides v_j, |v_j| <= n_j |den|
+    and |v_j + (hi - lo) adj_j[d - 1]| <= n_j |den|, and each ``others``
+    row holds (row . v = den x_i).  These are the tests of the generic loop
+    ``run_reference`` in tests/_oracles.py, in its order."""
+    r, a = range(d), range(k)
+    x = [f"x{i}" for i in r]
+    adj = [[f"a{j}_{i}" for i in r] for j in a]
+    others = [([f"o{o}_{j}" for j in a], f"i{o}") for o in range(d - k)]
+
+    def tup(names) -> str:  # a tuple display, also as a target; () when empty
+        return f"({''.join(f'{n}, ' for n in names)})"
+
+    def dot(terms) -> str:
+        return " + ".join(f"{c} * {v}" for c, v in terms) or "0"
+
+    def fail(test: str) -> list[str]:
+        return [f"            if {test}:", "                return index"]
+
+    body = [f"            {xi} -= b{i}" for i, xi in enumerate(x)] if shifted else []
+    for j in a:
+        body += [f"            v{j} = {dot(zip(adj[j], x))}"]
+        body += fail(f"v{j} % den or abs(v{j}) > n{j} or abs(v{j} + span * {adj[j][-1]}) > n{j}")
+    for row, i in others:
+        body += fail(f"{dot(zip(row, (f'v{j}' for j in a)))} != den * {tup(x)}[{i}]")
+    source = "\n".join([
+        "def make(adj, den, bounds, others, base, stepless):",
+        f"    {tup(map(tup, adj))} = adj",
+        f"    {tup(f'n{j}' for j in a)} = bounds",
+        f"    {tup(f'({tup(row)}, {i})' for row, i in others)} = others",
+        *([f"    {tup(f'b{i}' for i in r)} = base"] if shifted else []),
+        "    def scan(runs):",
+        f"        for index, ({tup(x[:-1])}, {x[-1]}, hi) in enumerate(runs):",
+        f"            if stepless and hi > {x[-1]}:",
+        "                return index",
+        f"            span = hi - {x[-1]}",
+        *body,
+        "        return None",
+        "    return scan",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<run kernel d={d} k={k} shifted={shifted}>", "exec"), {}, namespace)
+    return namespace["make"]
+
+
 class GapMembership(Frozen):
     """Exact membership in a progression whose active differences
     (half-side >= 1) are independent, from one IntegerSolver of
-    p - base = sum y_j v_j over them.  ``run`` tests a run at once, in
-    numerator space; calling it tests one point, as a run of one.  ``step``
-    is the solve of e_d, None when e_d is outside the lattice of the active
-    differences."""
+    p - base = sum y_j v_j over them.  ``scan(runs)`` tests runs in turn,
+    in numerator space, and gives the index of the first not inside P, or
+    None (see _run_kernel); calling it tests one point, as a run of one."""
 
-    __slots__ = ("base", "solve", "step", "_shifted", "_rows")
+    __slots__ = ("base", "scan")
 
     def __init__(self, base: tuple[int, ...], halfsides: tuple[int, ...], solve: IntegerSolver):
-        step = solve((0,) * (len(base) - 1) + (1,))
-        # per active difference j: row j of adj, n_j |den| and adj_j[d - 1]
-        rows = [(row, n * abs(solve.den), row[-1]) for row, n in zip(solve.adj, halfsides)]
-        self._set(base=base, solve=solve, step=step, _shifted=any(base), _rows=rows)
+        d, den = len(base), solve.den
+        stepless = solve((0,) * (d - 1) + (1,)) is None
+        bounds = [n * abs(den) for n in halfsides]
+        make = _run_kernel(d, len(halfsides), any(base))
+        self._set(base=base, scan=make(solve.adj, den, bounds, solve.others, base, stepless))
 
-    def __call__(self, p: tuple[int, ...]) -> bool:
-        return self.run(p[:-1], p[-1], p[-1])
-
-    def run(self, prefix: tuple[int, ...], lo: int, hi: int) -> bool:
-        """Whether every point prefix + (t,), lo <= t <= hi, lies in P.  With
-        x = prefix + (lo,) - base and v = adj @ x, the numerators of
-        y(lo) = v / den, the solve is linear, so y(t) = y(lo) + (t - lo) s,
-        s = ``step`` = adj[:, d - 1] / den, and the box |y_j| <= n_j is
-        convex: the run lies in P iff den divides each v_j, the ``others``
-        rows hold (row . v = den x_i), |v_j| <= n_j |den| and
-        |v_j + (hi - lo) adj_j[d - 1]| <= n_j |den| for each j, and, when
-        hi > lo, s exists (two consecutive points in P differ by e_d)."""
-        if hi > lo and self.step is None:
-            return False
-        x = prefix + (lo,)
-        if self._shifted:
-            x = tuple(map(operator.sub, x, self.base))
-        den, span = self.solve.den, hi - lo
-        v = []
-        for row, bound, last in self._rows:
-            vj = sum(map(operator.mul, row, x))
-            if vj % den or abs(vj) > bound or abs(vj + span * last) > bound:
-                return False
-            v.append(vj)
-        return all(sum(map(operator.mul, row, v)) == den * x[i] for row, i in self.solve.others)
+    def __call__(self, p: Sequence[int]) -> bool:
+        if len(p) != len(self.base):
+            raise DimensionError(f"point has dimension {len(p)}, progression {len(self.base)}")
+        return self.scan(((p[:-1], p[-1], p[-1]),)) is None
 
 
 def gap_membership_tester(gap: Gap) -> GapMembership | None:
@@ -278,10 +317,10 @@ def gap_membership_tester(gap: Gap) -> GapMembership | None:
     any pipeline state), for differences whose active ones (half-side >= 1)
     are independent: solve p - base = sum y_j v_j over the active
     differences in integers and require |y_j| <= n_j, for one point or for
-    a whole run (GapMembership.run).  The inactive ones only ever take
-    coefficient 0, and they may depend on the active ones.  Without active
-    differences P = {base}.  None when the active differences are
-    dependent."""
+    each run of a sequence (GapMembership.scan).  The inactive ones only
+    ever take coefficient 0, and they may depend on the active ones.
+    Without active differences P = {base}.  None when the active
+    differences are dependent."""
     active = [(v, n) for v, n in zip(gap.diffs, gap.halfsides) if n >= 1]
     solve = _integer_solver([v for v, _ in active], gap.dim)
     if solve is None:
@@ -388,9 +427,10 @@ def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverRepo
     """Certify C ⊆ P from the progression alone; the witness is the
     lexicographically first point of C outside P.
 
-    With independent active differences, gap_membership_tester tests each
-    run of C (see PointSet) at once, and only the first failing run point by
-    point (_first_outside); #P = prod(2 n_i + 1), and P is not listed.
+    With independent active differences, gap_membership_tester's scan tests
+    the runs of C (see PointSet) in one pass, each at once, up to the first
+    failing run, and only that run point by point (_first_outside);
+    #P = prod(2 n_i + 1), and P is not listed.
     With dependent ones, P and C are listed once, for #P and the membership
     of each point in turn.  The certification time and the numbers of runs
     and points tested are added to ``timings``, which the report keeps.
@@ -429,26 +469,28 @@ def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverRepo
 def _first_outside(runs: Sequence[Run], member: GapMembership) -> tuple[tuple[int, ...] | None, int, int]:
     """(first point of C outside P in lexicographic order or None, runs
     tested, points tested), C being the runs and their negatives.  With base
-    0, P = -P: the swept runs are tested last first, and the first failing
-    one from t = hi down, since minus its first failing point is the
-    witness.  Otherwise the mirrored runs, last first, and then the swept
-    runs are C in order, and the first failing run is tested in t order."""
+    0, P = -P: the swept runs are scanned last first, and the first failing
+    one is tested point by point from t = hi down, since minus its first
+    failing point is the witness.  Otherwise the mirrored runs, last first,
+    and then the swept runs are C in order, one scan tests them, and the
+    first failing run is tested point by point in t order.  The runs tested
+    are those up to and including the failing one."""
     shifted = any(member.base)
     if shifted:
         order = [(tuple(-c for c in prefix), -hi, -lo) for prefix, lo, hi in reversed(runs)]
         order += runs
     else:
         order = runs[::-1]
-    for tested, (prefix, lo, hi) in enumerate(order, 1):
-        if member.run(prefix, lo, hi):
-            continue
-        ts = range(lo, hi + 1) if shifted else range(hi, lo - 1, -1)
-        for count, t in enumerate(ts, 1):
-            p = prefix + (t,)
-            if not member(p):
-                return (p if shifted else tuple(-c for c in p)), tested, count
-        raise CertificationError(f"run {prefix} + [{lo}, {hi}] fails its run test, but none of its points")
-    return None, len(order), 0
+    failed = member.scan(order)
+    if failed is None:
+        return None, len(order), 0
+    prefix, lo, hi = order[failed]
+    ts = range(lo, hi + 1) if shifted else range(hi, lo - 1, -1)
+    for count, t in enumerate(ts, 1):
+        p = prefix + (t,)
+        if not member(p):
+            return (p if shifted else tuple(-c for c in p)), failed + 1, count
+    raise CertificationError(f"run {prefix} + [{lo}, {hi}] fails its run test, but none of its points")
 
 
 def verify_projection(

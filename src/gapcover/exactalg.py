@@ -283,6 +283,9 @@ class IntegerSolver(Frozen):
         self._set(adj=adj, den=den, others=others)
 
     def __call__(self, x: Sequence[int]) -> list[int] | None:
+        rows = len(self.adj) + len(self.others)  # m's rows: k pivot rows and the others
+        if len(x) != rows:
+            raise DimensionError(f"right-hand side has dimension {len(x)}, the matrix {rows} rows")
         y = []
         for row in self.adj:
             q, rem = divmod(sum(map(operator.mul, row, x)), self.den)

@@ -1,9 +1,10 @@
 """Independent brute-force oracles used only by the test suite.
 
 These deliberately avoid the library's own algorithms: grid searches,
-exhaustive enumeration, and hand formulas.  The one exception, ``hnf``, is
-the canonical form over the library's ``_hnf_with_transform`` that the
-lattice-equality checks compare.
+exhaustive enumeration, and hand formulas.  The exceptions: ``hnf``, the
+canonical form over the library's ``_hnf_with_transform`` that the
+lattice-equality checks compare, and the generic loops that the library's
+compiled kernels unroll (``khachiyan_loop``, ``run_reference``).
 """
 
 import functools
@@ -214,6 +215,29 @@ def gap_points(gap):
         tuple(b + sum(m * v[j] for m, v in zip(ms, gap.diffs)) for j, b in enumerate(gap.base))
         for ms in itertools.product(*ranges)
     }
+
+
+def run_reference(solve, base, halfsides, prefix, lo, hi):
+    """Whether every point prefix + (t,), lo <= t <= hi, lies in the
+    progression with this base and these active half-sides, ``solve`` being
+    the IntegerSolver of its active differences: the generic loop, over
+    lists, that ``cover._run_kernel`` writes out as straight-line code, with
+    the same tests in the same order.  With x = prefix + (lo,) - base and
+    v = adj @ x, y(t) = (v + (t - lo) adj[:, d - 1]) / den; the run lies in
+    P iff e_d has a solve when hi > lo, den divides each v_j, both ends of
+    each y_j are within n_j, and every ``others`` row holds."""
+    d = len(base)
+    if hi > lo and solve((0,) * (d - 1) + (1,)) is None:
+        return False
+    x = tuple(map(operator.sub, prefix + (lo,), base))
+    den, span = solve.den, hi - lo
+    v = []
+    for row, n in zip(solve.adj, halfsides):
+        vj, bound = sum(map(operator.mul, row, x)), n * abs(den)
+        if vj % den or abs(vj) > bound or abs(vj + span * row[-1]) > bound:
+            return False
+        v.append(vj)
+    return all(sum(map(operator.mul, row, v)) == den * x[i] for row, i in solve.others)
 
 
 def gap_contains(gap, p):

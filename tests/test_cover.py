@@ -18,10 +18,10 @@ from gapcover.cover import (
 )
 from gapcover.enumeration import Gap, PointSet, enum_body, enum_gap, project_count
 from gapcover.errors import BudgetError, DimensionError
-from gapcover.exactalg import Mat, _span_rank, det, integer_kernel, left_kernel
+from gapcover.exactalg import Mat, _integer_solver, _span_rank, det, integer_kernel, left_kernel
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
-from _oracles import brute_disk_points, enumerated_projection, gap_contains, gap_points
+from _oracles import brute_disk_points, enumerated_projection, gap_contains, gap_points, run_reference
 
 
 def disk(radius_sq, dim=2):
@@ -235,6 +235,61 @@ def run_cases(draw):
     return gap, runs
 
 
+BIG = 2**64 + 7  # scales entries past the int64 range
+
+
+@st.composite
+def scan_cases(draw, dim, k):
+    """(gap, runs) for the compiled run scan of shape (dim, k): k
+    independent active differences with entries in [-2, 2], one of them
+    replaced half the time by e_dim plus a combination of the others (so
+    e_dim is in their lattice and runs may be long), and one sometimes
+    scaled by BIG; half-sides 1..2 (1 for k > 4, to keep the listing
+    small); up to two inactive differences, each a combination of the
+    active ones or any vector; a base that is 0, in [-3, 3]^dim or BIG
+    times that.  Each run either is a point of P or opens at
+    base + sum m_j v_j + e, |m_j| <= n_j + 1 and e = 0 or in [-1, 1]^dim,
+    and reaches 0..2 steps down and up along e_dim: runs inside P, leaving
+    it at either end, off its lattice (k < dim gives ``others`` rows) and,
+    where e_dim is not in that lattice, longer than one point all occur."""
+    coord = st.integers(-2, 2)
+    active = [tuple(draw(coord) for _ in range(dim)) for _ in range(k)]
+    if k and draw(st.booleans()):
+        j = draw(st.integers(0, k - 1))
+        ms = [draw(st.integers(-1, 1)) if i != j else 0 for i in range(k)]
+        active[j] = tuple(int(c == dim - 1) + sum(m * a[c] for m, a in zip(ms, active)) for c in range(dim))
+    if k and draw(st.booleans()):
+        j = draw(st.integers(0, k - 1))
+        active[j] = tuple(c * BIG for c in active[j])
+    diffs = [(v, draw(st.integers(1, 2 if k <= 4 else 1))) for v in active]
+    for _ in range(draw(st.integers(0, 2))):
+        if active and draw(st.booleans()):
+            ms = [draw(st.integers(-2, 2)) for _ in active]
+            v = tuple(sum(m * a[c] for m, a in zip(ms, active)) for c in range(dim))
+        else:
+            v = tuple(draw(coord) for _ in range(dim))
+        diffs.append((v, 0))
+    diffs = draw(st.permutations(diffs))
+    scale = draw(st.sampled_from([0, 1, BIG]))
+    base = tuple(scale * draw(st.integers(-3, 3)) for _ in range(dim))
+    gap = Gap(dim, base, [v for v, _ in diffs], [n for _, n in diffs])
+    assume(gap.diffs_independent())
+    runs = []
+    for _ in range(draw(st.integers(1, 12))):
+        if draw(st.booleans()):
+            ms = [draw(st.integers(-n, n)) for n in gap.halfsides]
+            e, a, b = (0,) * dim, 0, 0
+        else:
+            ms = [draw(st.integers(-n - 1, n + 1)) for n in gap.halfsides]
+            e = (0,) * dim if draw(st.booleans()) else tuple(draw(st.integers(-1, 1)) for _ in range(dim))
+            a, b = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        p = list(map(sum, zip(base, e)))
+        for m, v in zip(ms, gap.diffs):
+            p = [x + m * c for x, c in zip(p, v)]
+        runs.append((tuple(p[:-1]), p[-1] - a, p[-1] + b))
+    return gap, runs
+
+
 class TestMembershipTester:
     @given(membership_cases())
     @settings(max_examples=200, deadline=None)
@@ -276,7 +331,31 @@ class TestMembershipTester:
         listed = gap_points(gap)
         for prefix, lo, hi in runs:
             expected = all(prefix + (t,) in listed for t in range(lo, hi + 1))
-            assert member.run(prefix, lo, hi) == expected, (prefix, lo, hi)
+            assert (member.scan([(prefix, lo, hi)]) is None) == expected, (prefix, lo, hi)
+
+    @pytest.mark.parametrize("dim, k", [(dim, k) for dim in range(1, 7) for k in range(dim + 1)])
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_scan_matches_references(self, dim, k, data):
+        # each run's verdict from the compiled scan, from the generic loop and
+        # from the listing of P agree, and so does the first failing run
+        gap, runs = data.draw(scan_cases(dim, k))
+        member = gap_membership_tester(gap)
+        active = [(v, n) for v, n in zip(gap.diffs, gap.halfsides) if n >= 1]
+        solve = _integer_solver([v for v, _ in active], gap.dim)
+        halfsides = [n for _, n in active]
+        listed = gap_points(gap)
+        verdicts = [run_reference(solve, gap.base, halfsides, *run) for run in runs]
+        assert verdicts == [all(prefix + (t,) in listed for t in range(lo, hi + 1)) for prefix, lo, hi in runs]
+        assert [member.scan([run]) is None for run in runs] == verdicts
+        assert member.scan(runs) == next((i for i, inside in enumerate(verdicts) if not inside), None)
+
+    @pytest.mark.parametrize("p", [(1, 1, 5), (1,)], ids=["long", "short"])
+    def test_wrong_length_point_raises(self, p):
+        member = gap_membership_tester(Gap(2, (0, 0), ((1, 0), (0, 1)), (1, 1)))
+        assert member((1, 1)) and not member((1, 2))
+        with pytest.raises(DimensionError, match="dimension"):
+            member(p)
 
     def test_dependent_active_differences_give_no_tester(self):
         # an active difference that depends on another: P must be listed
@@ -457,8 +536,8 @@ class TestCertifyDimension:
 
 
 class _CountingTester:
-    """A membership tester that records each run test in ``runs`` and each
-    point test in ``points``."""
+    """A membership tester that records each run its scan tests in ``runs``,
+    as the scan draws it, and each point test in ``points``."""
 
     def __init__(self, member, runs, points):
         self.member, self.base, self.runs, self.points = member, member.base, runs, points
@@ -467,9 +546,13 @@ class _CountingTester:
         self.points.append(tuple(p))
         return self.member(p)
 
-    def run(self, prefix, lo, hi):
-        self.runs.append((prefix, lo, hi))
-        return self.member.run(prefix, lo, hi)
+    def scan(self, runs):
+        return self.member.scan(self._drawn(runs))
+
+    def _drawn(self, runs):
+        for run in runs:
+            self.runs.append(run)
+            yield run
 
 
 def _counting_tester(runs, points):

@@ -18,6 +18,7 @@ from gapcover.exactalg import (
     Mat,
     UnimodularMat,
     _gauss_jordan,
+    _integer_solver,
     _span_rank,
     clear_denominators,
     det,
@@ -110,6 +111,14 @@ class TestIntegerKernels:
     @settings(max_examples=80, deadline=None)
     def test_span_rank_matches_fraction_oracle(self, points):
         assert _span_rank(points, 3) == fraction_rank(points)
+
+    @pytest.mark.parametrize("x", [(3,), (3, 0, 1)], ids=["short", "long"])
+    def test_integer_solver_rejects_wrong_length(self, x):
+        # a 2 x 2 system: a 1- or 3-vector has no solve, and is not truncated
+        solve = _integer_solver([(1, 0), (0, 1)], 2)
+        assert solve((3, 0)) == [3, 0]
+        with pytest.raises(DimensionError, match="dimension"):
+            solve(x)
 
     def test_computed_once_per_matrix(self):
         m = Mat([[Fraction(1, 3), 2], [5, Fraction(7, 9)]])

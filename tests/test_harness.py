@@ -382,6 +382,28 @@ class TestSerialization:
         assert doc["timings_ms_approx"]["points_tested"] == 0
         assert "runs_tested" not in to_canonical_json(cover_report_to_json(report))
 
+    @pytest.mark.parametrize(
+        "gap, witness, runs_tested, points_tested",
+        [
+            # base 0: the swept runs (0,) + [0, 2], (1,) + [-1, 1], (2,) + [0, 0]
+            # are scanned last first, and the third (index 2) fails; from t = 2
+            # down, (0, 2) is the first point outside, and minus it the witness
+            ({"base": [0, 0], "diffs": [[1, 0], [0, 1]], "halfsides": [2, 1]}, [0, -2], 3, 1),
+            # base (0, -1): the three mirrored runs hold, and the swept run
+            # (0,) + [0, 2], index 3, fails at t = 2, its third point
+            ({"base": [0, -1], "diffs": [[1, 0], [0, 1]], "halfsides": [2, 2]}, [0, 2], 4, 3),
+        ],
+        ids=["false-claim", "shifted-base"],
+    )
+    def test_work_counters_of_failing_claims(self, gap, witness, runs_tested, points_tested):
+        # runs_tested = index of the failing run + 1, points_tested = the
+        # failing point's position in t order within that run
+        spec = parse_instance({"dim": 2, "body": {"type": "ball", "radius": 2}, "gap": gap})
+        verify = run_batch([spec], include_timings=True).entries[0]["verify"]
+        assert verify["witness"] == witness
+        assert verify["timings_ms_approx"]["runs_tested"] == runs_tested
+        assert verify["timings_ms_approx"]["points_tested"] == points_tested
+
     def test_canonical_json_stable(self):
         batch1 = run_batch([parse_instance({"dim": 1, "body": {"type": "box", "halfwidths": [2]}})])
         batch2 = run_batch([parse_instance({"dim": 1, "body": {"type": "box", "halfwidths": [2]}})])
