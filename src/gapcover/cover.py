@@ -50,7 +50,6 @@ from .exactalg import (
     Mat,
     _integer_solver,
     _span_rank,
-    clear_denominators,
     det,  # not called here; perfbench/tracing.py wraps cover.det
     int_matmul,
     integer_kernel,
@@ -216,11 +215,10 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
         reduced.append(tuple(y))
 
     if body.kind == "ellipsoid":
-        # embed^T A embed, with A = n / den and embed^T = basis_rows
-        n, den = clear_denominators(body.ellipsoid_rep.form)
-        pulled = int_matmul(basis_rows, int_matmul(n, list(zip(*basis_rows))))
-        form0 = Mat([[Fraction(x, den) for x in row] for row in pulled])
-        body0 = ConvexBody.from_ellipsoid(Ellipsoid(form0))
+        # embed^T A embed, with A = num / den and embed^T = basis_rows
+        form = body.ellipsoid_rep.form
+        pulled = int_matmul(basis_rows, int_matmul(form.num, list(zip(*basis_rows))))
+        body0 = ConvexBody.from_ellipsoid(Ellipsoid(Mat(pulled, form.den)))
     else:
         body0 = ConvexBody.vertices([p for p in reduced if any(p)])
     return SubspaceReduction(d, k, embed, body0, c_points)

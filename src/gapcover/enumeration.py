@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionError
 from .exactalg import Frozen, _gauss_jordan
-from .geomcore import DEFAULT_BUDGET, ConvexBody, clear_points, hull_line_extent
+from .geomcore import DEFAULT_BUDGET, ConvexBody, hull_line_extent
 
 IntPoint = tuple[int, ...]
 Run = tuple[IntPoint, int, int]  # (prefix, lo, hi): the points prefix + (t,), lo <= t <= hi
@@ -228,13 +228,12 @@ def _ellipsoid_lines(body: ConvexBody, bounds: Sequence[int]):
 def _vertex_lines(body: ConvexBody, bounds: Sequence[int]):
     """The lines of a vertex body: the box bounds, narrowed below the last
     coordinate by ||x||_1 <= max_i ||v_i||_1, which every hull point
-    satisfies (floored as max_i ||w_i||_1 // den, w_i = den v_i the
-    vertices cleared to integers); the last coordinate's extent is read off
+    satisfies (floored as max_i ||w_i||_1 // den, w_i = den v_i the integer
+    rows of the body's point_mat); the last coordinate's extent is read off
     the facets by hull_line_extent, from the sums N_f . (p, 0) of the facet
     rows.  A line's state is (sums, ||p||_1): each child adds N_f[m] t to
     each sum and |t| to the norm."""
-    w, den = clear_points(body.points)
-    l1_cap = max(sum(map(abs, p)) for p in w) // den
+    l1_cap = max(sum(map(abs, p)) for p in body.point_mat.num) // body.point_mat.den
     last = body.dim - 1
     facets = body.hull_facets()
     columns = list(zip(*(normal for normal, _ in facets)))

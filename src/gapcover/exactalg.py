@@ -1,13 +1,13 @@
 """Exact integer and rational linear algebra.
 
-Matrices hold ``fractions.Fraction`` entries (always normalized with positive
-denominator), but the kernels run on Python ints: a rational matrix is
-cleared to integer rows over the lcm of its denominators, and the
-eliminations are fraction-free (Bareiss): every division is exact.  One
-Gauss-Jordan pass, ``_gauss_jordan``, serves every inverse, kernel, pivot
-choice and integer solver; determinants take the forward-only half of it,
-``_int_det``.  Nothing here may round.  A ``Mat`` is immutable, so its
-determinant and inverse are computed at most once and kept on it.
+A rational matrix, ``Mat``, is stored as the kernels use it: integer rows
+over one positive denominator, in lowest terms, cleared once when it is
+built; its Fraction entries are only a view.  The eliminations are
+fraction-free (Bareiss): every division is exact.  One Gauss-Jordan pass,
+``_gauss_jordan``, serves every inverse, kernel, pivot choice and integer
+solver; determinants take the forward-only half of it, ``_int_det``.
+Nothing here may round.  A ``Mat`` is immutable, so its determinant and
+inverse are computed at most once and kept on it.
 """
 
 from __future__ import annotations
@@ -52,68 +52,71 @@ class Frozen:
 
 
 class Mat(Frozen):
-    """Immutable dense matrix of exact rationals.  ``det`` and ``inverse``
-    keep their results on the matrix."""
+    """Immutable dense rational matrix num / den: ``num`` a tuple of integer
+    rows and ``den`` >= 1, in lowest terms (gcd(den, every entry) = 1, so den
+    is the lcm of the entries' denominators and equal matrices have equal
+    (num, den)).  ``Mat(rows, den=1)`` is rows / den, rows of ints or of any
+    rationals, which are cleared here once.  ``entries``, the rows as
+    Fractions, is built on first use and kept; ``det`` and ``inverse`` keep
+    their results on the matrix."""
 
-    __slots__ = ("rows", "cols", "entries", "_det", "_inv", "_inv_mat")
+    __slots__ = ("num", "den", "rows", "cols", "_entries", "_det", "_inv", "_inv_mat")
 
-    def __init__(self, entries: Iterable[Iterable]):
-        grid = tuple(tuple(Fraction(x) for x in row) for row in entries)
-        if not grid or not grid[0]:
+    def __init__(self, rows: Iterable[Iterable], den: int = 1):
+        if den < 1:
+            raise DimensionError(f"matrix denominator must be >= 1, not {den}")
+        num = tuple(map(tuple, rows))
+        if not num or not num[0]:
             raise DimensionError("matrix must have at least one row and column")
-        cols = len(grid[0])
-        if any(len(row) != cols for row in grid):
+        cols = len(num[0])
+        if any(len(row) != cols for row in num):
             raise DimensionError("ragged rows in matrix literal")
-        self._set(entries=grid, rows=len(grid), cols=cols, _det=None, _inv=None, _inv_mat=None)
+        if not all(type(x) is int for row in num for x in row):
+            grid = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in num]
+            lcm = math.lcm(*(x.denominator for row in grid for x in row))
+            num = tuple(tuple(x.numerator * (lcm // x.denominator) for x in row) for row in grid)
+            den *= lcm
+        g = math.gcd(den, *(x for row in num for x in row)) if den > 1 else 1
+        if g > 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+        self._set(num=num, den=den // g, rows=len(num), cols=cols, _entries=None, _det=None, _inv=None, _inv_mat=None)
 
-    def col(self, j: int) -> Vector:
-        return tuple(row[j] for row in self.entries)
+    @property
+    def entries(self) -> tuple[Vector, ...]:
+        if self._entries is None:
+            den = self.den
+            self._set(_entries=tuple(tuple(Fraction(x, den) for x in row) for row in self.num))
+        return self._entries
 
     def transpose(self) -> "Mat":
-        return Mat(zip(*self.entries))
+        return Mat(zip(*self.num), self.den)
 
     def is_square(self) -> bool:
         return self.rows == self.cols
 
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for row in self.entries for x in row)
-
     def int_entries(self) -> tuple[tuple[int, ...], ...]:
-        if not self.is_integer():
+        if self.den != 1:
             raise DimensionError("matrix has non-integer entries")
-        return tuple(tuple(int(x) for x in row) for row in self.entries)
+        return self.num
 
     def scale(self, s) -> "Mat":
         s = Fraction(s)
-        return Mat([[x * s for x in row] for row in self.entries])
+        return Mat([[x * s.numerator for x in row] for row in self.num], self.den * s.denominator)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        cols = [other.col(j) for j in range(other.cols)]
-        return Mat([[vec_dot(row, c) for c in cols] for row in self.entries])
-
-    def mul_vec(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise DimensionError(f"matrix has {self.cols} columns, vector has {len(v)}")
-        return tuple(vec_dot(row, v) for row in self.entries)
+        return Mat(int_matmul(self.num, other.num), self.den * other.den)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Mat) and self.entries == other.entries
+        return isinstance(other, Mat) and self.den == other.den and self.num == other.num
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash((self.num, self.den))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in row) for row in self.entries)
         return f"Mat[{body}]"
-
-
-def clear_denominators(m: Mat) -> tuple[list[list[int]], int]:
-    """Integer rows n and den > 0, the lcm of m's denominators, with
-    m == n / den."""
-    den = math.lcm(*(x.denominator for row in m.entries for x in row))
-    return [[x.numerator * (den // x.denominator) for x in row] for row in m.entries], den
 
 
 def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -122,12 +125,11 @@ def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[l
 
 
 def det(m: Mat) -> Fraction:
-    """Exact determinant: Bareiss over m's cleared rows, det(n) / den^rows."""
+    """Exact determinant: Bareiss over m's integer rows, det(num) / den^rows."""
     if not m.is_square():
         raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
     if m._det is None:
-        rows, den = clear_denominators(m)
-        m._set(_det=Fraction(_int_det(rows), den**m.rows))
+        m._set(_det=Fraction(_int_det(m.num), m.den**m.rows))
     return m._det
 
 
@@ -233,20 +235,19 @@ def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 def _inverse_pair(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(r, p) with m^-1 == r / p, r and p integers; kept on m."""
     if m._inv is None:
-        rows, den = clear_denominators(m)
-        r, p = _int_inverse(rows)  # m^-1 = den * r / p
-        m._set(_inv=(tuple(tuple(den * x for x in row) for row in r), p))
+        r, p = _int_inverse(m.num)  # m^-1 = den * r / p
+        m._set(_inv=(tuple(tuple(m.den * x for x in row) for row in r), p))
     return m._inv
 
 
 def inverse(m: Mat) -> Mat:
     """Exact inverse from one fraction-free Gauss-Jordan pass over m's
-    cleared rows; the rational matrix is built on the first call and kept."""
+    integer rows; the inverse matrix is built on the first call and kept."""
     if not m.is_square():
         raise DimensionError(f"inverse needs a square matrix, got {m.rows}x{m.cols}")
     if m._inv_mat is None:
         r, p = _inverse_pair(m)
-        m._set(_inv_mat=Mat([[Fraction(x, p) for x in row] for row in r]))
+        m._set(_inv_mat=Mat(r, p) if p > 0 else Mat([[-x for x in row] for row in r], -p))
     return m._inv_mat
 
 
@@ -462,7 +463,7 @@ def unimodular_solve(x: Mat, x2: Mat) -> UnimodularMat:
         raise LatticeMismatchError(f"lattices differ: determinant ratio {dx2 / dx}")
     # x^-1 = r / p and x2 = h / den, so T = x2 @ x^-1 = (h @ r) / (den * p)
     r, p = _inverse_pair(x)
-    h, den = clear_denominators(x2)
+    h, den = x2.num, x2.den
     t = []
     for row in int_matmul(h, r):
         out = []

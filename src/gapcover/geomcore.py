@@ -37,12 +37,11 @@ from .exactalg import (
     Mat,
     Vector,
     _gauss_jordan,
-    _int_det,
     _int_inverse,
     _inverse_pair,
     _span_rank,
+    _with_identity,
     as_vector,
-    clear_denominators,
     det,  # not called here; perfbench/tracing.py wraps geomcore.det
     int_matmul,
     integer_kernel,
@@ -62,7 +61,7 @@ class Ellipsoid(Frozen):
     """Origin-centred ellipsoid {x : x^T A x <= 1} with A rational and
     positive definite.
 
-    ``schur`` is (den, chain): den clears A to integer rows n = den * A, and
+    ``schur`` is (den, chain): A = n / den as the form holds it, and
     chain = schur_chain(n) is its exact factorization, computed once here,
     where it also proves A positive definite."""
 
@@ -71,16 +70,12 @@ class Ellipsoid(Frozen):
     def __init__(self, form: Mat):
         if not form.is_square():
             raise DimensionError("ellipsoid form must be square")
-        n = form.rows
-        for i in range(n):
-            for j in range(i):
-                if form.entries[i][j] != form.entries[j][i]:
-                    raise DimensionError("ellipsoid form must be symmetric")
-        rows, den = clear_denominators(form)
-        chain = schur_chain(rows)
+        if form.num != tuple(zip(*form.num)):
+            raise DimensionError("ellipsoid form must be symmetric")
+        chain = schur_chain(form.num)
         if chain is None:
             raise RankError("ellipsoid form is not positive definite")
-        self._set(form=form, schur=(den, chain))
+        self._set(form=form, schur=(form.den, chain))
 
     @property
     def dim(self) -> int:
@@ -88,7 +83,7 @@ class Ellipsoid(Frozen):
 
     def quad(self, x: Sequence) -> Fraction:
         v = as_vector(x)
-        return vec_dot(v, self.form.mul_vec(v))
+        return vec_dot(v, [vec_dot(row, v) for row in self.form.num]) / self.form.den
 
     def contains(self, x: Sequence) -> bool:
         return self.quad(x) <= 1
@@ -104,30 +99,32 @@ class ConvexBody(Frozen):
     """Symmetric convex body: vertex hull, ellipsoid, or axis-aligned box.
 
     A vertex body is conv(points ∪ -points); listing one of each antipodal
-    pair is enough.
+    pair is enough.  Its points are cleared once, to the integer rows over
+    one denominator of ``point_mat``, which the facets, the bounds and the
+    sweep read; ``points`` is their Fraction view.
     """
 
-    __slots__ = ("kind", "dim", "points", "ellipsoid_rep", "halfwidths", "_facets")
+    __slots__ = ("kind", "dim", "point_mat", "ellipsoid_rep", "halfwidths", "_facets")
 
     KINDS = ("vertices", "ellipsoid", "box")
 
-    def __init__(self, kind, dim, points=None, ellipsoid_rep=None, halfwidths=None):
+    def __init__(self, kind, dim, point_mat=None, ellipsoid_rep=None, halfwidths=None):
         if kind not in self.KINDS:
             raise DimensionError(f"unknown body kind {kind!r}")
         if dim < 1:
             raise DimensionError("body dimension must be >= 1")
-        self._set(kind=kind, dim=dim, points=points, ellipsoid_rep=ellipsoid_rep)
+        self._set(kind=kind, dim=dim, point_mat=point_mat, ellipsoid_rep=ellipsoid_rep)
         self._set(halfwidths=halfwidths, _facets=None)
 
     @classmethod
     def vertices(cls, points: Iterable[Iterable]) -> "ConvexBody":
-        pts = tuple(as_vector(p) for p in points)
-        if not pts:
-            raise DimensionError("vertex body needs at least one point")
-        d = len(pts[0])
-        if any(len(p) != d for p in pts):
-            raise DimensionError("vertex dimensions disagree")
-        return cls("vertices", d, points=pts)
+        m = Mat(points)  # DimensionError without points, or for points of unequal dimension
+        return cls("vertices", m.cols, point_mat=m)
+
+    @property
+    def points(self) -> tuple[Vector, ...] | None:
+        """A vertex body's listed points as Fractions; None for other kinds."""
+        return None if self.point_mat is None else self.point_mat.entries
 
     @classmethod
     def from_ellipsoid(cls, e: Ellipsoid) -> "ConvexBody":
@@ -142,26 +139,27 @@ class ConvexBody(Frozen):
             raise DimensionError("box halfwidths must be nonnegative")
         return cls("box", len(hw), halfwidths=hw)
 
-    def spanning_points(self) -> tuple[Vector, ...]:
-        """Finite symmetric point set whose hull is the body (vertex and box
-        kinds only); used to seed enclosing-ellipsoid computations."""
+    def spanning_points(self) -> Mat:
+        """Finite symmetric point set whose hull is the body, as the rows of
+        a Mat (vertex and box kinds only); used to seed enclosing-ellipsoid
+        computations."""
         if self.kind == "vertices":
-            return self.points
+            return self.point_mat
         if self.kind == "box":
             corners = []
             for signs in itertools.product((1, -1), repeat=self.dim):
                 corners.append(tuple(s * h for s, h in zip(signs, self.halfwidths)))
-            return tuple(corners)
+            return Mat(corners)
         raise DimensionError("ellipsoid bodies have no vertex description")
 
     def int_box_bounds(self) -> tuple[int, ...]:
         """Integer per-axis bounds of the body: floor of the exact extents,
-        for a vertex body max |w_j| // den over its cleared points w."""
+        for a vertex body max |w_j| // den over its points w / den."""
         if self.kind == "ellipsoid":
             return self.ellipsoid_rep.int_box_bounds()
         if self.kind == "vertices":
-            w, den = clear_points(self.points)
-            return tuple(max(map(abs, col)) // den for col in zip(*w))
+            den = self.point_mat.den
+            return tuple(max(map(abs, col)) // den for col in zip(*self.point_mat.num))
         return tuple(int(h) for h in self.halfwidths)
 
     def hull_facets(self, cap: int = DEFAULT_BUDGET) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -173,7 +171,7 @@ class ConvexBody(Frozen):
         if self.kind != "vertices":
             raise DimensionError("only vertex bodies have a facet description")
         if self._facets is None:
-            self._set(_facets=_hull_facets(self.points, cap))
+            self._set(_facets=_hull_facets(self.point_mat, cap))
         return self._facets
 
     def contains(self, x: Sequence) -> bool:
@@ -188,31 +186,22 @@ class ConvexBody(Frozen):
         return all(abs(vec_dot(normal, v)) <= bound for normal, bound in self.hull_facets())
 
 
-def _primitive(row: Sequence[int]) -> tuple[int, ...]:
-    g = math.gcd(*row) or 1
-    return tuple(c // g for c in row)
+def _hull_facets(points: Mat, cap: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Exact H-representation of conv(±rows of points) in integers.
 
-
-def clear_points(points: Sequence[Vector]) -> tuple[list[tuple[int, ...]], int]:
-    """The points as integer rows w = den * p, den > 0 the lcm of their
-    denominators."""
-    den = math.lcm(*(c.denominator for p in points for c in p))
-    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in points], den
-
-
-def _hull_facets(points: Sequence[Vector], cap: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Exact H-representation of conv(±points) in integers.
-
-    With den the lcm of the denominators and W = den * points, let r be the
-    rank of W and J its r pivot columns (_gauss_jordan), on which W has rank
-    r.  Every facet of conv(±W) within span(W) contains r independent points
-    of ±W, so its normal (supported on J) solves s_i w_i[J] . a = D for an
-    r-subset of W and signs s; Cramer's rule in integers gives a and
-    D = |det|.  Taking s_1 = +1 keeps one of each ±a pair: C(n, r) * 2^(r-1)
-    candidates, each kept when |a . w| <= D for every w.  An integer basis e
-    of the kernel of W comes first, as rows |e . x| <= 0.
+    With W = den * points the integer rows, let r be the rank of W and J its
+    r pivot columns (_gauss_jordan), on which W has rank r.  Every facet of
+    conv(±W) within span(W) contains r independent points of ±W, so its
+    normal (supported on J) solves s_i w_i[J] . a = D for an r-subset S of W
+    and signs s.  By Cramer's rule that is a = R s and D = |D0| with one
+    Gauss-Jordan pass over [S | I] per subset, which leaves [D0 I | R],
+    D0 = +-det S and R = D0 S^-1: a solves S a = D0 s, and the sign of D0
+    only flips a, which the rows' sign convention drops.  Taking s_1 = +1
+    keeps one of each ±a pair: C(n, r) * 2^(r-1) candidates, each kept when
+    |a . w| <= D for every w.  An integer basis e of the kernel of W comes
+    first, as rows |e . x| <= 0.
     """
-    w, den = clear_points(points)
+    w, den = points.num, points.den
     n, d = len(w), len(w[0])
     cols = [c for _, c in _gauss_jordan(w, d)[1]]
     r = len(cols)
@@ -225,23 +214,21 @@ def _hull_facets(points: Sequence[Vector], cap: int) -> tuple[tuple[tuple[int, .
     rows: dict[tuple, None] = {e + (0,): None for e in integer_kernel(w, d)}
     proj = [tuple(p[c] for c in cols) for p in w]
     for subset in itertools.combinations(proj, r) if r else ():
-        d0 = _int_det(subset)
-        if d0 == 0:
+        a, pivots, d0 = _gauss_jordan(_with_identity(subset), r)
+        if len(pivots) < r:
             continue
-        sgn = 1 if d0 > 0 else -1
+        adj, bound = [row[r:] for row in a], abs(d0)
         for tail in itertools.product((1, -1), repeat=r - 1):
             s = (1,) + tail
-            a = [
-                sgn * _int_det([row[:j] + (si,) + row[j + 1 :] for row, si in zip(subset, s)])
-                for j in range(r)
-            ]
-            if any(abs(sum(x * y for x, y in zip(a, p))) > abs(d0) for p in proj):
+            a = [sum(map(operator.mul, row, s)) for row in adj]
+            if any(abs(sum(map(operator.mul, a, p))) > bound for p in proj):
                 continue
-            # |a . (den x)| <= |d0| on the coordinates J
+            # |a . (den x)| <= D on the coordinates J
             normal = [0] * d
             for j, c in zip(cols, a):
                 normal[j] = den * c
-            row = _primitive(normal + [abs(d0)])
+            g = math.gcd(*normal, bound)
+            row = tuple(c // g for c in normal + [bound])
             if next(c for c in row if c) < 0:
                 row = tuple(-c for c in row[:-1]) + row[-1:]
             rows[row] = None
@@ -340,41 +327,44 @@ def _khachiyan_kernel(d: int):
     return namespace["kernel"]
 
 
-def mvee(points: Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITER) -> Ellipsoid:
-    """Enclosing ellipsoid of points ∪ -points, near-minimal volume.
+def mvee(points: Mat | Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITER) -> Ellipsoid:
+    """Enclosing ellipsoid of points ∪ -points, near-minimal volume; the
+    points are given as they come or as the rows of a Mat.
 
     At d = 1 it is the interval itself, A = 1 / max x^2.  Otherwise
     Khachiyan's ascent runs in floats until max_j x_j^T M^-1 x_j <=
     d (1 + eps), M = sum u_i x_i x_i^T, as straight-line code generated for
     d (``_khachiyan_kernel``): the IEEE operations of the reference loop in
     tests/_oracles.py, and no float sum(), so its steps are the same on
-    every interpreter.  With p = den x the integer points
-    and u_i = float(1 / n) = a / b, the first M^-1 is b den^2 R / (a q), R / q
-    the integer inverse of sum p p^T, rounded once per entry; Sherman-Morrison
-    updates it, and as each step s < 1 / d, u is never needed.  A = M^-1 / d,
-    rationalized at denominators <= _RATIONALIZE_DEN_CAP and cleared to
-    K / qa, is rescaled to K den^2 / max p^T K p: every point lies in it
-    exactly, one on the boundary.  ConvergenceError, naming the entry
+    every interpreter.  With x = p / den, p the integer rows of the points'
+    Mat, and u_i = float(1 / n) = a / b, the first M^-1 is b den^2 R / (a q),
+    R / q the integer inverse of sum p p^T, rounded once per entry;
+    Sherman-Morrison updates it, and as each step s < 1 / d, u is never
+    needed.  A = M^-1 / d, rationalized at denominators <=
+    _RATIONALIZE_DEN_CAP and cleared by Mat to K / qa, is rescaled to
+    K den^2 / max p^T K p (qa cancels): every point lies in it exactly, one
+    on the boundary.  ConvergenceError, naming the entry
     rounded worst, if that form is not positive definite.
     """
-    pts = tuple(points)
-    if not pts:
-        raise RankError("empty point set")
-    x_mat = Mat(pts)  # DimensionError unless the points share one dimension d >= 1
-    ip, den = clear_denominators(x_mat)
-    d = x_mat.cols
+    if not isinstance(points, Mat):
+        pts = tuple(points)
+        if not pts:
+            raise RankError("empty point set")
+        points = Mat(pts)  # DimensionError unless the points share one dimension d >= 1
+    ip, den = points.num, points.den
+    d = points.cols
     eps = Fraction(eps)
     if not 0 < eps < 1:
         raise DimensionError("eps must lie in (0, 1)")
     if _span_rank(ip, d) < d:
         raise RankError("points do not span the space")
     if d == 1:
-        return Ellipsoid(Mat([[Fraction(den**2, max(p[0] * p[0] for p in ip))]]))
+        return Ellipsoid(Mat([[den**2]], max(p[0] * p[0] for p in ip)))
 
     r, q = _int_inverse(int_matmul(list(zip(*ip)), ip))
-    w_num, w_den = (1.0 / len(pts)).as_integer_ratio()
+    w_num, w_den = (1.0 / points.rows).as_integer_ratio()
     m_inv = [[w_den * den**2 * x / (w_num * q) for x in row] for row in r]  # int / int rounds correctly
-    xs = [tuple(map(float, p)) for p in x_mat.entries]
+    xs = [tuple(x / den for x in p) for p in ip]
     m_inv = _khachiyan_kernel(d)(m_inv, xs, d * (1.0 + float(eps)), max_iter)
     if m_inv is None:
         raise ConvergenceError(f"no convergence within {max_iter} iterations")
@@ -382,10 +372,10 @@ def mvee(points: Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITE
     # A ~ M^-1 / d, symmetric since float addition commutes
     upper = {(i, k): (m_inv[i][k] / d + m_inv[k][i] / d) / 2.0 for i in range(d) for k in range(i, d)}
     rat = {ik: Fraction(x).limit_denominator(_RATIONALIZE_DEN_CAP) for ik, x in upper.items()}
-    k_rows, qa = clear_denominators(Mat([[rat[min(i, k), max(i, k)] for k in range(d)] for i in range(d)]))
+    k_rows = Mat([[rat[min(i, k), max(i, k)] for k in range(d)] for i in range(d)]).num
     smax = max(sum(pi * sum(map(operator.mul, row, p)) for pi, row in zip(p, k_rows)) for p in ip)
     try:  # smax <= 0 only if K is not positive definite, and then neither is K den^2
-        return Ellipsoid(Mat([[Fraction(x * den**2, max(smax, 1)) for x in row] for row in k_rows]))
+        return Ellipsoid(Mat([[x * den**2 for x in row] for row in k_rows], max(smax, 1)))
     except RankError:
         (i, k), x = max(upper.items(), key=lambda e: abs(float(rat[e[0]]) / e[1] - 1.0) if e[1] else 0.0)
         raise ConvergenceError(

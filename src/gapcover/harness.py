@@ -63,7 +63,9 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi] inclusive."""
+        """Uniform integer in [lo, hi] inclusive; ValueError if hi < lo."""
+        if hi < lo:
+            raise ValueError(f"empty range [{lo}, {hi}]")
         n = hi - lo + 1
         limit = ((1 << 64) // n) * n
         while True:
@@ -195,8 +197,8 @@ def _parse_body(doc, dim: int, path: str) -> ConvexBody:
         radius = _parse_rat(doc.get("radius"), f"{path}.radius")
         if radius <= 0:
             raise ParseError(f"{path}.radius", "radius must be positive")
-        form = [[Fraction(int(i == j)) / (radius * radius) for j in range(dim)] for i in range(dim)]
-        return ConvexBody.from_ellipsoid(Ellipsoid(Mat(form)))
+        identity = Mat([[int(i == j) for j in range(dim)] for i in range(dim)])
+        return ConvexBody.from_ellipsoid(Ellipsoid(identity.scale(1 / (radius * radius))))
     raise ParseError(f"{path}.type", f"unknown body type {btype!r}")
 
 
@@ -297,7 +299,8 @@ def gen_random(
     coordinates, i.e. an ellipsoid instance with form B B^T / radius^2.
     random-vertices: num_points integer points spanning the space.
     random-ellipsoid: form R^T R / (scale^2 ||R||_F^2), which contains the
-    ball of radius `scale`.  Radius and scale must be positive.
+    ball of radius `scale`.  Radius, scale, entry_bound and coord_bound
+    must be positive, num_points nonnegative (0 draws dim + 2 points).
 
     Draws that do not span, or whose enumeration box holds more than
     box_guard points, are rejected and redrawn, deterministically; after
@@ -310,6 +313,11 @@ def gen_random(
     r = Fraction(radius)
     if r <= 0 or scale <= 0:
         raise GenerationError(f"radius and scale must be positive, not {r} and {scale}")
+    for name, value in (("entry_bound", entry_bound), ("coord_bound", coord_bound)):
+        if value < 1:
+            raise GenerationError(f"{name} must be >= 1, not {value}")
+    if num_points < 0:
+        raise GenerationError(f"num_points must be >= 0, not {num_points}")
     # stream separated by kind so different generators never share draws
     rng = SplitMix64((seed << 8) ^ GENERATOR_KINDS.index(kind))
     box = None  # bounding box of the last spanning draw, which box_guard rejected
@@ -330,7 +338,7 @@ def gen_random(
             if kind == "lattice-ball":
                 form = (m @ m.transpose()).scale(1 / (r * r))
             else:
-                fro_sq = sum(x * x for row in m.entries for x in row)
+                fro_sq = sum(x * x for row in m.num for x in row)
                 form = (m.transpose() @ m).scale(Fraction(1, scale * scale * fro_sq))
             body = ConvexBody.from_ellipsoid(Ellipsoid(form))
         box = box_point_count(body)

@@ -92,11 +92,6 @@ def report_hash(spec) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def report_hash(spec) -> str:
-    text = to_canonical_json(batch_report_to_json(run_batch([spec])))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def load_golden() -> dict:
     return json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
 

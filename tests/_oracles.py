@@ -3,8 +3,10 @@
 These deliberately avoid the library's own algorithms: grid searches,
 exhaustive enumeration, and hand formulas.  The exceptions: ``hnf``, the
 canonical form over the library's ``_hnf_with_transform`` that the
-lattice-equality checks compare, and the generic loops that the library's
-compiled kernels unroll (``khachiyan_loop``, ``run_reference``).
+lattice-equality checks compare, the generic loops that the library's
+compiled kernels unroll (``khachiyan_loop``, ``run_reference``), and
+``hull_facets_reference``, the facet search with one determinant per
+coordinate that the library's adjugate form replaced.
 """
 
 import functools
@@ -14,7 +16,15 @@ import operator
 from fractions import Fraction
 
 from gapcover.errors import CertificationError, ConvergenceError, DimensionError, RankError
-from gapcover.exactalg import Mat, UnimodularMat, _hnf_with_transform, sqrt_upper
+from gapcover.exactalg import (
+    Mat,
+    UnimodularMat,
+    _gauss_jordan,
+    _hnf_with_transform,
+    _int_det,
+    integer_kernel,
+    sqrt_upper,
+)
 
 
 def grid_mvee_volume_2d(points, n_theta=180, n_aspect=160, max_aspect=40.0):
@@ -690,3 +700,42 @@ def sweep_reference(body, lines=None):
 
     sweep((), True)
     return runs
+
+
+def hull_facets_reference(points):
+    """The integer facet rows (N, D) of conv(±points), in the library's
+    order, with Cramer's rule written out: for each r-subset S of the
+    cleared points on the pivot columns J, D0 = det S and, per sign vector
+    s, each a_j = sign(D0) det(S with column j replaced by s), r + 1
+    determinants where ``geomcore._hull_facets`` takes one Gauss-Jordan
+    pass per subset.  No budget is checked."""
+    pts = [[Fraction(c) for c in p] for p in points]
+    den = math.lcm(*(c.denominator for p in pts for c in p))
+    w = [tuple(c.numerator * (den // c.denominator) for c in p) for p in pts]
+    d = len(w[0])
+    cols = [c for _, c in _gauss_jordan(w, d)[1]]
+    r = len(cols)
+    rows = {e + (0,): None for e in integer_kernel(w, d)}
+    proj = [tuple(p[c] for c in cols) for p in w]
+    for subset in itertools.combinations(proj, r) if r else ():
+        d0 = _int_det(subset)
+        if d0 == 0:
+            continue
+        sgn = 1 if d0 > 0 else -1
+        for tail in itertools.product((1, -1), repeat=r - 1):
+            s = (1,) + tail
+            a = [
+                sgn * _int_det([row[:j] + (si,) + row[j + 1 :] for row, si in zip(subset, s)])
+                for j in range(r)
+            ]
+            if any(abs(sum(x * y for x, y in zip(a, p))) > abs(d0) for p in proj):
+                continue
+            normal = [0] * d
+            for j, c in zip(cols, a):
+                normal[j] = den * c
+            g = math.gcd(*normal, abs(d0))
+            row = tuple(c // g for c in normal + [abs(d0)])
+            if next(c for c in row if c) < 0:
+                row = tuple(-c for c in row[:-1]) + row[-1:]
+            rows[row] = None
+    return tuple((row[:-1], row[-1]) for row in rows)

@@ -200,6 +200,9 @@ def test_overrides_echoed_and_applied(tmp_path):
         ("lattice-ball", ["--radius", "-1"]),
         ("lattice-ball", ["--dim", "0"]),
         ("random-vertices", ["--coord-bound", "0"]),
+        ("random-vertices", ["--coord-bound", "-2"]),
+        ("lattice-ball", ["--entry-bound", "-1"]),
+        ("random-vertices", ["--num-points", "-3"]),
     ],
 )
 def test_random_bad_parameters_exit_usage(capsys, kind, flags):

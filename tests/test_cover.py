@@ -82,7 +82,7 @@ class TestRestrictToSpan:
         body = ConvexBody.vertices([(2, 2)])
         red = restrict_to_span(body)
         assert red.k == 1
-        assert red.embed.col(0) == (1, 1)
+        assert red.embed == Mat([[1], [1]])
         # restricted body is the interval [-2, 2]
         restricted = enum_body(red.body)
         assert restricted.points == tuple((t,) for t in range(-2, 3))

@@ -20,7 +20,6 @@ from gapcover.exactalg import (
     _gauss_jordan,
     _integer_solver,
     _span_rank,
-    clear_denominators,
     det,
     integer_kernel,
     inverse,
@@ -104,8 +103,7 @@ class TestIntegerKernels:
         left = data.draw(st.lists(st.lists(rationals, min_size=r, max_size=r), min_size=m, max_size=m))
         right = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=r, max_size=r))
         rows = [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in zip(*right)] for row in left]
-        ints, _ = clear_denominators(Mat(rows))
-        assert len(_gauss_jordan(ints, n)[1]) == fraction_rank(rows)
+        assert len(_gauss_jordan(Mat(rows).num, n)[1]) == fraction_rank(rows)
 
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=8))
     @settings(max_examples=80, deadline=None)
@@ -126,6 +124,66 @@ class TestIntegerKernels:
             assert det(m) == det(m) == fraction_det(m.entries)
         assert spy.call_count == 1
         assert inverse(m) is inverse(m)
+
+
+def fraction_matmul(a, b):
+    return tuple(tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)) for row in a)
+
+
+@st.composite
+def rational_grids(draw, rows=None, cols=None):
+    """(grid, den): a grid of ints or of rationals over mixed denominators,
+    with a denominator 1..10^6 for Mat(grid, den)."""
+    rows = rows or draw(st.integers(1, 4))
+    cols = cols or draw(st.integers(1, 4))
+    entry = draw(st.sampled_from([small_ints, rationals]))
+    grid = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    return grid, draw(st.sampled_from([1, draw(st.integers(1, 10**6))]))
+
+
+class TestMat:
+    """A Mat is integer rows over one denominator in lowest terms; its
+    arithmetic is checked against Fraction grids."""
+
+    @given(rational_grids(), st.integers(1, 50))
+    @settings(max_examples=120, deadline=None)
+    def test_lowest_terms_and_entries(self, drawn, c):
+        grid, den = drawn
+        m = Mat(grid, den)
+        assert m.den >= 1 and math.gcd(m.den, *(x for row in m.num for x in row)) == 1
+        assert all(type(x) is int for row in m.num for x in row)
+        want = tuple(tuple(Fraction(x) / den for x in row) for row in grid)
+        assert m.entries == want
+        # the same matrix given as Fractions, or over a multiple of den
+        for same in (Mat(want), Mat([[c * x for x in row] for row in grid], c * den)):
+            assert same == m and (same.num, same.den) == (m.num, m.den) and hash(same) == hash(m)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_arithmetic_matches_fraction_oracles(self, data):
+        n, k, l = (data.draw(st.integers(1, 4)) for _ in range(3))
+        a = Mat(*data.draw(rational_grids(n, k)))
+        b = Mat(*data.draw(rational_grids(k, l)))
+        s = data.draw(st.one_of(small_ints, rationals))
+        assert (a @ b).entries == fraction_matmul(a.entries, b.entries)
+        assert a.scale(s).entries == tuple(tuple(x * s for x in row) for row in a.entries)
+        assert a.transpose().entries == tuple(zip(*a.entries))
+        sq = Mat(*data.draw(rational_grids(n, n)))
+        assert det(sq) == fraction_det(sq.entries)
+        if det(sq):
+            inv = inverse(sq)
+            assert inv.den >= 1 and inv.entries == fraction_inverse(sq.entries)
+            assert sq @ inv == identity(n)
+
+    @pytest.mark.parametrize("den", [0, -1, -7])
+    def test_denominator_below_one_raises(self, den):
+        with pytest.raises(DimensionError, match="denominator"):
+            Mat([[1, 2], [3, 4]], den)
+
+    def test_int_entries_needs_denominator_one(self):
+        assert Mat([[2, 4]], 2).int_entries() == ((1, 2),)
+        with pytest.raises(DimensionError, match="non-integer"):
+            Mat([[1, 2]], 2).int_entries()
 
 
 class TestDet:
@@ -192,11 +250,11 @@ def naive_lattice_equal(a: Mat, b: Mat) -> bool:
     of the rows of the other (both directions), via exact solves."""
     inv_a, inv_b = inverse(a), inverse(b)
     for i in range(b.rows):
-        coeffs = inv_a.transpose().mul_vec(b.entries[i])
+        coeffs = (Mat([b.entries[i]]) @ inv_a).entries[0]
         if any(c.denominator != 1 for c in coeffs):
             return False
     for i in range(a.rows):
-        coeffs = inv_b.transpose().mul_vec(a.entries[i])
+        coeffs = (Mat([a.entries[i]]) @ inv_b).entries[0]
         if any(c.denominator != 1 for c in coeffs):
             return False
     return True
@@ -365,7 +423,7 @@ class TestKernels:
         basis = integer_kernel(m.int_entries(), 3)
         assert basis == [(-1, 1, 0)]
         for v in basis:
-            assert m.mul_vec(v) == (0, 0)
+            assert m @ Mat(zip(v)) == Mat([[0], [0]])
         assert integer_kernel([], 2) == [(1, 0), (0, 1)]
         assert integer_kernel([[0, 0, 0]], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
         # the last pivot is negative; the vectors still have x_f > 0

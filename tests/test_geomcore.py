@@ -21,6 +21,7 @@ from gapcover.geomcore import (
     hull_line_extent,
     mvee,
 )
+from gapcover.harness import gen_random
 
 from _oracles import (
     ellipsoid_volume,
@@ -30,6 +31,7 @@ from _oracles import (
     fraction_rank,
     grid_mvee_volume_2d,
     grid_mvee_volume_3d,
+    hull_facets_reference,
     identity,
     khachiyan_loop,
     khachiyan_reference,
@@ -272,6 +274,25 @@ def line_extent(body, prefix):
     return None if span is None else tuple(Fraction(*end) for end in span)
 
 
+@st.composite
+def vertex_point_sets(draw):
+    """1 to 7 points in d = 1..4 (at most 6 at d = 4) with small rational
+    coordinates; in about half the draws at d >= 2 one coordinate is an
+    integer combination of two others, so the points span a proper
+    subspace and the search runs on pivot columns J other than the first
+    r."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6 if d == 4 else 7))
+    coord = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 1, 2, 3]))
+    pts = draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+    if d > 1 and draw(st.booleans()):
+        j = draw(st.integers(0, d - 1))
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        for p in pts:
+            p[j] = a * p[j - 1] + b * p[(j + 1) % d]
+    return pts
+
+
 class TestBodiesAndMembership:
     def test_box_membership_boundary(self):
         b = ConvexBody.box([1, 1])
@@ -360,9 +381,21 @@ class TestBodiesAndMembership:
             ConvexBody.vertices(pts).hull_facets(cap=879)
         assert ConvexBody.vertices(pts).hull_facets(cap=880)
 
+    @given(vertex_point_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_facets_match_cramer_reference(self, pts):
+        # the same rows in the same order as r + 1 determinants per candidate
+        assert ConvexBody.vertices(pts).hull_facets() == hull_facets_reference(pts)
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_generated_facets_match_cramer_reference(self, dim):
+        for seed in range(6):
+            body = gen_random("random-vertices", dim, seed, num_points=dim + 3).body
+            assert body.hull_facets() == hull_facets_reference(body.points)
+
     def test_spanning_points_box(self):
         b = ConvexBody.box([1, 2])
-        assert set(b.spanning_points()) == {(1, 2), (1, -2), (-1, 2), (-1, -2)}
+        assert set(b.spanning_points().entries) == {(1, 2), (1, -2), (-1, 2), (-1, -2)}
 
     def test_exact_halfwidths(self):
         b = ConvexBody.vertices([(2, 1), (1, -3)])

@@ -73,6 +73,12 @@ class TestSplitMix64:
         assert all(-5 <= x <= 5 for x in xs)
         assert len(set(xs)) == 11
 
+    def test_randint_empty_range_raises(self):
+        rng = SplitMix64(0)
+        assert rng.randint(3, 3) == 3
+        with pytest.raises(ValueError, match="empty range"):
+            rng.randint(2, -2)
+
 
 class TestParseInstance:
     def test_ball(self):
@@ -180,6 +186,21 @@ class TestGenRandom:
     def test_nonpositive_radius_or_scale(self, kind, kw):
         with pytest.raises(GenerationError, match="must be positive"):
             gen_random(kind, 2, 1, **kw)
+
+    @pytest.mark.parametrize(
+        "kind, name, value",
+        [
+            ("random-vertices", "coord_bound", -2),
+            ("random-vertices", "coord_bound", 0),
+            ("lattice-ball", "entry_bound", -1),
+            ("random-ellipsoid", "entry_bound", 0),
+            ("random-vertices", "num_points", -3),
+        ],
+    )
+    def test_bad_bound_or_count_is_named(self, kind, name, value):
+        # a negative coord_bound used to draw outside [-bound, bound]
+        with pytest.raises(GenerationError, match=f"^{name} must be"):
+            gen_random(kind, 2, 0, **{name: value})
 
 
 class TestRunBatch:

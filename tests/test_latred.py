@@ -12,7 +12,7 @@ import gapcover.latred
 
 from gapcover.errors import CertificationError, DimensionError, RankError
 from gapcover.cover import cover
-from gapcover.exactalg import Mat, Vector, clear_denominators, det, inverse, sqrt_upper
+from gapcover.exactalg import Mat, Vector, det, inverse, sqrt_upper
 from gapcover.harness import gen_random
 from gapcover.geomcore import Ellipsoid, circumscribe_parallelotope
 from gapcover.latred import ReductionCert, certify_reduction, lll_reduce
@@ -35,14 +35,13 @@ MINIMA_MAX_DIM = 4
 def reduce_mat(basis: Mat):
     """lll_reduce of the rows of a square rational matrix, passed as integer
     rows over their common denominator: (the reduced Mat, T)."""
-    rows, den = clear_denominators(basis)
-    reduced, t = lll_reduce(rows)
-    return Mat(reduced).scale(Fraction(1, den)), t
+    reduced, t = lll_reduce(basis.num)
+    return Mat(reduced, basis.den), t
 
 
 def certify_mat(basis: Mat):
     """certify_reduction of the rows of a square rational matrix."""
-    return certify_reduction(*clear_denominators(basis))
+    return certify_reduction(basis.num, basis.den)
 
 
 def successive_minima_bruteforce(basis: Mat) -> list[Vector]:
@@ -70,7 +69,7 @@ def successive_minima_bruteforce(basis: Mat) -> list[Vector]:
     inv = inverse(reduced)
     bounds = []
     for i in range(d):
-        col = inv.col(i)
+        col = [row[i] for row in inv.entries]
         bound_sq = radius_sq * norm_sq(col)
         bounds.append(int(sqrt_upper(bound_sq)) + 1)
 
@@ -325,7 +324,7 @@ def test_integer_handoff_matches_rational_matrices(form):
     e = Ellipsoid(form)
     rows, den, vol = circumscribe_parallelotope(e)
     gens, vol_ref = circumscribe_reference(e)
-    assert (rows, den) == clear_denominators(Mat(gens))
+    assert (tuple(map(tuple, rows)), den) == (Mat(gens).num, Mat(gens).den)
     assert vol == vol_ref
     reduced, t = lll_reduce(rows)
     want_rows, want_t, _, _ = lll_recompute(gens)
