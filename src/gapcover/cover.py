@@ -48,8 +48,8 @@ from .exactalg import (
     Frozen,
     IntegerSolver,
     Mat,
+    _independent_rows,
     _integer_solver,
-    _span_rank,
     det,  # not called here; perfbench/tracing.py wraps cover.det
     int_matmul,
     integer_kernel,
@@ -77,8 +77,10 @@ BOX_CONSTANT = Fraction(1)
 STAGES = ("parallelotope", "box", "count")  # the keys of CoverReport.stage_factors
 
 
+@cache
 def covering_bound(dim: int) -> Fraction:
-    """Documented covering-ratio bound RATIO_CONSTANT * dim^(3 dim)."""
+    """Documented covering-ratio bound RATIO_CONSTANT * dim^(3 dim), formed
+    once per dim (a Fraction is immutable)."""
     d = max(dim, 1)
     return RATIO_CONSTANT * Fraction(d) ** (3 * d)
 
@@ -185,20 +187,22 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
     """Restrict a body to the saturated sublattice Z^d ∩ span of its lattice
     points.  Identity reduction when the points already span; k = 0 when the
     only lattice point is the origin.  The span is read off the nonzero run
-    ends, which span C; only a proper subspace lists C, to check each point
-    against the sublattice and to give a vertex body's restricted vertices."""
+    ends, which span C: the k of them that raise the rank, last runs first,
+    are a basis of it, and its saturated lattice is taken from those k.
+    Only a proper subspace lists C, to check each point against the
+    sublattice and to give a vertex body's restricted vertices."""
     c_points = enum_body(body, cap)
     d = body.dim
     # the last runs first: a spanning body reaches rank d after a few ends
-    k = _span_rank(_run_ends(reversed(c_points.runs)), d)
+    ends = _independent_rows(_run_ends(reversed(c_points.runs)), d)
+    k = len(ends)
     if k == 0:
         return SubspaceReduction(d, 0, None, None, c_points)
     if k == d:
         return SubspaceReduction(d, d, None, body, c_points)
-    ends = list(_run_ends(c_points.runs))
 
-    # functionals vanishing on span(C); the saturated lattice is the
-    # integer solutions of those functionals
+    # functionals vanishing on span(C), from the k ends that span it; the
+    # saturated lattice is the integer solutions of those functionals
     basis_rows = left_kernel(Mat(integer_kernel(ends, d)).transpose())
     if len(basis_rows) != k:
         raise RankError("saturated sublattice has unexpected rank")

@@ -3,15 +3,19 @@
 Ground truth for every cardinality claim in the pipeline: one exact line
 sweep finds a body's integer points, visiting only the lines that meet it,
 and keeps them as runs, the points on one line of the last coordinate.
-Each line hands its children the integer sums their extents need, so no
-line re-reads its prefix: an ellipsoid line its Schur-chain polynomial
-(Fincke-Pohst partial sums), a vertex line its facet sums N.(prefix, 0)
-and l1 norm.  The points are listed, in lexicographic order, only where a
-caller asks for them; outputs and failure witnesses are deterministic.
+The sweep is straight-line code generated per body kind and dimension,
+d nested loops compiled once per (kind, d) (_sweep_kernel), with the
+body's integers as arguments.  Each line hands its children, in locals,
+the integer sums their extents need, so no line re-reads its prefix: an
+ellipsoid line its Schur-chain polynomial (Fincke-Pohst partial sums), a
+vertex line its facet sums N.(prefix, 0) and l1 norm.  The points are
+listed, in lexicographic order, only where a caller asks for them;
+outputs and failure witnesses are deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -144,148 +148,206 @@ def box_point_count(body: ConvexBody) -> int:
 
 def enum_body(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> PointSet:
     """Exactly the integer points of the body, as the runs of one line
-    sweep (see PointSet).
+    sweep (see PointSet), run by the sweep generated for its kind and
+    dimension (_sweep_kernel).
 
     Coordinates are fixed one at a time; given those already fixed, the
     next one ranges over the exact integer interval where the line through
     the prefix meets the body's projection onto one more coordinate, so
     only lines that meet the body are visited.  A line's integer state is
-    carried to its children, each of which costs O(1) big-int operations
-    for an ellipsoid (the Schur recurrence of _ellipsoid_lines) and
-    O(#facets) for a vertex body (the facet sums of _vertex_lines), not a
-    pass over its prefix.  By central symmetry, only t >= 0 is swept while
-    the prefix is all zero.  On the last coordinate that interval, when not
-    empty, is a run.  The bounding box is checked against the budget before
-    any work, and a vertex body's facet search before any line.
+    carried in locals to its children, each of which costs O(1) big-int
+    operations for an ellipsoid (its Schur-chain recurrence) and
+    O(#facets) for a vertex body (its facet sums), not a pass over its
+    prefix.  By central symmetry, only t >= 0 is swept while the prefix is
+    all zero.  On the last coordinate that interval, when not empty, is a
+    run; a vertex body reads it off its facets with one hull_line_extent
+    call per last-coordinate line.  The bounding box is checked against
+    the budget before any work, and a vertex body's facet search before
+    any line.
     """
     bounds = body.int_box_bounds()
     total = math.prod(2 * b + 1 for b in bounds)
     if total > cap:
         raise BudgetError(f"bounding box holds {total} integer points, budget {cap}")
-    if body.kind == "vertices":
-        body.hull_facets(cap)
-    root, children = _LINES[body.kind](body, bounds)
-    last = body.dim - 1
-    runs: list[Run] = []
-
-    def sweep(prefix: IntPoint, state, lo: int, hi: int, zero: bool) -> None:
-        # the line through prefix meets the body in [lo, hi]
-        if zero:
-            lo = max(lo, 0)
-        if len(prefix) == last:
-            if lo <= hi:
-                runs.append((prefix, lo, hi))
-            return
-        for t, child, c_lo, c_hi in children(prefix, state, lo, hi):
-            sweep(prefix + (t,), child, c_lo, c_hi, zero and t == 0)
-
-    if root is not None:
-        sweep((), *root, True)
+    sweep = _sweep_kernel(body.kind, body.dim)
+    if body.kind == "ellipsoid":
+        runs = sweep(*body.ellipsoid_rep.schur)
+    elif body.kind == "vertices":
+        facets = body.hull_facets(cap)
+        points = body.point_mat
+        l1_cap = max(sum(map(abs, p)) for p in points.num) // points.den
+        columns = tuple(zip(*(normal for normal, _ in facets)))
+        runs = sweep(bounds, l1_cap, columns, hull_line_extent, body)
+    else:
+        runs = sweep(bounds)
     return PointSet(body.dim, runs)
 
 
-def _ellipsoid_lines(body: ConvexBody, bounds: Sequence[int]):
-    """The lines of x^T N x <= den, the ellipsoid's form cleared to integers.
-
-    Its schur_chain eliminates the last coordinates first: block m, over
-    the previous pivot q_m, is the form of the projection onto the first
-    m + 1 coordinates, y^T block_m y <= den q_m.  On the line through a
-    prefix p of length m that reads Q(t) = a t^2 + 2 b t + c <= 0, with
-    a = block_m[m][m], b = block_m[m][:m] . p and c = p^T block_m p - den q_m,
-    which holds for an integer t iff |a t + b| <= isqrt(b^2 - a c).  The
-    chain's step block_m = (a' block'[:m+1, :m+1] - v v^T) / q', block'
-    the next block with last diagonal entry a', last column v and pivot
-    q', gives for the child line through (p, t)
-    b' = v . (p, t) and c' = (q' Q(t) + b'^2) / a', an exact division,
-    so its discriminant b'^2 - a' c' is -q' Q(t), >= 0 on the parent's
-    extent: the partial sums of Fincke and Pohst (Math. Comp. 44, 1985) in
-    integers.  A line's state is (b, c); v . p is taken once per parent."""
-    den, chain = body.ellipsoid_rep.schur
-    last = body.dim - 1
-    ((a0,),), q0 = chain[0]
-    s = math.isqrt(a0 * den * q0)  # b = 0, c = -den q_0
-    root = ((0, -den * q0), -(s // a0), s // a0)
-
-    def children(prefix, state, lo, hi):
-        m = len(prefix)
-        b, c = state
-        a = chain[m][0][m][m]
-        rows, q = chain[m + 1]
-        v = rows[m + 1]
-        a1, v_t = v[m + 1], v[m]
-        base = sum(map(operator.mul, v, prefix))
-        inner = m + 1 < last
-        for t in range(lo, hi + 1):
-            qt = (a * t + 2 * b) * t + c
-            b1 = base + v_t * t
-            s = math.isqrt(-q * qt)
-            c1 = (q * qt + b1 * b1) // a1 if inner else None
-            yield t, (b1, c1), -((s + b1) // a1), (s - b1) // a1
-
-    return root, children
+# for loops per generated function: CPython compiles at most 20 statically
+# nested blocks in one function (CO_MAXBLOCKS)
+_KERNEL_LOOPS = 16
 
 
-def _vertex_lines(body: ConvexBody, bounds: Sequence[int]):
-    """The lines of a vertex body: the box bounds, narrowed below the last
-    coordinate by ||x||_1 <= max_i ||v_i||_1, which every hull point
-    satisfies (floored as max_i ||w_i||_1 // den, w_i = den v_i the integer
-    rows of the body's point_mat); the last coordinate's extent is read off
-    the facets by hull_line_extent, from the sums N_f . (p, 0) of the facet
-    rows.  A line's state is (sums, ||p||_1): each child adds N_f[m] t to
-    each sum and |t| to the norm."""
-    l1_cap = max(sum(map(abs, p)) for p in body.point_mat.num) // body.point_mat.den
-    last = body.dim - 1
-    facets = body.hull_facets()
-    columns = list(zip(*(normal for normal, _ in facets)))
+@functools.cache
+def _sweep_kernel(kind: str, d: int):
+    """The line sweep of a body of one kind in Z^d as a function compiled
+    once per (kind, d), which returns the runs in sweep order:
+    sweep(den, chain) for an ellipsoid (its Ellipsoid.schur),
+    sweep(bounds, l1_cap, columns, extent, body) for a vertex body and
+    sweep(bounds) for a box.  Only the kind and d enter the generated
+    source; the body's integers are arguments.
 
-    def last_extent(sums):
-        span = hull_line_extent(body, sums)
-        if span is None:
-            return None
-        (lo, lo_den), (hi, hi_den) = span
-        return -(-lo // lo_den), hi // hi_den
+    The d coordinates are nested loops over x0, x1, ...; each level holds
+    its line's state and extent [lo_m, hi_m] in locals, and z_m, whether
+    the prefix is all zero, which raises lo_m to 0.  One pass of level m's
+    loop gives its child line's state and extent:
 
-    zeros = [0] * len(facets)
-    if last:
-        r = min(bounds[0], l1_cap)
-        root = ((zeros, 0), -r, r)
+    - ellipsoid, x^T N x <= den with N = num the form cleared to integers:
+      block m of the chain, over the previous pivot q_m, is the form of the
+      projection onto the first m + 1 coordinates, y^T block_m y <=
+      den q_m.  On the line through a prefix p of length m that reads
+      Q(t) = a t^2 + 2 b t + c <= 0, a = block_m[m][m], b = block_m[m][:m] . p
+      and c = p^T block_m p - den q_m, which holds for an integer t iff
+      |a t + b| <= isqrt(b^2 - a c).  The chain's step block_m =
+      (a' block'[:m+1, :m+1] - v v^T) / q', block' the next block with
+      last row v, a' = v[m + 1] and pivot q', gives for the child line
+      through (p, t) b' = v . (p, t) and c' = (q' Q(t) + b'^2) / a', an
+      exact division, so its discriminant b'^2 - a' c' is -q' Q(t), >= 0
+      on the parent's extent: the partial sums of Fincke and Pohst
+      (Math. Comp. 44, 1985) in integers.  v[:m] . p is dotted once per
+      parent, and c' is formed only above the last level;
+    - vertex body: the box bounds, narrowed below the last coordinate by
+      ||x||_1 <= l1_cap = max_i ||w_i||_1 // den, which every hull point
+      satisfies (w_i = den v_i the integer rows of its point_mat); the
+      state is the facet sums N.(p, 0), each child adding N_f[m] t
+      (``columns`` holds the facet rows' columns), and ||p||_1.  The last
+      coordinate's extent is read off the facets by
+      extent(body, sums), hull_line_extent, once per last-coordinate line;
+    - box: its integer bounds, whatever the prefix.
+
+    The last level appends (prefix, lo, hi) when lo <= hi.  These are the
+    extents of ``sweep_reference`` in tests/_oracles.py, which recomputes
+    each line from its whole prefix.  Past _KERNEL_LOOPS levels the loops
+    continue in nested functions of at most _KERNEL_LOOPS loops each:
+    part{m}, called on each line of level m with the prefix, the line's
+    extent, zero flag and state, sweeps levels m onwards, so every d
+    compiles; at d <= _KERNEL_LOOPS + 1 the sweep is one function."""
+    last = d - 1
+    x = [f"x{i}" for i in range(d)]
+
+    def tup(names) -> str:  # a tuple display; () when empty
+        return f"({''.join(f'{n}, ' for n in names)})"
+
+    def dot(terms) -> str:
+        return " + ".join(f"{c} * {v}" for c, v in terms) or "0"
+
+    def parent(m: int) -> list[str]:  # once per line of level m, before its loop
+        return []
+
+    def carried(m: int) -> list[str]:  # the state of a line of level m
+        return []
+
+    if kind == "ellipsoid":
+        params = "den, chain"
+        # r{m}_j = block_m[m][j], so a_m = r{m}_{m}; q{m} the previous pivot
+        head = [
+            f"{tup(f'r{m}_{j}' for j in range(m + 1))}, q{m} = chain[{m}][0][{m}], chain[{m}][1]"
+            for m in range(d)
+        ]
+        head += ["s = isqrt(r0_0 * den * q0)", "b0, c0 = 0, -den * q0", "hi0 = s // r0_0", "lo0 = -hi0"]
+
+        def parent(m: int) -> list[str]:
+            return [f"e{m + 1} = {dot((f'r{m + 1}_{j}', x[j]) for j in range(m))}"]
+
+        def carried(m: int) -> list[str]:
+            return [f"b{m}", f"c{m}"]
+
+        def child(m: int) -> list[str]:
+            n, a = m + 1, f"r{m + 1}_{m + 1}"
+            return [
+                f"u = q{n} * ((r{m}_{m} * x{m} + 2 * b{m}) * x{m} + c{m})",
+                f"b{n} = e{n} + r{n}_{m} * x{m}",
+                "s = isqrt(-u)",
+                *([f"c{n} = (u + b{n} * b{n}) // {a}"] if n < last else []),
+                f"lo{n} = -((s + b{n}) // {a})",
+                f"hi{n} = (s - b{n}) // {a}",
+            ]
+
+    elif kind == "vertices":
+        params = "bounds, l1_cap, columns, extent, body"
+        head = [
+            f"{tup(f'bd{m}' for m in range(d))} = bounds",
+            f"{tup(f'col{m}' for m in range(d))} = columns",
+            "s0, n0 = [0] * len(col0), 0",
+        ]
+
+        def line_extent(n: int, miss: str) -> list[str]:
+            # the last coordinate's extent from the facet sums s{n}
+            return [
+                f"span = extent(body, s{n})",
+                "if span is None:",
+                f"    {miss}",
+                "(lo, lo_den), (hi, hi_den) = span",
+                f"lo{n} = -(-lo // lo_den)",
+                f"hi{n} = hi // hi_den",
+            ]
+
+        def carried(m: int) -> list[str]:
+            return [f"s{m}", f"n{m}"]
+
+        if last:
+            head += ["r = min(bd0, l1_cap)", "lo0, hi0 = -r, r"]
+        else:
+            head += line_extent(0, "return runs")
+
+        def child(m: int) -> list[str]:
+            n = m + 1
+            sums = [f"s{n} = [s + c * x{m} for s, c in zip(s{m}, col{m})]"]
+            if n == last:
+                return sums + line_extent(n, "continue")
+            return sums + [
+                f"n{n} = n{m} + abs(x{m})",
+                f"r = min(bd{n}, l1_cap - n{n})",
+                f"lo{n}, hi{n} = -r, r",
+            ]
+
     else:
-        span = last_extent(zeros)
-        root = None if span is None else (None, *span)
+        params = "bounds"
+        head = [f"{tup(f'bd{m}' for m in range(d))} = bounds", "lo0, hi0 = -bd0, bd0"]
 
-    def children(prefix, state, lo, hi):
-        m = len(prefix)
-        sums, l1 = state
-        column = columns[m]
-        for t in range(lo, hi + 1):
-            child = [s + n * t for s, n in zip(sums, column)]
-            if m + 1 == last:
-                span = last_extent(child)
-                if span is not None:
-                    yield t, None, *span
-            else:
-                norm = l1 + abs(t)
-                r = min(bounds[m + 1], l1_cap - norm)
-                yield t, (child, norm), -r, r
+        def child(m: int) -> list[str]:
+            return [f"lo{m + 1}, hi{m + 1} = -bd{m + 1}, bd{m + 1}"]
 
-    return root, children
-
-
-def _box_lines(body: ConvexBody, bounds: Sequence[int]):
-    """The lines of a box: its integer bounds, whatever the prefix."""
-
-    def children(prefix, state, lo, hi):
-        b = bounds[len(prefix) + 1]
-        return ((t, None, -b, b) for t in range(lo, hi + 1))
-
-    return (None, -bounds[0], bounds[0]), children
-
-
-# kind -> (body, bounds) -> (root, children): root is (state, lo, hi) of the
-# line through the empty prefix, or None when it misses the body;
-# children(prefix, state, lo, hi) yields (t, child state, lo', hi') for each
-# t in [lo, hi] whose line through prefix + (t,) meets the body
-_LINES = {"ellipsoid": _ellipsoid_lines, "vertices": _vertex_lines, "box": _box_lines}
+    top = lines = ["if lo0 < 0:", "    lo0 = 0"]  # sweep's own loops
+    parts: list[list[str]] = []  # the nested functions, after the head
+    shift = 0  # level m's loop is indented m + shift deep in its function
+    for m in range(last):
+        if m and m % _KERNEL_LOOPS == 0:  # hand each line of level m to part{m}
+            call = f"part{m}({', '.join([*x[:m], f'lo{m}', f'hi{m}', f'z{m}', *carried(m)])})"
+            lines.append("    " * (m + shift) + call)
+            lines = [f"def {call}:"]
+            parts.append(lines)
+            shift = 1 - m
+        inner = child(m)
+        n = m + 1
+        zero = f"x{m} == 0" if m == 0 else f"z{m} and x{m} == 0"
+        if n < last:
+            inner += [f"z{n} = {zero}", f"if z{n} and lo{n} < 0:", f"    lo{n} = 0"]
+        else:
+            inner += [f"if {zero} and lo{n} < 0:", f"    lo{n} = 0"]
+        pad = "    " * (m + shift)
+        lines += [pad + line for line in parent(m) + [f"for x{m} in range(lo{m}, hi{m} + 1):"]]
+        lines += [pad + "    " + line for line in inner]
+    pad = "    " * (last + shift)
+    lines += [
+        pad + f"if lo{last} <= hi{last}:",
+        pad + f"    runs.append(({tup(x[:last])}, lo{last}, hi{last}))",
+    ]
+    body = ["runs = []", *head, *(line for part in parts for line in part), *top, "return runs"]
+    source = "\n".join([f"def sweep({params}):", *("    " + line for line in body)])
+    namespace: dict = {}
+    exec(compile(source, f"<sweep kernel kind={kind} d={d}>", "exec"), {"isqrt": math.isqrt}, namespace)
+    return namespace["sweep"]
 
 
 def subset_check(

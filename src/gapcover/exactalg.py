@@ -251,11 +251,13 @@ def inverse(m: Mat) -> Mat:
     return m._inv_mat
 
 
-def _span_rank(points: Iterable[Sequence[int]], d: int) -> int:
-    """Rank of integer points with early exit at d (fast for spanning sets).
-    Each point is eliminated in ints against the kept rows, which are
-    divided by their content."""
+def _independent_rows(points: Iterable[Sequence[int]], d: int) -> list[Sequence[int]]:
+    """The integer points, in order, that raise the rank of those before
+    them: a basis of their span, with early exit at d (fast for spanning
+    sets).  Each point is eliminated in ints against the kept rows, which
+    are divided by their content."""
     basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    kept = []
     for p in points:
         v = list(p)
         for piv, row in basis:
@@ -266,9 +268,15 @@ def _span_rank(points: Iterable[Sequence[int]], d: int) -> int:
         if any(v):
             content = math.gcd(*v)
             basis.append((next(j for j, x in enumerate(v) if x), [x // content for x in v]))
-            if len(basis) == d:
-                return d
-    return len(basis)
+            kept.append(p)
+            if len(kept) == d:
+                break
+    return kept
+
+
+def _span_rank(points: Iterable[Sequence[int]], d: int) -> int:
+    """Rank of integer points (see _independent_rows)."""
+    return len(_independent_rows(points, d))
 
 
 class IntegerSolver(Frozen):

@@ -192,7 +192,11 @@ def _parse_body(doc, dim: int, path: str) -> ConvexBody:
         hw = doc.get("halfwidths")
         if not isinstance(hw, list) or len(hw) != dim:
             raise ParseError(f"{path}.halfwidths", f"expected {dim} halfwidths")
-        return ConvexBody.box([_parse_rat(h, f"{path}.halfwidths[{i}]") for i, h in enumerate(hw)])
+        parsed = [_parse_rat(h, f"{path}.halfwidths[{i}]") for i, h in enumerate(hw)]
+        for i, h in enumerate(parsed):
+            if h < 0:
+                raise ParseError(f"{path}.halfwidths[{i}]", "box halfwidths must be nonnegative")
+        return ConvexBody.box(parsed)
     if btype == "ball":
         radius = _parse_rat(doc.get("radius"), f"{path}.radius")
         if radius <= 0:

@@ -131,9 +131,36 @@ def test_batch_budget_exit(tmp_path):
     )
 
 
+def test_batch_high_dimension(tmp_path, capsys):
+    # bodies of one lattice point in dimensions past one compiled sweep
+    batch = [
+        {"dim": 22, "body": {"type": "box", "halfwidths": [0] * 22}},
+        {"dim": 23, "body": {"type": "vertices", "points": [[0] * 23]}},
+        {"dim": 25, "body": {"type": "ball", "radius": "1/2"}},
+    ]
+    inst = write(tmp_path, "batch.json", batch)
+    out = tmp_path / "out.json"
+    assert main(["batch", "--input", inst, "--output", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["failures"] == [] and [i["cover"]["cardinality_C"] for i in doc["instances"]] == [1, 1, 1]
+    assert main(["cover", "--input", write(tmp_path, "one.json", batch[1])]) == EXIT_OK
+
+
 def test_parse_error_exit(tmp_path):
     inst = write(tmp_path, "bad.json", {"dim": 2, "body": {"type": "ellipsoid", "form": [[1, 0], [0]]}})
     assert main(["cover", "--input", inst]) == EXIT_USAGE
+
+
+def test_negative_box_halfwidth_is_a_parse_error(tmp_path, capsys):
+    # a malformed box is refused as input, not reported as a failed certificate
+    doc = {"dim": 2, "body": {"type": "box", "halfwidths": [-1, 2]}}
+    inst = write(tmp_path, "bad.json", doc)
+    batch = write(tmp_path, "batch.json", [doc])
+    assert main(["cover", "--input", inst]) == EXIT_USAGE
+    assert main(["batch", "--input", batch, "--output", str(tmp_path / "o.json")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("parse error: ") == 2 and "body.halfwidths[0]" in err
+    assert "certification error" not in err
 
 
 def test_usage_error():

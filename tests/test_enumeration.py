@@ -1,5 +1,6 @@
 import itertools
 import json
+import operator
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,41 @@ def _ellipsoid_forms(draw):
     return form
 
 
+@st.composite
+def _sweep_bodies(draw, kind, d):
+    """Bodies of one kind in Z^d, up to a few thousand points at d = 6:
+    round ellipsoids, thin plates (lam w w^T added, as in the @example of
+    test_ellipsoid_matches_oracle) and ellipsoids whose lattice points lie
+    on w^T x = 0 (2 w w^T added); boxes with zero half-widths among the
+    others; vertex bodies in general position, in a proper subspace, and
+    a single point, the origin among them."""
+    small = st.integers(-3, 3) if d < 4 else st.integers(-2, 2)
+    vec = st.lists(small, min_size=d, max_size=d)
+    unit = st.lists(st.integers(-1, 1), min_size=d, max_size=d)
+    if kind == "ellipsoid":
+        r = [draw(st.lists(st.sampled_from([0, 0, 0, 1, -1]), min_size=d, max_size=d)) for _ in range(d)]
+        r2 = Fraction(draw(st.integers(2, (40, 40, 25, 12, 8, 6)[d - 1])), draw(st.integers(1, 2)))
+        form = [[(sum(row[i] * row[j] for row in r) + (i == j)) / r2 for j in range(d)] for i in range(d)]
+        shape = draw(st.sampled_from(["round", "round", "plate", "subspace"]))
+        if shape != "round":
+            w = draw(unit.filter(any))
+            lam = draw(st.integers(2, 50)) if shape == "plate" else 2
+            form = [[form[i][j] + lam * w[i] * w[j] for j in range(d)] for i in range(d)]
+        return ConvexBody.from_ellipsoid(Ellipsoid(Mat(form)))
+    if kind == "box":
+        halves = st.sampled_from([0, 0, Fraction(1, 2), 1, Fraction(3, 2), 2, Fraction(5, 2)])
+        return ConvexBody.box([draw(halves) for _ in range(d)])
+    shape = draw(st.sampled_from(["general", "subspace", "point"]))
+    if shape == "point":
+        return ConvexBody.vertices([draw(vec)])
+    if shape == "general":
+        return ConvexBody.vertices([draw(vec) for _ in range(draw(st.integers(1, d + 1)))])
+    basis = [draw(unit) for _ in range(draw(st.integers(1, max(d - 1, 1))))]
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(basis), max_size=len(basis))
+    combos = [draw(coeffs) for _ in range(draw(st.integers(1, 4)))]
+    return ConvexBody.vertices([[sum(map(operator.mul, cs, col)) for col in zip(*basis)] for cs in combos])
+
+
 def disk(radius_sq, dim=2):
     form = [[Fraction(int(i == j), radius_sq) for j in range(dim)] for i in range(dim)]
     return ConvexBody.from_ellipsoid(Ellipsoid(Mat(form)))
@@ -162,6 +198,52 @@ class TestEnumBody:
         for seed in range(3) if dim < 5 else (1,):
             body = gen_random(kind, dim, seed, scale=1 if dim == 5 else 2).body
             assert list(enum_body(body).runs) == sweep_reference(body), seed
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    @pytest.mark.parametrize("kind", ConvexBody.KINDS)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_generated_sweep_matches_reference(self, kind, d, data):
+        body = data.draw(_sweep_bodies(kind, d))
+        assert list(enum_body(body).runs) == sweep_reference(body)
+
+    @pytest.mark.parametrize("d", [17, 22, 25, 34])
+    def test_sweep_past_one_function(self, d):
+        # past _KERNEL_LOOPS levels the sweep continues in nested functions;
+        # the free coordinates sit on both sides of each hand-over, the
+        # other bodies hold one point at any d
+        loops = enumeration._KERNEL_LOOPS
+        free = sorted({i for i in (loops - 1, loops, 2 * loops - 1, 2 * loops, d - 1) if i < d})
+        unit = [[int(i == j) for j in range(d)] for i in range(d)]
+        form = [[Fraction(4 * (i == j)) for j in range(d)] for i in range(d)]
+        for i in free:
+            form[i][i] = Fraction(1, 3)
+        for i, j in zip(free, free[1:]):
+            form[i][j] = form[j][i] = Fraction(1, 10)
+        bodies = [
+            ConvexBody.box([0] * d),
+            ConvexBody.box([int(i in free) for i in range(d)]),
+            disk(Fraction(1, 4), d),
+            ConvexBody.from_ellipsoid(Ellipsoid(Mat(form))),
+            ConvexBody.vertices([[0] * d]),
+            ConvexBody.vertices([[0] * d, unit[free[0]], [-c for c in unit[free[1]]], unit[free[-1]]]),
+        ]
+        for body in bodies:
+            runs = list(enum_body(body).runs)
+            assert runs == sweep_reference(body)
+            assert sum(hi - lo + 1 for _, lo, hi in runs) > 0
+
+    def test_sweep_compiled_once_per_kind_and_dim(self):
+        draws = itertools.product(GENERATOR_KINDS, (1, 2, 3), range(3))
+        bodies = [gen_random(kind, d, seed).body for kind, d, seed in draws]
+        bodies += [ConvexBody.box([2] * d) for d in (1, 2, 3)]
+        shapes = {(body.kind, body.dim) for body in bodies}
+        enumeration._sweep_kernel.cache_clear()
+        for body in bodies:
+            enum_body(body)
+        info = enumeration._sweep_kernel.cache_info()
+        compiled = len(shapes)
+        assert (info.misses, info.hits, info.currsize) == (compiled, len(bodies) - compiled, compiled)
 
     def test_random_vertices_5d(self, monkeypatch):
         # 7 vertices, 40 facet rows; both sweeps visit 1 977 last-coordinate

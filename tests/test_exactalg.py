@@ -18,6 +18,7 @@ from gapcover.exactalg import (
     Mat,
     UnimodularMat,
     _gauss_jordan,
+    _independent_rows,
     _integer_solver,
     _span_rank,
     det,
@@ -436,6 +437,19 @@ class TestKernels:
         basis = integer_kernel(rows, cols)
         assert basis == fraction_kernel(rows, cols)
         assert len(basis) == cols - (fraction_rank(rows) if rows else 0)
+
+    @given(kernel_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_kernel_of_independent_rows(self, data):
+        # integer_kernel's rows depend only on the row space, so the rows
+        # that raise the rank, in either order, give the kernel of them all
+        rows, cols = data
+        rank = fraction_rank(rows) if rows else 0
+        for order in (rows, rows[::-1]):
+            kept = _independent_rows(order, cols)
+            assert len(kept) == rank == _span_rank(order, cols)
+            assert all(any(p is r for r in rows) for p in kept)
+            assert integer_kernel(kept, cols) == integer_kernel(rows, cols)
 
     def test_left_kernel_saturated(self):
         m = Mat([[1], [-1]])

@@ -105,6 +105,13 @@ class TestParseInstance:
         assert spec.eps == Fraction(1, 50)
         assert spec.phi == (1, -2)
 
+    @pytest.mark.parametrize("halfwidths, index", [([-1, 2], 0), ([1, "-1/2"], 1), ([-2, -3], 0)])
+    def test_negative_box_halfwidth_path(self, halfwidths, index):
+        with pytest.raises(ParseError) as err:
+            parse_instance({"dim": 2, "body": {"type": "box", "halfwidths": halfwidths}})
+        assert err.value.path == f"body.halfwidths[{index}]"
+        assert err.value.message == "box halfwidths must be nonnegative"
+
     def test_gap_extension(self):
         spec = parse_instance(
             {
