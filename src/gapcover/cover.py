@@ -58,7 +58,7 @@ from .exactalg import (
     unimodular_solve,  # not called here; perfbench/tracing.py wraps cover.unimodular_solve
 )
 from .geomcore import (
-    MVEE_DEFAULT_EPS,
+    MVEE_EPS,
     ConvexBody,
     Ellipsoid,
     circumscribe_parallelotope,
@@ -107,6 +107,9 @@ class SubspaceReduction:
 
 @dataclass(frozen=True)
 class StageDiagnostics:
+    """What each stage of cover built; the field names are the keys of a
+    report's ``stages`` record.  ``eps`` is MVEE_EPS when mvee ran."""
+
     eps: Fraction | None
     subspace_dim: int
     mvee_used: bool
@@ -166,7 +169,8 @@ class ProjectionReport:
 
     ``sumset_cardinality`` and ``doubling_ok`` are None only when
     ``degraded``: P has dependent differences and P+P lists more points than
-    the budget, so the chain is checked by the membership-based bound.
+    the budget, so the chain is checked by the membership-based bound.  The
+    field names are the keys of a report's ``projection`` record.
     """
 
     functional: tuple[int, ...]
@@ -181,6 +185,12 @@ class ProjectionReport:
     chain_ok: bool
     corollary_ok: bool
     degraded: bool
+
+    @property
+    def holds(self) -> bool:
+        """The projection verdict: the chain, the corollary and fibre
+        monotonicity all hold."""
+        return self.chain_ok and self.corollary_ok and self.fiber_monotone
 
 
 def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceReduction:
@@ -330,11 +340,7 @@ def gap_membership_tester(gap: Gap) -> GapMembership | None:
     return GapMembership(gap.base, tuple(n for _, n in active), solve)
 
 
-def cover(
-    body: ConvexBody,
-    eps: Fraction = MVEE_DEFAULT_EPS,
-    cap: int = DEFAULT_BUDGET,
-) -> tuple[Gap, CoverReport]:
+def cover(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> tuple[Gap, CoverReport]:
     """Run the full pipeline and certify the result.
 
     Returns the covering progression and a report whose ``contained`` flag
@@ -362,7 +368,7 @@ def cover(
         enclosing = body0.ellipsoid_rep
         mvee_used = False
     else:
-        enclosing = mvee(body0.spanning_points(), eps)
+        enclosing = mvee(body0.spanning_points())
         mvee_used = True
     timings["ellipsoid_ms"] = (time.perf_counter() - t0) * 1000.0
 
@@ -387,7 +393,7 @@ def cover(
     cert = certify_reduction(reduced, den)
     vol_box = Fraction(2) ** k * math.prod(halfwidths, start=Fraction(1))
     stages = StageDiagnostics(
-        eps=eps if mvee_used else None,
+        eps=MVEE_EPS if mvee_used else None,
         subspace_dim=k,
         mvee_used=mvee_used,
         volume_parallelotope=vol_q,
@@ -594,7 +600,7 @@ def verify_projection(
         chain_ok = img_p * fiber_c <= 2**order * card_p
     corollary_ok = img_p <= covering_bound(gap.dim) * max(img_c, 1)
     return ProjectionReport(
-        functional=phi,
+        functional=tuple(phi),
         image_count_C=img_c,
         image_count_P=img_p,
         max_fiber_C=fiber_c,

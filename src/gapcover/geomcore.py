@@ -53,7 +53,7 @@ from .exactalg import (
 
 DEFAULT_BUDGET = 10**7  # lattice points, or facet candidates, one call may visit
 MVEE_MAX_ITER = 100_000
-MVEE_DEFAULT_EPS = Fraction(1, 100)
+MVEE_EPS = Fraction(1, 100)  # mvee's tolerance; the bound needs the ellipsoid only up to a constant
 _RATIONALIZE_DEN_CAP = 10**9  # largest denominator of an entry of mvee's rationalized form
 
 
@@ -327,14 +327,14 @@ def _khachiyan_kernel(d: int):
     return namespace["kernel"]
 
 
-def mvee(points: Mat | Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_MAX_ITER) -> Ellipsoid:
+def mvee(points: Mat | Iterable[Iterable], max_iter=MVEE_MAX_ITER) -> Ellipsoid:
     """Enclosing ellipsoid of points ∪ -points, near-minimal volume; the
     points are given as they come or as the rows of a Mat.
 
     At d = 1 it is the interval itself, A = 1 / max x^2.  Otherwise
     Khachiyan's ascent runs in floats until max_j x_j^T M^-1 x_j <=
-    d (1 + eps), M = sum u_i x_i x_i^T, as straight-line code generated for
-    d (``_khachiyan_kernel``): the IEEE operations of the reference loop in
+    d (1 + MVEE_EPS), M = sum u_i x_i x_i^T, as straight-line code generated
+    for d (``_khachiyan_kernel``): the IEEE operations of the reference loop in
     tests/_oracles.py, and no float sum(), so its steps are the same on
     every interpreter.  With x = p / den, p the integer rows of the points'
     Mat, and u_i = float(1 / n) = a / b, the first M^-1 is b den^2 R / (a q),
@@ -353,9 +353,6 @@ def mvee(points: Mat | Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_M
         points = Mat(pts)  # DimensionError unless the points share one dimension d >= 1
     ip, den = points.num, points.den
     d = points.cols
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise DimensionError("eps must lie in (0, 1)")
     if _span_rank(ip, d) < d:
         raise RankError("points do not span the space")
     if d == 1:
@@ -365,7 +362,7 @@ def mvee(points: Mat | Iterable[Iterable], eps=MVEE_DEFAULT_EPS, max_iter=MVEE_M
     w_num, w_den = (1.0 / points.rows).as_integer_ratio()
     m_inv = [[w_den * den**2 * x / (w_num * q) for x in row] for row in r]  # int / int rounds correctly
     xs = [tuple(x / den for x in p) for p in ip]
-    m_inv = _khachiyan_kernel(d)(m_inv, xs, d * (1.0 + float(eps)), max_iter)
+    m_inv = _khachiyan_kernel(d)(m_inv, xs, d * (1.0 + float(MVEE_EPS)), max_iter)
     if m_inv is None:
         raise ConvergenceError(f"no convergence within {max_iter} iterations")
 

@@ -11,7 +11,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Sequence
@@ -19,7 +19,6 @@ from typing import Sequence
 from .cover import (
     STAGES,
     CoverReport,
-    ProjectionReport,
     cover,
     stage_chain,
     verify_cover,
@@ -28,7 +27,7 @@ from .cover import (
 from .enumeration import DEFAULT_BUDGET, Gap, box_point_count
 from .errors import BudgetError, DimensionError, GapCoverError, GenerationError, ParseError, RankError
 from .exactalg import Mat, _span_rank, det
-from .geomcore import MVEE_DEFAULT_EPS, ConvexBody, Ellipsoid
+from .geomcore import ConvexBody, Ellipsoid
 
 EXIT_OK = 0
 EXIT_CERT_FAILURE = 1
@@ -78,7 +77,6 @@ class SplitMix64:
 class InstanceSpec:
     dim: int
     body: ConvexBody
-    eps: Fraction = MVEE_DEFAULT_EPS
     phi: tuple[int, ...] | None = None
     budget: int = DEFAULT_BUDGET
     gap: Gap | None = None
@@ -87,8 +85,6 @@ class InstanceSpec:
 
     def to_json_dict(self) -> dict:
         doc = {"dim": self.dim, "body": _body_to_json(self.body)}
-        if self.eps != MVEE_DEFAULT_EPS:
-            doc["eps"] = rat_to_json(self.eps)
         if self.phi is not None:
             doc["phi"] = list(self.phi)
         if self.budget != DEFAULT_BUDGET:
@@ -122,6 +118,22 @@ class BatchReport:
 def rat_to_json(x: Fraction | int):
     num, den = x.as_integer_ratio()
     return num if den == 1 else f"{num}/{den}"
+
+
+def record_to_json(record) -> dict:
+    """A report dataclass (StageDiagnostics, ProjectionReport) as a JSON
+    object keyed by its field names."""
+    return {f.name: _value_to_json(getattr(record, f.name)) for f in fields(record)}
+
+
+def _value_to_json(x):
+    # type(), not isinstance: an isinstance check against Fraction, an ABC,
+    # costs as much as the rest of the record
+    if type(x) is Fraction:
+        return rat_to_json(x)
+    if type(x) is tuple:
+        return [_value_to_json(v) for v in x]
+    return x
 
 
 def _parse_rat(value, path: str) -> Fraction:
@@ -231,7 +243,7 @@ def _parse_gap(doc, dim: int, path: str) -> Gap:
     )
 
 
-_KNOWN_KEYS = {"dim", "body", "eps", "phi", "budget", "gap", "kind", "seed"}
+_KNOWN_KEYS = {"dim", "body", "phi", "budget", "gap", "kind", "seed"}
 
 
 def parse_instance(doc) -> InstanceSpec:
@@ -255,11 +267,6 @@ def parse_instance(doc) -> InstanceSpec:
         raise ParseError("body", "missing")
     body = _parse_body(doc["body"], dim, "body")
 
-    eps = MVEE_DEFAULT_EPS
-    if "eps" in doc:
-        eps = _parse_rat(doc["eps"], "eps")
-        if not 0 < eps < 1:
-            raise ParseError("eps", "must lie in (0, 1)")
     phi = None
     if "phi" in doc:
         raw = doc["phi"]
@@ -278,9 +285,7 @@ def parse_instance(doc) -> InstanceSpec:
     seed = None
     if "seed" in doc:
         seed = _parse_int(doc["seed"], "seed")
-    return InstanceSpec(
-        dim=dim, body=body, eps=eps, phi=phi, budget=budget, gap=gap, kind=kind, seed=seed
-    )
+    return InstanceSpec(dim=dim, body=body, phi=phi, budget=budget, gap=gap, kind=kind, seed=seed)
 
 
 def gen_random(
@@ -376,41 +381,13 @@ def cover_report_to_json(report: CoverReport, include_timings: bool = False) -> 
     }
     s = report.stages
     if s is not None:
-        doc["stages"] = {
-            "eps": rat_to_json(s.eps) if s.eps is not None else None,
-            "subspace_dim": s.subspace_dim,
-            "mvee_used": s.mvee_used,
-            "volume_parallelotope": rat_to_json(s.volume_parallelotope),
-            "volume_parallelotope_reduced": rat_to_json(s.volume_parallelotope_reduced),
-            "volume_box": rat_to_json(s.volume_box),
-            "box_halfwidths": [rat_to_json(a) for a in s.box_halfwidths],
-            "a_min": rat_to_json(s.a_min),
-            "all_halfwidths_ge_1": s.all_halfwidths_ge_1,
-            "reduction_ratio": rat_to_json(s.reduction_ratio),
-        }
+        doc["stages"] = record_to_json(s)
         doc["stage_chain"] = stage_chain(report)
     if include_timings:
         # wall-clock diagnostics; approximate by nature and excluded from
         # the canonical (byte-comparable) report
         doc["timings_ms_approx"] = {k: float(v) for k, v in report.timings_ms.items()}
     return doc
-
-
-def projection_report_to_json(rep: ProjectionReport) -> dict:
-    return {
-        "functional": list(rep.functional),
-        "image_count_C": rep.image_count_C,
-        "image_count_P": rep.image_count_P,
-        "max_fiber_C": rep.max_fiber_C,
-        "max_fiber_P": rep.max_fiber_P,
-        "cardinality_P": rep.cardinality_P,
-        "sumset_cardinality": rep.sumset_cardinality,
-        "doubling_ok": rep.doubling_ok,
-        "fiber_monotone": rep.fiber_monotone,
-        "chain_ok": rep.chain_ok,
-        "corollary_ok": rep.corollary_ok,
-        "degraded": rep.degraded,
-    }
 
 
 def to_canonical_json(doc) -> str:
@@ -504,7 +481,7 @@ def run_batch(
                 entry["mode"] = "verify"
                 entry["verify"] = cover_report_to_json(report, include_timings)
             else:
-                gap, report = cover(spec.body, spec.eps, spec.budget)
+                gap, report = cover(spec.body, spec.budget)
                 entry["mode"] = "cover"
                 entry["gap"] = gap_to_json(gap)
                 certificate = cover_report_to_json(report, include_timings)
@@ -522,9 +499,8 @@ def run_batch(
             ratio = report.ratio
             if spec.phi is not None:
                 prep = verify_projection(report.lattice_points, gap, spec.phi, spec.budget)
-                entry["projection"] = projection_report_to_json(prep)
-                if not (prep.chain_ok and prep.corollary_ok and prep.fiber_monotone):
-                    contained = False
+                entry["projection"] = record_to_json(prep)
+                contained = contained and prep.holds
             entry["contained"] = contained
             if batch.max_ratio is None or ratio > batch.max_ratio:
                 batch.max_ratio = ratio

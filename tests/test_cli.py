@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import gapcover
+import gapcover.cli
 from gapcover.cli import main
 from gapcover.harness import EXIT_BUDGET, EXIT_CERT_FAILURE, EXIT_OK, EXIT_USAGE
 
@@ -78,6 +80,20 @@ def test_project_phi_flag(tmp_path):
     inst = write(tmp_path, "inst.json", {"dim": 2, "body": {"type": "ball", "radius": 2}})
     code = main(["project", "--input", inst, "--phi", "2,-1", "--output", str(tmp_path / "p.json")])
     assert code == EXIT_OK
+
+
+def test_project_failing_verdict_exits_one(tmp_path, monkeypatch):
+    real = gapcover.cli.verify_projection
+
+    def not_monotone(*args):
+        return dataclasses.replace(real(*args), fiber_monotone=False)
+
+    monkeypatch.setattr(gapcover.cli, "verify_projection", not_monotone)
+    inst = write(tmp_path, "inst.json", {"dim": 2, "body": {"type": "ball", "radius": 2}, "phi": [1, 1]})
+    out = tmp_path / "p.json"
+    assert main(["project", "--input", inst, "--output", str(out)]) == EXIT_CERT_FAILURE
+    doc = json.loads(out.read_text())
+    assert doc["report"]["contained"] is True and doc["projection"]["fiber_monotone"] is False
 
 
 def test_project_missing_phi(tmp_path):
@@ -192,25 +208,41 @@ BALL = {"type": "ball", "radius": 2}
         ("--eps", "eps", "0"),
         ("--budget", "budget", 0),
         ("--budget", "budget", -5),
+        ("--phi", "phi", "1,2,3"),
+        ("--phi", "phi", "1,x"),
     ],
 )
 def test_overrides_validated_as_document_keys(tmp_path, capsys, body, flag, key, value):
-    # an out-of-range flag is refused like the same key in the document
-    plain = write(tmp_path, "plain.json", {"dim": 2, "body": body})
-    keyed = write(tmp_path, "keyed.json", {"dim": 2, "body": body, key: value})
-    for command in ("cover", "project", "batch"):
-        extra = ["--phi", "1,1"] if command == "project" else []
-        assert main([command, "--input", keyed] + extra) == EXIT_USAGE
-        assert main([command, "--input", plain, flag, str(value)] + extra) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert f"parse error: {key}: must" in err and "certification error" not in err
+    # an out-of-range flag is refused like the same key in the document;
+    # eps (the MVEE tolerance, the constant MVEE_EPS) at any value, as either
+    commands = {
+        "eps": ("cover", "verify", "project", "batch"),
+        "budget": ("cover", "project", "batch"),
+        "phi": ("project",),
+    }[key]
+    message = {"eps": "eps: unknown key", "budget": "budget: must be positive", "phi": "phi: expected"}[key]
+    for command in commands:
+        wrap = (lambda doc: [doc]) if command == "batch" else (lambda doc: doc)
+        plain = write(tmp_path, "plain.json", wrap({"dim": 2, "body": body}))
+        keyed = write(tmp_path, "keyed.json", wrap({"dim": 2, "body": body, key: value}))
+        extra = ["--phi", "1,1"] if command == "project" and key != "phi" else []
+        assert main([command, "--input", keyed, *extra]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and message in err, err
+        assert main([command, "--input", plain, flag, str(value), *extra]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert (f"unrecognized arguments: --eps {value}" if key == "eps" else message) in err, err
 
 
 def test_overrides_echoed_and_applied(tmp_path):
     inst = write(tmp_path, "inst.json", {"dim": 2, "body": VERTEX_BODY})
     out = tmp_path / "c.json"
-    assert main(["cover", "--input", inst, "--eps", "1/50", "--output", str(out)]) == EXIT_OK
-    assert json.loads(out.read_text())["instance"]["eps"] == "1/50"
+    assert main(["project", "--input", inst, "--phi", "2,-1", "--output", str(out)]) == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["instance"]["phi"] == doc["projection"]["functional"] == [2, -1]
+    echoed = write(tmp_path, "echoed.json", doc["instance"])
+    assert main(["project", "--input", echoed, "--output", str(tmp_path / "e.json")]) == EXIT_OK
+    assert (tmp_path / "e.json").read_text() == out.read_text()
     big = write(tmp_path, "big.json", {"dim": 2, "body": {"type": "ball", "radius": 60}})
     assert main(["cover", "--input", big, "--budget", "10"]) == EXIT_BUDGET
     batch = write(tmp_path, "batch.json", [{"dim": 2, "body": BALL, "budget": 10**6}])

@@ -98,12 +98,13 @@ class TestParseInstance:
         assert err.value.path == "body.form[1]"
 
     def test_box_and_eps_and_phi(self):
-        spec = parse_instance(
-            {"dim": 2, "body": {"type": "box", "halfwidths": ["7/2", 1]}, "eps": "1/50", "phi": [1, -2]}
-        )
+        # eps is not a key: the MVEE tolerance is the constant MVEE_EPS
+        doc = {"dim": 2, "body": {"type": "box", "halfwidths": ["7/2", 1]}, "phi": [1, -2]}
+        spec = parse_instance(doc)
         assert spec.body.halfwidths == (Fraction(7, 2), Fraction(1))
-        assert spec.eps == Fraction(1, 50)
         assert spec.phi == (1, -2)
+        with pytest.raises(ParseError, match=r"^eps: unknown key$"):
+            parse_instance({**doc, "eps": "1/100"})
 
     @pytest.mark.parametrize("halfwidths, index", [([-1, 2], 0), ([1, "-1/2"], 1), ([-2, -3], 0)])
     def test_negative_box_halfwidth_path(self, halfwidths, index):
@@ -267,6 +268,21 @@ class TestRunBatch:
         assert batch.exit_code() == EXIT_OK
         assert batch.entries[0]["projection"]["chain_ok"]
 
+    def test_failing_projection_verdict_fails_the_instance(self, monkeypatch):
+        real = gapcover.harness.verify_projection
+
+        def not_monotone(*args):
+            return dataclasses.replace(real(*args), fiber_monotone=False)
+
+        monkeypatch.setattr(gapcover.harness, "verify_projection", not_monotone)
+        spec = parse_instance({"dim": 2, "body": {"type": "ball", "radius": 2}, "phi": [1, 1]})
+        batch = run_batch([spec])
+        entry = batch.entries[0]
+        assert batch.exit_code() == EXIT_CERT_FAILURE
+        assert batch.failures == [{"index": 0, "witness": None}]
+        assert entry["cover"]["contained"] is True and entry["contained"] is False
+        assert entry["projection"]["fiber_monotone"] is False and entry["projection"]["chain_ok"] is True
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -304,7 +320,7 @@ class TestRunBatch:
             assert entry["verify"] == stageless
             assert ("timings_ms_approx" in entry["verify"]) == include_timings
             if not include_timings:
-                _, report = cover(spec.body, spec.eps, spec.budget)
+                _, report = cover(spec.body, spec.budget)
                 assert entry["verify"] == cover_report_to_json(dataclasses.replace(report, stages=None))
 
     @pytest.mark.parametrize(
@@ -387,6 +403,52 @@ class TestSerialization:
     def test_canonical_json_rejects_non_json(self, doc):
         with pytest.raises(TypeError):
             to_canonical_json(doc)
+
+    def test_report_schema(self):
+        # the stages and projection records come from the dataclass fields;
+        # these literal key lists catch a key added, dropped or renamed
+        docs = [
+            {"dim": 2, "body": {"type": "vertices", "points": [[2, 1], [1, 2]]}, "phi": [1, -1]},
+            {"dim": 2, "body": {"type": "box", "halfwidths": ["5/2", 1]}},
+            {"dim": 2, "body": {"type": "ball", "radius": 2}},
+        ]
+        entries = run_batch([parse_instance(doc) for doc in docs]).entries
+        certificate = {"bound_value", "cardinality_C", "cardinality_P", "contained", "dim", "ratio", "witness"}
+        stages = {
+            "a_min",
+            "all_halfwidths_ge_1",
+            "box_halfwidths",
+            "eps",
+            "mvee_used",
+            "reduction_ratio",
+            "subspace_dim",
+            "volume_box",
+            "volume_parallelotope",
+            "volume_parallelotope_reduced",
+        }
+        for entry in entries:
+            assert entry["mode"] == "cover"
+            assert set(entry["verify"]) == certificate
+            assert set(entry["cover"]) == certificate | {"stages", "stage_chain"}
+            assert set(entry["cover"]["stages"]) == stages
+        assert set(entries[0]["projection"]) == {
+            "cardinality_P",
+            "chain_ok",
+            "corollary_ok",
+            "degraded",
+            "doubling_ok",
+            "fiber_monotone",
+            "functional",
+            "image_count_C",
+            "image_count_P",
+            "max_fiber_C",
+            "max_fiber_P",
+            "sumset_cardinality",
+        }
+        assert entries[0]["projection"]["functional"] == [1, -1]
+        # the fixed MVEE tolerance where mvee ran (vertices, box), null for an ellipsoid
+        assert [e["cover"]["stages"]["eps"] for e in entries] == ["1/100", "1/100", None]
+        assert [e["cover"]["stages"]["mvee_used"] for e in entries] == [True, True, False]
 
     def test_report_json_numbers_exact_or_tagged(self):
         body = parse_instance({"dim": 2, "body": {"type": "ball", "radius": 2}}).body
