@@ -76,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = subs.add_parser("verify", help="verify a progression against a body")
     _add_io_flags(p_verify)
 
-    p_project = subs.add_parser("project", help="cover, then verify the projection chain")
+    p_project = subs.add_parser("project", help="cover (or verify a claimed gap), then verify the projection chain")
     _add_io_flags(p_project)
     p_project.add_argument("--phi", default=None, help="comma-separated integer coefficients")
 
@@ -147,7 +147,10 @@ def _cmd_project(args) -> int:
     spec = _parse_with_overrides(_read_json(args.input), args)
     if spec.phi is None:
         raise ParseError("phi", "project needs a functional (instance key or --phi)")
-    gap, report = cover(spec.body, spec.budget)
+    if spec.gap is None:
+        gap, report = cover(spec.body, spec.budget)
+    else:  # a claimed progression is verified, as run_batch does
+        gap, report = spec.gap, verify_cover(spec.body, spec.gap, spec.budget)
     prep = verify_projection(report.lattice_points, gap, spec.phi, spec.budget)
     doc = {
         "instance": spec.to_json_dict(),

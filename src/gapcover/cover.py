@@ -11,21 +11,21 @@ dependent; otherwise the runs are tested in one scan, straight-line integer
 code compiled once per shape, and each run is tested at once from the
 numerators of one exact integer solve.  The stages:
 
-1. enclosing ellipsoid of the body (exact for ellipsoid bodies, certified
-   Khachiyan output otherwise),
-2. circumscribed parallelotope Q along the exact factorization
-   A = U D U^T of the ellipsoid's form, handed on as its generator matrix
-   G = U^-T diag(s_m), s_m >= 1 / sqrt(D_m), integer rows over one den, and
-   its exact volume |Q| = 2^d prod s_m, with an exact slab certificate
-   against A^-1 for each dual normal, a row of G^-1 = diag(1 / s_m) U^T,
-3. LLL-reduce the integer rows den G to den V, with a unimodular T and
-   T @ G = V, checked once in integers by lll_reduce, whose Gram
-   determinants prove the rows independent; |Q'| = |Q| since |det T| = 1,
-4. axis-aligned box B with half-widths a_j = ||row_j(den V)||_1 / den, and
-   the reduction certificate of V, whose determinant (of den V) is the only
-   one the pipeline takes,
-5. progression P = preimage of (B ∩ Z^d) under the coordinate map T, i.e.
-   base 0, differences = columns of T^-1, half-sides floor(a_j).
+1. enclosing ellipsoid E = {x : x^T A x <= 1} of the body (exact for
+   ellipsoid bodies, certified Khachiyan output otherwise),
+2. its dual form A^-1 = R / p in integers, and the exact squared volume
+   |Q|^2 = 4^k / det A of the parallelotope Q along the factorization
+   A = U D U^T that circumscribes E,
+3. LLL on the Gram matrix R, which returns the unimodular T; its rows t_j
+   are a reduced basis of the dual lattice in the metric of E,
+4. the reduced parallelotope Q' = {x : |t_j . x| <= h_E(t_j)}, with the
+   exact squared widths h_E(t_j)^2 = t_j R t_j^T / p as the reduction's
+   certificate, the box B of the coordinates y = T x over Q',
+5. progression P = preimage of the integer box |y_j| <= n_j under x -> T x,
+   i.e. base 0, differences = columns of T^-1, half-sides
+   n_j = floor(h_K(t_j)) from the body's own support function, so that
+   C ⊆ P holds by construction: t_j . x is an integer of size at most
+   h_K(t_j) for every x in C.
 
 Bodies whose lattice points span a proper subspace are first restricted to
 that subspace (saturated sublattice via Hermite-form kernels) and the
@@ -69,8 +69,8 @@ from .latred import certify_reduction, lll_reduce
 # Pinned pipeline constants; stage_chain checks each inequality exactly on
 # every report:
 # covering ratio bound  #P/#C <= RATIO_CONSTANT * d^(3d)
-# parallelotope stage   |Q|  <= (PARALLELOTOPE_CONSTANT * k)^k * #C
-# box stage             |B|  <= (BOX_CONSTANT * k)^(2k) * |Q'|
+# parallelotope stage   |Q|^2 <= (PARALLELOTOPE_CONSTANT * k)^(2k) * #C^2
+# box stage             |B|^2 <= (BOX_CONSTANT * k)^(4k) * |Q|^2
 RATIO_CONSTANT = Fraction(1)
 PARALLELOTOPE_CONSTANT = Fraction(4)
 BOX_CONSTANT = Fraction(1)
@@ -107,19 +107,18 @@ class SubspaceReduction:
 
 @dataclass(frozen=True)
 class StageDiagnostics:
-    """What each stage of cover built; the field names are the keys of a
-    report's ``stages`` record.  ``eps`` is MVEE_EPS when mvee ran."""
+    """What each stage of cover built, in exact squares; the field names are
+    the keys of a report's ``stages`` record.  ``eps`` is MVEE_EPS when mvee
+    ran.  |B|^2 = 4^k prod h_E(t_j)^2, and ``reduction_ratio_sq`` =
+    |B|^2 / |Q|^2 is the reduced basis' squared orthogonality defect."""
 
     eps: Fraction | None
     subspace_dim: int
     mvee_used: bool
-    volume_parallelotope: Fraction
-    volume_parallelotope_reduced: Fraction
-    volume_box: Fraction
-    box_halfwidths: tuple[Fraction, ...]
-    a_min: Fraction
-    all_halfwidths_ge_1: bool
-    reduction_ratio: Fraction
+    volume_parallelotope_sq: Fraction
+    volume_box_sq: Fraction
+    box_halfwidths_sq: tuple[Fraction, ...]
+    reduction_ratio_sq: Fraction
 
 
 @dataclass(frozen=True)
@@ -146,18 +145,21 @@ class CoverReport:
         for a report without stages.  Computed once per report, for
         stage_chain and the batch maxima alike.
 
-        parallelotope: |Q| <= (PARALLELOTOPE_CONSTANT * k)^k * #C
-        box:           |B| <= (BOX_CONSTANT * k)^(2k) * |Q'|
-        count:         #P  <= 2^k * |B|
+        The inequalities are compared in squares, which need no root:
+
+        parallelotope: |Q|^2 <= (PARALLELOTOPE_CONSTANT * k)^(2k) * #C^2
+        box:           |B|^2 <= (BOX_CONSTANT * k)^(4k) * |Q|^2
+        count:         #P^2  <= 4^k * |B|^2
         """
         s = self.stages
         if s is None:
             return None
         k = s.subspace_dim
         return {
-            "parallelotope": s.volume_parallelotope / ((PARALLELOTOPE_CONSTANT * k) ** k * self.cardinality_C),
-            "box": s.volume_box / ((BOX_CONSTANT * k) ** (2 * k) * s.volume_parallelotope_reduced),
-            "count": self.cardinality_P / (Fraction(2) ** k * s.volume_box),
+            "parallelotope": s.volume_parallelotope_sq
+            / ((PARALLELOTOPE_CONSTANT * k) ** (2 * k) * self.cardinality_C**2),
+            "box": s.volume_box_sq / ((BOX_CONSTANT * k) ** (4 * k) * s.volume_parallelotope_sq),
+            "count": self.cardinality_P**2 / (4**k * s.volume_box_sq),
         }
 
 
@@ -373,16 +375,16 @@ def cover(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> tuple[Gap, CoverReport
     timings["ellipsoid_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    gens, den, vol_q = circumscribe_parallelotope(enclosing)
+    gram, p, vol_q_sq = circumscribe_parallelotope(enclosing)
     timings["parallelotope_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    # rows of the generator matrix are the coordinate vectors of the generators
-    reduced, t_lll = lll_reduce(gens)
+    t_lll = lll_reduce(gram)
     timings["reduce_ms"] = (time.perf_counter() - t0) * 1000.0
 
-    halfwidths = tuple(Fraction(sum(map(abs, row)), den) for row in reduced)
-    halfsides = tuple(int(a) for a in halfwidths)  # floor: halfwidths >= 0
+    # n_j = floor(h_K(t_j)) >= 1: C spans, so t_j . c is a nonzero integer
+    # for some c in C
+    halfsides = tuple(body0.int_support(t) for t in t_lll.int_rows)
     # the differences are the columns of T^-1, pushed back by the embedding
     cols = t_lll.inverse().int_rows
     if not red.is_identity:
@@ -390,19 +392,16 @@ def cover(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> tuple[Gap, CoverReport
     gap = Gap(d, (0,) * d, tuple(zip(*cols)), halfsides)
     report = _certify(red.ambient_points, gap, cap, timings)
 
-    cert = certify_reduction(reduced, den)
-    vol_box = Fraction(2) ** k * math.prod(halfwidths, start=Fraction(1))
+    widths_sq = certify_reduction(t_lll, gram, p)
+    vol_box_sq = 4**k * math.prod(widths_sq)
     stages = StageDiagnostics(
         eps=MVEE_EPS if mvee_used else None,
         subspace_dim=k,
         mvee_used=mvee_used,
-        volume_parallelotope=vol_q,
-        volume_parallelotope_reduced=vol_q,  # |Q'| = |Q|, since |det T| = 1
-        volume_box=vol_box,
-        box_halfwidths=halfwidths,
-        a_min=min(halfwidths),
-        all_halfwidths_ge_1=all(a >= 1 for a in halfwidths),
-        reduction_ratio=cert.ratio,
+        volume_parallelotope_sq=vol_q_sq,
+        volume_box_sq=vol_box_sq,
+        box_halfwidths_sq=widths_sq,
+        reduction_ratio_sq=vol_box_sq / vol_q_sq,
     )
     return gap, replace(report, stages=stages)
 

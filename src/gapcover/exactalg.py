@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -233,10 +232,11 @@ def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 
 
 def _inverse_pair(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(r, p) with m^-1 == r / p, r and p integers; kept on m."""
+    """(r, p) with m^-1 == r / p, r integers and p > 0; kept on m."""
     if m._inv is None:
         r, p = _int_inverse(m.num)  # m^-1 = den * r / p
-        m._set(_inv=(tuple(tuple(m.den * x for x in row) for row in r), p))
+        s = m.den if p > 0 else -m.den  # the sign of p moves into r
+        m._set(_inv=(tuple(tuple(s * x for x in row) for row in r), abs(p)))
     return m._inv
 
 
@@ -246,8 +246,7 @@ def inverse(m: Mat) -> Mat:
     if not m.is_square():
         raise DimensionError(f"inverse needs a square matrix, got {m.rows}x{m.cols}")
     if m._inv_mat is None:
-        r, p = _inverse_pair(m)
-        m._set(_inv_mat=Mat(r, p) if p > 0 else Mat([[-x for x in row] for row in r], -p))
+        m._set(_inv_mat=Mat(*_inverse_pair(m)))
     return m._inv_mat
 
 
@@ -483,17 +482,3 @@ def unimodular_solve(x: Mat, x2: Mat) -> UnimodularMat:
         t.append(out)
     return UnimodularMat(t)
 
-
-_SQRT_SCALE = 1 << 48
-
-
-def sqrt_upper(x: Fraction) -> Fraction:
-    """Rational u >= sqrt(x), tight to about 2^-48 relative error."""
-    x = Fraction(x)
-    if x < 0:
-        raise ValueError("sqrt_upper of a negative value")
-    if x == 0:
-        return Fraction(0)
-    p, q = x.numerator, x.denominator
-    s = isqrt(p * q * _SQRT_SCALE * _SQRT_SCALE) + 1
-    return Fraction(s, q * _SQRT_SCALE)

@@ -7,13 +7,14 @@ integer points).  The iteration is straight-line code generated per
 dimension, with the IEEE operations of the reference loop in
 tests/_oracles.py and no float sum(), so its steps, and the reports, do not
 depend on the interpreter.  Every claim consumed downstream is established in
-exact rational arithmetic: point membership and slab containment.  An
-ellipsoid's form is factored exactly once, when it is built; the line
-extents and the parallelotope's axes are read off that factorization, and
-the parallelotope is handed on as its generator matrix, integer rows over
-one denominator, and its exact volume.  A vertex body is described exactly
-by integer rows |N.x| <= D (its facets, and with D = 0 the equalities of its
-span), computed once per body.
+exact integer arithmetic: point membership and the floor of a body's support
+function at an integer vector (``ConvexBody.int_support``).  An ellipsoid's
+form is factored exactly once, when it is built; the line extents and the
+parallelotope's volume are read off that factorization, and the parallelotope
+is handed on as the ellipsoid's dual form A^-1 = R / p in integers, which
+the reduction reads, with its exact squared volume.  A vertex body is
+described exactly by integer rows |N.x| <= D (its facets, and with D = 0 the
+equalities of its span), computed once per body.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BudgetError,
-    CertificationError,
     ConvergenceError,
     DimensionError,
     RankError,
@@ -47,7 +47,6 @@ from .exactalg import (
     integer_kernel,
     inverse,  # not called here; perfbench/tracing.py wraps geomcore.inverse
     schur_chain,
-    sqrt_upper,
     vec_dot,
 )
 
@@ -87,12 +86,6 @@ class Ellipsoid(Frozen):
 
     def contains(self, x: Sequence) -> bool:
         return self.quad(x) <= 1
-
-    def int_box_bounds(self) -> tuple[int, ...]:
-        """Per-axis integer bounds: floor of the exact axis extents, the
-        square roots of A^-1's diagonal, with A^-1 = R / p in integers."""
-        r, p = _inverse_pair(self.form)
-        return tuple(math.isqrt(r[j][j] // p) for j in range(self.dim))
 
 
 class ConvexBody(Frozen):
@@ -152,15 +145,24 @@ class ConvexBody(Frozen):
             return Mat(corners)
         raise DimensionError("ellipsoid bodies have no vertex description")
 
-    def int_box_bounds(self) -> tuple[int, ...]:
-        """Integer per-axis bounds of the body: floor of the exact extents,
-        for a vertex body max |w_j| // den over its points w / den."""
+    def int_support(self, t: Sequence[int]) -> int:
+        """floor(h(t)), h(t) = max{t . x : x in body} the support function at
+        an integer vector t, exactly: for an ellipsoid isqrt(t R t^T // p)
+        with A^-1 = R / p, as (t . x)^2 <= (t A^-1 t^T)(x^T A x) with equality
+        on the boundary; for a vertex body max |t . w| // den over its points
+        w / den; for a box floor(sum |t_i| h_i)."""
         if self.kind == "ellipsoid":
-            return self.ellipsoid_rep.int_box_bounds()
+            r, p = _inverse_pair(self.ellipsoid_rep.form)  # t R t^T over t's nonzero entries
+            return math.isqrt(sum(a * b * r[i][k] for i, a in enumerate(t) if a for k, b in enumerate(t) if b) // p)
         if self.kind == "vertices":
-            den = self.point_mat.den
-            return tuple(max(map(abs, col)) // den for col in zip(*self.point_mat.num))
-        return tuple(int(h) for h in self.halfwidths)
+            return max(abs(sum(map(operator.mul, w, t))) for w in self.point_mat.num) // self.point_mat.den
+        return math.floor(sum(abs(a) * h for a, h in zip(t, self.halfwidths) if a))
+
+    def int_box_bounds(self) -> tuple[int, ...]:
+        """Integer per-axis bounds of the body: int_support on each unit
+        vector, the floors of the exact extents."""
+        d = self.dim
+        return tuple(self.int_support((0,) * j + (1,) + (0,) * (d - 1 - j)) for j in range(d))
 
     def hull_facets(self, cap: int = DEFAULT_BUDGET) -> tuple[tuple[tuple[int, ...], int], ...]:
         """Exact H-representation of a vertex body, computed on first use:
@@ -381,39 +383,18 @@ def mvee(points: Mat | Iterable[Iterable], max_iter=MVEE_MAX_ITER) -> Ellipsoid:
         ) from None
 
 
-def circumscribe_parallelotope(e: Ellipsoid) -> tuple[list[list[int]], int, Fraction]:
-    """Parallelotope Q certified (exactly) to contain e, as (rows, den, |Q|):
-    its generator matrix G = rows / den, whose columns are the generators,
-    in lowest terms (den is the lcm of G's denominators), and the volume.
+def circumscribe_parallelotope(e: Ellipsoid) -> tuple[tuple[tuple[int, ...], ...], int, Fraction]:
+    """The ellipsoid's dual form and its circumscribed parallelotope's
+    squared volume, (R, p, |Q|^2): A^-1 = R / p with p > 0, the Gram matrix
+    that lll_reduce reduces, and |Q|^2 = 4^d / det A, both exact.
 
-    e.schur factors A = U D U^T (see schur_chain), so x^T A x =
-    sum_m D_m (w_m . x)^2 with w_m the columns of U, and e lies in
-    Q = {x : |w_m . x| <= s_m} for s_m = sqrt_upper(1 / D_m): G = U^-T
-    diag(s_m), and |Q| = 2^d prod s_m since det U = 1, within 2^-48 relative
-    per axis of 2^d / sqrt(det A).  Row m of U^T is r_m / r_m[m], r_m the
-    integer row the chain keeps, so with the integer inverse of the rows r_m
-    as K / k_den, G = K diag(r_m[m] s_m) / k_den.  The dual normals of Q are
-    the rows w_m / s_m of G^-1 = diag(1 / s_m) U^T; the slab certificate
-    n A^-1 n^T <= 1 is checked for each, in integers with A^-1 = R / p as
-    kept on the form; CertificationError if it fails."""
-    d = e.dim
+    e.schur factors A = U D U^T (see schur_chain), so e lies in
+    Q = {x : |w_m . x| <= 1 / sqrt(D_m)}, w_m the columns of U, and
+    |Q| = 2^d / sqrt(prod D_m) = 2^d / sqrt(det A), since det U = 1.  With
+    A = n / den, the chain's last pivot is det n, so
+    |Q|^2 = 4^d den^d / det n.  No square root is taken: the half-sides of
+    the progression come from the body's support function
+    (ConvexBody.int_support) on the rows of the reduction's T."""
+    r, p = _inverse_pair(e.form)
     den, chain = e.schur
-    r_inv, p = _inverse_pair(e.form)
-    r_rows, scales = [], []
-    for m, (rows, q) in enumerate(chain):
-        r = rows[m]
-        s = sqrt_upper(Fraction(q * den, r[m]))
-        # n = r / (r[m] s) with s = a / b: n A^-1 n^T <= 1 iff
-        # p b^2 (r R r^T) <= p^2 r[m]^2 a^2
-        r_quad = sum(x * sum(map(operator.mul, row, r)) for x, row in zip(r, r_inv))
-        if p * s.denominator**2 * r_quad > (p * r[m] * s.numerator) ** 2:
-            raise CertificationError("parallelotope slab certificate failed")
-        r_rows.append(list(r) + [0] * (d - 1 - m))
-        scales.append(s)
-    k, k_den = _int_inverse(r_rows)
-    # column m of G is r_m[m] a_m / (b_m k_den) times K's, s_m = a_m / b_m, over g_den
-    g_den = abs(k_den) * math.lcm(*(s.denominator for s in scales))
-    col = [r_rows[m][m] * s.numerator * g_den // (s.denominator * k_den) for m, s in enumerate(scales)]
-    g = [[x * c for x, c in zip(row, col)] for row in k]
-    content = math.gcd(g_den, *(x for row in g for x in row))
-    return [[x // content for x in row] for row in g], g_den // content, 2**d * math.prod(scales)
+    return r, p, Fraction(4**e.dim * den**e.dim, chain[0][0][0][0])

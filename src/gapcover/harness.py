@@ -102,7 +102,7 @@ class InstanceSpec:
 class BatchReport:
     entries: list = field(default_factory=list)
     max_ratio: Fraction | None = None
-    # stage name -> largest CoverReport.stage_factors value over the cover entries
+    # stage name -> largest CoverReport.stage_factors value (a square) over the cover entries
     max_factors: dict = field(default_factory=lambda: dict.fromkeys(STAGES))
     failures: list = field(default_factory=list)
     budget_skips: list = field(default_factory=list)
@@ -529,7 +529,7 @@ def batch_report_to_json(batch: BatchReport) -> dict:
         "aggregate": {
             "max_ratio": rat_to_json(batch.max_ratio) if batch.max_ratio is not None else None,
             **{
-                f"max_{name}_factor": rat_to_json(factor) if factor is not None else None
+                f"max_{name}_factor_sq": rat_to_json(factor) if factor is not None else None
                 for name, factor in batch.max_factors.items()
             },
         },
@@ -547,15 +547,14 @@ CSV_COLUMNS = (
     "ratio_num",
     "ratio_den",
     "contained",
-    "a_min",
-    "reduction_ratio",
+    "reduction_ratio_sq",
     "runtime_ms",
 )
 
 
 def batch_to_csv(batch: BatchReport) -> str:
-    """Fixed-column CSV; a_min, reduction_ratio, and runtime_ms are
-    approximate convenience floats (the JSON report holds the exact values)."""
+    """Fixed-column CSV; reduction_ratio_sq and runtime_ms are approximate
+    convenience floats (the JSON report holds the exact values)."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -564,8 +563,7 @@ def batch_to_csv(batch: BatchReport) -> str:
         rep = entry.get("cover") or entry.get("verify") or {}
         ratio = Fraction(str(rep.get("ratio", "0"))) if rep else Fraction(0)
         stages = rep.get("stages") or {}
-        a_min = stages.get("a_min")
-        red = stages.get("reduction_ratio")
+        red = stages.get("reduction_ratio_sq")
         writer.writerow(
             [
                 inst.get("dim", ""),
@@ -576,7 +574,6 @@ def batch_to_csv(batch: BatchReport) -> str:
                 ratio.numerator if rep else "",
                 ratio.denominator if rep else "",
                 entry.get("contained", ""),
-                float(Fraction(str(a_min))) if a_min is not None else "",
                 float(Fraction(str(red))) if red is not None else "",
                 round(entry.get("runtime_ms_approx", 0.0), 3),
             ]

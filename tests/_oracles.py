@@ -15,7 +15,7 @@ import math
 import operator
 from fractions import Fraction
 
-from gapcover.errors import CertificationError, ConvergenceError, DimensionError, RankError
+from gapcover.errors import ConvergenceError, DimensionError, RankError
 from gapcover.exactalg import (
     Mat,
     UnimodularMat,
@@ -23,7 +23,6 @@ from gapcover.exactalg import (
     _hnf_with_transform,
     _int_det,
     integer_kernel,
-    sqrt_upper,
 )
 
 
@@ -472,62 +471,99 @@ def parallelotope_contains(gens, x):
     return all(abs(_dot(row, x)) <= 1 for row in g_inv)
 
 
-def circumscribe_reference(e):
-    """(G, |Q|) of the circumscribed parallelotope of an ``Ellipsoid``, as
-    ``geomcore.circumscribe_parallelotope`` built them as rational matrices:
-    the rows w_m = r_m / r_m[m] of U^T from e.schur, padded with zeros,
-    G = U^-T diag(s_m) with s_m = sqrt_upper(q den / r_m[m]) from the
-    Fraction inverse of U^T, and |Q| = 2^d prod s_m.  Each dual normal
-    n = w_m / s_m is checked against the Fraction inverse of the form,
-    n A^-1 n^T <= 1, and CertificationError raised if it fails."""
-    d = e.dim
-    den, chain = e.schur
-    a_inv = fraction_inverse(e.form.entries)
-    w_rows, scales = [], []
-    for m, (rows, q) in enumerate(chain):
-        r = rows[m]
-        s = sqrt_upper(Fraction(q * den, r[m]))
-        w = [Fraction(x, r[m]) for x in r] + [0] * (d - 1 - m)
-        n = [x / s for x in w]
-        if _dot(n, [_dot(row, n) for row in a_inv]) > 1:
-            raise CertificationError("parallelotope slab certificate failed")
-        w_rows.append(w)
-        scales.append(s)
-    u_inv_t = fraction_inverse(w_rows)
-    gens = [[x * s for x, s in zip(row, scales)] for row in u_inv_t]
-    return gens, 2**d * math.prod(scales)
+def gram_schmidt_gram(gram):
+    """Gram-Schmidt read off a Gram matrix, over the rationals: (B, mu)
+    with B_i = ||b*_i||^2 and mu as in gram_schmidt, from
+    b_i . b*_j = gram_ij - sum_(l<j) mu_jl (b_i . b*_l)."""
+    d = len(gram)
+    big_b = []
+    mu = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i):
+            mu[i][j] = (gram[i][j] - sum(mu[j][l] * mu[i][l] * big_b[l] for l in range(j))) / big_b[j]
+        big_b.append(gram[i][i] - sum(mu[i][l] ** 2 * big_b[l] for l in range(i)))
+    return big_b, mu
 
 
-def lll_recompute(rows, delta=Fraction(99, 100)):
+def lll_recompute(rows, delta=Fraction(99, 100), gram=None):
     """Textbook exact LLL that recomputes Gram-Schmidt from scratch after
-    every swap, with the same size-reduction order (j = k-1 down to 0,
-    rounding half up) and Lovasz test as ``latred.lll_reduce``.
+    every change of the basis, with the same size-reduction order (j = k-1
+    down to 0, rounding half up) and Lovasz test as ``latred.lll_reduce``.
+    The basis is given by its rows, or, with rows None, only by its Gram
+    matrix ``gram``; Gram-Schmidt is taken from T gram T^T in Fractions.
 
-    Returns (reduced rows, T, swaps, rounded) with T @ rows == reduced rows:
-    the rows are tuples of Fractions, T a tuple of int tuples, and rounded
-    lists the values mu_kj that size reduction rounded, in order."""
-    d = len(rows)
-    rows = [[Fraction(x) for x in r] for r in rows]
+    Returns (reduced rows, T, swaps, rounded) with T @ rows == reduced rows
+    (None without rows): the rows are tuples of Fractions, T a tuple of int
+    tuples, and rounded lists the values mu_kj that size reduction rounded,
+    in order."""
+    if gram is None:
+        gram = [[_dot(a, b) for b in rows] for a in rows]
+    d = len(gram)
+    gram = [[Fraction(x) for x in row] for row in gram]
     t = [[int(i == j) for j in range(d)] for i in range(d)]
-    ortho, mu = gram_schmidt(rows)
+
+    def recompute():
+        tg = [[_dot(row, col) for col in zip(*gram)] for row in t]
+        return gram_schmidt_gram([[_dot(a, b) for b in t] for a in tg])
+
+    big_b, mu = recompute()
     swaps, rounded, k = 0, [], 1
     while k < d:
         for j in range(k - 1, -1, -1):
             q = math.floor(mu[k][j] + Fraction(1, 2))
             rounded.append(mu[k][j])
             if q:
-                rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
                 t[k] = [a - q * b for a, b in zip(t[k], t[j])]
-                ortho, mu = gram_schmidt(rows)
-        if _dot(ortho[k], ortho[k]) >= (delta - mu[k][k - 1] ** 2) * _dot(ortho[k - 1], ortho[k - 1]):
+                big_b, mu = recompute()
+        if big_b[k] >= (delta - mu[k][k - 1] ** 2) * big_b[k - 1]:
             k += 1
         else:
-            rows[k], rows[k - 1] = rows[k - 1], rows[k]
             t[k], t[k - 1] = t[k - 1], t[k]
-            ortho, mu = gram_schmidt(rows)
+            big_b, mu = recompute()
             swaps += 1
             k = max(k - 1, 1)
-    return tuple(map(tuple, rows)), tuple(map(tuple, t)), swaps, rounded
+    reduced = None
+    if rows is not None:
+        reduced = tuple(tuple(_dot(row, col) for col in zip(*rows)) for row in t)
+    return reduced, tuple(map(tuple, t)), swaps, rounded
+
+
+def support_floor(body, t):
+    """floor(max{t . x : x in body}) in Fractions, from the body's
+    definition: the largest t . x over the listed points and their
+    negatives, over the corners of a box, and for an ellipsoid
+    x^T A x <= 1 the largest m with m^2 <= t A^-1 t^T (the maximum is
+    sqrt(t A^-1 t^T), at x = A^-1 t / sqrt(t A^-1 t^T)), counted up from 0."""
+    if body.kind == "vertices":
+        return math.floor(max(abs(_dot(t, p)) for p in body.points))
+    if body.kind == "box":
+        corners = itertools.product(*((h, -h) for h in body.halfwidths))
+        return math.floor(max(_dot(t, c) for c in corners))
+    a_inv = fraction_inverse(body.ellipsoid_rep.form.entries)
+    q = _dot(t, [_dot(row, t) for row in a_inv])
+    m = 0
+    while (m + 1) ** 2 <= q:
+        m += 1
+    return m
+
+
+def l1_halfsides(e, t_rows):
+    """The half-sides floor(h_Q(t_j)) read off a parallelotope's generators:
+    Q = {G lam : |lam_i| <= 1} circumscribes the ``Ellipsoid`` e along its
+    factorization A = U D U^T, with generators G = U^-T diag(s_m) and
+    s_m >= 1 / sqrt(D_m) rounded up at scale 2^48, and h_Q(t) = ||t G||_1,
+    the l1 norm of a row of V = T G.  Since e lies in Q, they bound the
+    half-sides floor(h_K(t_j)) of any body K in e from above."""
+    d = e.dim
+    den, chain = e.schur
+    w_rows, scales = [], []
+    for m, (rows, q) in enumerate(chain):
+        r = rows[m]
+        x = Fraction(q * den, r[m])
+        scales.append(Fraction(math.isqrt(x.numerator * x.denominator << 96) + 1, x.denominator << 48))
+        w_rows.append([Fraction(c, r[m]) for c in r] + [0] * (d - 1 - m))
+    gens = [[x * s for x, s in zip(row, scales)] for row in fraction_inverse(w_rows)]
+    return tuple(math.floor(sum(abs(_dot(t, col)) for col in zip(*gens))) for t in t_rows)
 
 
 def float_dot(a, b):

@@ -96,6 +96,23 @@ def test_project_failing_verdict_exits_one(tmp_path, monkeypatch):
     assert doc["report"]["contained"] is True and doc["projection"]["fiber_monotone"] is False
 
 
+@pytest.mark.parametrize(
+    "halfsides, code, witness", [([1, 1], EXIT_CERT_FAILURE, [-2, 0]), ([2, 2], EXIT_OK, None)], ids=["false", "true"]
+)
+def test_project_verifies_claimed_gap(tmp_path, halfsides, code, witness):
+    # a claimed progression is verified, as batch does, not replaced by cover's
+    gap = {"base": [0, 0], "diffs": [[1, 0], [0, 1]], "halfsides": halfsides}
+    doc = {"dim": 2, "body": {"type": "ball", "radius": 2}, "phi": [1, 1], "gap": gap}
+    inst, out = write(tmp_path, "inst.json", doc), tmp_path / "p.json"
+    assert main(["project", "--input", inst, "--output", str(out)]) == code
+    report = json.loads(out.read_text())
+    assert report["gap"] == gap
+    assert report["report"]["witness"] == witness
+    assert "stages" not in report["report"]
+    batch = write(tmp_path, "batch.json", [doc])
+    assert main(["batch", "--input", batch, "--output", str(tmp_path / "b.json")]) == code
+
+
 def test_project_missing_phi(tmp_path):
     inst = write(tmp_path, "inst.json", {"dim": 2, "body": {"type": "ball", "radius": 2}})
     assert main(["project", "--input", inst]) == EXIT_USAGE

@@ -143,7 +143,7 @@ class TestCoverPipeline:
         gap, report = cover(body)
         assert report.contained
         assert report.ratio >= 1
-        assert report.stages.all_halfwidths_ge_1
+        assert min(gap.halfsides) >= 1
 
     def test_degenerate_body_covers(self):
         body = ConvexBody.vertices([(2, 2)])
@@ -164,7 +164,9 @@ class TestCoverPipeline:
         body = disk(4)
         gap, report = cover(body)
         s = report.stages
-        assert s.volume_parallelotope == s.volume_parallelotope_reduced
+        # |B| = |Q'|, since |det T| = 1: the box of the squared widths
+        assert s.volume_box_sq == 4**s.subspace_dim * s.box_halfwidths_sq[0] * s.box_halfwidths_sq[1]
+        assert s.volume_box_sq == s.reduction_ratio_sq * s.volume_parallelotope_sq
         w = Mat(gap.diffs).transpose()
         assert abs(det(w)) == 1
 
@@ -451,17 +453,13 @@ class TestCoverCatchesShrunkenProgression:
         ids=["disk", "skewed", "segment"],
     )
     def test_witness_is_first_missing_point(self, body, monkeypatch):
-        # half the box widths: the generator matrix over twice its
-        # denominator halves every a_j = ||row_j||_1 / den, so P no longer
-        # holds C, and cover must say so with the first point of C that is
-        # outside P
-        circumscribe = gapcover.cover.circumscribe_parallelotope
+        # half the half-sides n_j = floor(h_K(t_j)) as cover builds its
+        # progression: P no longer holds C, and cover must say so with the
+        # first point of C that is outside P
+        def halved(dim, base, diffs, halfsides):
+            return Gap(dim, base, diffs, tuple(n // 2 for n in halfsides))
 
-        def halved(e):
-            rows, den, vol = circumscribe(e)
-            return rows, 2 * den, vol
-
-        monkeypatch.setattr("gapcover.cover.circumscribe_parallelotope", halved)
+        monkeypatch.setattr("gapcover.cover.Gap", halved)
         gap, report = cover(body)
         listed = gap_points(gap)
         assert not report.contained

@@ -19,13 +19,13 @@ from gapcover.exactalg import (
     UnimodularMat,
     _gauss_jordan,
     _independent_rows,
+    _inverse_pair,
     _integer_solver,
     _span_rank,
     det,
     integer_kernel,
     inverse,
     left_kernel,
-    sqrt_upper,
     unimodular_solve,
     vec_dot,
 )
@@ -95,6 +95,10 @@ class TestIntegerKernels:
                 inverse(m)
         else:
             assert inverse(m).entries == fraction_inverse(rows)
+            # the integer pair carries the inverse's sign in its numerators
+            r, p = _inverse_pair(m)
+            assert p > 0
+            assert tuple(tuple(Fraction(x, p) for x in row) for row in r) == fraction_inverse(rows)
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -481,24 +485,18 @@ class TestKernels:
 
 
 class TestSqrtBounds:
-    @given(st.fractions(min_value=0, max_value=10**6))
-    @settings(max_examples=80, deadline=None)
-    def test_bracketing(self, x):
-        up = sqrt_upper(x)
-        assert x <= up * up
-
     def test_floor_sqrt(self):
-        # Ellipsoid.int_box_bounds is floor(sqrt((A^-1)_jj)), from A^-1 = R / p
-        e = Ellipsoid(Mat([[Fraction(10, 89), 0], [0, Fraction(10, 91)]]))
-        assert e.int_box_bounds() == (2, 3)
-        assert Ellipsoid(Mat([[Fraction(1, 4)]])).int_box_bounds() == (2,)
+        # an ellipsoid body's int_box_bounds are floor(sqrt((A^-1)_jj)), from
+        # A^-1 = R / p
+        def bounds(form):
+            return ConvexBody.from_ellipsoid(Ellipsoid(Mat(form))).int_box_bounds()
+
+        assert bounds([[Fraction(10, 89), 0], [0, Fraction(10, 91)]]) == (2, 3)
+        assert bounds([[Fraction(1, 4)]]) == (2,)
         form = [[Fraction(x, 50) for x in row] for row in ((5, 2, 0), (2, 4, 1), (0, 1, 3))]
         inv = fraction_inverse(form)
         want = tuple(math.isqrt(math.floor(inv[j][j])) for j in range(3))
-        assert Ellipsoid(Mat(form)).int_box_bounds() == want
-
-    def test_exact_square(self):
-        assert 2 <= sqrt_upper(Fraction(4))
+        assert bounds(form) == want
 
 
 def test_vec_dot_dimension_error():

@@ -8,12 +8,13 @@ from hypothesis import strategies as st
 import gapcover.geomcore
 from gapcover.errors import (
     BudgetError,
-    CertificationError,
     ConvergenceError,
     DimensionError,
     RankError,
 )
-from gapcover.exactalg import Mat, _span_rank, det, inverse, sqrt_upper
+from gapcover.cover import cover
+from gapcover.enumeration import enum_body
+from gapcover.exactalg import Mat, _span_rank, det, inverse
 from gapcover.geomcore import (
     MVEE_EPS,
     ConvexBody,
@@ -23,6 +24,7 @@ from gapcover.geomcore import (
     mvee,
 )
 from gapcover.harness import gen_random
+from gapcover.latred import certify_reduction, lll_reduce
 
 from _oracles import (
     ellipsoid_volume,
@@ -71,7 +73,10 @@ class TestEllipsoid:
         assert not e.contains((2, 1))
         # squared support in direction (1, 0): (A^-1)_00
         assert inverse(e.form).entries[0][0] == 4
-        assert e.int_box_bounds() == (2, 1)
+        body = ConvexBody.from_ellipsoid(e)
+        assert body.int_box_bounds() == (2, 1)
+        # floor(sqrt((1, 1) A^-1 (1, 1)^T)) = floor(sqrt(5))
+        assert body.int_support((1, 1)) == body.int_support((-1, -1)) == 2
 
 
 class TestMvee:
@@ -200,49 +205,43 @@ class TestMvee:
         assert vol <= (1 + 2 * 0.01) * oracle
 
 
-def generators(e):
-    """circumscribe_parallelotope's (G, |Q|), G the rational Mat rows / den."""
-    rows, den, vol = circumscribe_parallelotope(e)
-    return Mat(rows).scale(Fraction(1, den)), vol
+def dual_form(e):
+    """circumscribe_parallelotope's (A^-1 = R / p as a Mat, |Q|^2), p > 0."""
+    r, p, vol_sq = circumscribe_parallelotope(e)
+    assert p > 0
+    return Mat(r, p), vol_sq
 
 
 class TestCircumscribe:
     def test_unit_disk_square(self):
-        e = Ellipsoid(identity(2))
-        g, vol = generators(e)
-        # any rotation is fine; volume must be (2 side)^2 up to tiny slack
-        assert float(vol) <= 4.0 * 1.001
-        # exact certificate is part of construction; spot-check a boundary point
-        assert parallelotope_contains(g.entries, (1, 0)) or parallelotope_contains(g.entries, (0, 1))
+        # Q is the square [-1, 1]^2
+        a_inv, vol_sq = dual_form(Ellipsoid(identity(2)))
+        assert a_inv == identity(2)
+        assert vol_sq == 16
 
     def test_axis_aligned_ellipse(self):
-        e = Ellipsoid(Mat([[Fraction(1, 4), 0], [0, 1]]))
-        g, vol = generators(e)
-        assert float(vol) <= 8.0 * 1.001
-        assert parallelotope_contains(g.entries, (2, 0))
-        assert parallelotope_contains(g.entries, (0, 1))
+        a_inv, vol_sq = dual_form(Ellipsoid(Mat([[Fraction(1, 4), 0], [0, 1]])))
+        assert a_inv == Mat([[4, 0], [0, 1]])
+        assert vol_sq == 64
 
     def test_unit_ball(self):
-        g, vol = generators(Ellipsoid(identity(3)))
-        assert 8 < vol <= 8 * (1 + Fraction(1, 2**48)) ** 3
-        assert parallelotope_contains(g.entries, (1, 0, 0))
-        assert parallelotope_contains(g.entries, (0, 0, -1))
+        a_inv, vol_sq = dual_form(Ellipsoid(identity(3)))
+        assert a_inv == identity(3)
+        assert vol_sq == 64
 
     def test_volume_matches_determinant(self):
-        # |Q| = 2^d prod s_m, each s_m within 2^-48 relative of its square
-        # root, so |Q|^2 det A lies in [4^d, 4^d (1 + 2^-48)^(2d)]
-        for form in (Mat([[2, 1], [1, 3]]), Mat([[5, 2, 0], [2, 4, 1], [0, 1, 3]])):
+        # |Q|^2 = 4^d / det A, exactly: no root is rounded
+        for form in (Mat([[2, 1], [1, 3]]), Mat([[5, 2, 0], [2, 4, 1], [0, 1, 3]]), Mat([[Fraction(1, 9), 0], [0, 4]])):
             e = Ellipsoid(form)
-            v_sq = generators(e)[1] ** 2 * det(form)
-            assert 4**e.dim <= v_sq <= 4**e.dim * (1 + Fraction(1, 2**48)) ** (2 * e.dim)
-
-    def test_wrong_factorization_fails_certificate(self, monkeypatch):
-        # axes shortened by half: the slab check against A^-1 must catch it
-        monkeypatch.setattr(gapcover.geomcore, "sqrt_upper", lambda x: sqrt_upper(x) / 2)
-        with pytest.raises(CertificationError, match="slab certificate"):
-            circumscribe_parallelotope(Ellipsoid(Mat([[2, 1], [1, 3]])))
+            a_inv, vol_sq = dual_form(e)
+            assert a_inv == inverse(form)
+            assert vol_sq * det(form) == 4**e.dim
 
     def test_boundary_points_inside_random_forms(self):
+        # the reduced parallelotope Q' = {x : |t_j . x| <= h_E(t_j)}, t_j the
+        # rows of the T that LLL returns on R and h_E(t_j)^2 the certificate's
+        # squared widths, holds the boundary point x = c / sqrt(c^T A c) of
+        # each direction c: (t_j . c)^2 <= h_E(t_j)^2 c^T A c, in squares
         forms = [
             Mat([[2, 1], [1, 3]]),
             Mat([[Fraction(1, 9), 0], [0, 4]]),
@@ -251,14 +250,13 @@ class TestCircumscribe:
         directions = [(1, 0), (0, 1), (1, 1), (2, -1)]
         for form in forms:
             e = Ellipsoid(form)
-            g, _ = generators(e)
+            r, p, _ = circumscribe_parallelotope(e)
+            t = lll_reduce(r)
+            widths_sq = certify_reduction(t, r, p)
             for c in directions[: e.dim + 1]:
                 c = c + (0,) * (e.dim - len(c))
-                # exact point of the ellipsoid in direction c: c / sqrt_upper(c^T A c)
-                t = sqrt_upper(e.quad(c))
-                x = tuple(Fraction(ci) / t for ci in c)
-                assert e.contains(x)
-                assert parallelotope_contains(g.entries, x)
+                for tj, w_sq in zip(t.int_rows, widths_sq):
+                    assert sum(a * b for a, b in zip(tj, c)) ** 2 <= w_sq * e.quad(c)
 
 
 def line_extent(body, prefix):
@@ -412,9 +410,9 @@ class TestBodiesAndMembership:
 
 
 class TestParallelotope:
-    """The parallelotope as the pipeline hands it on, (G, |Q|) with the
-    generators the columns of G, and the oracle membership test in it that
-    the containment tests above use."""
+    """The parallelotope as the pipeline hands it on, (A^-1, |Q|^2), and the
+    oracle membership test in a parallelotope {G lam : |lam_i| <= 1}, the
+    generators the columns of G, that the progression test below uses."""
 
     def test_contains_unit_square(self):
         g = [(1, 0), (0, 1)]
@@ -427,7 +425,7 @@ class TestParallelotope:
         assert not parallelotope_contains(g, (3, 2))
 
     def test_volume(self):
-        # circumscribe_parallelotope's |Q| = 2^d prod s_m is 2^d |det G|, d = 1..4
+        # circumscribe_parallelotope's |Q|^2 is 4^d det A^-1, d = 1..4
         forms = [
             [[Fraction(1, 7)]],
             [["17/8", "13/16"], ["13/16", "5/16"]],
@@ -435,5 +433,22 @@ class TestParallelotope:
             [[4, 1, 0, 1], [1, 3, 1, 0], [0, 1, 2, 0], [1, 0, 0, 6]],
         ]
         for form in forms:
-            g, vol = generators(Ellipsoid(Mat(form)))
-            assert vol == 2**g.rows * abs(fraction_det(g.entries))
+            a_inv, vol_sq = dual_form(Ellipsoid(Mat(form)))
+            assert vol_sq == 4**a_inv.rows * fraction_det(a_inv.entries)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            ConvexBody.from_ellipsoid(Ellipsoid(identity(2).scale(Fraction(1, 4)))),
+            ConvexBody.from_ellipsoid(Ellipsoid((Mat([[5, 3], [2, 1]]) @ Mat([[5, 2], [3, 1]])).scale(Fraction(1, 16)))),
+            ConvexBody.vertices([(3, 1), (1, 3), (2, -2)]),
+            ConvexBody.box([Fraction(5, 2), 1, Fraction(7, 3)]),
+        ],
+        ids=["disk", "skewed", "vertices", "box"],
+    )
+    def test_progression_parallelotope_holds_c(self, body):
+        # C lies in the parallelotope spanned by the n_j v_j of cover's
+        # progression: |t_j . x| <= h_K(t_j) on the body, by construction
+        gap, _ = cover(body)
+        gens = [[n * v[i] for v, n in zip(gap.diffs, gap.halfsides)] for i in range(body.dim)]
+        assert all(parallelotope_contains(gens, x) for x in enum_body(body))

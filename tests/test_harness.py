@@ -361,20 +361,21 @@ class TestRunBatch:
         assert batch.max_ratio == max(ratios)
 
     def test_parallelotope_factor_uses_pinned_constant(self):
-        # max |Q| / ((4k)^k #C): <= 1 exactly when every parallelotope
-        # entry of stage_chain holds
+        # max |Q|^2 / ((4k)^(2k) #C^2): <= 1 exactly when every
+        # parallelotope entry of stage_chain holds
         kinds = ("lattice-ball", "random-vertices")
         batch = run_batch([gen_random(kind, 2, seed) for kind in kinds for seed in (0, 1)])
         factors = []
         for entry in batch.entries:
             rep = entry["cover"]
             k = rep["stages"]["subspace_dim"]
-            vol_q = Fraction(str(rep["stages"]["volume_parallelotope"]))
-            factors.append(vol_q / ((4 * k) ** k * rep["cardinality_C"]))
+            vol_q_sq = Fraction(str(rep["stages"]["volume_parallelotope_sq"]))
+            factors.append(vol_q_sq / ((4 * k) ** (2 * k) * rep["cardinality_C"] ** 2))
             assert rep["stage_chain"]["parallelotope"] == (factors[-1] <= 1)
         assert batch.max_factors["parallelotope"] == max(factors)
         agg = batch_report_to_json(batch)["aggregate"]
-        assert Fraction(str(agg["max_parallelotope_factor"])) == max(factors)
+        assert Fraction(str(agg["max_parallelotope_factor_sq"])) == max(factors)
+        assert set(agg) == {"max_ratio", "max_parallelotope_factor_sq", "max_box_factor_sq", "max_count_factor_sq"}
 
 
 class TestSerialization:
@@ -415,16 +416,13 @@ class TestSerialization:
         entries = run_batch([parse_instance(doc) for doc in docs]).entries
         certificate = {"bound_value", "cardinality_C", "cardinality_P", "contained", "dim", "ratio", "witness"}
         stages = {
-            "a_min",
-            "all_halfwidths_ge_1",
-            "box_halfwidths",
+            "box_halfwidths_sq",
             "eps",
             "mvee_used",
-            "reduction_ratio",
+            "reduction_ratio_sq",
             "subspace_dim",
-            "volume_box",
-            "volume_parallelotope",
-            "volume_parallelotope_reduced",
+            "volume_box_sq",
+            "volume_parallelotope_sq",
         }
         for entry in entries:
             assert entry["mode"] == "cover"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 from fractions import Fraction
 from unittest import mock
 
@@ -10,16 +11,16 @@ from hypothesis import strategies as st
 import gapcover.cover
 import gapcover.latred
 
-from gapcover.errors import CertificationError, DimensionError, RankError
+from gapcover.errors import DimensionError, LatticeMismatchError, RankError
 from gapcover.cover import cover
-from gapcover.exactalg import Mat, Vector, det, inverse, sqrt_upper
+from gapcover.exactalg import Mat, UnimodularMat, Vector, det, inverse
 from gapcover.harness import gen_random
 from gapcover.geomcore import Ellipsoid, circumscribe_parallelotope
-from gapcover.latred import ReductionCert, certify_reduction, lll_reduce
+from gapcover.latred import certify_reduction, lll_reduce
 
 from _oracles import (
-    circumscribe_reference,
     fraction_det,
+    fraction_inverse,
     fraction_rank,
     gram_schmidt,
     hnf,
@@ -32,16 +33,31 @@ from _oracles import (
 MINIMA_MAX_DIM = 4
 
 
+def gram(rows):
+    """The Gram matrix B B^T of integer rows."""
+    return [[sum(map(operator.mul, a, b)) for b in rows] for a in rows]
+
+
 def reduce_mat(basis: Mat):
-    """lll_reduce of the rows of a square rational matrix, passed as integer
-    rows over their common denominator: (the reduced Mat, T)."""
-    reduced, t = lll_reduce(basis.num)
-    return Mat(reduced, basis.den), t
+    """lll_reduce of the rows of a square rational matrix, passed as the
+    Gram matrix of its integer rows over their common denominator: (the
+    reduced Mat T @ basis, T)."""
+    t = lll_reduce(gram(basis.num))
+    return Mat(t.int_rows) @ basis, t
 
 
-def certify_mat(basis: Mat):
-    """certify_reduction of the rows of a square rational matrix."""
-    return certify_reduction(basis.num, basis.den)
+def norm_product_sq(basis: Mat) -> Fraction:
+    """prod ||b_j||^2 over the rows of a square rational matrix, from
+    certify_reduction with T = I on the Gram matrix of its integer rows over
+    den^2."""
+    d = basis.rows
+    t = UnimodularMat([[int(i == j) for j in range(d)] for i in range(d)])
+    return math.prod(certify_reduction(t, gram(basis.num), basis.den**2))
+
+
+def defect_sq(basis: Mat) -> Fraction:
+    """The squared orthogonality defect prod ||b_j||^2 / det(basis)^2."""
+    return norm_product_sq(basis) / det(basis) ** 2
 
 
 def successive_minima_bruteforce(basis: Mat) -> list[Vector]:
@@ -71,7 +87,7 @@ def successive_minima_bruteforce(basis: Mat) -> list[Vector]:
     for i in range(d):
         col = [row[i] for row in inv.entries]
         bound_sq = radius_sq * norm_sq(col)
-        bounds.append(int(sqrt_upper(bound_sq)) + 1)
+        bounds.append(math.isqrt(math.ceil(bound_sq)) + 1)
 
     candidates = []
     for coeffs in itertools.product(*(range(-b, b + 1) for b in bounds)):
@@ -171,35 +187,37 @@ class TestLll:
         assert lattices_equal(b, v)
         assert abs(det(v)) == abs(det(b))
         d = b.rows
-        cert = certify_mat(v)
-        assert cert.ratio <= Fraction(2) ** Fraction(d * (d - 1), 4) * Fraction(1000001, 1000000)
+        # the squared defect of an LLL-reduced basis, delta = 99/100, is at
+        # most 2^(d(d-1)/2)
+        assert defect_sq(v) <= Fraction(2) ** Fraction(d * (d - 1), 2)
 
     def test_wrong_transform_raises(self, monkeypatch):
-        # the T @ U == V check is a raised error, not an assert that
-        # python -O strips
-        real = gapcover.latred.int_matmul
+        # T's certificate, det T = +-1, is checked by UnimodularMat as a
+        # raised error, not an assert that python -O strips
+        real = gapcover.latred.UnimodularMat
 
-        def perturbed(a, b):
-            out = real(a, b)
-            out[0][0] += 1
-            return out
+        def perturbed(rows):
+            rows[0][0] += 1
+            return real(rows)
 
-        monkeypatch.setattr(gapcover.latred, "int_matmul", perturbed)
-        with pytest.raises(CertificationError, match="reduction transform"):
-            lll_reduce([(1, 0), (4, 1)])
+        monkeypatch.setattr(gapcover.latred, "UnimodularMat", perturbed)
+        with pytest.raises(LatticeMismatchError, match="determinant"):
+            lll_reduce(gram([(1, 0), (4, 1)]))
 
     def test_dependent_rows_rejected(self):
-        # the Gram pass finds dd[2] = 0; no determinant is taken first
-        with pytest.raises(RankError, match="dependent"):
-            lll_reduce([[1, 2], [2, 4]])
-        with pytest.raises(RankError, match="dependent"):
-            lll_reduce([[0, 0], [1, 1]])
-        with pytest.raises(RankError, match="dependent"):
-            lll_reduce([[1, 0, 0], [0, 1, 0], [1, 1, 0]])
+        # the Gram pass finds dd[i] <= 0 for a singular or an indefinite
+        # Gram matrix; no determinant is taken first
+        for rows in ([[1, 2], [2, 4]], [[0, 0], [1, 1]], [[1, 0, 0], [0, 1, 0], [1, 1, 0]]):
+            with pytest.raises(RankError, match="not positive definite"):
+                lll_reduce(gram(rows))
+        for g in ([[-1]], [[1, 2], [2, 1]], [[2, 1, 0], [1, 2, 0], [0, 0, -3]]):
+            with pytest.raises(RankError, match="not positive definite"):
+                lll_reduce(g)
 
     def test_non_square_rejected(self):
-        with pytest.raises(DimensionError):
-            lll_reduce([[1, 0, 0], [0, 1, 0]])
+        for g in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0]], [[1], [0, 1]]):
+            with pytest.raises(DimensionError):
+                lll_reduce(g)
 
     def test_rational_entries(self):
         b = Mat([(Fraction(1, 3), 0), (Fraction(5, 2), Fraction(1, 7))])
@@ -210,12 +228,12 @@ class TestLll:
 
 @st.composite
 def rational_bases(draw):
-    """Nonsingular rational d x d bases, d = 1..6.  Half of them are skewed
-    by a chain of unimodular shears row_i += m * row_(i-1), which LLL has
-    to undo with many swaps."""
+    """Nonsingular rational d x d bases, d = 1..6, half of them integer
+    bases.  Half of them are skewed by a chain of unimodular shears
+    row_i += m * row_(i-1), which LLL has to undo with many swaps."""
     d = draw(st.integers(1, 6))
     bound = draw(st.sampled_from([3, 60, 10**5]))
-    entry = st.builds(Fraction, st.integers(-bound, bound), st.integers(1, 9))
+    entry = st.builds(Fraction, st.integers(-bound, bound), st.integers(1, draw(st.sampled_from([1, 9]))))
     rows = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
     if draw(st.booleans()):
         m = draw(st.integers(2, 50))
@@ -225,13 +243,14 @@ def rational_bases(draw):
     return rows
 
 
-def assert_same_as_recompute(rows):
+def assert_same_as_recompute(rows, g=None):
     """lll_reduce rounds the same mu_kj values as the oracle, in the same
-    order, and returns its (reduced, T) exactly; returns the oracle's swap
-    count.  A wrong update makes the entries blow up within a few steps, so
-    each value is compared as it is rounded and the run stops at the first
-    difference."""
-    want_rows, want_t, swaps, want_rounded = lll_recompute(rows)
+    order, and returns its T exactly, with T @ rows the oracle's reduced
+    rows; returns the oracle's swap count.  The basis is given by its rows,
+    or with rows None by its integer Gram matrix g alone.  A wrong update
+    makes the entries blow up within a few steps, so each value is compared
+    as it is rounded and the run stops at the first difference."""
+    want_rows, want_t, swaps, want_rounded = lll_recompute(rows, gram=g)
     rounded = []
     round_half_up = gapcover.latred._round_half_up
 
@@ -243,10 +262,11 @@ def assert_same_as_recompute(rows):
         return round_half_up(num, den)
 
     with mock.patch.object(gapcover.latred, "_round_half_up", checked):
-        reduced, t = reduce_mat(Mat(rows))
+        t = lll_reduce(gram(Mat(rows).num) if g is None else g)
     assert rounded == want_rounded
-    assert reduced.entries == want_rows
     assert t.int_rows == want_t
+    if rows is not None:
+        assert (Mat(t.int_rows) @ Mat(rows)).entries == want_rows
     return swaps
 
 
@@ -263,6 +283,16 @@ class TestLllMatchesRecompute:
     def test_random_rational_bases(self, rows):
         assert_same_as_recompute(rows)
 
+    @given(rational_bases(), st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(999, 1000)]))
+    @settings(max_examples=40, deadline=None)
+    def test_delta_matches_recompute(self, rows, delta):
+        # delta enters only the Lovasz test, through its numerator and
+        # denominator; (1/4, 1) is its range
+        assert lll_reduce(gram(Mat(rows).num), delta).int_rows == lll_recompute(rows, delta)[1]
+        for bad in (Fraction(1, 4), 1, 2):
+            with pytest.raises(DimensionError, match="delta"):
+                lll_reduce(gram(Mat(rows).num), bad)
+
     def test_many_swaps(self):
         # knapsack-style basis: the reduction takes 44 swaps
         rows = [
@@ -278,27 +308,30 @@ class TestLllMatchesRecompute:
         ids=["lattice-ball", "random-ellipsoid", "random-vertices"],
     )
     def test_pipeline_generator_matrices(self, kind, kw, d, monkeypatch):
-        # the generator matrix cover() hands to LLL on the seed-0 instance;
-        # cover stops there
-        bases = []
+        # the generators of the parallelotope enter LLL as their Gram
+        # matrix, the integer dual form R = p A^-1 that cover() hands on for
+        # the seed-0 instance; cover stops there
+        grams = []
 
-        def record(basis, *args):
-            bases.append(basis)
+        def record(g, *args):
+            grams.append(g)
             raise _Captured
 
         monkeypatch.setattr(gapcover.cover, "lll_reduce", record)
         with pytest.raises(_Captured):
             cover(gen_random(kind, d, 0, **kw).body)
-        assert_same_as_recompute([list(v) for v in bases[0]])
+        assert_same_as_recompute(None, [list(row) for row in grams[0]])
 
 
 @given(rational_bases(), st.integers(2, 10**9))
 @settings(max_examples=40, deadline=None)
 def test_scaled_basis_same_transform(rows, c):
-    # a rational basis reaches lll_reduce as its rows over a common
-    # denominator, i.e. scaled; scaling changes no decision, so c * basis
-    # gives the same T
+    # a rational Gram matrix reaches lll_reduce as its numerators over a
+    # common denominator, i.e. scaled; scaling changes no decision, so
+    # c * gram gives the same T, and so does the basis c * B
     reduced, t = reduce_mat(Mat(rows))
+    g = gram(Mat(rows).num)
+    assert lll_reduce([[c * x for x in row] for row in g]) == t
     reduced_c, t_c = reduce_mat(Mat([[c * x for x in row] for row in rows]))
     assert t_c == t
     assert reduced_c == reduced.scale(c)
@@ -318,45 +351,42 @@ def definite_forms(draw):
 @given(definite_forms())
 @settings(max_examples=40, deadline=None)
 def test_integer_handoff_matches_rational_matrices(form):
-    # the parallelotope reaches LLL as integer rows over one denominator:
-    # exactly the rational generator matrix cleared, with the same |Q|, T
-    # and reduction certificate
+    # the dual form reaches LLL as integers R over p > 0: exactly the
+    # rational A^-1 cleared, with |Q|^2 det A = 4^d, the T of the oracle on
+    # the rational Gram matrix A^-1, and the squared widths t_j A^-1 t_j^T
     e = Ellipsoid(form)
-    rows, den, vol = circumscribe_parallelotope(e)
-    gens, vol_ref = circumscribe_reference(e)
-    assert (tuple(map(tuple, rows)), den) == (Mat(gens).num, Mat(gens).den)
-    assert vol == vol_ref
-    reduced, t = lll_reduce(rows)
-    want_rows, want_t, _, _ = lll_recompute(gens)
+    r, p, vol_sq = circumscribe_parallelotope(e)
+    a_inv = fraction_inverse(form.entries)
+    assert p > 0
+    assert tuple(tuple(Fraction(x, p) for x in row) for row in r) == tuple(map(tuple, a_inv))
+    assert vol_sq * det(form) == 4**e.dim
+    t = lll_reduce(r)
+    _, want_t, _, _ = lll_recompute(None, gram=a_inv)
     assert t.int_rows == want_t
-    assert Mat(reduced).scale(Fraction(1, den)).entries == want_rows
-    prod_sq = math.prod(norm_sq(row) for row in want_rows)
-    det_abs = abs(fraction_det(want_rows))
-    upper = sqrt_upper(prod_sq)
-    assert certify_reduction(reduced, den) == ReductionCert(upper, prod_sq, det_abs, upper / det_abs)
+    widths_sq = tuple(sum(a * b for a, b in zip(tj, (sum(x * y for x, y in zip(row, tj)) for row in a_inv))) for tj in want_t)
+    assert certify_reduction(t, r, p) == widths_sq
 
 
 class TestCertify:
+    # certify_reduction's squared lengths, over det^2: the squared
+    # orthogonality defect, exactly
+
     def test_identity_ratio_one(self):
-        cert = certify_mat(Mat([(1, 0), (0, 1)]))
-        assert cert.norm_product_sq == 1
-        assert cert.det_abs == 1
-        assert 1 <= cert.ratio < Fraction(1000001, 1000000)
+        b = Mat([(1, 0), (0, 1)])
+        assert norm_product_sq(b) == 1
+        assert defect_sq(b) == 1
 
     def test_sqrt2_ratio(self):
-        cert = certify_mat(Mat([(1, 0), (1, 1)]))
-        assert cert.norm_product_sq == 2
-        assert cert.ratio ** 2 >= 2
-        assert cert.ratio ** 2 <= Fraction(2) * Fraction(1000001, 1000000)
+        b = Mat([(1, 0), (1, 1)])
+        assert norm_product_sq(b) == 2
+        assert defect_sq(b) == 2
 
     def test_unreduced_flagged(self):
-        cert = certify_mat(Mat([(1, 0), (100, 1)]))
-        assert Fraction(100004, 1000) < cert.ratio < Fraction(100006, 1000)
+        assert defect_sq(Mat([(1, 0), (100, 1)])) == 10001
 
     def test_hadamard_lower_bound(self):
-        for rows in [((3, 1), (1, 2)), ((5, 0, 0), (1, 1, 0), (2, 3, 4))]:
-            cert = certify_mat(Mat(rows))
-            assert cert.ratio >= 1
+        for rows in [((3, 1), (1, 2)), ((5, 0, 0), (1, 1, 0), (2, 3, 4)), ((Fraction(1, 3), 1), (2, Fraction(5, 7)))]:
+            assert defect_sq(Mat(rows)) >= 1
 
 
 class TestSuccessiveMinima:
@@ -390,15 +420,14 @@ class TestSuccessiveMinima:
             return
         mins = successive_minima_bruteforce(b)
         reduced, _ = reduce_mat(b)
-        cert = certify_mat(reduced)
+        prod_sq = norm_product_sq(reduced)
         prod_min_sq = Fraction(1)
         for v in mins:
             prod_min_sq *= norm_sq(v)
         d = b.rows
         # minima product <= reduced norm product <= LLL factor * minima product
-        assert prod_min_sq <= cert.norm_product_sq
-        factor = Fraction(2) ** Fraction(d * (d - 1), 2)
-        assert cert.norm_product_sq <= factor * prod_min_sq * Fraction(1000001, 1000000)
+        assert prod_min_sq <= prod_sq
+        assert prod_sq <= Fraction(2) ** Fraction(d * (d - 1), 2) * prod_min_sq
 
     @given(basis_strategy(max_dim=2, bound=25))
     @settings(max_examples=100, deadline=None)
