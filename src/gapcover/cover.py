@@ -11,8 +11,10 @@ dependent; otherwise the runs are tested in one scan, straight-line integer
 code compiled once per shape, and each run is tested at once from the
 numerators of one exact integer solve.  The stages:
 
-1. enclosing ellipsoid E = {x : x^T A x <= 1} of the body (exact for
-   ellipsoid bodies, certified Khachiyan output otherwise),
+1. enclosing ellipsoid E = {x : x^T A x <= 1} of the body: the body itself
+   for an ellipsoid, otherwise the moment form of its spanning points
+   (geomcore.mvee), one integer inverse scaled so that every point lies
+   in E and one on its boundary,
 2. its dual form A^-1 = R / p in integers, and the exact squared volume
    |Q|^2 = 4^k / det A of the parallelotope Q along the factorization
    A = U D U^T that circumscribes E,
@@ -58,7 +60,6 @@ from .exactalg import (
     unimodular_solve,  # not called here; perfbench/tracing.py wraps cover.unimodular_solve
 )
 from .geomcore import (
-    MVEE_EPS,
     ConvexBody,
     Ellipsoid,
     circumscribe_parallelotope,
@@ -108,11 +109,11 @@ class SubspaceReduction:
 @dataclass(frozen=True)
 class StageDiagnostics:
     """What each stage of cover built, in exact squares; the field names are
-    the keys of a report's ``stages`` record.  ``eps`` is MVEE_EPS when mvee
-    ran.  |B|^2 = 4^k prod h_E(t_j)^2, and ``reduction_ratio_sq`` =
-    |B|^2 / |Q|^2 is the reduced basis' squared orthogonality defect."""
+    the keys of a report's ``stages`` record.  ``mvee_used`` says whether
+    the ellipsoid is mvee's moment form.  |B|^2 = 4^k prod h_E(t_j)^2, and
+    ``reduction_ratio_sq`` = |B|^2 / |Q|^2 is the reduced basis' squared
+    orthogonality defect."""
 
-    eps: Fraction | None
     subspace_dim: int
     mvee_used: bool
     volume_parallelotope_sq: Fraction
@@ -201,8 +202,12 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
     only lattice point is the origin.  The span is read off the nonzero run
     ends, which span C: the k of them that raise the rank, last runs first,
     are a basis of it, and its saturated lattice is taken from those k.
-    Only a proper subspace lists C, to check each point against the
-    sublattice and to give a vertex body's restricted vertices."""
+
+    C is not listed.  On a proper subspace an ellipsoid is pulled back by
+    the embedding, and any other body becomes the vertex body of its
+    distinct nonzero run ends, solved in the sublattice's coordinates: every
+    point of C lies between the ends of its run or of the mirrored run, so
+    their hull is conv(C)."""
     c_points = enum_body(body, cap)
     d = body.dim
     # the last runs first: a spanning body reaches rank d after a few ends
@@ -220,23 +225,22 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
         raise RankError("saturated sublattice has unexpected rank")
     embed = Mat(basis_rows).transpose()  # d x k, columns = lattice basis
 
-    solve_embed = _integer_solver(basis_rows, d)
-    if solve_embed is None:
-        raise RankError("embedding matrix is rank deficient")
-    reduced = []
-    for p in c_points:
-        y = solve_embed(p)
-        if y is None:
-            raise RankError("lattice point outside the saturated sublattice")
-        reduced.append(tuple(y))
-
     if body.kind == "ellipsoid":
         # embed^T A embed, with A = num / den and embed^T = basis_rows
         form = body.ellipsoid_rep.form
         pulled = int_matmul(basis_rows, int_matmul(form.num, list(zip(*basis_rows))))
         body0 = ConvexBody.from_ellipsoid(Ellipsoid(Mat(pulled, form.den)))
     else:
-        body0 = ConvexBody.vertices([p for p in reduced if any(p)])
+        solve_embed = _integer_solver(basis_rows, d)
+        if solve_embed is None:
+            raise RankError("embedding matrix is rank deficient")
+        reduced = []
+        for p in dict.fromkeys(_run_ends(c_points.runs)):
+            y = solve_embed(p)
+            if y is None:
+                raise RankError("lattice point outside the saturated sublattice")
+            reduced.append(y)
+        body0 = ConvexBody.vertices(reduced)
     return SubspaceReduction(d, k, embed, body0, c_points)
 
 
@@ -395,7 +399,6 @@ def cover(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> tuple[Gap, CoverReport
     widths_sq = certify_reduction(t_lll, gram, p)
     vol_box_sq = 4**k * math.prod(widths_sq)
     stages = StageDiagnostics(
-        eps=MVEE_EPS if mvee_used else None,
         subspace_dim=k,
         mvee_used=mvee_used,
         volume_parallelotope_sq=vol_q_sq,

@@ -21,11 +21,6 @@ class LatticeMismatchError(GapCoverError):
     """Two bases do not generate the same lattice."""
 
 
-class ConvergenceError(GapCoverError):
-    """An iterative solver exceeded its iteration cap, or its result was
-    too coarse to use: mvee's form, rationalized, not positive definite."""
-
-
 class CertificationError(GapCoverError):
     """An exact certificate could not be established."""
 

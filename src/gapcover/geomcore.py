@@ -1,25 +1,20 @@
 """Centrally symmetric convex bodies, enclosing ellipsoids, enclosing parallelotopes.
 
-Floating point is allowed in one place, Khachiyan's iteration in ``mvee``,
-which runs in floats between an exact set-up (one integer inverse, rounded
-once per entry) and an exact finish (the rationalized form rescaled over the
-integer points).  The iteration is straight-line code generated per
-dimension, with the IEEE operations of the reference loop in
-tests/_oracles.py and no float sum(), so its steps, and the reports, do not
-depend on the interpreter.  Every claim consumed downstream is established in
-exact integer arithmetic: point membership and the floor of a body's support
-function at an integer vector (``ConvexBody.int_support``).  An ellipsoid's
-form is factored exactly once, when it is built; the line extents and the
-parallelotope's volume are read off that factorization, and the parallelotope
-is handed on as the ellipsoid's dual form A^-1 = R / p in integers, which
-the reduction reads, with its exact squared volume.  A vertex body is
-described exactly by integer rows |N.x| <= D (its facets, and with D = 0 the
-equalities of its span), computed once per body.
+No floating point is used here.  Every claim consumed downstream is
+established in exact integer arithmetic: point membership and the floor of a
+body's support function at an integer vector (``ConvexBody.int_support``).
+A vertex body's enclosing ellipsoid is its moment form (``mvee``), one
+integer inverse with no iteration.  An ellipsoid's form is factored exactly
+once, when it is built; the line extents and the parallelotope's volume are
+read off that factorization, and the parallelotope is handed on as the
+ellipsoid's dual form A^-1 = R / p in integers, which the reduction reads,
+with its exact squared volume.  A vertex body is described exactly by
+integer rows |N.x| <= D (its facets, and with D = 0 the equalities of its
+span), computed once per body.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import operator
@@ -28,9 +23,9 @@ from typing import Iterable, Sequence
 
 from .errors import (
     BudgetError,
-    ConvergenceError,
     DimensionError,
     RankError,
+    SingularMatrixError,
 )
 from .exactalg import (
     Frozen,
@@ -39,7 +34,6 @@ from .exactalg import (
     _gauss_jordan,
     _int_inverse,
     _inverse_pair,
-    _span_rank,
     _with_identity,
     as_vector,
     det,  # not called here; perfbench/tracing.py wraps geomcore.det
@@ -51,9 +45,6 @@ from .exactalg import (
 )
 
 DEFAULT_BUDGET = 10**7  # lattice points, or facet candidates, one call may visit
-MVEE_MAX_ITER = 100_000
-MVEE_EPS = Fraction(1, 100)  # mvee's tolerance; the bound needs the ellipsoid only up to a constant
-_RATIONALIZE_DEN_CAP = 10**9  # largest denominator of an entry of mvee's rationalized form
 
 
 class Ellipsoid(Frozen):
@@ -159,8 +150,12 @@ class ConvexBody(Frozen):
         return math.floor(sum(abs(a) * h for a, h in zip(t, self.halfwidths) if a))
 
     def int_box_bounds(self) -> tuple[int, ...]:
-        """Integer per-axis bounds of the body: int_support on each unit
-        vector, the floors of the exact extents."""
+        """Integer per-axis bounds of the body, int_support on each unit
+        vector: the floors of the exact extents.  An ellipsoid reads them off
+        the diagonal of its kept dual form, isqrt(R_jj // p)."""
+        if self.kind == "ellipsoid":
+            r, p = _inverse_pair(self.ellipsoid_rep.form)
+            return tuple(math.isqrt(row[j] // p) for j, row in enumerate(r))
         d = self.dim
         return tuple(self.int_support((0,) * j + (1,) + (0,) * (d - 1 - j)) for j in range(d))
 
@@ -267,120 +262,36 @@ def hull_line_extent(body: ConvexBody, sums: Sequence) -> tuple[tuple, tuple] | 
     return lo, hi
 
 
-def _float_dot(terms: Iterable[tuple[str, str]]) -> str:
-    """Source of sum(a * b for a, b in terms) as sum() adds floats up to
-    CPython 3.11: left to right from its int 0, written 0.0, the double that
-    int + float converts it to before adding."""
-    return " + ".join(f"{a} * {b}" if i else f"(0.0 + {a} * {b})" for i, (a, b) in enumerate(terms))
+def mvee(points: Mat | Iterable[Iterable]) -> Ellipsoid:
+    """Enclosing ellipsoid of points ∪ -points from their moment form, in
+    integers; the points are given as they come or as the rows of a Mat.
 
-
-@functools.cache
-def _khachiyan_kernel(d: int):
-    """Khachiyan's ascent at dimension d >= 2 as a function compiled once
-    per d: kernel(m_inv, xs, target, max_iter) returns M^-1 as a tuple of
-    rows, or None when max_iter iterations leave max g above target.
-
-    Only the int d enters the generated source.  It unpacks M^-1 and each
-    point into locals, writes y_i = M^-1_i . x and g = x . y out term by
-    term (``_float_dot``), keeps the first point of largest g, and sets each
-    entry to (M^-1_ik - (f y_i) y_k) / (1 - s), f y_i formed once per row.
-    These are the IEEE operations, in their order, of the generic loop
-    ``khachiyan_loop`` in tests/_oracles.py, and no float sum() is called,
-    whose order CPython 3.12 changed."""
-    r = range(d)
-    m = [[f"m{i}_{k}" for k in r] for i in r]
-    x, y, z = ([f"{c}{i}" for i in r] for c in "xyz")
-    matrix = "(" + ", ".join(f"({', '.join(row)})" for row in m) + ")"
-    point = ", ".join(x)
-
-    def scan(out: list[str], g: str, indent: str) -> list[str]:
-        # out = M^-1 x and g = x . out for the point in x0, x1, ...
-        lines = [f"{o} = {_float_dot(zip(row, x))}" for o, row in zip(out, m)]
-        return [indent + line for line in lines + [f"{g} = {_float_dot(zip(x, out))}"]]
-
-    source = "\n".join([
-        "def kernel(m_inv, xs, target, max_iter):",
-        f"    {matrix} = m_inv",
-        "    first, rest = xs[0], xs[1:]",
-        "    for _ in range(max_iter):",
-        f"        {point} = first",
-        *scan(z, "gmax", " " * 8),
-        f"        for {point} in rest:",
-        *scan(y, "g", " " * 12),
-        "            if g > gmax:",
-        f"                gmax, {', '.join(z)} = g, {', '.join(y)}",
-        "        if gmax <= target:",
-        f"            return {matrix}",
-        # ((1 - s) M + s x x^T)^-1 = (M^-1 - c y y^T / (1 + c g)) / (1 - s),
-        # with y = M^-1 x, g = x^T y and c = s / (1 - s)
-        f"        step = (gmax - {d}.0) / ({d}.0 * (gmax - 1.0))",
-        "        c = step / (1.0 - step)",
-        "        f = c / (1.0 + c * gmax)",
-        "        shrink = 1.0 - step",
-        *(
-            f"        fz = f * {z[i]}; "
-            + "; ".join(f"{m[i][k]} = ({m[i][k]} - fz * {z[k]}) / shrink" for k in r)
-            for i in r
-        ),
-        "    return None",
-    ])
-    namespace: dict = {}
-    exec(compile(source, f"<khachiyan kernel d={d}>", "exec"), {}, namespace)
-    return namespace["kernel"]
-
-
-def mvee(points: Mat | Iterable[Iterable], max_iter=MVEE_MAX_ITER) -> Ellipsoid:
-    """Enclosing ellipsoid of points ∪ -points, near-minimal volume; the
-    points are given as they come or as the rows of a Mat.
-
-    At d = 1 it is the interval itself, A = 1 / max x^2.  Otherwise
-    Khachiyan's ascent runs in floats until max_j x_j^T M^-1 x_j <=
-    d (1 + MVEE_EPS), M = sum u_i x_i x_i^T, as straight-line code generated
-    for d (``_khachiyan_kernel``): the IEEE operations of the reference loop in
-    tests/_oracles.py, and no float sum(), so its steps are the same on
-    every interpreter.  With x = p / den, p the integer rows of the points'
-    Mat, and u_i = float(1 / n) = a / b, the first M^-1 is b den^2 R / (a q),
-    R / q the integer inverse of sum p p^T, rounded once per entry;
-    Sherman-Morrison updates it, and as each step s < 1 / d, u is never
-    needed.  A = M^-1 / d, rationalized at denominators <=
-    _RATIONALIZE_DEN_CAP and cleared by Mat to K / qa, is rescaled to
-    K den^2 / max p^T K p (qa cancels): every point lies in it exactly, one
-    on the boundary.  ConvergenceError, naming the entry
-    rounded worst, if that form is not positive definite.
+    This is the moment ellipsoid, not the minimum-volume one: with w the
+    integer rows of the points' Mat over den, M = sum w w^T, M^-1 = R / q
+    from one fraction-free inverse with the sign moved into R, and
+    g = max w^T R w, the ellipsoid {x : x^T (den^2 R / g) x <= 1} holds
+    every ±point exactly, one on the boundary.  The body holds the same
+    ellipsoid shrunk to x^T (den^2 R / q) x <= 1 / n, n points, and
+    g / q <= d since the w^T M^-1 w sum to the trace of I_d, so the ellipsoid
+    is within sqrt(g n / q) <= sqrt(d n) of the body.  No float, iteration
+    or cap is involved.  RankError when the points do not span, that is when
+    M is singular.
     """
     if not isinstance(points, Mat):
         pts = tuple(points)
         if not pts:
             raise RankError("empty point set")
         points = Mat(pts)  # DimensionError unless the points share one dimension d >= 1
-    ip, den = points.num, points.den
-    d = points.cols
-    if _span_rank(ip, d) < d:
-        raise RankError("points do not span the space")
-    if d == 1:
-        return Ellipsoid(Mat([[den**2]], max(p[0] * p[0] for p in ip)))
-
-    r, q = _int_inverse(int_matmul(list(zip(*ip)), ip))
-    w_num, w_den = (1.0 / points.rows).as_integer_ratio()
-    m_inv = [[w_den * den**2 * x / (w_num * q) for x in row] for row in r]  # int / int rounds correctly
-    xs = [tuple(x / den for x in p) for p in ip]
-    m_inv = _khachiyan_kernel(d)(m_inv, xs, d * (1.0 + float(MVEE_EPS)), max_iter)
-    if m_inv is None:
-        raise ConvergenceError(f"no convergence within {max_iter} iterations")
-
-    # A ~ M^-1 / d, symmetric since float addition commutes
-    upper = {(i, k): (m_inv[i][k] / d + m_inv[k][i] / d) / 2.0 for i in range(d) for k in range(i, d)}
-    rat = {ik: Fraction(x).limit_denominator(_RATIONALIZE_DEN_CAP) for ik, x in upper.items()}
-    k_rows = Mat([[rat[min(i, k), max(i, k)] for k in range(d)] for i in range(d)]).num
-    smax = max(sum(pi * sum(map(operator.mul, row, p)) for pi, row in zip(p, k_rows)) for p in ip)
-    try:  # smax <= 0 only if K is not positive definite, and then neither is K den^2
-        return Ellipsoid(Mat([[x * den**2 for x in row] for row in k_rows], max(smax, 1)))
-    except RankError:
-        (i, k), x = max(upper.items(), key=lambda e: abs(float(rat[e[0]]) / e[1] - 1.0) if e[1] else 0.0)
-        raise ConvergenceError(
-            f"mvee: the form rationalized at denominators <= {_RATIONALIZE_DEN_CAP} is not"
-            f" positive definite; its entry ({i}, {k}) = {x!r} became {rat[i, k]}"
-        ) from None
+    w, den = points.num, points.den
+    try:
+        r, q = _int_inverse(int_matmul(list(zip(*w)), w))
+    except SingularMatrixError:
+        raise RankError("points do not span the space") from None
+    if q < 0:
+        r = [[-x for x in row] for row in r]
+    g = max(sum(a * sum(map(operator.mul, row, p)) for a, row in zip(p, r)) for p in w)
+    den_sq = den * den
+    return Ellipsoid(Mat([[den_sq * x for x in row] for row in r], g))
 
 
 def circumscribe_parallelotope(e: Ellipsoid) -> tuple[tuple[tuple[int, ...], ...], int, Fraction]:

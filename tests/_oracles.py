@@ -3,19 +3,18 @@
 These deliberately avoid the library's own algorithms: grid searches,
 exhaustive enumeration, and hand formulas.  The exceptions: ``hnf``, the
 canonical form over the library's ``_hnf_with_transform`` that the
-lattice-equality checks compare, the generic loops that the library's
-compiled kernels unroll (``khachiyan_loop``, ``run_reference``), and
+lattice-equality checks compare, the generic loop that the library's
+compiled run kernel unrolls (``run_reference``), and
 ``hull_facets_reference``, the facet search with one determinant per
 coordinate that the library's adjugate form replaced.
 """
 
-import functools
 import itertools
 import math
 import operator
 from fractions import Fraction
 
-from gapcover.errors import ConvergenceError, DimensionError, RankError
+from gapcover.errors import DimensionError, RankError
 from gapcover.exactalg import (
     Mat,
     UnimodularMat,
@@ -566,105 +565,16 @@ def l1_halfsides(e, t_rows):
     return tuple(math.floor(sum(abs(_dot(t, col)) for col in zip(*gens))) for t in t_rows)
 
 
-def float_dot(a, b):
-    """sum(a_i * b_i) of floats added left to right from the int 0, as
-    ``sum()`` adds up to CPython 3.11 (3.12 compensates)."""
-    return functools.reduce(operator.add, map(operator.mul, a, b), 0)
-
-
-def khachiyan_loop(m_inv, xs, target, max_iter):
-    """Khachiyan's ascent on M^-1 as the generic loop over lists: the
-    bitwise reference for ``geomcore._khachiyan_kernel(d)``.  Returns M^-1
-    as lists of rows once max_j x_j^T M^-1 x_j <= target, or None after
-    max_iter iterations; the first point of largest g is the one kept, and
-    Sherman-Morrison updates M^-1 entry by entry."""
-    d = len(m_inv)
-    for _ in range(max_iter):
-        gmax = None
-        for x in xs:
-            y = [float_dot(row, x) for row in m_inv]
-            g = float_dot(x, y)
-            if gmax is None or g > gmax:
-                gmax, ymax = g, y
-        if gmax <= target:
-            return m_inv
-        step = (gmax - d) / (d * (gmax - 1.0))
-        c = step / (1.0 - step)
-        f = c / (1.0 + c * gmax)
-        m_inv = [
-            [(a - f * yi * yk) / (1.0 - step) for a, yk in zip(row, ymax)]
-            for row, yi in zip(m_inv, ymax)
-        ]
-    return None
-
-
-def khachiyan_reference(points, eps=Fraction(1, 100), max_iter=100_000):
-    """The form rows of the enclosing ellipsoid by the plain Khachiyan loop.
-
-    Every float step is that of the straightforward implementation: a
-    weight vector u kept throughout, M^-1 taken from the exact Fraction
-    inverse of M = sum u_i x_i x_i^T (again whenever a step has s = 1), the
-    argmax over a list of all g_j, and a Fraction rescale by
-    max x^T A x.  Float dot products add left to right from an int 0
-    (``float_dot``), as ``sum()`` does up to CPython 3.11, so the steps are
-    the same on every interpreter.  Exact steps use this module's Fraction
-    oracles.  Raises RankError, DimensionError or ConvergenceError where
-    ``mvee`` should.
-    """
-    pts = tuple(tuple(Fraction(x) for x in p) for p in points)
-    if not pts:
-        raise RankError("empty point set")
+def moment_reference(points):
+    """(M^-1, g) of the moment ellipsoid in Fractions, from its definition:
+    M = sum x x^T over the points and g = max x^T M^-1 x, so that the form
+    M^-1 / g holds every point, one on its boundary.  M^-1 comes from
+    fraction_inverse, which raises ZeroDivisionError when the points do not
+    span."""
+    pts = [[Fraction(c) for c in p] for p in points]
     d = len(pts[0])
-    if any(len(p) != d for p in pts):
-        raise DimensionError("point dimensions disagree")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise DimensionError("eps must lie in (0, 1)")
-    if fraction_rank(pts) < d:
-        raise RankError("points do not span the space")
-
-    xs = [tuple(map(float, p)) for p in pts]
-    n = len(pts)
-    u = [1.0 / n] * n
-    target = d * (1.0 + float(eps))
-
-    def direct_inverse():
-        w = [Fraction(ui) for ui in u]
-        m = [[sum(wi * p[i] * p[j] for wi, p in zip(w, pts)) for j in range(d)] for i in range(d)]
-        return [[float(x) for x in row] for row in fraction_inverse(m)]
-
-    m_inv = direct_inverse()
-    for _ in range(max_iter):
-        mx = [[float_dot(row, x) for row in m_inv] for x in xs]
-        g = [float_dot(x, y) for x, y in zip(xs, mx)]
-        j = max(range(n), key=g.__getitem__)
-        gmax = g[j]
-        if gmax <= target:
-            break
-        step = (gmax - d) / (d * (gmax - 1.0))
-        u = [ui * (1.0 - step) for ui in u]
-        u[j] += step
-        if step == 1.0:
-            m_inv = direct_inverse()
-            continue
-        y = mx[j]
-        c = step / (1.0 - step)
-        f = c / (1.0 + c * gmax)
-        m_inv = [
-            [(a - f * yi * yk) / (1.0 - step) for a, yk in zip(row, y)] for row, yi in zip(m_inv, y)
-        ]
-    else:
-        raise ConvergenceError(f"no convergence within {max_iter} iterations")
-
-    a = [[x / d for x in row] for row in m_inv]
-    a_rows = [
-        [Fraction((a[i][j] + a[j][i]) / 2.0).limit_denominator(10**9) for j in range(d)]
-        for i in range(d)
-    ]
-    s = max(_dot(p, [_dot(row, p) for row in a_rows]) for p in pts)
-    if s <= 0:
-        raise ConvergenceError("degenerate rationalized form")
-    return [[x / s for x in row] for row in a_rows]
+    m_inv = fraction_inverse([[sum(p[i] * p[j] for p in pts) for j in range(d)] for i in range(d)])
+    return m_inv, max(_dot(p, [_dot(row, p) for row in m_inv]) for p in pts)
 
 
 def sweep_reference(body, lines=None):

@@ -231,7 +231,7 @@ BALL = {"type": "ball", "radius": 2}
 )
 def test_overrides_validated_as_document_keys(tmp_path, capsys, body, flag, key, value):
     # an out-of-range flag is refused like the same key in the document;
-    # eps (the MVEE tolerance, the constant MVEE_EPS) at any value, as either
+    # eps (a tolerance the enclosing ellipsoid does not have) at any value, as either
     commands = {
         "eps": ("cover", "verify", "project", "batch"),
         "budget": ("cover", "project", "batch"),

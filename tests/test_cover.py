@@ -21,7 +21,14 @@ from gapcover.errors import BudgetError, DimensionError
 from gapcover.exactalg import Mat, _integer_solver, _span_rank, det, integer_kernel, left_kernel
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
-from _oracles import brute_disk_points, enumerated_projection, gap_contains, gap_points, run_reference
+from _oracles import (
+    _unique_solution,
+    brute_disk_points,
+    enumerated_projection,
+    gap_contains,
+    gap_points,
+    run_reference,
+)
 
 
 def disk(radius_sq, dim=2):
@@ -93,6 +100,29 @@ class TestRestrictToSpan:
         assert red.k == 0
         assert len(red.ambient_points) == 1
 
+    def test_long_segment_lists_nothing(self):
+        # the restricted body is the hull of the one nonzero run end, and the
+        # run scan certifies C: neither lists its 2 * 10^6 + 1 points
+        body = ConvexBody.vertices([(0, 10**6)])
+        red = restrict_to_span(body)
+        assert red.body.points == ((10**6,),) or red.body.points == ((-(10**6),),)
+        _, report = cover(body)
+        assert report.contained and report.cardinality_C == report.cardinality_P == 2 * 10**6 + 1
+        assert report.lattice_points._points is None
+
+    @given(spanless_bodies(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_restricted_hull_is_hull_of_c(self, body, data):
+        # the solved run ends have the hull of every point of C, solved:
+        # equal support functions at integer directions
+        red = restrict_to_span(body)
+        assume(0 < red.k < body.dim and body.kind == "vertices")
+        basis = list(zip(*red.embed.num))
+        solved = [_unique_solution(basis, p) for p in enum_body(body).points]
+        assert len(red.body.points) < len(solved)
+        t = data.draw(st.lists(st.integers(-6, 6), min_size=red.k, max_size=red.k))
+        assert red.body.int_support(t) == max(sum(a * y for a, y in zip(t, ys)) for ys in solved)
+
     def test_degenerate_ellipsoid_pullback(self):
         # tall thin ellipse: only (0, 0), (+-1, 0) inside
         e = Ellipsoid(Mat([[Fraction(1, 2), 0], [0, 25]]))
@@ -112,8 +142,7 @@ class TestCoverPipeline:
         assert report.contained
 
     def test_long_interval(self):
-        # its form 1 / 10^10 rationalizes to 0 at denominators <= 10^9; at
-        # d = 1 mvee returns the interval exactly
+        # its form is 1 / 10^10, exactly
         gap, report = cover(ConvexBody.vertices([(100000,)]))
         assert report.contained
         assert report.cardinality_C == report.cardinality_P == 200_001
@@ -783,3 +812,16 @@ class TestStageChain:
         for body in [disk(4), ConvexBody.box([2, 3]), ConvexBody.vertices([(3, 1), (1, 3)])]:
             _, report = cover(body)
             assert all(stage_chain(report).values())
+
+    @pytest.mark.parametrize(
+        "points",
+        [[(100, i) for i in range(60)] + [(0, 1)], [(1000, i) for i in range(-40, 41)] + [(3, 7)]],
+        ids=["fan-60", "fan-81"],
+    )
+    def test_holds_on_clustered_fans(self, points):
+        # all but one point in a narrow fan, which the moment form weights
+        # most: the ellipsoid is far from the minimum one, and the chain
+        # must still hold with the pinned constants
+        _, report = cover(ConvexBody.vertices(points))
+        assert report.contained
+        assert all(stage_chain(report).values())

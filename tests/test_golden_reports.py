@@ -1,16 +1,13 @@
 """Canonical reports pinned by hash (instances and fixture in ``_golden``).
 
-The hashes pin more than the exact stages: the enclosing ellipsoid (MVEE)
-comes from Khachiyan's iteration in floats, so they also pin those float
-steps.  These are correctly rounded IEEE operations that depend on no numpy
-or BLAS build, and ``mvee`` runs them as straight-line code that adds left
-to right without calling ``sum()`` (whose float sums CPython 3.12 made
-compensated), so the reports are the same on every interpreter that
-``pyproject.toml`` allows: all 47 hashes hold on CPython 3.10.13, 3.11.7,
-3.12.1 and 3.13.0.  Without pytest, ``PYTHONPATH=src python
-tests/_golden.py`` checks them and names each mismatch; ``--write``
-regenerates the fixture, which only a change that declares a change of
-output may do.
+Every figure in a canonical report is computed in exact integer and
+Fraction arithmetic: the enclosing ellipsoid is the vertex body's integer
+moment form, and no float enters the pipeline (``test_float_free``), so the
+hashes pin the exact stages alone and the reports are the same on every
+interpreter that ``pyproject.toml`` allows.  Without pytest,
+``PYTHONPATH=src python tests/_golden.py`` checks them and names each
+mismatch; ``--write`` regenerates the fixture, which only a change that
+declares a change of output may do.
 """
 
 import pytest

@@ -98,7 +98,7 @@ class TestParseInstance:
         assert err.value.path == "body.form[1]"
 
     def test_box_and_eps_and_phi(self):
-        # eps is not a key: the MVEE tolerance is the constant MVEE_EPS
+        # eps is not a key: the enclosing ellipsoid has no tolerance
         doc = {"dim": 2, "body": {"type": "box", "halfwidths": ["7/2", 1]}, "phi": [1, -2]}
         spec = parse_instance(doc)
         assert spec.body.halfwidths == (Fraction(7, 2), Fraction(1))
@@ -417,7 +417,6 @@ class TestSerialization:
         certificate = {"bound_value", "cardinality_C", "cardinality_P", "contained", "dim", "ratio", "witness"}
         stages = {
             "box_halfwidths_sq",
-            "eps",
             "mvee_used",
             "reduction_ratio_sq",
             "subspace_dim",
@@ -444,8 +443,7 @@ class TestSerialization:
             "sumset_cardinality",
         }
         assert entries[0]["projection"]["functional"] == [1, -1]
-        # the fixed MVEE tolerance where mvee ran (vertices, box), null for an ellipsoid
-        assert [e["cover"]["stages"]["eps"] for e in entries] == ["1/100", "1/100", None]
+        # the moment form encloses vertex and box bodies; an ellipsoid is its own
         assert [e["cover"]["stages"]["mvee_used"] for e in entries] == [True, True, False]
 
     def test_report_json_numbers_exact_or_tagged(self):

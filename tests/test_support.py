@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import gapcover.cover
 from gapcover import harness
 from gapcover.cover import cover, restrict_to_span, stage_chain
+from gapcover.enumeration import DEFAULT_BUDGET, box_point_count
 from gapcover.exactalg import Mat
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
@@ -145,7 +146,9 @@ class TestGuarantees:
     @given(st.one_of(spanless_bodies(), vertex_bodies(), ellipsoid_bodies(), box_bodies()))
     @settings(max_examples=60, deadline=None)
     def test_halfsides_at_least_one(self, body):
-        # h_K(t) >= 1 for every nonzero integer t, since C spans Z^k
+        # h_K(t) >= 1 for every nonzero integer t, since C spans Z^k; a body
+        # whose bounding box is over the budget is refused before any work
+        assume(box_point_count(body) <= DEFAULT_BUDGET)
         gap, report, _, _ = cover_traced(body)
         assert report.contained
         assert all(n >= 1 for n in gap.halfsides)
