@@ -5,16 +5,17 @@ progression containing every lattice point of the body, certify the
 containment with a membership test built from the progression alone, and
 measure the covering ratio.  The body's lattice points C are found once per
 instance, as the runs of its line sweep (the points on one line of the last
-coordinate), and kept as runs; C is listed only for a proper subspace or a
-listed P.  The progression P is listed only when its differences are
-dependent; otherwise the runs are tested in one scan, straight-line integer
-code compiled once per shape, and each run is tested at once from the
-numerators of one exact integer solve.  The stages:
+coordinate), and kept as runs; C is listed only for a listed P, and a
+degenerate vertex body reads the ends of its runs.  The progression P is
+listed only when its differences are dependent; otherwise the runs are
+tested in one scan, straight-line integer code compiled once per shape, and
+each run is tested at once from the numerators of one exact integer solve.  The stages:
 
 1. enclosing ellipsoid E = {x : x^T A x <= 1} of the body: the body itself
-   for an ellipsoid, otherwise the moment form of its spanning points
-   (geomcore.mvee), one integer inverse scaled so that every point lies
-   in E and one on its boundary,
+   for an ellipsoid, otherwise the moment form of its spanning points, or
+   of a basis of them when they crowd into few directions (geomcore.mvee):
+   an integer inverse scaled so that every point lies in E and one on its
+   boundary, with E within a factor k of the body,
 2. its dual form A^-1 = R / p in integers, and the exact squared volume
    |Q|^2 = 4^k / det A of the parallelotope Q along the factorization
    A = U D U^T that circumscribes E,
@@ -203,11 +204,12 @@ def restrict_to_span(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> SubspaceRed
     ends, which span C: the k of them that raise the rank, last runs first,
     are a basis of it, and its saturated lattice is taken from those k.
 
-    C is not listed.  On a proper subspace an ellipsoid is pulled back by
-    the embedding, and any other body becomes the vertex body of its
+    On a proper subspace an ellipsoid is pulled back by the embedding and
+    no point is solved; any other body becomes the vertex body of its
     distinct nonzero run ends, solved in the sublattice's coordinates: every
     point of C lies between the ends of its run or of the mirrored run, so
-    their hull is conv(C)."""
+    their hull is conv(C).  When e_d is not in the span, every run is one
+    point, and the ends are all of C but the origin."""
     c_points = enum_body(body, cap)
     d = body.dim
     # the last runs first: a spanning body reaches rank d after a few ends

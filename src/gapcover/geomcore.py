@@ -3,12 +3,13 @@
 No floating point is used here.  Every claim consumed downstream is
 established in exact integer arithmetic: point membership and the floor of a
 body's support function at an integer vector (``ConvexBody.int_support``).
-A vertex body's enclosing ellipsoid is its moment form (``mvee``), one
-integer inverse with no iteration.  An ellipsoid's form is factored exactly
-once, when it is built; the line extents and the parallelotope's volume are
-read off that factorization, and the parallelotope is handed on as the
-ellipsoid's dual form A^-1 = R / p in integers, which the reduction reads,
-with its exact squared volume.  A vertex body is described exactly by
+A vertex body's enclosing ellipsoid is a moment form within a factor k of
+the body (``mvee``), one integer inverse, or two when its points crowd into
+few directions.  An ellipsoid's form is factored exactly once, when it is
+built; the line extents and the parallelotope's volume are read off that
+factorization, and the parallelotope is handed on as the ellipsoid's dual
+form A^-1 = R / p in integers, which the reduction reads, with its exact
+squared volume.  A vertex body is described exactly by
 integer rows |N.x| <= D (its facets, and with D = 0 the equalities of its
 span), computed once per body.
 """
@@ -32,6 +33,7 @@ from .exactalg import (
     Mat,
     Vector,
     _gauss_jordan,
+    _independent_rows,
     _int_inverse,
     _inverse_pair,
     _with_identity,
@@ -263,19 +265,25 @@ def hull_line_extent(body: ConvexBody, sums: Sequence) -> tuple[tuple, tuple] | 
 
 
 def mvee(points: Mat | Iterable[Iterable]) -> Ellipsoid:
-    """Enclosing ellipsoid of points ∪ -points from their moment form, in
-    integers; the points are given as they come or as the rows of a Mat.
+    """Enclosing ellipsoid of points ∪ -points, within a factor k of their
+    hull K, from a moment form in integers; the points are given as they
+    come or as the rows of a Mat.
 
-    This is the moment ellipsoid, not the minimum-volume one: with w the
-    integer rows of the points' Mat over den, M = sum w w^T, M^-1 = R / q
-    from one fraction-free inverse with the sign moved into R, and
-    g = max w^T R w, the ellipsoid {x : x^T (den^2 R / g) x <= 1} holds
-    every ±point exactly, one on the boundary.  The body holds the same
-    ellipsoid shrunk to x^T (den^2 R / q) x <= 1 / n, n points, and
-    g / q <= d since the w^T M^-1 w sum to the trace of I_d, so the ellipsoid
-    is within sqrt(g n / q) <= sqrt(d n) of the body.  No float, iteration
-    or cap is involved.  RankError when the points do not span, that is when
-    M is singular.
+    This is a moment ellipsoid, not the minimum-volume one.  With w the
+    integer rows of the points' Mat over den, S some of them, M = sum w w^T
+    over S, M^-1 = R / q from one fraction-free inverse with the sign moved
+    into R, and g = max w^T R w over every w, the ellipsoid
+    {x : x^T (den^2 R / g) x <= 1} holds every ±point exactly, one on the
+    boundary.  K holds it shrunk by rho = sqrt(g |S| / q): K's support at u
+    is at least the root mean square of u . x over S.  S is every point
+    when that gives rho <= k; otherwise, when many points lie in few
+    directions, S is a basis in which every point has coordinates in
+    [-1, 1] (_spread_basis), so that g / q <= k and rho <= k.  For k = 1
+    every S gives the hull itself.  With rho <= k and vol(K) <= 2^k #C (van
+    der Corput), cover's parallelotope stage |Q| <= (4k)^k #C holds for
+    k <= 12, where the unit ball's volume is at least 1.  No float or cap is
+    involved.  RankError when the points do not span, that is when M is
+    singular.
     """
     if not isinstance(points, Mat):
         pts = tuple(points)
@@ -283,15 +291,45 @@ def mvee(points: Mat | Iterable[Iterable]) -> Ellipsoid:
             raise RankError("empty point set")
         points = Mat(pts)  # DimensionError unless the points share one dimension d >= 1
     w, den = points.num, points.den
+    k = len(w[0])
+    r, g, q = _moment_form(w, w)
+    if k > 1 and g * len(w) > k * k * q:
+        r, g, _ = _moment_form(_spread_basis(w, k), w)
+    den_sq = den * den
+    return Ellipsoid(Mat([[den_sq * x for x in row] for row in r], g))
+
+
+def _moment_form(rows: Sequence[Sequence[int]], w: Sequence[Sequence[int]]) -> tuple[list[list[int]], int, int]:
+    """(R, g, q): M^-1 = R / q with q > 0 for M = sum v v^T over the rows,
+    and g = max w^T R w over w."""
     try:
-        r, q = _int_inverse(int_matmul(list(zip(*w)), w))
+        r, q = _int_inverse(int_matmul(list(zip(*rows)), rows))
     except SingularMatrixError:
         raise RankError("points do not span the space") from None
     if q < 0:
-        r = [[-x for x in row] for row in r]
-    g = max(sum(a * sum(map(operator.mul, row, p)) for a, row in zip(p, r)) for p in w)
-    den_sq = den * den
-    return Ellipsoid(Mat([[den_sq * x for x in row] for row in r], g))
+        r, q = [[-x for x in row] for row in r], -q
+    return r, max(sum(a * sum(map(operator.mul, row, p)) for a, row in zip(p, r)) for p in w), q
+
+
+def _spread_basis(w: Sequence[Sequence[int]], k: int) -> list[Sequence[int]]:
+    """k of the spanning integer rows w, in which every row has coordinates
+    in [-1, 1].  From k independent rows, the row with the largest
+    coordinate beyond ±1 replaces that basis row, which multiplies |det| by
+    the coordinate, until no row has one: |det| grows with each swap, so no
+    basis comes back and the exchange ends."""
+    basis = _independent_rows(w, k)
+    while True:
+        adj, p = _int_inverse(basis)  # a row's coordinates are (v . adj columns) / p
+        cols = list(zip(*adj))
+        best, swap = abs(p), None
+        for v in w:
+            for j, col in enumerate(cols):
+                c = abs(sum(map(operator.mul, v, col)))
+                if c > best:
+                    best, swap = c, (j, v)
+        if swap is None:
+            return basis
+        basis[swap[0]] = swap[1]
 
 
 def circumscribe_parallelotope(e: Ellipsoid) -> tuple[tuple[tuple[int, ...], ...], int, Fraction]:

@@ -565,16 +565,37 @@ def l1_halfsides(e, t_rows):
     return tuple(math.floor(sum(abs(_dot(t, col)) for col in zip(*gens))) for t in t_rows)
 
 
-def moment_reference(points):
-    """(M^-1, g) of the moment ellipsoid in Fractions, from its definition:
-    M = sum x x^T over the points and g = max x^T M^-1 x, so that the form
-    M^-1 / g holds every point, one on its boundary.  M^-1 comes from
-    fraction_inverse, which raises ZeroDivisionError when the points do not
-    span."""
+def moment_reference(points, rows=None):
+    """(M^-1, g) of a moment ellipsoid in Fractions, from its definition:
+    M = sum x x^T over ``rows`` (by default the points) and g = max x^T M^-1 x
+    over the points, so that the form M^-1 / g holds every point, one on its
+    boundary.  M^-1 comes from fraction_inverse, which raises
+    ZeroDivisionError when the rows do not span."""
     pts = [[Fraction(c) for c in p] for p in points]
+    rows = pts if rows is None else [[Fraction(c) for c in p] for p in rows]
     d = len(pts[0])
-    m_inv = fraction_inverse([[sum(p[i] * p[j] for p in pts) for j in range(d)] for i in range(d)])
+    m_inv = fraction_inverse([[sum(p[i] * p[j] for p in rows) for j in range(d)] for i in range(d)])
     return m_inv, max(_dot(p, [_dot(row, p) for row in m_inv]) for p in pts)
+
+
+def mvee_reference(points):
+    """The rows S that mvee may build its form M_S^-1 / g from, for points
+    spanning Q^d, by brute force: every point when g n <= d^2 for that form
+    (or d = 1), otherwise any d of the points in which every point has
+    coordinates in [-1, 1]."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    d = len(pts[0])
+    _, g = moment_reference(pts)
+    if d == 1 or g * len(pts) <= d * d:
+        return [pts]
+    bases = []
+    for s in itertools.combinations(pts, d):
+        if fraction_rank(s) < d:
+            continue
+        cols = list(zip(*fraction_inverse(s)))  # p = c s, so c = p s^-1
+        if all(abs(_dot(p, col)) <= 1 for p in pts for col in cols):
+            bases.append(list(s))
+    return bases
 
 
 def sweep_reference(body, lines=None):

@@ -825,3 +825,19 @@ class TestStageChain:
         _, report = cover(ConvexBody.vertices(points))
         assert report.contained
         assert all(stage_chain(report).values())
+
+    @pytest.mark.parametrize(
+        "points",
+        [[(10**4, 0, 0), (0, 1, 0)], [(x, 0) for x in range(1, 401)] + [(0, 1)]],
+        ids=["restricted-thin", "collinear-interior"],
+    )
+    def test_holds_when_points_crowd_one_axis(self, points):
+        # the listed points, or the run ends of the restricted body (every
+        # point of C here, each run being one point), crowd the first axis:
+        # the moment form of all of them is sqrt(#points) too long there,
+        # and the basis that replaces it keeps the parallelotope factor
+        # near 1/1000 (it was 3.3 on the first body)
+        _, report = cover(ConvexBody.vertices(points))
+        assert report.contained
+        assert all(stage_chain(report).values())
+        assert report.stage_factors["parallelotope"] < Fraction(1, 100)

@@ -33,6 +33,7 @@ from _oracles import (
     hull_facets_reference,
     identity,
     moment_reference,
+    mvee_reference,
     parallelotope_contains,
 )
 
@@ -75,11 +76,19 @@ class TestEllipsoid:
 
 
 def moment_factor(pts):
-    """(g n)^(d / 2) for n points spanning Q^d (moment_reference): the
-    volume factor between the moment ellipsoid and the one it shrinks to
-    inside conv(±points)."""
+    """min(g n, d^2)^(d / 2) for n points spanning Q^d (moment_reference):
+    a bound on the volume factor between mvee's ellipsoid and the one it
+    shrinks to inside conv(±points), g n for the moment form of every
+    point and at most d^2 for the basis that replaces it beyond d^2."""
     _, g = moment_reference(pts)
-    return float(g * len(pts)) ** (len(pts[0]) / 2)
+    d = len(pts[0])
+    return float(min(g * len(pts), d * d)) ** (d / 2)
+
+
+def moment_forms(pts):
+    """The forms M_S^-1 / g that mvee may return, one for each S of
+    mvee_reference."""
+    return [Mat(m_inv).scale(1 / g) for m_inv, g in (moment_reference(pts, s) for s in mvee_reference(pts))]
 
 
 class TestMvee:
@@ -135,17 +144,46 @@ class TestMvee:
     @settings(max_examples=150, deadline=None)
     def test_matches_moment_reference(self, data):
         # the same exact form as the Fraction oracle, or RankError when the
-        # points do not span
+        # points do not span; a point drawn several times weighs the moment
+        # form of every point more, up to the basis that replaces it
         d = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(1, 8))
         coord = st.fractions(min_value=-6, max_value=6, max_denominator=5)
         pts = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=n, max_size=n))
+        pts += [pts[0]] * data.draw(st.integers(0, 12))
         if fraction_rank(pts) < d:
             with pytest.raises(RankError):
                 mvee(pts)
         else:
-            m_inv, g = moment_reference(pts)
-            assert mvee(pts).form == Mat(m_inv).scale(1 / g)
+            assert mvee(pts).form in moment_forms(pts)
+
+    @given(
+        st.integers(1, 3).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.tuples(*[st.fractions(-6, 6, max_denominator=4)] * d), min_size=d, max_size=6),
+                st.integers(0, 30),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_within_k_of_the_hull(self, drawn):
+        # E / k lies in K = conv(±points), exactly, however many times a
+        # point is listed: h_E(N) <= k D, i.e. N R N^T <= k^2 D^2 p, for
+        # every facet |N . x| <= D of K, with A^-1 = R / p
+        pts, repeats = drawn
+        k = len(pts[0])
+        assume(fraction_rank(pts) == k)
+        e = mvee(pts + [pts[0]] * repeats)
+        r, p, _ = circumscribe_parallelotope(e)
+        for normal, bound in ConvexBody.vertices(list(dict.fromkeys(pts))).hull_facets():
+            assert sum(a * b * r[i][j] for i, a in enumerate(normal) for j, b in enumerate(normal)) <= k * k * bound * bound * p
+
+    def test_collinear_interior_points_leave_the_hull_form(self):
+        # 5000 points on one axis and one off it: the moment form of every
+        # point would be about sqrt(5000) times too long along the axis; the
+        # basis (5000, 0), (0, 1) gives the hull's own axes
+        e = mvee([(x, 0) for x in range(1, 5001)] + [(0, 1)])
+        assert e.form == Mat([[Fraction(1, 5000**2), 0], [0, 1]])
 
     @given(
         st.integers(1, 4).flatmap(
@@ -225,14 +263,18 @@ class TestCircumscribe:
     )
     @settings(max_examples=60, deadline=None)
     def test_dual_form_of_moment_ellipsoid_is_proportional_to_m(self, pts):
-        # LLL reduces the moment matrix M = sum x x^T itself: R / p = c M, c > 0
+        # LLL reduces the moment matrix M = sum x x^T over mvee's rows S
+        # itself: R / p = c M, c > 0, for one S of mvee_reference
         assume(fraction_rank(pts) == len(pts[0]))
         d = len(pts[0])
-        m = [[sum(Fraction(p[i] * p[j]) for p in pts) for j in range(d)] for i in range(d)]
         r, p, _ = circumscribe_parallelotope(mvee(pts))
-        c = Fraction(r[0][0], p) / m[0][0]
-        assert c > 0
-        assert Mat(r, p) == Mat(m).scale(c)
+        dual = Mat(r, p)
+        found = False
+        for s in mvee_reference(pts):
+            m = [[sum(Fraction(x[i] * x[j]) for x in s) for j in range(d)] for i in range(d)]
+            c = Fraction(r[0][0], p) / m[0][0]
+            found = found or (c > 0 and dual == Mat(m).scale(c))
+        assert found
 
     def test_boundary_points_inside_random_forms(self):
         # the reduced parallelotope Q' = {x : |t_j . x| <= h_E(t_j)}, t_j the
