@@ -16,11 +16,13 @@ each run is tested at once from the numerators of one exact integer solve.  The 
    of a basis of them when they crowd into few directions (geomcore.mvee):
    an integer inverse scaled so that every point lies in E and one on its
    boundary, with E within a factor k of the body,
-2. its dual form A^-1 = R / p in integers, and the exact squared volume
-   |Q|^2 = 4^k / det A of the parallelotope Q along the factorization
-   A = U D U^T that circumscribes E,
-3. LLL on the Gram matrix R, which returns the unimodular T; its rows t_j
-   are a reduced basis of the dual lattice in the metric of E,
+2. its dual form A^-1 = R / p in integers, kept on A (by mvee, as a multiple
+   of the moment matrix, or by one inverse of a given form), and the exact
+   squared volume |Q|^2 = 4^k / det A of the parallelotope Q along the
+   factorization A = U D U^T that circumscribes E,
+3. LLL on the Gram matrix R, which returns the unimodular T with T^-1, built
+   by the same row operations; its rows t_j are a reduced basis of the dual
+   lattice in the metric of E,
 4. the reduced parallelotope Q' = {x : |t_j . x| <= h_E(t_j)}, with the
    exact squared widths h_E(t_j)^2 = t_j R t_j^T / p as the reduction's
    certificate, the box B of the coordinates y = T x over Q',
@@ -145,7 +147,8 @@ class CoverReport:
         """Exact per-stage inequalities with the pinned constants, each as
         the factor lhs / rhs, so that it holds iff its factor is <= 1; None
         for a report without stages.  Computed once per report, for
-        stage_chain and the batch maxima alike.
+        stage_chain and the batch maxima alike, each as one Fraction of
+        integers.
 
         The inequalities are compared in squares, which need no root:
 
@@ -156,13 +159,18 @@ class CoverReport:
         s = self.stages
         if s is None:
             return None
-        k = s.subspace_dim
+        k, pc, bc = s.subspace_dim, PARALLELOTOPE_CONSTANT, BOX_CONSTANT
+        q, b = s.volume_parallelotope_sq, s.volume_box_sq
         return {
-            "parallelotope": s.volume_parallelotope_sq
-            / ((PARALLELOTOPE_CONSTANT * k) ** (2 * k) * self.cardinality_C**2),
-            "box": s.volume_box_sq / ((BOX_CONSTANT * k) ** (4 * k) * s.volume_parallelotope_sq),
-            "count": self.cardinality_P**2 / (4**k * s.volume_box_sq),
+            "parallelotope": _over(q, (pc.numerator * k) ** (2 * k) * self.cardinality_C**2, pc.denominator ** (2 * k)),
+            "box": _over(b, (bc.numerator * k) ** (4 * k) * q.numerator, bc.denominator ** (4 * k) * q.denominator),
+            "count": _over(self.cardinality_P**2, 4**k * b.numerator, b.denominator),
         }
+
+
+def _over(a: Fraction | int, num: int, den: int) -> Fraction:
+    """a / (num / den) as one Fraction of integers: a single gcd."""
+    return Fraction(a.numerator * den, a.denominator * num)
 
 
 @dataclass(frozen=True)
@@ -372,12 +380,8 @@ def cover(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> tuple[Gap, CoverReport
     body0 = red.body
 
     t0 = time.perf_counter()
-    if body0.kind == "ellipsoid":
-        enclosing = body0.ellipsoid_rep
-        mvee_used = False
-    else:
-        enclosing = mvee(body0.spanning_points())
-        mvee_used = True
+    mvee_used = body0.kind != "ellipsoid"
+    enclosing = mvee(body0.spanning_points()) if mvee_used else body0.ellipsoid_rep
     timings["ellipsoid_ms"] = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
@@ -399,14 +403,14 @@ def cover(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> tuple[Gap, CoverReport
     report = _certify(red.ambient_points, gap, cap, timings)
 
     widths_sq = certify_reduction(t_lll, gram, p)
-    vol_box_sq = 4**k * math.prod(widths_sq)
+    vol_box_sq = Fraction(4**k * math.prod(w.numerator for w in widths_sq), math.prod(w.denominator for w in widths_sq))
     stages = StageDiagnostics(
         subspace_dim=k,
         mvee_used=mvee_used,
         volume_parallelotope_sq=vol_q_sq,
         volume_box_sq=vol_box_sq,
         box_halfwidths_sq=widths_sq,
-        reduction_ratio_sq=vol_box_sq / vol_q_sq,
+        reduction_ratio_sq=_over(vol_box_sq, vol_q_sq.numerator, vol_q_sq.denominator),
     )
     return gap, replace(report, stages=stages)
 

@@ -102,27 +102,17 @@ class Gap:
         return len(self.diffs)
 
     def listed_cardinality(self) -> int:
-        card = 1
-        for n in self.halfsides:
-            card *= 2 * n + 1
-        return card
+        return math.prod(2 * n + 1 for n in self.halfsides)
 
     def diffs_independent(self) -> bool:
         """Exact independence of the difference vectors with halfside >= 1
         (vectors never used because their range is {0} are ignored)."""
         active = [v for v, n in zip(self.diffs, self.halfsides) if n >= 1]
-        if not active:
-            return True
         return len(_gauss_jordan(active, self.dim)[1]) == len(active)
 
     def doubled(self) -> "Gap":
         """The sumset self + self: same differences, doubled base and ranges."""
-        return Gap(
-            self.dim,
-            tuple(2 * c for c in self.base),
-            self.diffs,
-            tuple(2 * n for n in self.halfsides),
-        )
+        return Gap(self.dim, tuple(2 * c for c in self.base), self.diffs, tuple(2 * n for n in self.halfsides))
 
 
 def enum_gap(gap: Gap, cap: int = DEFAULT_BUDGET) -> frozenset[IntPoint]:

@@ -7,7 +7,9 @@ fraction-free (Bareiss): every division is exact.  One Gauss-Jordan pass,
 ``_gauss_jordan``, serves every inverse, kernel, pivot choice and integer
 solver; determinants take the forward-only half of it, ``_int_det``.
 Nothing here may round.  A ``Mat`` is immutable, so its determinant and
-inverse are computed at most once and kept on it.
+inverse are computed at most once and kept on it, or set by the code that
+built them (``geomcore.mvee``).  A ``UnimodularMat`` holds its inverse too,
+which LLL builds beside T, so that its certificate is one product.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ def vec_dot(u: Sequence, v: Sequence) -> Fraction:
 
 
 class Frozen:
-    """Base of the immutable classes: attribute assignment raises, and a
-    class sets its own slots, once or as a memo, with ``_set``."""
+    """Base of the immutable classes: attribute assignment raises; ``_set``
+    sets a slot once or as a memo (mvee seeds its form's inverse pair)."""
 
     __slots__ = ()
 
@@ -193,23 +195,29 @@ def _gauss_jordan(
     that order, then the rest; D is the last pivot (1 without pivots).  In
     each column the first remaining row with a nonzero entry is picked,
     every division by the previous pivot is exact, and each pivot row ends
-    with D at its own pivot column and 0 at the other pivot columns."""
+    with D at its own pivot column and 0 at the other pivot columns.  A
+    row with 0 in the pivot column is only scaled by pivot / prev, and
+    left alone when the two are equal."""
     a = [list(row) for row in rows]
     order = list(range(len(a)))
     pivots: list[tuple[int, int]] = []
     prev = 1
     for c in range(cols):
         r = len(pivots)
-        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if pr is None:
+        for pr in range(r, len(a)):
+            if a[pr][c]:
+                break
+        else:
             continue
         a[r], a[pr] = a[pr], a[r]
         order[r], order[pr] = order[pr], order[r]
         pivot, row_r = a[r][c], a[r]
-        for i in range(len(a)):
-            if i != r:
-                f = a[i][c]
-                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row_r)]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(row, row_r)]
+            elif not f and pivot != prev:  # a row with 0 here only scales
+                a[i] = [pivot * x // prev for x in row]
         prev = pivot
         pivots.append((order[r], c))
     return a, pivots, prev
@@ -344,32 +352,36 @@ def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, 
 
 
 class UnimodularMat(Frozen):
-    """Square integer matrix with determinant exactly +1 or -1."""
+    """Square matrix T of ints with det T = +-1, held with its inverse.  The
+    certificate is a raised error unless T^-1 is a matrix of ints and
+    T T^-1 = I exactly: two integer matrices whose product is I have
+    determinants +-1.  Without a claimed inverse, T^-1 = r p from one
+    fraction-free inverse r / p of T, which needs |p| = |det T| = 1
+    (SingularMatrixError when det T = 0)."""
 
-    __slots__ = ("int_rows", "dim", "det")
+    __slots__ = ("int_rows", "dim", "_inv")
 
-    def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = []
-        for row in entries:
-            out = []
-            for x in row:
-                xi = int(x)
-                if xi != x:
-                    raise DimensionError("unimodular matrix entries must be integers")
-                out.append(xi)
-            rows.append(tuple(out))
-        rows = tuple(rows)
+    def __init__(self, entries: Iterable[Iterable[int]], inverse: Iterable[Iterable[int]] | None = None):
+        rows = tuple(map(tuple, entries))
         n = len(rows)
-        if n == 0 or any(len(row) != n for row in rows):
-            raise DimensionError("unimodular matrix must be square")
-        d = _int_det(rows)
-        if d not in (1, -1):
-            raise LatticeMismatchError(f"matrix has determinant {d}, expected +1 or -1")
-        self._set(int_rows=rows, dim=n, det=d)
+        if n == 0 or any(len(row) != n for row in rows) or not all(type(x) is int for row in rows for x in row):
+            raise DimensionError("unimodular matrix must be a square matrix of ints")
+        if inverse is None:
+            r, p = _int_inverse(rows)
+            if abs(p) != 1:
+                raise LatticeMismatchError(f"matrix has |determinant| {abs(p)}, expected 1")
+            inverse = [[x * p for x in row] for row in r]
+        inv = tuple(map(tuple, inverse))
+        ints = all(type(x) is int for row in inv for x in row)
+        if not ints or tuple(map(len, inv)) != (n,) * n or int_matmul(rows, inv) != _with_identity([()] * n):
+            raise LatticeMismatchError("the claimed inverse is no matrix of ints with T T^-1 = I: det T is not +-1")
+        self._set(int_rows=rows, dim=n, _inv=inv)
 
     def inverse(self) -> "UnimodularMat":
-        r, p = _int_inverse(self.int_rows)  # p = +-1, so the inverse is r * p
-        return UnimodularMat([[x * p for x in row] for row in r])
+        """T^-1, held since T was built; its own inverse is T."""
+        inv = object.__new__(UnimodularMat)
+        inv._set(int_rows=self._inv, dim=self.dim, _inv=self.int_rows)
+        return inv
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UnimodularMat) and self.int_rows == other.int_rows
@@ -439,17 +451,8 @@ def left_kernel(m: Mat) -> list[tuple[int, ...]]:
     """Basis of the saturated integer left kernel {u : u @ m = 0}."""
     rows = m.int_entries()
     h, u, rk = _hnf_with_transform(rows)
-    out = []
-    for i in range(len(rows) - rk):
-        vec = tuple(u[i])
-        # canonical sign: first nonzero entry positive
-        for x in vec:
-            if x:
-                if x < 0:
-                    vec = tuple(-y for y in vec)
-                break
-        out.append(vec)
-    return out
+    # canonical sign: first nonzero entry positive
+    return [tuple(-x for x in v) if next(x for x in v if x) < 0 else tuple(v) for v in u[: len(rows) - rk]]
 
 
 def unimodular_solve(x: Mat, x2: Mat) -> UnimodularMat:
@@ -468,17 +471,10 @@ def unimodular_solve(x: Mat, x2: Mat) -> UnimodularMat:
         raise SingularMatrixError("second basis is singular")
     if abs(dx2 / dx) != 1:
         raise LatticeMismatchError(f"lattices differ: determinant ratio {dx2 / dx}")
-    # x^-1 = r / p and x2 = h / den, so T = x2 @ x^-1 = (h @ r) / (den * p)
+    # x^-1 = r / p, so T = x2 @ x^-1 = (x2.num @ r) / (x2.den * p): integral iff its den is 1
     r, p = _inverse_pair(x)
-    h, den = x2.num, x2.den
-    t = []
-    for row in int_matmul(h, r):
-        out = []
-        for s in row:
-            q, rem = divmod(s, den * p)
-            if rem:
-                raise LatticeMismatchError("lattices differ: transform is not integral")
-            out.append(q)
-        t.append(out)
-    return UnimodularMat(t)
+    t = Mat(int_matmul(x2.num, r), x2.den * p)
+    if t.den != 1:
+        raise LatticeMismatchError("lattices differ: transform is not integral")
+    return UnimodularMat(t.num)
 

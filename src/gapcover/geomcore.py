@@ -4,12 +4,13 @@ No floating point is used here.  Every claim consumed downstream is
 established in exact integer arithmetic: point membership and the floor of a
 body's support function at an integer vector (``ConvexBody.int_support``).
 A vertex body's enclosing ellipsoid is a moment form within a factor k of
-the body (``mvee``), one integer inverse, or two when its points crowd into
-few directions.  An ellipsoid's form is factored exactly once, when it is
-built; the line extents and the parallelotope's volume are read off that
-factorization, and the parallelotope is handed on as the ellipsoid's dual
-form A^-1 = R / p in integers, which the reduction reads, with its exact
-squared volume.  A vertex body is described exactly by
+the body (``mvee``), from one integer inverse of the moment matrix M, or a
+few more when its points crowd into few directions; the form keeps its own
+inverse, a multiple of M.  An ellipsoid's form is factored exactly once,
+when it is built; the line extents and the parallelotope's volume are read
+off that factorization, and the parallelotope is handed on as the
+ellipsoid's dual form A^-1 = R / p in integers, which the reduction reads,
+with its exact squared volume.  A vertex body is described exactly by
 integer rows |N.x| <= D (its facets, and with D = 0 the equalities of its
 span), computed once per body.
 """
@@ -132,10 +133,8 @@ class ConvexBody(Frozen):
         if self.kind == "vertices":
             return self.point_mat
         if self.kind == "box":
-            corners = []
-            for signs in itertools.product((1, -1), repeat=self.dim):
-                corners.append(tuple(s * h for s, h in zip(signs, self.halfwidths)))
-            return Mat(corners)
+            signs = itertools.product((1, -1), repeat=self.dim)
+            return Mat([s * h for s, h in zip(sign, self.halfwidths)] for sign in signs)
         raise DimensionError("ellipsoid bodies have no vertex description")
 
     def int_support(self, t: Sequence[int]) -> int:
@@ -292,23 +291,27 @@ def mvee(points: Mat | Iterable[Iterable]) -> Ellipsoid:
         points = Mat(pts)  # DimensionError unless the points share one dimension d >= 1
     w, den = points.num, points.den
     k = len(w[0])
-    r, g, q = _moment_form(w, w)
+    m, r, q, g = _moment_form(w, w)
     if k > 1 and g * len(w) > k * k * q:
-        r, g, _ = _moment_form(_spread_basis(w, k), w)
+        m, r, q, g = _moment_form(_spread_basis(w, k), w)
     den_sq = den * den
-    return Ellipsoid(Mat([[den_sq * x for x in row] for row in r], g))
+    form = Mat([[den_sq * x for x in row] for row in r], g)
+    # A = den^2 R / g and R / q = M^-1 give A^-1 = g M / (q den^2): no pass rebuilds it
+    form._set(_inv=(tuple(tuple(g * x for x in row) for row in m), q * den_sq))
+    return Ellipsoid(form)
 
 
-def _moment_form(rows: Sequence[Sequence[int]], w: Sequence[Sequence[int]]) -> tuple[list[list[int]], int, int]:
-    """(R, g, q): M^-1 = R / q with q > 0 for M = sum v v^T over the rows,
+def _moment_form(rows: Sequence[Sequence[int]], w: Sequence[Sequence[int]]) -> tuple[list, list, int, int]:
+    """(M, R, q, g): M = sum v v^T over the rows, M^-1 = R / q with q > 0,
     and g = max w^T R w over w."""
+    m = int_matmul(list(zip(*rows)), rows)
     try:
-        r, q = _int_inverse(int_matmul(list(zip(*rows)), rows))
+        r, q = _int_inverse(m)
     except SingularMatrixError:
         raise RankError("points do not span the space") from None
     if q < 0:
         r, q = [[-x for x in row] for row in r], -q
-    return r, max(sum(a * sum(map(operator.mul, row, p)) for a, row in zip(p, r)) for p in w), q
+    return m, r, q, max(sum(a * sum(map(operator.mul, row, p)) for a, row in zip(p, r)) for p in w)
 
 
 def _spread_basis(w: Sequence[Sequence[int]], k: int) -> list[Sequence[int]]:
@@ -335,7 +338,8 @@ def _spread_basis(w: Sequence[Sequence[int]], k: int) -> list[Sequence[int]]:
 def circumscribe_parallelotope(e: Ellipsoid) -> tuple[tuple[tuple[int, ...], ...], int, Fraction]:
     """The ellipsoid's dual form and its circumscribed parallelotope's
     squared volume, (R, p, |Q|^2): A^-1 = R / p with p > 0, the Gram matrix
-    that lll_reduce reduces, and |Q|^2 = 4^d / det A, both exact.
+    that lll_reduce reduces, and |Q|^2 = 4^d / det A, both exact.  R / p is
+    the pair kept on the form: mvee's, or one inverse of any other form.
 
     e.schur factors A = U D U^T (see schur_chain), so e lies in
     Q = {x : |w_m . x| <= 1 / sqrt(D_m)}, w_m the columns of U, and

@@ -4,11 +4,11 @@ The integral LLL of de Weger (Cohen, Alg. 2.6.7) reads a basis only through
 its Gram matrix, so no basis vector is formed and none need be rational: the
 pipeline reduces the dual form of an ellipsoid, A^-1 = R / p, whose basis
 would take square roots.  Given the integer Gram matrix, it returns the
-unimodular transform T, whose rows are the coordinates of the reduced basis;
-its Gram determinants prove the form positive definite.  No floating point
-enters.  The certificate of a reduction is the exact squared lengths
-t_j R t_j^T / p of the reduced vectors: their product over det(R / p) is the
-squared orthogonality defect.
+unimodular transform T, whose rows are the coordinates of the reduced basis,
+with T^-1 built beside it; its Gram determinants prove the form positive
+definite.  No floating point enters.  The certificate of a reduction is the
+exact squared lengths t_j R t_j^T / p of the reduced vectors: their product
+over det(R / p) is the squared orthogonality defect.
 """
 
 from __future__ import annotations
@@ -36,11 +36,11 @@ def lll_reduce(gram: Sequence[Sequence[int]], delta=LLL_DEFAULT_DELTA) -> Unimod
     """LLL reduction in integers of a basis given by its d x d integer Gram
     matrix (symmetric; only its lower triangle is read).
 
-    Returns the unimodular T for which the rows of T B are reduced, B any
-    basis with B B^T = gram: size-reduced (|mu_ij| <= 1/2), with the Lovasz
-    condition for the given delta at every index.  A Gram matrix scaled by
-    c > 0 gives the same T, so a rational one is passed as its numerators
-    over a common denominator.  The Gram pass below computes
+    Returns the unimodular T, held with T^-1, for which the rows of T B are
+    reduced, B any basis with B B^T = gram: size-reduced (|mu_ij| <= 1/2),
+    with the Lovasz condition for the given delta at every index.  A Gram
+    matrix scaled by c > 0 gives the same T, so a rational one is passed as
+    its numerators over a common denominator.  The Gram pass below computes
     dd[i] = det(gram[j][l])_(j,l < i), and RankError is raised at the first
     dd[i] <= 0, where gram is not positive definite.
 
@@ -48,11 +48,13 @@ def lll_reduce(gram: Sequence[Sequence[int]], delta=LLL_DEFAULT_DELTA) -> Unimod
     determinants dd[i] = B_0 ... B_(i-1), B_i = ||b*_i||^2, and
     lam[i][j] = dd[j+1] * mu_ij, all integers: one integral Gram-Schmidt
     pass over the Gram entries sets them up, and size reduction and swaps
-    update them with exact divisions, and T alongside.  Size reduction
-    rounds mu_kj = lam[k][j] / dd[j+1] for j = k-1 down to 0, and the
-    Lovasz test is B_k >= (delta - mu^2) B_(k-1) times dd[k] dd[k-1] and
-    delta's denominator.  Every decision is that of a rational LLL that
-    recomputes Gram-Schmidt after each swap.
+    update them with exact divisions, and T and the columns of T^-1
+    alongside (t_k -= q t_j is col_j += q col_k; a swap of two rows swaps
+    the same two columns).  Size reduction rounds mu_kj = lam[k][j] / dd[j+1]
+    for j = k-1 down to 0, and the Lovasz test is
+    B_k >= (delta - mu^2) B_(k-1) times dd[k] dd[k-1] and delta's
+    denominator.  Every decision is that of a rational LLL that recomputes
+    Gram-Schmidt after each swap.
     """
     delta = Fraction(delta)
     if not Fraction(1, 4) < delta < 1:
@@ -62,6 +64,7 @@ def lll_reduce(gram: Sequence[Sequence[int]], delta=LLL_DEFAULT_DELTA) -> Unimod
         raise DimensionError(f"need a d x d Gram matrix, got row lengths {[len(row) for row in gram]}")
     num, den = delta.numerator, delta.denominator
     t = [[int(i == j) for j in range(d)] for i in range(d)]
+    cols = [row[:] for row in t]  # the columns of T^-1
 
     dd = [1] * (d + 1)
     lam = [[0] * d for _ in range(d)]
@@ -84,6 +87,7 @@ def lll_reduce(gram: Sequence[Sequence[int]], delta=LLL_DEFAULT_DELTA) -> Unimod
             q = _round_half_up(lam_k[j], dd[j + 1])
             if q:
                 t[k] = [x - q * y for x, y in zip(t[k], t[j])]
+                cols[j] = [x + q * y for x, y in zip(cols[j], cols[k])]
                 # size reduction leaves the orthogonalization unchanged
                 lam_j = lam[j]
                 for i in range(j):
@@ -94,6 +98,7 @@ def lll_reduce(gram: Sequence[Sequence[int]], delta=LLL_DEFAULT_DELTA) -> Unimod
             k += 1
         else:
             t[k], t[k - 1] = t[k - 1], t[k]
+            cols[k], cols[k - 1] = cols[k - 1], cols[k]
             for j in range(k - 1):
                 lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
             b_new = (dd[k - 1] * dd[k + 1] + m * m) // dd[k]
@@ -103,7 +108,7 @@ def lll_reduce(gram: Sequence[Sequence[int]], delta=LLL_DEFAULT_DELTA) -> Unimod
                 lam[i][k - 1] = (b_new * s + m * lam[i][k]) // dd[k + 1]
             dd[k] = b_new
             k = max(k - 1, 1)
-    return UnimodularMat(t)
+    return UnimodularMat(t, zip(*cols))
 
 
 def certify_reduction(t: UnimodularMat, gram: Sequence[Sequence[int]], p: int) -> tuple[Fraction, ...]:

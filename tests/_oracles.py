@@ -4,9 +4,11 @@ These deliberately avoid the library's own algorithms: grid searches,
 exhaustive enumeration, and hand formulas.  The exceptions: ``hnf``, the
 canonical form over the library's ``_hnf_with_transform`` that the
 lattice-equality checks compare, the generic loop that the library's
-compiled run kernel unrolls (``run_reference``), and
+compiled run kernel unrolls (``run_reference``),
 ``hull_facets_reference``, the facet search with one determinant per
-coordinate that the library's adjugate form replaced.
+coordinate that the library's adjugate form replaced, and
+``gauss_jordan_reference``, the elimination loop that updates every row,
+which the library's pass, skipping the rows it cannot change, replaced.
 """
 
 import itertools
@@ -706,3 +708,28 @@ def hull_facets_reference(points):
                 row = tuple(-c for c in row[:-1]) + row[-1:]
             rows[row] = None
     return tuple((row[:-1], row[-1]) for row in rows)
+
+
+def gauss_jordan_reference(rows, cols):
+    """The fraction-free Gauss-Jordan loop that ``exactalg._gauss_jordan``
+    replaced: the same pivot choice, but every row but the pivot row is
+    updated at every pivot, (pivot x - f y) // prev, also when f = 0."""
+    a = [list(row) for row in rows]
+    order = list(range(len(a)))
+    pivots = []
+    prev = 1
+    for c in range(cols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if pr is None:
+            continue
+        a[r], a[pr] = a[pr], a[r]
+        order[r], order[pr] = order[pr], order[r]
+        pivot, row_r = a[r][c], a[r]
+        for i in range(len(a)):
+            if i != r:
+                f = a[i][c]
+                a[i] = [(pivot * x - f * y) // prev for x, y in zip(a[i], row_r)]
+        prev = pivot
+        pivots.append((order[r], c))
+    return a, pivots, prev

@@ -3,7 +3,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gapcover.exactalg
@@ -32,7 +32,15 @@ from gapcover.exactalg import (
 from gapcover.enumeration import PointSet
 from gapcover.geomcore import ConvexBody, Ellipsoid
 
-from _oracles import fraction_det, fraction_inverse, fraction_kernel, fraction_rank, hnf, identity
+from _oracles import (
+    fraction_det,
+    fraction_inverse,
+    fraction_kernel,
+    fraction_rank,
+    gauss_jordan_reference,
+    hnf,
+    identity,
+)
 
 
 def cofactor_2x2(m):
@@ -402,6 +410,66 @@ class TestUnimodularSolve:
         assert hnf(m)[0] != hnf(m3)[0]
 
 
+T_2 = [[2, 1], [1, 1]]  # det 1, T^-1 = [[1, -1], [-1, 2]]
+
+
+class TestUnimodularMat:
+    def test_claimed_inverse_is_held(self):
+        t = UnimodularMat(T_2, [[1, -1], [-1, 2]])
+        assert t.inverse().int_rows == ((1, -1), (-1, 2))
+        assert t.inverse().inverse() == t
+
+    @pytest.mark.parametrize(
+        "claimed",
+        [
+            [[1, -1], [-1, 3]],
+            [[2, 1], [1, 1]],
+            [[-1, 1], [1, -2]],
+            [[1, -1]],
+            [[1, -1, 0], [-1, 2, 0]],
+            # T times its first two rows is I, so only the shape check
+            # catches the extra row
+            [[1, -1], [-1, 2], [5, 5]],
+        ],
+        ids=["entry-off", "t-itself", "negated", "short", "wide", "extra-row"],
+    )
+    def test_wrong_claimed_inverse_raises(self, claimed):
+        with pytest.raises(LatticeMismatchError, match="claimed inverse"):
+            UnimodularMat(T_2, claimed)
+
+    @pytest.mark.parametrize(
+        "rows, error, match",
+        [
+            ([[2, 0], [0, 1]], LatticeMismatchError, r"\|determinant\| 2,"),
+            ([[0, 3], [1, 0]], LatticeMismatchError, r"\|determinant\| 3,"),
+            ([[1, 2], [2, 4]], SingularMatrixError, "singular"),
+        ],
+        ids=["det-2", "det-minus-3", "singular"],
+    )
+    def test_without_inverse_checks_the_determinant(self, rows, error, match):
+        with pytest.raises(error, match=match):
+            UnimodularMat(rows)
+
+    @given(elementary_ops)
+    @settings(max_examples=60, deadline=None)
+    def test_without_inverse_builds_it(self, ops):
+        # one fraction-free inverse, |p| = 1, of either sign of det T
+        w = make_unimodular(ops)
+        t = UnimodularMat(w.num)
+        assert Mat(t.inverse().int_rows) == Mat(fraction_inverse(w.entries))
+        assert UnimodularMat(w.num, t.inverse().int_rows) == t
+
+    @pytest.mark.parametrize("rows", [[[Fraction(1, 2)]], [[Fraction(1)]], [[1, 0], [0]]], ids=["half", "fraction-one", "ragged"])
+    def test_rows_not_a_square_of_ints_raise(self, rows):
+        with pytest.raises(DimensionError, match="square matrix of ints"):
+            UnimodularMat(rows)
+
+    def test_rational_claimed_inverse_raises(self):
+        # [[2]] [[1/2]] = I, but det [[2]] = 2: the inverse must be integral
+        with pytest.raises(LatticeMismatchError, match="claimed inverse"):
+            UnimodularMat([[2]], [[Fraction(1, 2)]])
+
+
 @st.composite
 def kernel_inputs(draw):
     """(rows, cols): up to 6 integer rows, some of them zero or combinations
@@ -422,7 +490,43 @@ def kernel_inputs(draw):
     return rows, cols
 
 
+@st.composite
+def gauss_jordan_inputs(draw):
+    """(rows, cols) for _gauss_jordan: kernel_inputs' rows (zero, free and
+    dependent ones), square matrices, singular squares whose last row
+    combines two others, or [M | I] pivoting in M's columns; the entries
+    take both signs, so pivots are often negative, and a drawn column may
+    be zeroed."""
+    kind = draw(st.sampled_from(["kernel", "square", "singular", "wide"]))
+    if kind == "kernel":
+        rows, cols = draw(kernel_inputs())
+    else:
+        cols = draw(st.integers(2 if kind == "singular" else 1, 5))
+        rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=cols, max_size=cols), min_size=cols, max_size=cols))
+        if kind == "singular":
+            s, t = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows[-1] = [s * x + t * y for x, y in zip(rows[0], rows[1])]
+    if rows and draw(st.booleans()):
+        z = draw(st.integers(0, cols - 1))
+        rows = [row[:z] + [0] + row[z + 1 :] for row in rows]
+    if kind == "wide":
+        rows = [row + [int(i == j) for j in range(cols)] for i, row in enumerate(rows)]
+    return rows, cols
+
+
 class TestKernels:
+    @given(gauss_jordan_inputs())
+    @example(([[-2, 1], [3, -4]], 2))  # both pivots negative
+    @example(([[0, 5, 1, 0], [-3, 0, 0, 1]], 2))  # [M | I], a zero below the first pivot
+    @example(([[0, 0], [0, 0]], 2))
+    @settings(max_examples=200, deadline=None)
+    def test_gauss_jordan_matches_reference_loop(self, data):
+        # skipping the rows that hold 0 in the pivot column, or only scaling
+        # them, changes nothing: (a, pivots, D) equal the loop's that
+        # updates every row
+        rows, cols = data
+        assert _gauss_jordan(rows, cols) == gauss_jordan_reference(rows, cols)
+
     def test_integer_kernel(self):
         m = Mat([[1, 1, 0], [0, 0, 1]])
         basis = integer_kernel(m.int_entries(), 3)

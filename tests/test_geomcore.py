@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,9 +11,11 @@ from gapcover.errors import (
     DimensionError,
     RankError,
 )
-from gapcover.cover import cover
+import gapcover.exactalg
+
+from gapcover.cover import cover, restrict_to_span
 from gapcover.enumeration import enum_body
-from gapcover.exactalg import Mat, det, inverse
+from gapcover.exactalg import Mat, _int_inverse, det, inverse
 from gapcover.geomcore import (
     ConvexBody,
     Ellipsoid,
@@ -91,7 +94,58 @@ def moment_forms(pts):
     return [Mat(m_inv).scale(1 / g) for m_inv, g in (moment_reference(pts, s) for s in mvee_reference(pts))]
 
 
+def assert_kept_inverse(e):
+    """mvee's kept pair (R, p) is a fresh fraction-free inverse of its form
+    as rationals, circumscribe_parallelotope reads it without an inverse
+    pass, and it returns the same (R / p, |Q|^2) on a copy of the form
+    built without the pair."""
+    form = e.form
+    r, p = form._inv
+    fresh, q = _int_inverse(form.num)  # form^-1 = den * fresh / q
+    assert p > 0
+    assert Mat(r, p).entries == tuple(tuple(Fraction(form.den * x, q) for x in row) for row in fresh)
+    with mock.patch.object(gapcover.exactalg, "_int_inverse", side_effect=AssertionError("inverse pass")):
+        kept_r, kept_p, kept_vol = circumscribe_parallelotope(e)
+    copy = Ellipsoid(Mat(form.num, form.den))
+    assert copy.form._inv is None
+    copy_r, copy_p, copy_vol = circumscribe_parallelotope(copy)
+    assert (Mat(kept_r, kept_p), kept_vol) == (Mat(copy_r, copy_p), copy_vol)
+
+
 class TestMvee:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.tuples(
+                st.lists(st.tuples(*[st.fractions(-6, 6, max_denominator=5)] * d), min_size=d, max_size=7),
+                st.integers(0, 30),
+            )
+        )
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_kept_inverse_matches_a_fresh_one(self, drawn):
+        # A = den^2 R / g with R / q = M^-1 gives A^-1 = g M / (q den^2); a
+        # point listed many times makes mvee take a spread basis
+        pts, repeats = drawn
+        assume(fraction_rank(pts) == len(pts[0]))
+        assert_kept_inverse(mvee(pts + [pts[0]] * repeats))
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(100, i) for i in range(60)] + [(0, 1)],
+            [(1000, i) for i in range(-40, 41)] + [(3, 7)],
+            [(10**4, 0, 0), (0, 1, 0)],
+            [(x, 0) for x in range(1, 401)] + [(0, 1)],
+        ],
+        ids=["fan-60", "fan-81", "restricted-thin", "collinear-interior"],
+    )
+    def test_kept_inverse_on_crowded_bodies(self, points):
+        # the bodies of test_cover's TestStageChain, restricted to their
+        # span as cover does; the last two crowd one axis, so that mvee
+        # takes a spread basis, the fans take every point
+        body = restrict_to_span(ConvexBody.vertices(points)).body
+        assert_kept_inverse(mvee(body.spanning_points()))
+
     def test_cross_polytope_gives_disk(self):
         e = mvee([(1, 0), (0, 1)])
         # symmetry forces a disk; exact containment of both generators

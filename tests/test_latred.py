@@ -13,7 +13,7 @@ import gapcover.latred
 
 from gapcover.errors import DimensionError, LatticeMismatchError, RankError
 from gapcover.cover import cover
-from gapcover.exactalg import Mat, UnimodularMat, Vector, det, inverse
+from gapcover.exactalg import Mat, UnimodularMat, Vector, _int_inverse, det, inverse
 from gapcover.harness import gen_random
 from gapcover.geomcore import Ellipsoid, circumscribe_parallelotope
 from gapcover.latred import certify_reduction, lll_reduce
@@ -192,16 +192,17 @@ class TestLll:
         assert defect_sq(v) <= Fraction(2) ** Fraction(d * (d - 1), 2)
 
     def test_wrong_transform_raises(self, monkeypatch):
-        # T's certificate, det T = +-1, is checked by UnimodularMat as a
-        # raised error, not an assert that python -O strips
+        # T's certificate, T T^-1 = I with the inverse that LLL carries, is
+        # checked by UnimodularMat as a raised error, not an assert that
+        # python -O strips
         real = gapcover.latred.UnimodularMat
 
-        def perturbed(rows):
+        def perturbed(rows, inverse):
             rows[0][0] += 1
-            return real(rows)
+            return real(rows, inverse)
 
         monkeypatch.setattr(gapcover.latred, "UnimodularMat", perturbed)
-        with pytest.raises(LatticeMismatchError, match="determinant"):
+        with pytest.raises(LatticeMismatchError, match="claimed inverse"):
             lll_reduce(gram([(1, 0), (4, 1)]))
 
     def test_dependent_rows_rejected(self):
@@ -265,9 +266,21 @@ def assert_same_as_recompute(rows, g=None):
         t = lll_reduce(gram(Mat(rows).num) if g is None else g)
     assert rounded == want_rounded
     assert t.int_rows == want_t
+    assert_carries_inverse(t)
     if rows is not None:
         assert (Mat(t.int_rows) @ Mat(rows)).entries == want_rows
     return swaps
+
+
+def assert_carries_inverse(t):
+    """The inverse that LLL built beside T by mirrored column operations is
+    T^-1: T T^-1 = I, and it equals a fresh fraction-free inverse of T."""
+    inv = t.inverse()
+    assert Mat(t.int_rows) @ Mat(inv.int_rows) == identity(t.dim)
+    r, p = _int_inverse(t.int_rows)
+    assert abs(p) == 1
+    assert inv.int_rows == tuple(tuple(x * p for x in row) for row in r)
+    assert inv.inverse().int_rows == t.int_rows
 
 
 class _Captured(Exception):
