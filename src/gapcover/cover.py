@@ -585,7 +585,7 @@ def verify_projection(
             fibres = nxt
         img_p, fiber_p = len(fibres), max(fibres.values())
         card_p = gap.listed_cardinality()
-        sumset_card = gap.doubled().listed_cardinality()
+        sumset_card = math.prod(4 * n + 1 for n in gap.halfsides)
     else:
         p_points = enum_gap(gap, cap)
         img_p, fiber_p = project_count(p_points, phi)

@@ -40,7 +40,9 @@ def vec_dot(u: Sequence, v: Sequence) -> Fraction:
 
 class Frozen:
     """Base of the immutable classes: attribute assignment raises; ``_set``
-    sets a slot once or as a memo (mvee seeds its form's inverse pair)."""
+    sets a slot once or as a memo (mvee seeds its form's inverse pair).
+    ``Mat.__init__``, run for every matrix built, sets its slots through
+    ``object.__setattr__`` directly, at half the cost of ``_set``'s loop."""
 
     __slots__ = ()
 
@@ -80,7 +82,15 @@ class Mat(Frozen):
         g = math.gcd(den, *(x for row in num for x in row)) if den > 1 else 1
         if g > 1:
             num = tuple(tuple(x // g for x in row) for row in num)
-        self._set(num=num, den=den // g, rows=len(num), cols=cols, _entries=None, _det=None, _inv=None, _inv_mat=None)
+        setattr_ = object.__setattr__
+        setattr_(self, "num", num)
+        setattr_(self, "den", den // g)
+        setattr_(self, "rows", len(num))
+        setattr_(self, "cols", cols)
+        setattr_(self, "_entries", None)
+        setattr_(self, "_det", None)
+        setattr_(self, "_inv", None)
+        setattr_(self, "_inv_mat", None)
 
     @property
     def entries(self) -> tuple[Vector, ...]:

@@ -13,7 +13,6 @@ import json
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Sequence
 
 from .cover import (
@@ -391,66 +390,28 @@ def cover_report_to_json(report: CoverReport, include_timings: bool = False) -> 
 
 
 def to_canonical_json(doc) -> str:
-    """Deterministic serialization, exactly ``json.dumps(doc, sort_keys=True,
-    indent=2) + "\n"``.
+    """The canonical text of a report: exactly ``json.dumps(doc,
+    sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"``.
 
-    Keys are sorted; each member or item sits on its own line, indented two
-    spaces per level, members separated by ``","`` and keys by ``": "``;
-    empty containers are ``{}`` and ``[]``.  Strings and keys are escaped to
-    ASCII by ``json.encoder.encode_basestring_ascii``, ints written in full,
-    tuples as lists, and floats (only the ``*_approx`` diagnostics) as
-    ``json.dumps`` writes them.  Anything else raises TypeError: a Fraction
-    value here, a key that is not a str in the escaping function.
+    Keys are sorted and no insignificant whitespace is written, so equal
+    documents give equal bytes and the text can be hashed; strings are
+    escaped to ASCII, ints written in full, tuples as lists, and floats (only
+    the ``*_approx`` diagnostics) as ``json.dumps`` writes them.  A value
+    that is not JSON, such as a Fraction, raises TypeError; a circular
+    document raises RecursionError.  Keys are not checked: ``json.dumps``
+    writes an int, float, bool or None key as a string (keys of mixed types
+    cannot be sorted and raise TypeError), and every key the program builds
+    is a literal or a dataclass field name.  Readers who want the text
+    indented can use ``python -m json.tool``.
 
-    It does not call ``json.dumps`` on the document: CPython's C encoder
-    ignores ``indent``, so with indent=2 every report would go through
-    ``json.encoder``'s pure-Python generators.  One recursive pass that
-    appends to a list, joined once, takes about half their time.
+    Compact, the whole document is one call into CPython's C encoder.  The
+    C encoder does not handle ``indent`` (CPython 3.10 to 3.13), so an
+    indented form goes through ``json.encoder``'s Python code, at about
+    twice the cost per report.  ``check_circular=False`` spares the
+    encoder's table of the containers it is inside; the recursion limit
+    still stops a circular document.
     """
-    out: list[str] = []
-    _emit(doc, "\n", out)
-    out.append("\n")
-    return "".join(out)
-
-
-def _emit(x, newline: str, out: list[str]) -> None:
-    # newline: a line break and the indentation of the line x starts on
-    if isinstance(x, str):
-        out.append(encode_basestring_ascii(x))
-    elif x is None:
-        out.append("null")
-    elif x is True:
-        out.append("true")
-    elif x is False:
-        out.append("false")
-    elif isinstance(x, int):
-        out.append(int.__repr__(x))
-    elif isinstance(x, float):
-        out.append(json.dumps(x))
-    elif isinstance(x, dict):
-        if not x:
-            out.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key in sorted(x):
-            out.append(sep + encode_basestring_ascii(key) + ": ")
-            _emit(x[key], inner, out)
-            sep = "," + inner
-        out.append(newline + "}")
-    elif isinstance(x, (list, tuple)):
-        if not x:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in x:
-            out.append(sep)
-            _emit(item, inner, out)
-            sep = "," + inner
-        out.append(newline + "]")
-    else:
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
 
 def run_batch(

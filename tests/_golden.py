@@ -7,9 +7,12 @@ under pytest; this module needs only the standard library and ``gapcover``,
 so any interpreter can run it.  From the root of the repository:
 
     PYTHONPATH=src python tests/_golden.py           # check; name each mismatch
-    PYTHONPATH=src python tests/_golden.py --write   # regenerate the fixture
+    PYTHONPATH=src python tests/_golden.py --write   # regenerate; name each hash that moved
 
-Only a change that declares a change of output may regenerate the file.
+The hashes pin the compact canonical text (``to_canonical_json``: sorted
+keys, no insignificant whitespace), byte for byte.  Only a change that
+declares a change of output may regenerate the file, and it quotes the
+count of hashes that ``--write`` reports as moved.
 """
 
 import hashlib
@@ -97,17 +100,19 @@ def load_golden() -> dict:
 
 
 def main(argv) -> int:
-    hashes = {name: report_hash(spec) for name, spec in instances()}
-    if argv == ["--write"]:
-        FIXTURE.write_text(json.dumps(hashes, indent=2) + "\n")
-        print(f"wrote {len(hashes)} hashes to {FIXTURE.name}")
-        return 0
-    if argv:
+    if argv not in ([], ["--write"]):
         print("usage: python tests/_golden.py [--write]", file=sys.stderr)
         return 2
+    hashes = {name: report_hash(spec) for name, spec in instances()}
     golden = load_golden()
     bad = [name for name in hashes if golden.get(name) != hashes[name]]
     bad += [f"{name} (in the fixture, not an instance)" for name in golden if name not in hashes]
+    if argv:
+        FIXTURE.write_text(json.dumps(hashes, indent=2) + "\n")
+        for name in bad:
+            print(f"MOVED {name}")
+        print(f"wrote {len(hashes)} hashes to {FIXTURE.name}: {len(bad)} moved")
+        return 0
     for name in bad:
         print(f"MISMATCH {name}")
     version = ".".join(map(str, sys.version_info[:3]))

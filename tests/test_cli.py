@@ -290,7 +290,8 @@ def test_random_bad_parameters_exit_usage(capsys, kind, flags):
 
 def test_outputs_are_canonical_json(tmp_path):
     # every document the program writes, the *_approx floats of --timings
-    # included, is json.dumps(doc, sort_keys=True, indent=2) plus a newline
+    # included, is the compact json.dumps(doc, sort_keys=True,
+    # separators=(",", ":")) plus a newline
     ball = {"dim": 2, "body": {"type": "ball", "radius": 2}, "phi": [1, 1]}
     inst = write(tmp_path, "inst.json", ball)
     names = ("cover", "verify", "project", "random", "batch")
@@ -307,5 +308,5 @@ def test_outputs_are_canonical_json(tmp_path):
     assert main(["batch", "--input", batch, "--timings", "--output", str(out["batch"])]) == EXIT_OK
     for name, path in out.items():
         text = path.read_text()
-        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
+        assert text == json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")) + "\n", name
     assert "runtime_ms_approx" in out["batch"].read_text()

@@ -31,7 +31,7 @@ from gapcover.harness import (
 )
 
 
-# JSON trees for the canonical emitter: strings and keys with non-ASCII,
+# JSON trees for the canonical writer: strings and keys with non-ASCII,
 # control, quote and backslash characters; ints past 300 digits; the floats
 # the stdlib spells specially; nested and empty dicts, lists and tuples
 _CHARS = st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7fé\u2028\ud800😀a') | st.characters()
@@ -54,6 +54,19 @@ _JSON_TREES = st.recursive(
     | st.dictionaries(_TEXT, kids, max_size=4),
     max_leaves=30,
 )
+_NAN = object()  # stands for every NaN, which equals nothing, itself included
+_CIRCULAR = {"a": [1]}
+_CIRCULAR["a"].append(_CIRCULAR)
+
+
+def _plain(x):
+    """x with tuples as lists and each NaN as ``_NAN``, for comparing a
+    document with its parsed text."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return _NAN if x != x else x
 
 
 class TestSplitMix64:
@@ -394,15 +407,25 @@ class TestSerialization:
     @given(_JSON_TREES)
     @settings(max_examples=200, deadline=None)
     def test_canonical_json_matches_stdlib(self, doc):
-        assert to_canonical_json(doc) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = to_canonical_json(doc)
+        assert text == json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        parsed = json.loads(text)
+        assert _plain(parsed) == _plain(doc)
+        assert to_canonical_json(parsed) == text
+
+    def test_canonical_json_writes_other_keys_as_strings(self):
+        # keys are not checked: json.dumps sorts the keys of a dict by value
+        # and writes int, float, bool and None keys as strings
+        doc = {"a": {10: [], 2: 3}, "b": {1.5: None}, "c": {True: 0}, "d": {None: 1}}
+        assert to_canonical_json(doc) == '{"a":{"2":3,"10":[]},"b":{"1.5":null},"c":{"true":0},"d":{"null":1}}\n'
 
     @pytest.mark.parametrize(
-        "doc",
-        [{"ratio": Fraction(1, 2)}, [1, (2, Fraction(3))], {1: 2}, {"a": {"b": 1, 2: 3}}],
-        ids=["fraction", "nested-fraction", "int-key", "nested-int-key"],
+        "doc, error",
+        [({"ratio": Fraction(1, 2)}, TypeError), ([1, (2, Fraction(3))], TypeError), (_CIRCULAR, RecursionError)],
+        ids=["fraction", "nested-fraction", "circular"],
     )
-    def test_canonical_json_rejects_non_json(self, doc):
-        with pytest.raises(TypeError):
+    def test_canonical_json_rejects_non_json(self, doc, error):
+        with pytest.raises(error):
             to_canonical_json(doc)
 
     def test_report_schema(self):
