@@ -7,7 +7,7 @@ under pytest; this module needs only the standard library and ``gapcover``,
 so any interpreter can run it.  From the root of the repository:
 
     PYTHONPATH=src python tests/_golden.py           # check; name each mismatch
-    PYTHONPATH=src python tests/_golden.py --write   # regenerate; name each hash that moved
+    PYTHONPATH=src python tests/_golden.py --write   # regenerate; name each hash that moved or is new
 
 The hashes pin the compact canonical text (``to_canonical_json``: sorted
 keys, no insignificant whitespace), byte for byte.  Only a change that
@@ -76,6 +76,29 @@ FIXED = {
         "body": {"type": "vertices", "points": [[2, 1, 0], [1, -1, 0]]},
         "phi": [1, 1, 2],
     },
+    # phi_d = 0: every run of C adds its length to one fibre at once
+    "ball-phi-last-zero": {"dim": 3, "body": {"type": "ball", "radius": 3}, "phi": [1, 2, 0]},
+    # true; P is not symmetric, and phi's fibres on P come from closed forms
+    "claim-nonzero-base-phi": {
+        "dim": 3,
+        "body": {"type": "ball", "radius": 2},
+        "gap": {"base": [1, 0, 0], "diffs": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "halfsides": [3, 2, 2]},
+        "phi": [2, -1, 1],
+    },
+    # true; d_3 = d_1 + d_2, so P and P+P are listed
+    "claim-dependent-phi": {
+        "dim": 2,
+        "body": {"type": "ball", "radius": 2},
+        "gap": {"base": [0, 0], "diffs": [[1, 0], [0, 1], [1, 1]], "halfsides": [2, 2, 1]},
+        "phi": [1, -2],
+    },
+    # true; phi(d_1) = 0, so the first step of P's convolution only scales
+    "claim-phi-vanishes-on-diff": {
+        "dim": 3,
+        "body": {"type": "ball", "radius": 2},
+        "gap": {"base": [0, 0, 0], "diffs": [[1, -1, 0], [0, 1, 0], [0, 0, 1]], "halfsides": [2, 3, 2]},
+        "phi": [1, 1, 3],
+    },
 }
 
 
@@ -109,9 +132,10 @@ def main(argv) -> int:
     bad += [f"{name} (in the fixture, not an instance)" for name in golden if name not in hashes]
     if argv:
         FIXTURE.write_text(json.dumps(hashes, indent=2) + "\n")
+        new = [name for name in hashes if name not in golden]
         for name in bad:
-            print(f"MOVED {name}")
-        print(f"wrote {len(hashes)} hashes to {FIXTURE.name}: {len(bad)} moved")
+            print(f"{'NEW' if name in new else 'MOVED'} {name}")
+        print(f"wrote {len(hashes)} hashes to {FIXTURE.name}: {len(bad) - len(new)} moved, {len(new)} new")
         return 0
     for name in bad:
         print(f"MISMATCH {name}")
