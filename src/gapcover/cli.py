@@ -151,7 +151,7 @@ def _cmd_project(args) -> int:
         gap, report = cover(spec.body, spec.budget)
     else:  # a claimed progression is verified, as run_batch does
         gap, report = spec.gap, verify_cover(spec.body, spec.gap, spec.budget)
-    prep = verify_projection(report.lattice_points, gap, spec.phi, spec.budget)
+    prep = verify_projection(report, spec.phi, spec.budget)
     doc = {
         "instance": spec.to_json_dict(),
         "gap": gap_to_json(gap),

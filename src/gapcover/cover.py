@@ -127,9 +127,14 @@ class StageDiagnostics:
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Outcome of certifying C ⊆ P.  ``lattice_points`` is C as the runs of
-    its sweep, which were tested; the projection check reads its runs, and
-    the JSON reports leave it out."""
+    """Outcome of certifying C ⊆ P.  The last three fields are what the
+    certificate worked from, which the projection check (verify_projection)
+    reads and the JSON reports leave out: ``lattice_points`` is C as the
+    runs of its sweep, which were tested; ``gap`` is the progression P that
+    was certified; ``independent`` records the certificate's proof that P's
+    active differences (half-side >= 1) are independent, which holds
+    exactly when gap_membership_tester built a tester (P was then not
+    listed)."""
 
     dim: int
     cardinality_C: int
@@ -141,6 +146,8 @@ class CoverReport:
     stages: StageDiagnostics | None
     timings_ms: dict
     lattice_points: PointSet = field(compare=False, repr=False)
+    gap: Gap = field(compare=False, repr=False)
+    independent: bool = field(compare=False, repr=False)
 
     @cached_property
     def stage_factors(self) -> dict[str, Fraction] | None:
@@ -176,8 +183,10 @@ def _over(a: Fraction | int, num: int, den: int) -> Fraction:
 @dataclass(frozen=True)
 class ProjectionReport:
     """Images of C and of P under an integer functional, with #P and #(P+P)
-    (see verify_projection).  The C side comes from the runs of the point set
-    the certification found, the P side from closed forms or a listing of P.
+    (see verify_projection), both read from a CoverReport.  The C side comes
+    from the runs of the point set the certification found; the P side from
+    closed forms and a sparse convolution when the certificate proved the
+    active differences independent, otherwise from a listing of P.
 
     ``sumset_cardinality`` and ``doubling_ok`` are None only when
     ``degraded``: P has dependent differences and P+P lists more points than
@@ -479,6 +488,8 @@ def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverRepo
         stages=None,
         timings_ms=timings,
         lattice_points=c_points,
+        gap=gap,
+        independent=member is not None,
     )
 
 
@@ -509,83 +520,90 @@ def _first_outside(runs: Sequence[Run], member: GapMembership) -> tuple[tuple[in
     raise CertificationError(f"run {prefix} + [{lo}, {hi}] fails its run test, but none of its points")
 
 
-def verify_projection(
-    c_points: PointSet,
-    gap: Gap,
-    phi: Sequence[int],
-    cap: int = DEFAULT_BUDGET,
-) -> ProjectionReport:
-    """Exact verification of the image-size chain under an integer functional.
+def verify_projection(report: CoverReport, phi: Sequence[int], cap: int = DEFAULT_BUDGET) -> ProjectionReport:
+    """Exact verification of the image-size chain under an integer functional,
+    for the progression P and the lattice points C of a certificate
+    (cover's or verify_cover's report).
 
     Checks #phi(P) * m' <= #(P+P), #(P+P) * m <= 2^order * #P * m', the
     doubling fact #(P+P) <= 2^order * #P, and the covering corollary
-    #phi(P) <= bound * #phi(C), where m and m' are the largest fibres of phi
-    on C and on P.  C is passed in as the point set the certification
-    already found (``CoverReport.lattice_points``); it is neither swept again
-    nor listed here: the fibres of phi on C are read off its runs, a run
-    adding phi(prefix) + phi_d t for lo <= t <= hi and its mirror the
-    negatives, the origin once.
+    #phi(P) <= bound * #phi(C), in integers, where m and m' are the largest
+    fibres of phi on C and on P.  C is ``report.lattice_points``; it is
+    neither swept again nor listed here: phi is counted over the swept runs
+    only, a run adding phi(prefix) + phi_d t for lo <= t <= hi, all at once
+    when phi_d = 0, and the fibres of C are then F(x) = N(x) + N(-x) - [x = 0]
+    over the distinct swept values x, the origin being swept exactly once.
 
-    When the differences with half-side >= 1 are independent
-    (``gap.diffs_independent()``), P and P+P are proper and nothing of them
-    is listed: #P = prod(2 n_i + 1), #(P+P) = prod(4 n_i + 1), and the fibre
-    sizes of phi on P are the coefficients of
+    When the certificate proved P's active differences independent
+    (``report.independent``), P and P+P are proper and nothing of them is
+    listed, nor tested again: #P = prod(2 n_i + 1), #(P+P) = prod(4 n_i + 1),
+    and the fibre sizes of phi on P are the coefficients of
     prod_i (x^(-n_i c_i) + ... + x^(n_i c_i)), c_i = phi(d_i), convolved
-    exactly in Python ints.  ``cap`` then bounds that convolution, summed
-    per step: step i holds at most min(prod_{j<i} (2 n_j + 1),
-    1 + sum_{j<i} 2 n_j |c_j|) fibres and multiplies each by 2 n_i + 1
-    shifts.  The bound is checked before any work starts, C's image
-    included, and BudgetError names the projection stage.
+    exactly in Python ints and sparsely, a dict over the values reached (a
+    step with c_i = 0 only scales them by 2 n_i + 1).  ``cap`` then bounds
+    that convolution, summed per step: step i holds at most
+    min(prod_{j<i} (2 n_j + 1), 1 + sum_{j<i} 2 n_j |c_j|) fibres and
+    multiplies each by 2 n_i + 1 shifts.  The bound is checked before any
+    work starts, C's image included, and BudgetError names the projection
+    stage.
 
     Otherwise P and P+P are listed, ``cap`` bounds each listing, and when
     P+P exceeds it the report is ``degraded`` to the membership-based bound
     #phi(P) * m <= 2^order * #P; only dependent differences can degrade.
     """
-    phi = tuple(int(c) for c in phi)
+    gap = report.gap
+    phi = tuple(map(int, phi))
     if len(phi) != gap.dim:
         raise DimensionError(f"functional has {len(phi)} coefficients, progression {gap.dim}")
     order = gap.order
-    proper = gap.diffs_independent()
-    if proper:
+    if report.independent:
         steps = [
-            (sum(a * b for a, b in zip(phi, v)), n)
+            (abs(sum(map(operator.mul, phi, v))), n)
             for v, n in zip(gap.diffs, gap.halfsides)
             if n >= 1
         ]
-        work, listed, width = 0, 1, 1
+        work, listed, width, sumset_card = 0, 1, 1, 1
         for c, n in steps:
             work += min(listed, width) * (2 * n + 1)
             listed *= 2 * n + 1
-            width += 2 * n * abs(c)
+            width += 2 * n * c
+            sumset_card *= 4 * n + 1
         if work > cap:
             raise BudgetError(
                 f"projection stage: convolving the image of P takes up to {work} steps, budget {cap}"
             )
 
-    if c_points.dim != len(phi):
-        raise DimensionError(f"functional has {len(phi)} coefficients, lattice points {c_points.dim}")
-    fibres_c = {0: -1}  # the origin is its own mirror
-    for prefix, lo, hi in c_points.runs:
-        v = sum(map(operator.mul, phi, prefix))
-        for t in range(lo, hi + 1):
-            x = v + phi[-1] * t
-            fibres_c[x] = fibres_c.get(x, 0) + 1
-            fibres_c[-x] = fibres_c.get(-x, 0) + 1
-    img_c, fiber_c = len(fibres_c), max(fibres_c.values())
+    swept: dict[int, int] = {}  # N(x): the swept points with phi = x
+    get = swept.get
+    *head, last = phi
+    for prefix, lo, hi in report.lattice_points.runs:
+        v = sum(map(operator.mul, head, prefix))
+        if last:
+            for x in range(v + last * lo, v + last * (hi + 1), last):
+                swept[x] = get(x, 0) + 1
+        else:
+            swept[v] = get(v, 0) + hi - lo + 1
+    # the image is the swept values and their negatives; the origin, its
+    # own mirror, is counted once
+    img_c = 2 * len(swept) - len(swept.keys() & map(operator.neg, swept))
+    fiber_c = max(n + get(-x, 0) - (not x) for x, n in swept.items())
 
     degraded = False
-    if proper:
+    if report.independent:
         fibres = {0: 1}
         for c, n in steps:
+            if not c:
+                fibres = {value: count * (2 * n + 1) for value, count in fibres.items()}
+                continue
+            shifts = range(-n * c, n * c + 1, c)
             nxt: dict[int, int] = {}
+            at = nxt.get
             for value, count in fibres.items():
-                for m in range(-n, n + 1):
-                    key = value + m * c
-                    nxt[key] = nxt.get(key, 0) + count
+                for s in shifts:
+                    key = value + s
+                    nxt[key] = at(key, 0) + count
             fibres = nxt
-        img_p, fiber_p = len(fibres), max(fibres.values())
-        card_p = gap.listed_cardinality()
-        sumset_card = math.prod(4 * n + 1 for n in gap.halfsides)
+        img_p, fiber_p, card_p = len(fibres), max(fibres.values()), listed
     else:
         p_points = enum_gap(gap, cap)
         img_p, fiber_p = project_count(p_points, phi)
@@ -606,9 +624,10 @@ def verify_projection(
         doubling_ok = sumset_card <= 2**order * card_p
     else:
         chain_ok = img_p * fiber_c <= 2**order * card_p
-    corollary_ok = img_p <= covering_bound(gap.dim) * max(img_c, 1)
+    bound = covering_bound(gap.dim)
+    corollary_ok = img_p * bound.denominator <= bound.numerator * img_c
     return ProjectionReport(
-        functional=tuple(phi),
+        functional=phi,
         image_count_C=img_c,
         image_count_P=img_p,
         max_fiber_C=fiber_c,

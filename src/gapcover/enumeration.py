@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .errors import BudgetError, DimensionError
-from .exactalg import Frozen, _gauss_jordan
+from .exactalg import Frozen
 from .geomcore import DEFAULT_BUDGET, ConvexBody, hull_line_extent
 
 IntPoint = tuple[int, ...]
@@ -103,12 +103,6 @@ class Gap:
 
     def listed_cardinality(self) -> int:
         return math.prod(2 * n + 1 for n in self.halfsides)
-
-    def diffs_independent(self) -> bool:
-        """Exact independence of the difference vectors with halfside >= 1
-        (vectors never used because their range is {0} are ignored)."""
-        active = [v for v, n in zip(self.diffs, self.halfsides) if n >= 1]
-        return len(_gauss_jordan(active, self.dim)[1]) == len(active)
 
     def doubled(self) -> "Gap":
         """The sumset self + self: same differences, doubled base and ranges."""

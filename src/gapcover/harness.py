@@ -427,7 +427,8 @@ def run_batch(
     and certifies the progression it builds; one carrying a ``gap`` is
     verification-only (verify_cover).  Either way the report's ``verify``
     entry is that certificate without the stage diagnostics, and the
-    projection check reuses its sweep of C.  Per-instance errors are
+    projection check reads that certificate: its sweep of C, its
+    progression and its proof of independence.  Per-instance errors are
     captured in the report; the batch aborts early only with fail_fast.
     Report order follows input order.
     """
@@ -459,7 +460,7 @@ def run_batch(
             contained = report.contained
             ratio = report.ratio
             if spec.phi is not None:
-                prep = verify_projection(report.lattice_points, gap, spec.phi, spec.budget)
+                prep = verify_projection(report, spec.phi, spec.budget)
                 entry["projection"] = record_to_json(prep)
                 contained = contained and prep.holds
             entry["contained"] = contained

@@ -85,8 +85,10 @@ def test_project_phi_flag(tmp_path):
 def test_project_failing_verdict_exits_one(tmp_path, monkeypatch):
     real = gapcover.cli.verify_projection
 
-    def not_monotone(*args):
-        return dataclasses.replace(real(*args), fiber_monotone=False)
+    def not_monotone(report, phi, cap):
+        # called with the certificate's report, which proved P's differences independent
+        assert report.contained and report.independent
+        return dataclasses.replace(real(report, phi, cap), fiber_monotone=False)
 
     monkeypatch.setattr(gapcover.cli, "verify_projection", not_monotone)
     inst = write(tmp_path, "inst.json", {"dim": 2, "body": {"type": "ball", "radius": 2}, "phi": [1, 1]})

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import gapcover.cover
+import gapcover.exactalg
 from gapcover.cover import (
     cover,
     covering_bound,
@@ -242,7 +244,7 @@ def membership_cases(draw):
     diffs = draw(st.permutations(diffs))
     base = tuple(draw(st.integers(-5, 5)) for _ in range(dim))
     gap = Gap(dim, base, [v for v, _ in diffs], [n for _, n in diffs])
-    assume(gap.diffs_independent())
+    assume(gap_membership_tester(gap) is not None)
     points = []
     for _ in range(draw(st.integers(1, 30))):
         ms = [draw(st.integers(-n - 1, n + 1)) for n in gap.halfsides]
@@ -304,7 +306,7 @@ def scan_cases(draw, dim, k):
     scale = draw(st.sampled_from([0, 1, BIG]))
     base = tuple(scale * draw(st.integers(-3, 3)) for _ in range(dim))
     gap = Gap(dim, base, [v for v, _ in diffs], [n for _, n in diffs])
-    assume(gap.diffs_independent())
+    assume(gap_membership_tester(gap) is not None)
     runs = []
     for _ in range(draw(st.integers(1, 12))):
         if draw(st.booleans()):
@@ -441,7 +443,7 @@ def claim_cases(draw):
     diffs = draw(st.permutations(diffs))
     base = (0,) * dim if draw(st.booleans()) else tuple(draw(coord) for _ in range(dim))
     gap = Gap(dim, base, [v for v, _ in diffs], [n for _, n in diffs])
-    assume(gap.diffs_independent())
+    assume(gap_membership_tester(gap) is not None)
     return body, gap
 
 
@@ -648,7 +650,7 @@ class TestListingCrossCheck:
         # full rank and independent differences: C stays runs throughout
         monkeypatch.setattr(PointSet, "points", property(lambda self: pytest.fail("C was listed")))
         gap, report = cover(body)
-        assert report.contained and gap.diffs_independent()
+        assert report.contained and gap_membership_tester(gap) is not None
         assert report.cardinality_C == len(report.lattice_points)
         d = body.dim
         unit = Gap(d, (0,) * d, tuple(tuple(int(i == j) for j in range(d)) for i in range(d)), (1,) * d)
@@ -675,7 +677,7 @@ class TestVerifyProjection:
     def test_identity_1d(self):
         body = ConvexBody.box([Fraction(7, 2)])
         gap, _ = cover(body)
-        rep = verify_projection(enum_body(body), gap, (1,))
+        rep = verify_projection(verify_cover(body, gap), (1,))
         assert rep.image_count_C == 7
         assert rep.image_count_P == 7
         assert rep.chain_ok and rep.corollary_ok and rep.fiber_monotone
@@ -684,7 +686,7 @@ class TestVerifyProjection:
     def test_grid_diagonal(self):
         body = ConvexBody.box([1, 1])
         gap, _ = cover(body)
-        rep = verify_projection(enum_body(body), gap, (1, 1))
+        rep = verify_projection(verify_cover(body, gap), (1, 1))
         assert rep.chain_ok
         assert rep.doubling_ok
         assert rep.image_count_P >= 5
@@ -692,7 +694,7 @@ class TestVerifyProjection:
     def test_zero_functional(self):
         body = disk(4)
         gap, _ = cover(body)
-        rep = verify_projection(enum_body(body), gap, (0, 0))
+        rep = verify_projection(verify_cover(body, gap), (0, 0))
         assert rep.image_count_C == 1
         assert rep.image_count_P == 1
         assert rep.max_fiber_C == 13
@@ -702,11 +704,32 @@ class TestVerifyProjection:
         body = disk(4)
         gap, _ = cover(body)
         for phi in [(1, 0), (2, -3), (5, 5), (-4, 1)]:
-            rep = verify_projection(enum_body(body), gap, phi)
+            rep = verify_projection(verify_cover(body, gap), phi)
             assert rep.chain_ok
             assert rep.corollary_ok
             assert rep.fiber_monotone
             assert rep.doubling_ok
+
+    def test_reads_the_certificates_proof(self, monkeypatch):
+        # the certificate proved the differences independent: no second
+        # Gauss-Jordan pass, and no listing of P
+        report = verify_cover(disk(4), Gap(2, (1, 0), ((1, 1), (1, -1), (2, 0)), (2, 2, 0)))
+        assert report.independent
+        elimination = gapcover.exactalg._gauss_jordan.__code__
+        calls = []
+
+        def record(frame, event, arg):
+            if event == "call" and frame.f_code is elimination:
+                calls.append(frame)
+
+        monkeypatch.setattr(gapcover.cover, "enum_gap", lambda *a: pytest.fail("P was listed"))
+        sys.setprofile(record)
+        try:
+            rep = verify_projection(report, (2, -1))
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert (rep.cardinality_P, rep.sumset_cardinality) == (25, 81)
 
 
 @st.composite
@@ -717,6 +740,18 @@ def vertex_bodies(draw):
     return ConvexBody.vertices(draw(st.lists(point, min_size=1, max_size=3)))
 
 
+@st.composite
+def small_ellipsoids(draw):
+    """Ellipsoids sum_i (L x)_i^2 / r_i <= 1 in dims 1..3, L unit lower
+    triangular with entries in [-2, 2] and r_i in 1..9: sheared, and with at
+    most 7^dim lattice points."""
+    d = draw(st.integers(1, 3))
+    shear = [[1 if i == j else draw(st.integers(-2, 2)) if j < i else 0 for j in range(d)] for i in range(d)]
+    r = [draw(st.integers(1, 9)) for _ in range(d)]
+    form = [[sum(Fraction(shear[m][i] * shear[m][j], r[m]) for m in range(d)) for j in range(d)] for i in range(d)]
+    return ConvexBody.from_ellipsoid(Ellipsoid(Mat(form)))
+
+
 class TestProjectionOfRuns:
     @given(st.one_of(spanless_bodies(), vertex_bodies()), st.data())
     @settings(max_examples=60, deadline=None)
@@ -724,13 +759,27 @@ class TestProjectionOfRuns:
         # phi's fibres on C, read off the runs, against project_count over
         # the listed points
         phi = data.draw(st.lists(st.integers(-3, 3), min_size=body.dim, max_size=body.dim))
-        c_points = enum_body(body)
-        rep = verify_projection(c_points, Gap(body.dim, (0,) * body.dim, (), ()), phi)
-        assert (rep.image_count_C, rep.max_fiber_C) == project_count(c_points.points, phi)
+        report = verify_cover(body, Gap(body.dim, (0,) * body.dim, (), ()))
+        rep = verify_projection(report, phi)
+        assert (rep.image_count_C, rep.max_fiber_C) == project_count(report.lattice_points.points, phi)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError, match="lattice points 2"):
-            verify_projection(enum_body(disk(4)), Gap(3, (0, 0, 0), (), ()), (1, 2, 3))
+        report = verify_cover(disk(4), Gap(2, (0, 0), (), ()))
+        with pytest.raises(DimensionError, match="functional has 3 coefficients, progression 2"):
+            verify_projection(report, (1, 2, 3))
+
+
+class TestProjectionOfCoverReport:
+    @given(st.one_of(spanless_bodies(), small_ellipsoids()), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_enumerated_report(self, body, data):
+        # cover's own report, restricted (k < d) or not, against the listing
+        # of C, P and P+P
+        phi = data.draw(st.lists(st.integers(-3, 3), min_size=body.dim, max_size=body.dim))
+        gap, report = cover(body)
+        rep = verify_projection(report, phi)
+        expected = enumerated_projection(report.lattice_points.points, gap, phi, 10**7)
+        assert dataclasses.asdict(rep) == expected
 
 
 @st.composite
@@ -765,7 +814,7 @@ class TestProjectionAgainstListing:
         box, gap, phi = case
         body = ConvexBody.box(box)
         c_points = list(itertools.product(*(range(-b, b + 1) for b in box)))
-        rep = verify_projection(enum_body(body), gap, phi)
+        rep = verify_projection(verify_cover(body, gap), phi)
         assert dataclasses.asdict(rep) == enumerated_projection(c_points, gap, phi, 10**7)
 
 
@@ -776,7 +825,7 @@ class TestProjectionClosedForm:
 
         monkeypatch.setattr("gapcover.cover.enum_gap", refuse)
         gap = Gap(2, (1, -1), ((1, 0), (1, 1)), (2, 3))
-        rep = verify_projection(enum_body(disk(4)), gap, (2, -1))
+        rep = verify_projection(verify_cover(disk(4), gap), (2, -1))
         assert rep.cardinality_P == 5 * 7
         assert rep.sumset_cardinality == 9 * 13
         assert not rep.degraded
@@ -785,7 +834,7 @@ class TestProjectionClosedForm:
         # #(P+P) = 81 > cap = 50; the convolution bound is 1 * 5 + 5 * 5 = 30
         # steps
         gap = Gap(2, (0, 0), ((1, 0), (0, 1)), (2, 2))
-        rep = verify_projection(enum_body(ConvexBody.box([2, 2])), gap, (1, 0), cap=50)
+        rep = verify_projection(verify_cover(ConvexBody.box([2, 2]), gap), (1, 0), cap=50)
         assert not rep.degraded
         assert rep.sumset_cardinality == 9 * 9
         assert rep.doubling_ok and rep.chain_ok
@@ -793,7 +842,7 @@ class TestProjectionClosedForm:
     def test_budget_raised_before_any_work(self, monkeypatch):
         # one step: min(1, 1) * 21 = 21 steps, within the budget
         gap = Gap(1, (0,), ((1,),), (10,))
-        rep = verify_projection(enum_body(ConvexBody.box([3])), gap, (1,), cap=100)
+        rep = verify_projection(verify_cover(ConvexBody.box([3]), gap), (1,), cap=100)
         assert rep.sumset_cardinality == 41
 
         # two steps: 21 + min(21, 1 + 20) * 21 = 462 steps, raised before C
@@ -803,8 +852,21 @@ class TestProjectionClosedForm:
 
         monkeypatch.setattr("gapcover.cover.project_count", refuse)
         gap = Gap(2, (0, 0), ((1, 0), (0, 1)), (10, 10))
+        report = verify_cover(ConvexBody.box([3, 3]), gap)
         with pytest.raises(BudgetError, match=r"projection stage.* 462 steps, budget 100"):
-            verify_projection(enum_body(ConvexBody.box([3, 3])), gap, (1, 1), cap=100)
+            verify_projection(report, (1, 1), cap=100)
+
+    def test_wide_functional_stays_sparse(self):
+        # phi(d_1) = 10^9: the image of P spans 2 * 10^9 + 3 values but
+        # holds 9, and the precheck's work is 3 + min(3, 2 * 10^9 + 1) * 3 =
+        # 12 steps, which the sparse convolution stays within
+        gap = Gap(2, (0, 0), ((1, 0), (0, 1)), (1, 1))
+        report = verify_cover(ConvexBody.box([1, 1]), gap)
+        rep = verify_projection(report, (10**9, 1), cap=12)
+        assert rep.image_count_P == 9 and rep.max_fiber_P == 1
+        assert rep.image_count_C == 9 and rep.holds
+        with pytest.raises(BudgetError, match=r"projection stage.* 12 steps, budget 11"):
+            verify_projection(report, (10**9, 1), cap=11)
 
 
 class TestStageChain:

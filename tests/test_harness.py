@@ -284,8 +284,10 @@ class TestRunBatch:
     def test_failing_projection_verdict_fails_the_instance(self, monkeypatch):
         real = gapcover.harness.verify_projection
 
-        def not_monotone(*args):
-            return dataclasses.replace(real(*args), fiber_monotone=False)
+        def not_monotone(report, phi, cap):
+            # called with the certificate's report, which proved P's differences independent
+            assert report.contained and report.independent
+            return dataclasses.replace(real(report, phi, cap), fiber_monotone=False)
 
         monkeypatch.setattr(gapcover.harness, "verify_projection", not_monotone)
         spec = parse_instance({"dim": 2, "body": {"type": "ball", "radius": 2}, "phi": [1, 1]})
