@@ -47,7 +47,21 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
 
-from .enumeration import DEFAULT_BUDGET, Gap, PointSet, Run, enum_body, enum_gap, project_count, subset_check
+from .enumeration import (
+    DEFAULT_BUDGET,
+    Gap,
+    IntPoint,
+    PointSet,
+    Run,
+    _compile_kernel,
+    _dot,
+    _tup,
+    check_listing,
+    enum_body,
+    enum_gap,
+    project_count,
+    subset_check,
+)
 from .errors import BudgetError, CertificationError, DimensionError, RankError
 from .exactalg import (
     Frozen,
@@ -127,14 +141,15 @@ class StageDiagnostics:
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Outcome of certifying C ⊆ P.  The last three fields are what the
+    """Outcome of certifying C ⊆ P.  The last four fields are what the
     certificate worked from, which the projection check (verify_projection)
     reads and the JSON reports leave out: ``lattice_points`` is C as the
     runs of its sweep, which were tested; ``gap`` is the progression P that
     was certified; ``independent`` records the certificate's proof that P's
     active differences (half-side >= 1) are independent, which holds
     exactly when gap_membership_tester built a tester (P was then not
-    listed)."""
+    listed); ``gap_points`` is P's listing when the differences are
+    dependent, None otherwise."""
 
     dim: int
     cardinality_C: int
@@ -148,6 +163,7 @@ class CoverReport:
     lattice_points: PointSet = field(compare=False, repr=False)
     gap: Gap = field(compare=False, repr=False)
     independent: bool = field(compare=False, repr=False)
+    gap_points: frozenset[IntPoint] | None = field(compare=False, repr=False)
 
     @cached_property
     def stage_factors(self) -> dict[str, Fraction] | None:
@@ -292,39 +308,31 @@ def _run_kernel(d: int, k: int, shifted: bool):
     adj = [[f"a{j}_{i}" for i in r] for j in a]
     others = [([f"o{o}_{j}" for j in a], f"i{o}") for o in range(d - k)]
 
-    def tup(names) -> str:  # a tuple display, also as a target; () when empty
-        return f"({''.join(f'{n}, ' for n in names)})"
-
-    def dot(terms) -> str:
-        return " + ".join(f"{c} * {v}" for c, v in terms) or "0"
-
     def fail(test: str) -> list[str]:
         return [f"            if {test}:", "                return index"]
 
     body = [f"            {xi} -= b{i}" for i, xi in enumerate(x)] if shifted else []
     for j in a:
-        body += [f"            v{j} = {dot(zip(adj[j], x))}"]
+        body += [f"            v{j} = {_dot(zip(adj[j], x))}"]
         body += fail(f"v{j} % den or abs(v{j}) > n{j} or abs(v{j} + span * {adj[j][-1]}) > n{j}")
     for row, i in others:
-        body += fail(f"{dot(zip(row, (f'v{j}' for j in a)))} != den * {tup(x)}[{i}]")
-    source = "\n".join([
+        body += fail(f"{_dot(zip(row, (f'v{j}' for j in a)))} != den * {_tup(x)}[{i}]")
+    source = [
         "def make(adj, den, bounds, others, base, stepless):",
-        f"    {tup(map(tup, adj))} = adj",
-        f"    {tup(f'n{j}' for j in a)} = bounds",
-        f"    {tup(f'({tup(row)}, {i})' for row, i in others)} = others",
-        *([f"    {tup(f'b{i}' for i in r)} = base"] if shifted else []),
+        f"    {_tup(map(_tup, adj))} = adj",
+        f"    {_tup(f'n{j}' for j in a)} = bounds",
+        f"    {_tup(f'({_tup(row)}, {i})' for row, i in others)} = others",
+        *([f"    {_tup(f'b{i}' for i in r)} = base"] if shifted else []),
         "    def scan(runs):",
-        f"        for index, ({tup(x[:-1])}, {x[-1]}, hi) in enumerate(runs):",
+        f"        for index, ({_tup(x[:-1])}, {x[-1]}, hi) in enumerate(runs):",
         f"            if stepless and hi > {x[-1]}:",
         "                return index",
         f"            span = hi - {x[-1]}",
         *body,
         "        return None",
         "    return scan",
-    ])
-    namespace: dict = {}
-    exec(compile(source, f"<run kernel d={d} k={k} shifted={shifted}>", "exec"), {}, namespace)
-    return namespace["make"]
+    ]
+    return _compile_kernel(source, f"<run kernel d={d} k={k} shifted={shifted}>")
 
 
 class GapMembership(Frozen):
@@ -457,13 +465,15 @@ def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverRepo
     failing run, and only that run point by point (_first_outside);
     #P = prod(2 n_i + 1), and P is not listed.
     With dependent ones, P and C are listed once, for #P and the membership
-    of each point in turn.  The certification time and the numbers of runs
-    and points tested are added to ``timings``, which the report keeps.
+    of each point in turn, and the report keeps P's listing for the
+    projection check.  The certification time and the numbers of runs and
+    points tested are added to ``timings``, which the report keeps.
     """
     if gap.dim != c_points.dim:
         raise DimensionError(f"progression has dimension {gap.dim}, lattice points {c_points.dim}")
     t0 = time.perf_counter()
     member = gap_membership_tester(gap)
+    listed = None
     if member is not None:
         witness, runs_tested, points_tested = _first_outside(c_points.runs, member)
         contained = witness is None
@@ -490,6 +500,7 @@ def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverRepo
         lattice_points=c_points,
         gap=gap,
         independent=member is not None,
+        gap_points=listed,
     )
 
 
@@ -547,8 +558,10 @@ def verify_projection(report: CoverReport, phi: Sequence[int], cap: int = DEFAUL
     work starts, C's image included, and BudgetError names the projection
     stage.
 
-    Otherwise P and P+P are listed, ``cap`` bounds each listing, and when
-    P+P exceeds it the report is ``degraded`` to the membership-based bound
+    Otherwise P is the certificate's listing (``report.gap_points``), not
+    listed again, and P+P is listed; ``cap`` bounds each listing, a P above
+    it raising the BudgetError of enum_gap, and when P+P exceeds it the
+    report is ``degraded`` to the membership-based bound
     #phi(P) * m <= 2^order * #P; only dependent differences can degrade.
     """
     gap = report.gap
@@ -605,7 +618,8 @@ def verify_projection(report: CoverReport, phi: Sequence[int], cap: int = DEFAUL
             fibres = nxt
         img_p, fiber_p, card_p = len(fibres), max(fibres.values()), listed
     else:
-        p_points = enum_gap(gap, cap)
+        check_listing(gap, cap)
+        p_points = report.gap_points
         img_p, fiber_p = project_count(p_points, phi)
         card_p = len(p_points)
         try:

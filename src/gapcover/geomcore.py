@@ -153,10 +153,15 @@ class ConvexBody(Frozen):
     def int_box_bounds(self) -> tuple[int, ...]:
         """Integer per-axis bounds of the body, int_support on each unit
         vector: the floors of the exact extents.  An ellipsoid reads them off
-        the diagonal of its kept dual form, isqrt(R_jj // p)."""
+        the diagonal of its kept dual form, isqrt(R_jj // p); a vertex body
+        off one pass over its integer rows, max_i |w_ij| // den per column
+        j."""
         if self.kind == "ellipsoid":
             r, p = _inverse_pair(self.ellipsoid_rep.form)
             return tuple(math.isqrt(row[j] // p) for j, row in enumerate(r))
+        if self.kind == "vertices":
+            den = self.point_mat.den
+            return tuple(max(map(abs, col)) // den for col in zip(*self.point_mat.num))
         d = self.dim
         return tuple(self.int_support((0,) * j + (1,) + (0,) * (d - 1 - j)) for j in range(d))
 
@@ -239,9 +244,10 @@ def hull_line_extent(body: ConvexBody, sums: Sequence) -> tuple[tuple, tuple] | 
     (numerator, positive denominator); None when the line misses it.
     ``sums`` holds N.(p, 0) for each row |N.x| <= D of hull_facets, in
     order, so the line reads |s + N[-1] t| <= D on each row: an interval,
-    compared exactly as integer fractions.  The sweep carries the sums
-    down from each line to its children and calls this once per
-    last-coordinate line."""
+    compared exactly as integer fractions.  This is the one-line reference
+    that the tests hold the sweep's facet test against; the sweep
+    (enumeration._sweep_kernel) does not call it, but reads the integer
+    ends of each line in its generated last level."""
     facets = body.hull_facets()
     if len(sums) != len(facets):
         raise DimensionError(f"{len(sums)} facet sums for {len(facets)} facet rows")

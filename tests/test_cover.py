@@ -22,7 +22,9 @@ from gapcover.enumeration import Gap, PointSet, enum_body, enum_gap, project_cou
 from gapcover.errors import BudgetError, DimensionError
 from gapcover.exactalg import Mat, _integer_solver, _span_rank, det, integer_kernel, left_kernel
 from gapcover.geomcore import ConvexBody, Ellipsoid
+from gapcover.harness import parse_instance, run_batch
 
+from _golden import FIXED
 from _oracles import (
     _unique_solution,
     brute_disk_points,
@@ -839,20 +841,21 @@ class TestProjectionClosedForm:
         assert rep.sumset_cardinality == 9 * 9
         assert rep.doubling_ok and rep.chain_ok
 
-    def test_budget_raised_before_any_work(self, monkeypatch):
+    def test_budget_raised_before_any_work(self):
         # one step: min(1, 1) * 21 = 21 steps, within the budget
         gap = Gap(1, (0,), ((1,),), (10,))
         rep = verify_projection(verify_cover(ConvexBody.box([3]), gap), (1,), cap=100)
         assert rep.sumset_cardinality == 41
 
-        # two steps: 21 + min(21, 1 + 20) * 21 = 462 steps, raised before C
-        # is projected
-        def refuse(*args, **kwargs):
-            raise AssertionError("C was projected")
+        # two steps: 21 + min(21, 1 + 20) * 21 = 462 steps, raised before
+        # C's fibres are counted, which would read the runs of C
+        class Unread:
+            @property
+            def runs(self):
+                raise AssertionError("C's fibres were counted")
 
-        monkeypatch.setattr("gapcover.cover.project_count", refuse)
         gap = Gap(2, (0, 0), ((1, 0), (0, 1)), (10, 10))
-        report = verify_cover(ConvexBody.box([3, 3]), gap)
+        report = dataclasses.replace(verify_cover(ConvexBody.box([3, 3]), gap), lattice_points=Unread())
         with pytest.raises(BudgetError, match=r"projection stage.* 462 steps, budget 100"):
             verify_projection(report, (1, 1), cap=100)
 
@@ -867,6 +870,29 @@ class TestProjectionClosedForm:
         assert rep.image_count_C == 9 and rep.holds
         with pytest.raises(BudgetError, match=r"projection stage.* 12 steps, budget 11"):
             verify_projection(report, (10**9, 1), cap=11)
+
+
+class TestProjectionReadsListing:
+    def test_dependent_claim_lists_p_once(self, monkeypatch):
+        # the golden claim-dependent-phi: the certificate lists P, half-sides
+        # (2, 2, 1), and the projection check reads that listing and lists
+        # only P+P, (4, 4, 2)
+        listed = []
+        listing = gapcover.cover.enum_gap
+        monkeypatch.setattr(gapcover.cover, "enum_gap", lambda gap, *cap: listed.append(gap.halfsides) or listing(gap, *cap))
+        batch = run_batch([parse_instance(FIXED["claim-dependent-phi"])])
+        assert not batch.failures and not batch.budget_skips
+        assert listed == [(2, 2, 1), (4, 4, 2)]
+
+    def test_listing_above_budget(self):
+        # P lists 5 * 5 * 3 = 75 points, within the certificate's budget and
+        # above the projection's
+        gap = Gap(2, (0, 0), ((1, 0), (0, 1), (1, 1)), (2, 2, 1))
+        report = verify_cover(disk(4), gap)
+        assert report.gap_points == enum_gap(gap)
+        assert verify_projection(report, (1, -2), cap=75).cardinality_P == len(report.gap_points)
+        with pytest.raises(BudgetError, match="progression lists 75 points, budget 74"):
+            verify_projection(report, (1, -2), cap=74)
 
 
 class TestStageChain:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import linecache
 import operator
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gapcover import enumeration
-from gapcover.cover import gap_membership_tester
+from gapcover.cover import _run_kernel, gap_membership_tester
 from gapcover.errors import BudgetError, DimensionError
 from gapcover.enumeration import (
     Gap,
@@ -19,7 +20,7 @@ from gapcover.enumeration import (
     subset_check,
 )
 from gapcover.exactalg import Mat
-from gapcover.geomcore import ConvexBody, Ellipsoid
+from gapcover.geomcore import ConvexBody, Ellipsoid, hull_line_extent
 from gapcover.harness import GENERATOR_KINDS, batch_report_to_json, gen_random, parse_instance, run_batch
 
 from _oracles import (
@@ -120,6 +121,26 @@ def _sweep_bodies(draw, kind, d):
     return ConvexBody.vertices([[sum(map(operator.mul, cs, col)) for col in zip(*basis)] for cs in combos])
 
 
+def extent_runs(body, lines):
+    """The runs that hull_line_extent gives on the last-coordinate lines
+    through the prefixes ``lines``: the ceiling of each line's lower end
+    and the floor of its upper end, lo raised to 0 on the all-zero prefix,
+    where the line holds an integer point."""
+    runs = []
+    for p in lines:
+        sums = [sum(map(operator.mul, normal, p)) for normal, _ in body.hull_facets()]
+        span = hull_line_extent(body, sums)
+        if span is None:
+            continue
+        (lo, lo_den), (hi, hi_den) = span
+        lo, hi = -(-lo // lo_den), hi // hi_den
+        if not any(p):
+            lo = max(lo, 0)
+        if lo <= hi:
+            runs.append((p, lo, hi))
+    return runs
+
+
 def disk(radius_sq, dim=2):
     form = [[Fraction(int(i == j), radius_sq) for j in range(dim)] for i in range(dim)]
     return ConvexBody.from_ellipsoid(Ellipsoid(Mat(form)))
@@ -206,7 +227,10 @@ class TestEnumBody:
     @settings(max_examples=20, deadline=None)
     def test_generated_sweep_matches_reference(self, kind, d, data):
         body = data.draw(_sweep_bodies(kind, d))
-        assert list(enum_body(body).runs) == sweep_reference(body)
+        lines = []
+        pts = enum_body(body)
+        assert list(pts.runs) == sweep_reference(body, lines)
+        assert pts.lines == len(lines)
 
     @pytest.mark.parametrize("d", [17, 22, 25, 34])
     def test_sweep_past_one_function(self, d):
@@ -230,9 +254,10 @@ class TestEnumBody:
             ConvexBody.vertices([[0] * d, unit[free[0]], [-c for c in unit[free[1]]], unit[free[-1]]]),
         ]
         for body in bodies:
-            runs = list(enum_body(body).runs)
-            assert runs == sweep_reference(body)
-            assert sum(hi - lo + 1 for _, lo, hi in runs) > 0
+            pts, lines = enum_body(body), []
+            assert list(pts.runs) == sweep_reference(body, lines)
+            assert pts.lines == len(lines)
+            assert sum(hi - lo + 1 for _, lo, hi in pts.runs) > 0
 
     def test_sweep_compiled_once_per_kind_and_dim(self):
         draws = itertools.product(GENERATOR_KINDS, (1, 2, 3), range(3))
@@ -246,36 +271,51 @@ class TestEnumBody:
         compiled = len(shapes)
         assert (info.misses, info.hits, info.currsize) == (compiled, len(bodies) - compiled, compiled)
 
-    def test_random_vertices_5d(self, monkeypatch):
+    def test_random_vertices_5d(self):
         # 7 vertices, 40 facet rows; both sweeps visit 1 977 last-coordinate
         # lines, which the l1 cut narrows below the last coordinate
         body = gen_random("random-vertices", 5, 0, box_guard=10**30).body
-        lines, calls = [], []
-        extent = enumeration.hull_line_extent
-        monkeypatch.setattr(enumeration, "hull_line_extent", lambda *a: calls.append(a) or extent(*a))
+        lines = []
         runs = sweep_reference(body, lines)
         pts = enum_body(body)
         assert list(pts.runs) == runs
-        assert (len(calls), len(lines), len(runs), len(pts)) == (1977, 1977, 90, 353)
+        assert (pts.lines, len(lines), len(runs), len(pts)) == (1977, 1977, 90, 353)
 
-    def test_facet_test_once_per_last_line(self, monkeypatch):
-        # hull_line_extent runs once per last-coordinate line, on the facet
-        # sums N.(prefix, 0) of the lines the reference sweep visits
+    def test_facet_test_once_per_last_line(self):
+        # the generated facet test reads each of the 16 last-coordinate
+        # lines the reference visits once, and gives hull_line_extent's
+        # integer ends on each; two of the rows have N[-1] < 0, which the
+        # kernel's arguments flip
         body = ConvexBody.vertices([(3, 1, 0), (0, 2, 1), (1, -1, 2)])
-        facets = body.hull_facets()
-        calls = []
-        extent = enumeration.hull_line_extent
-
-        def counted(body, sums):
-            calls.append(list(sums))
-            return extent(body, sums)
-
-        monkeypatch.setattr(enumeration, "hull_line_extent", counted)
-        pts = enum_body(body)
-        lines = []
+        assert sum(normal[-1] < 0 for normal, _ in body.hull_facets()) == 2
+        pts, lines = enum_body(body), []
         assert list(pts.runs) == sweep_reference(body, lines)
-        assert calls == [[sum(a * x for a, x in zip(normal, p)) for normal, _ in facets] for p in lines]
-        assert len(calls) == 16
+        assert list(pts.runs) == extent_runs(body, lines)
+        assert pts.lines == len(lines) == 16
+
+    def test_flat_rows_empty_lines(self):
+        # conv(±(1, 1, 0), ±(1, 1, 2)) lies in the plane x0 = x1; its rows
+        # -x0 + x1 = 0 and |x0| <= 1 have N[-1] = 0, and the first empties
+        # the lines through (0, 1), (1, -1) and (1, 0), which the box
+        # (1, 1, 2) and the l1 cut 4 keep
+        body = ConvexBody.vertices([(1, 1, 0), (1, 1, 2)])
+        flat = [(normal, bound) for normal, bound in body.hull_facets() if not normal[-1]]
+        assert flat == [((-1, 1, 0), 0), ((1, 0, 0), 1)]
+        pts, lines = enum_body(body), []
+        assert list(pts.runs) == sweep_reference(body, lines)
+        assert list(pts.runs) == extent_runs(body, lines)
+        emptied = [p for p in lines if any(abs(sum(map(operator.mul, n, p))) > e for n, e in flat)]
+        assert emptied == [(0, 1), (1, -1), (1, 0)]
+        assert pts.lines == len(lines) == 5
+        assert pts.runs == (((0, 0), 0, 1), ((1, 1), 0, 2))
+
+    def test_kernel_sources_in_linecache(self):
+        # a traceback or debugger inside a generated kernel shows its lines
+        sweep = enumeration._sweep_kernel.__wrapped__("vertices", 3)
+        make = _run_kernel.__wrapped__(3, 2, True)
+        for kernel, first in ((sweep, "def sweep(bounds, l1_cap, columns, slant, flat):"), (make, "def make(")):
+            line = linecache.getline(kernel.__code__.co_filename, 1)
+            assert line.startswith(first) and line.endswith("\n")
 
     def test_vertex_hull_1d(self):
         pts = enum_body(ConvexBody.vertices([(3,)]))
@@ -287,13 +327,20 @@ class TestEnumBody:
 
     def test_facet_budget_before_sweep(self, monkeypatch):
         # the 5x5x3 box fits the budget, the 4 * C(20, 3) = 4560 facet
-        # candidates do not
+        # candidates do not; a spy kernel records any sweep
         pts = [(a, b, c) for a in (0, 1, 2) for b in (-1, 0, 1, 2) for c in (-1, 1)][:20]
-        lines = []
-        monkeypatch.setattr(enumeration, "hull_line_extent", lambda *a: lines.append(a))
+        swept = []
+
+        def spy(*args):
+            swept.append(args)
+            return [], 0
+
+        monkeypatch.setattr(enumeration, "_sweep_kernel", lambda kind, d: spy)
         with pytest.raises(BudgetError, match="facet stage"):
             enum_body(ConvexBody.vertices(pts), cap=1000)
-        assert lines == []
+        assert swept == []
+        assert enum_body(ConvexBody.vertices(pts[:4])) == PointSet(3, [])
+        assert len(swept) == 1
 
     def test_collinear_and_coplanar_3d(self):
         line = enum_body(ConvexBody.vertices([(2, 4, 6)]))

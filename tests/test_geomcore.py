@@ -459,6 +459,16 @@ class TestBodiesAndMembership:
         body = ConvexBody.vertices([(0, 1, 1), (0, 1, 2)])
         assert body.hull_facets() == (((1, 0, 0), 0), ((0, 1, 0), 1), ((0, 3, -2), 1))
 
+    @given(vertex_point_sets())
+    @settings(max_examples=40, deadline=None)
+    def test_vertex_box_bounds_are_unit_supports(self, pts):
+        # the one pass over the integer rows equals int_support on each
+        # unit vector
+        body = ConvexBody.vertices(pts)
+        d = body.dim
+        units = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+        assert body.int_box_bounds() == tuple(body.int_support(u) for u in units)
+
     def test_facet_budget(self):
         # 12 points of rank 3: C(12, 3) * 2^2 = 880 facet candidates
         pts = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1),
