@@ -9,7 +9,11 @@ coordinate), and kept as runs; C is listed only for a listed P, and a
 degenerate vertex body reads the ends of its runs.  The progression P is
 listed only when its differences are dependent; otherwise the runs are
 tested in one scan, straight-line integer code compiled once per shape, and
-each run is tested at once from the numerators of one exact integer solve.  The stages:
+each run is tested at once from the numerators of one exact integer solve.
+That solve is T itself when cover's P has full rank, used only after one
+integer product checks it against P's differences; otherwise (a restricted
+body, or a claim given to verify_cover) one Gauss-Jordan pass over P's
+differences builds it.  The stages:
 
 1. enclosing ellipsoid E = {x : x^T A x <= 1} of the body: the body itself
    for an ellipsoid, otherwise the moment form of its spanning points, or
@@ -42,7 +46,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from fractions import Fraction
 from typing import Sequence
@@ -69,6 +73,7 @@ from .exactalg import (
     Mat,
     _independent_rows,
     _integer_solver,
+    _is_inverse,
     det,  # not called here; perfbench/tracing.py wraps cover.det
     int_matmul,
     integer_kernel,
@@ -141,15 +146,15 @@ class StageDiagnostics:
 
 @dataclass(frozen=True)
 class CoverReport:
-    """Outcome of certifying C ⊆ P.  The last four fields are what the
+    """Outcome of certifying C ⊆ P.  The last three fields are what the
     certificate worked from, which the projection check (verify_projection)
     reads and the JSON reports leave out: ``lattice_points`` is C as the
     runs of its sweep, which were tested; ``gap`` is the progression P that
-    was certified; ``independent`` records the certificate's proof that P's
-    active differences (half-side >= 1) are independent, which holds
-    exactly when gap_membership_tester built a tester (P was then not
-    listed); ``gap_points`` is P's listing when the differences are
-    dependent, None otherwise."""
+    was certified; ``gap_points`` is P's listing when its active differences
+    (half-side >= 1) are dependent, and None when the certificate proved
+    them independent: gap_membership_tester built a tester, from the one
+    integer product that checked cover's T or from one Gauss-Jordan pass,
+    and P was not listed."""
 
     dim: int
     cardinality_C: int
@@ -162,7 +167,6 @@ class CoverReport:
     timings_ms: dict
     lattice_points: PointSet = field(compare=False, repr=False)
     gap: Gap = field(compare=False, repr=False)
-    independent: bool = field(compare=False, repr=False)
     gap_points: frozenset[IntPoint] | None = field(compare=False, repr=False)
 
     @cached_property
@@ -357,15 +361,35 @@ class GapMembership(Frozen):
         return self.scan(((p[:-1], p[-1], p[-1]),)) is None
 
 
-def gap_membership_tester(gap: Gap) -> GapMembership | None:
-    """Exact membership test built from the progression alone (independent of
-    any pipeline state), for differences whose active ones (half-side >= 1)
-    are independent: solve p - base = sum y_j v_j over the active
-    differences in integers and require |y_j| <= n_j, for one point or for
-    each run of a sequence (GapMembership.scan).  The inactive ones only
-    ever take coefficient 0, and they may depend on the active ones.
-    Without active differences P = {base}.  None when the active
-    differences are dependent."""
+def gap_membership_tester(
+    gap: Gap, inverse: Sequence[Sequence[int]] | None = None
+) -> GapMembership | None:
+    """Exact membership test that trusts only the progression, for
+    differences whose active ones (half-side >= 1) are independent: solve
+    p - base = sum y_j v_j over the active differences in integers and
+    require |y_j| <= n_j, for one point or for each run of a sequence
+    (GapMembership.scan).  The inactive ones only ever take coefficient 0,
+    and they may depend on the active ones.  Without active differences
+    P = {base}.  None when the active differences are dependent.
+
+    Without ``inverse`` the solve comes from one Gauss-Jordan pass over the
+    active differences.  ``inverse`` is a claimed inverse T of P's
+    difference matrix M (its columns the differences), such as the
+    reduction's T in cover: it is the solve, y = T (p - base) with
+    denominator 1 and no further rows, once one integer product has checked
+    M T = I exactly against P's own differences (so T M = I: both are
+    square), and CertificationError is raised when it does not hold.  The
+    claim fits only a P of d differences that are all active: DimensionError
+    otherwise."""
+    if inverse is not None:
+        if gap.order != gap.dim or 0 in gap.halfsides:
+            raise DimensionError(
+                f"a claimed inverse needs {gap.dim} differences of half-side >= 1, "
+                f"the progression has half-sides {gap.halfsides}"
+            )
+        if not _is_inverse(tuple(zip(*gap.diffs)), inverse):
+            raise CertificationError("the claimed inverse of the progression's differences is not one: T M != I")
+        return GapMembership(gap.base, gap.halfsides, IntegerSolver(inverse, 1, []))
     active = [(v, n) for v, n in zip(gap.diffs, gap.halfsides) if n >= 1]
     solve = _integer_solver([v for v, _ in active], gap.dim)
     if solve is None:
@@ -378,10 +402,13 @@ def cover(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> tuple[Gap, CoverReport
 
     Returns the covering progression and a report whose ``contained`` flag
     comes from the same certification as verify_cover: every run of the
-    body's lattice points is tested with gap_membership_tester, built from
-    the progression alone (no pipeline state such as T enters it), and P is
-    not listed.  Any False here is a bug, not a tolerance issue.  The report
-    also carries the stage diagnostics and the point set C.
+    body's lattice points is tested with gap_membership_tester, and P is not
+    listed.  When the body's lattice points span (no restriction), P's
+    differences are the columns of T^-1 and the tester's solve is the
+    reduction's T, checked against them by one integer product; otherwise
+    it is built from P alone.  Either way no unchecked pipeline state enters
+    the certificate.  Any False here is a bug, not a tolerance issue.  The
+    report also carries the stage diagnostics and the point set C.
     """
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
@@ -417,7 +444,6 @@ def cover(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> tuple[Gap, CoverReport
     if not red.is_identity:
         cols = int_matmul(red.embed.int_entries(), cols)
     gap = Gap(d, (0,) * d, tuple(zip(*cols)), halfsides)
-    report = _certify(red.ambient_points, gap, cap, timings)
 
     widths_sq = certify_reduction(t_lll, gram, p)
     vol_box_sq = Fraction(4**k * math.prod(w.numerator for w in widths_sq), math.prod(w.denominator for w in widths_sq))
@@ -429,16 +455,18 @@ def cover(body: ConvexBody, cap: int = DEFAULT_BUDGET) -> tuple[Gap, CoverReport
         box_halfwidths_sq=widths_sq,
         reduction_ratio_sq=_over(vol_box_sq, vol_q_sq.numerator, vol_q_sq.denominator),
     )
-    return gap, replace(report, stages=stages)
+    claim = t_lll.int_rows if red.is_identity else None
+    return gap, _certify(red.ambient_points, gap, cap, timings, stages, claim)
 
 
 def stage_chain(report: CoverReport) -> dict[str, bool]:
     """Whether each inequality of CoverReport.stage_factors holds; all True
-    without stages."""
+    without stages.  A factor is a Fraction in lowest terms with a positive
+    denominator, so it is <= 1 iff its numerator is <= its denominator."""
     factors = report.stage_factors
     if factors is None:
         return dict.fromkeys(STAGES, True)
-    return {name: factor <= 1 for name, factor in factors.items()}
+    return {name: factor.numerator <= factor.denominator for name, factor in factors.items()}
 
 
 def verify_cover(body: ConvexBody, gap: Gap, cap: int = DEFAULT_BUDGET) -> CoverReport:
@@ -456,14 +484,25 @@ def verify_cover(body: ConvexBody, gap: Gap, cap: int = DEFAULT_BUDGET) -> Cover
     return _certify(c_points, gap, cap, timings)
 
 
-def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverReport:
-    """Certify C ⊆ P from the progression alone; the witness is the
-    lexicographically first point of C outside P.
+def _certify(
+    c_points: PointSet,
+    gap: Gap,
+    cap: int,
+    timings: dict,
+    stages: StageDiagnostics | None = None,
+    inverse: Sequence[Sequence[int]] | None = None,
+) -> CoverReport:
+    """Certify C ⊆ P, trusting only the progression; the witness is the
+    lexicographically first point of C outside P.  The report is built
+    once, with the ``stages`` given (cover's) or None (verify_cover's).
 
     With independent active differences, gap_membership_tester's scan tests
     the runs of C (see PointSet) in one pass, each at once, up to the first
     failing run, and only that run point by point (_first_outside);
-    #P = prod(2 n_i + 1), and P is not listed.
+    #P = prod(2 n_i + 1), and P is not listed.  The tester's solve is
+    ``inverse``, cover's T, when one is given, after one integer product has
+    checked it against P's differences (CertificationError if it fails);
+    without one it is one Gauss-Jordan pass over them.
     With dependent ones, P and C are listed once, for #P and the membership
     of each point in turn, and the report keeps P's listing for the
     projection check.  The certification time and the numbers of runs and
@@ -472,7 +511,7 @@ def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverRepo
     if gap.dim != c_points.dim:
         raise DimensionError(f"progression has dimension {gap.dim}, lattice points {c_points.dim}")
     t0 = time.perf_counter()
-    member = gap_membership_tester(gap)
+    member = gap_membership_tester(gap, inverse)
     listed = None
     if member is not None:
         witness, runs_tested, points_tested = _first_outside(c_points.runs, member)
@@ -495,11 +534,10 @@ def _certify(c_points: PointSet, gap: Gap, cap: int, timings: dict) -> CoverRepo
         bound_value=covering_bound(c_points.dim),
         contained=contained,
         witness=witness,
-        stages=None,
+        stages=stages,
         timings_ms=timings,
         lattice_points=c_points,
         gap=gap,
-        independent=member is not None,
         gap_points=listed,
     )
 
@@ -518,11 +556,11 @@ def _first_outside(runs: Sequence[Run], member: GapMembership) -> tuple[tuple[in
         order = [(tuple(-c for c in prefix), -hi, -lo) for prefix, lo, hi in reversed(runs)]
         order += runs
     else:
-        order = runs[::-1]
-    failed = member.scan(order)
+        order = runs  # scanned last first, so failure i is runs[~i]
+    failed = member.scan(order if shifted else reversed(runs))
     if failed is None:
         return None, len(order), 0
-    prefix, lo, hi = order[failed]
+    prefix, lo, hi = order[failed if shifted else ~failed]
     ts = range(lo, hi + 1) if shifted else range(hi, lo - 1, -1)
     for count, t in enumerate(ts, 1):
         p = prefix + (t,)
@@ -546,12 +584,13 @@ def verify_projection(report: CoverReport, phi: Sequence[int], cap: int = DEFAUL
     over the distinct swept values x, the origin being swept exactly once.
 
     When the certificate proved P's active differences independent
-    (``report.independent``), P and P+P are proper and nothing of them is
-    listed, nor tested again: #P = prod(2 n_i + 1), #(P+P) = prod(4 n_i + 1),
-    and the fibre sizes of phi on P are the coefficients of
-    prod_i (x^(-n_i c_i) + ... + x^(n_i c_i)), c_i = phi(d_i), convolved
-    exactly in Python ints and sparsely, a dict over the values reached (a
-    step with c_i = 0 only scales them by 2 n_i + 1).  ``cap`` then bounds
+    (``report.gap_points`` is None), P and P+P are proper and nothing of
+    them is listed, nor tested again: #P = prod(2 n_i + 1),
+    #(P+P) = prod(4 n_i + 1), and the fibre sizes of phi on P are the
+    coefficients of prod_i (x^(-n_i c_i) + ... + x^(n_i c_i)),
+    c_i = phi(d_i), convolved exactly in Python ints and sparsely, a dict
+    over the values reached (a step with c_i = 0 only scales them by
+    2 n_i + 1).  ``cap`` then bounds
     that convolution, summed per step: step i holds at most
     min(prod_{j<i} (2 n_j + 1), 1 + sum_{j<i} 2 n_j |c_j|) fibres and
     multiplies each by 2 n_i + 1 shifts.  The bound is checked before any
@@ -569,7 +608,7 @@ def verify_projection(report: CoverReport, phi: Sequence[int], cap: int = DEFAUL
     if len(phi) != gap.dim:
         raise DimensionError(f"functional has {len(phi)} coefficients, progression {gap.dim}")
     order = gap.order
-    if report.independent:
+    if report.gap_points is None:
         steps = [
             (abs(sum(map(operator.mul, phi, v))), n)
             for v, n in zip(gap.diffs, gap.halfsides)
@@ -602,7 +641,7 @@ def verify_projection(report: CoverReport, phi: Sequence[int], cap: int = DEFAUL
     fiber_c = max(n + get(-x, 0) - (not x) for x, n in swept.items())
 
     degraded = False
-    if report.independent:
+    if report.gap_points is None:
         fibres = {0: 1}
         for c, n in steps:
             if not c:

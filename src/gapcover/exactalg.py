@@ -5,11 +5,14 @@ over one positive denominator, in lowest terms, cleared once when it is
 built; its Fraction entries are only a view.  The eliminations are
 fraction-free (Bareiss): every division is exact.  One Gauss-Jordan pass,
 ``_gauss_jordan``, serves every inverse, kernel, pivot choice and integer
-solver; determinants take the forward-only half of it, ``_int_det``.
-Nothing here may round.  A ``Mat`` is immutable, so its determinant and
-inverse are computed at most once and kept on it, or set by the code that
-built them (``geomcore.mvee``).  A ``UnimodularMat`` holds its inverse too,
-which LLL builds beside T, so that its certificate is one product.
+solver built from a matrix alone; determinants take the forward-only half of
+it, ``_int_det``.  Nothing here may round.  A ``Mat`` is immutable, so its
+determinant and inverse are computed at most once and kept on it, or set by
+the code that built them (``geomcore.mvee``).  A ``UnimodularMat`` holds its
+inverse too, which LLL builds beside T, so that its certificate is one
+product; an integer matrix with a claimed integer inverse needs no
+elimination either, only that product (``_is_inverse``), which is how the
+covering certificate turns T into the solve of its progression.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -133,6 +137,25 @@ class Mat(Frozen):
 def int_matmul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, c)) for c in cols] for row in a]
+
+
+@cache
+def _identity(n: int) -> tuple[tuple[int, ...], ...]:
+    """The n x n identity as tuples of ints, built once per n and shared:
+    compare a product with it as tuples (a list never equals a tuple)."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _is_inverse(rows: Sequence[Sequence[int]], claim: Sequence[Sequence[int]]) -> bool:
+    """Whether ``claim`` is the inverse of the n x n integer matrix ``rows``
+    exactly: n rows of n ints with rows @ claim = I, one integer product.
+    Two integer matrices whose product is I have determinants +-1."""
+    n = len(rows)
+    return (
+        tuple(map(len, claim)) == (n,) * n
+        and all(type(x) is int for row in claim for x in row)
+        and tuple(map(tuple, int_matmul(rows, claim))) == _identity(n)
+    )
 
 
 def det(m: Mat) -> Fraction:
@@ -382,8 +405,7 @@ class UnimodularMat(Frozen):
                 raise LatticeMismatchError(f"matrix has |determinant| {abs(p)}, expected 1")
             inverse = [[x * p for x in row] for row in r]
         inv = tuple(map(tuple, inverse))
-        ints = all(type(x) is int for row in inv for x in row)
-        if not ints or tuple(map(len, inv)) != (n,) * n or int_matmul(rows, inv) != _with_identity([()] * n):
+        if not _is_inverse(rows, inv):
             raise LatticeMismatchError("the claimed inverse is no matrix of ints with T T^-1 = I: det T is not +-1")
         self._set(int_rows=rows, dim=n, _inv=inv)
 

@@ -13,6 +13,7 @@ import json
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import cache
 from typing import Sequence
 
 from .cover import (
@@ -122,7 +123,13 @@ def rat_to_json(x: Fraction | int):
 def record_to_json(record) -> dict:
     """A report dataclass (StageDiagnostics, ProjectionReport) as a JSON
     object keyed by its field names."""
-    return {f.name: _value_to_json(getattr(record, f.name)) for f in fields(record)}
+    return {name: _value_to_json(getattr(record, name)) for name in _field_names(type(record))}
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    """The field names of a dataclass, read once per class."""
+    return tuple(f.name for f in fields(cls))
 
 
 def _value_to_json(x):
@@ -389,6 +396,11 @@ def cover_report_to_json(report: CoverReport, include_timings: bool = False) -> 
     return doc
 
 
+# the encoder that json.dumps builds on every call with to_canonical_json's
+# arguments, built once; encode keeps no state between calls
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), check_circular=False)
+
+
 def to_canonical_json(doc) -> str:
     """The canonical text of a report: exactly ``json.dumps(doc,
     sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"``.
@@ -411,7 +423,7 @@ def to_canonical_json(doc) -> str:
     encoder's table of the containers it is inside; the recursion limit
     still stops a circular document.
     """
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
+    return _CANONICAL.encode(doc) + "\n"
 
 
 def run_batch(

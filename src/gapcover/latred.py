@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from .errors import DimensionError, RankError
@@ -30,6 +31,16 @@ LLL_DEFAULT_DELTA = Fraction(99, 100)
 def _round_half_up(num: int, den: int) -> int:
     """Nearest integer to num / den (den > 0), halves rounded up."""
     return (2 * num + den) // (2 * den)
+
+
+@lru_cache(maxsize=8)
+def _delta_terms(delta) -> tuple[int, int]:
+    """delta's numerator and denominator, after checking 1/4 < delta < 1;
+    kept by value (an exception is never kept)."""
+    delta = Fraction(delta)
+    if not Fraction(1, 4) < delta < 1:
+        raise DimensionError("delta must lie in (1/4, 1)")
+    return delta.numerator, delta.denominator
 
 
 def lll_reduce(gram: Sequence[Sequence[int]], delta=LLL_DEFAULT_DELTA) -> UnimodularMat:
@@ -55,14 +66,15 @@ def lll_reduce(gram: Sequence[Sequence[int]], delta=LLL_DEFAULT_DELTA) -> Unimod
     B_k >= (delta - mu^2) B_(k-1) times dd[k] dd[k-1] and delta's
     denominator.  Every decision is that of a rational LLL that recomputes
     Gram-Schmidt after each swap.
+
+    delta is checked through ``_delta_terms``, which keeps the terms of each
+    value it accepted: the fixed default is checked once per process, and a
+    delta out of (1/4, 1) still raises DimensionError on every call.
     """
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise DimensionError("delta must lie in (1/4, 1)")
+    num, den = _delta_terms(delta)
     d = len(gram)
     if any(len(row) != d for row in gram):
         raise DimensionError(f"need a d x d Gram matrix, got row lengths {[len(row) for row in gram]}")
-    num, den = delta.numerator, delta.denominator
     t = [[int(i == j) for j in range(d)] for i in range(d)]
     cols = [row[:] for row in t]  # the columns of T^-1
 

@@ -87,7 +87,7 @@ def test_project_failing_verdict_exits_one(tmp_path, monkeypatch):
 
     def not_monotone(report, phi, cap):
         # called with the certificate's report, which proved P's differences independent
-        assert report.contained and report.independent
+        assert report.contained and report.gap_points is None
         return dataclasses.replace(real(report, phi, cap), fiber_monotone=False)
 
     monkeypatch.setattr(gapcover.cli, "verify_projection", not_monotone)

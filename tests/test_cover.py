@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import gapcover.cover
 import gapcover.exactalg
 from gapcover.cover import (
+    _certify,
     cover,
     covering_bound,
     gap_membership_tester,
@@ -18,9 +19,9 @@ from gapcover.cover import (
     verify_cover,
     verify_projection,
 )
-from gapcover.enumeration import Gap, PointSet, enum_body, enum_gap, project_count
-from gapcover.errors import BudgetError, DimensionError
-from gapcover.exactalg import Mat, _integer_solver, _span_rank, det, integer_kernel, left_kernel
+from gapcover.enumeration import DEFAULT_BUDGET, Gap, PointSet, enum_body, enum_gap, project_count
+from gapcover.errors import BudgetError, CertificationError, DimensionError
+from gapcover.exactalg import UnimodularMat, Mat, _integer_solver, _span_rank, det, integer_kernel, left_kernel
 from gapcover.geomcore import ConvexBody, Ellipsoid
 from gapcover.harness import parse_instance, run_batch
 
@@ -587,7 +588,7 @@ class _CountingTester:
 
 
 def _counting_tester(runs, points):
-    return lambda gap: _CountingTester(gap_membership_tester(gap), runs, points)
+    return lambda gap, inverse=None: _CountingTester(gap_membership_tester(gap, inverse), runs, points)
 
 
 def _assert_one_test_per_run(c_points, runs, points):
@@ -716,7 +717,7 @@ class TestVerifyProjection:
         # the certificate proved the differences independent: no second
         # Gauss-Jordan pass, and no listing of P
         report = verify_cover(disk(4), Gap(2, (1, 0), ((1, 1), (1, -1), (2, 0)), (2, 2, 0)))
-        assert report.independent
+        assert report.gap_points is None
         elimination = gapcover.exactalg._gauss_jordan.__code__
         calls = []
 
@@ -929,3 +930,132 @@ class TestStageChain:
         assert report.contained
         assert all(stage_chain(report).values())
         assert report.stage_factors["parallelotope"] < Fraction(1, 100)
+
+
+def _passes_inside_certify(run):
+    """(Gauss-Jordan passes that ran inside cover._certify, run's result),
+    seen by a profile hook."""
+    certify, elimination = gapcover.cover._certify.__code__, gapcover.exactalg._gauss_jordan.__code__
+    calls = []
+
+    def record(frame, event, arg):
+        if event == "call" and frame.f_code is elimination:
+            f = frame.f_back
+            while f is not None and f.f_code is not certify:
+                f = f.f_back
+            calls.append(f is not None)
+
+    sys.setprofile(record)
+    try:
+        result = run()
+    finally:
+        sys.setprofile(None)
+    return sum(calls), result
+
+
+@st.composite
+def unimodular_claims(draw):
+    """(body, gap, T): a body from small_ellipsoids or vertex_bodies, and a
+    progression whose d differences are the columns of T^-1, with T the
+    identity after up to 6 elementary row operations (add -2..2 times one
+    row to another, swap two rows, negate one), half-sides 1..3 and a base
+    that is 0 or in [-2, 2]^d."""
+    body = draw(st.one_of(small_ellipsoids(), vertex_bodies()))
+    d = body.dim
+    t = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+        op = draw(st.sampled_from(["add", "swap", "negate"]))
+        if op == "add" and i != j:
+            m = draw(st.integers(-2, 2))
+            t[i] = [a + m * b for a, b in zip(t[i], t[j])]
+        elif op == "swap":
+            t[i], t[j] = t[j], t[i]
+        elif op == "negate":
+            t[i] = [-a for a in t[i]]
+    diffs = tuple(zip(*UnimodularMat(t).inverse().int_rows))
+    halfsides = [draw(st.integers(1, 3)) for _ in range(d)]
+    base = (0,) * d if draw(st.booleans()) else tuple(draw(st.integers(-2, 2)) for _ in range(d))
+    return body, Gap(d, base, diffs, halfsides), tuple(map(tuple, t))
+
+
+# M has columns (2, 1) and (3, 2), det 1; T = M^-1
+SKEWED = Gap(2, (0, 0), ((2, 1), (3, 2)), (2, 1))
+SKEWED_T = ((2, -3), (-1, 2))
+
+
+class TestClaimedInverse:
+    """cover hands the certificate the reduction's T, the claimed inverse
+    of P's differences, which one integer product checks in place of a
+    Gauss-Jordan pass over them."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            disk(4),
+            ConvexBody.from_ellipsoid(
+                Ellipsoid((Mat([[5, 3], [2, 1]]) @ Mat([[5, 2], [3, 1]])).scale(Fraction(1, 16)))
+            ),
+            ConvexBody.vertices([(2, 1), (1, 2)]),
+            ConvexBody.box([2, 1, 1]),
+        ],
+        ids=["disk", "skewed", "vertices", "box"],
+    )
+    def test_full_rank_cover_certifies_without_elimination(self, body):
+        inside, (gap, report) = _passes_inside_certify(lambda: cover(body))
+        assert report.contained and report.gap_points is None
+        assert inside == 0
+        # the claim path of verify_cover, given the same P, runs one pass
+        inside, claim = _passes_inside_certify(lambda: verify_cover(body, gap))
+        assert claim.contained and inside == 1
+
+    def test_claim_builds_the_same_tester(self):
+        member = gap_membership_tester(SKEWED, SKEWED_T)
+        points = list(itertools.product(range(-8, 9), repeat=2))
+        listed = gap_points(SKEWED)
+        assert [member(p) for p in points] == [p in listed for p in points]
+
+    @pytest.mark.parametrize(
+        "gap, claim",
+        [
+            (SKEWED, ((2, -3), (-1, 3))),
+            (SKEWED, ((-1, 2), (2, -3))),
+            (SKEWED, ((2, -3, 0), (-1, 2, 0), (0, 0, 1))),
+            (SKEWED, ((2, -3, 0), (-1, 2, 0))),
+            (SKEWED, ((2, -3),)),
+            # the exact rational inverse of differences (2, 0), (0, 1): no
+            # integer solve
+            (Gap(2, (0, 0), ((2, 0), (0, 1)), (1, 1)), ((Fraction(1, 2), 0), (0, 1))),
+        ],
+        ids=["entry-off", "rows-swapped", "too-large", "too-wide", "too-few-rows", "rational"],
+    )
+    def test_wrong_claim_raises(self, gap, claim):
+        with pytest.raises(CertificationError, match="claimed inverse"):
+            gap_membership_tester(gap, claim)
+
+    @pytest.mark.parametrize(
+        "gap",
+        [
+            Gap(2, (0, 0), ((1, 0),), (1,)),
+            Gap(2, (0, 0), ((1, 0), (0, 1)), (1, 0)),
+            Gap(2, (0, 0), ((1, 0), (0, 1), (1, 1)), (1, 1, 1)),
+        ],
+        ids=["fewer-differences", "half-side-0", "more-differences"],
+    )
+    def test_claim_that_does_not_fit_p(self, gap):
+        with pytest.raises(DimensionError, match="claimed inverse"):
+            gap_membership_tester(gap, ((1, 0), (0, 1)))
+
+    @given(unimodular_claims())
+    @settings(max_examples=100, deadline=None)
+    def test_claim_matches_elimination(self, case):
+        # the same verdict, witness and work from T as from one pass over P
+        body, gap, t = case
+        c_points = enum_body(body)
+        by_claim = _certify(c_points, gap, DEFAULT_BUDGET, {}, None, t)
+        by_pass = _certify(c_points, gap, DEFAULT_BUDGET, {})
+        assert by_claim.gap_points is None and by_pass.gap_points is None
+        fields = ("contained", "witness", "cardinality_C", "cardinality_P", "ratio")
+        assert [getattr(by_claim, f) for f in fields] == [getattr(by_pass, f) for f in fields]
+        for key in ("runs_tested", "points_tested"):
+            assert by_claim.timings_ms[key] == by_pass.timings_ms[key]

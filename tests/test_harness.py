@@ -286,7 +286,7 @@ class TestRunBatch:
 
         def not_monotone(report, phi, cap):
             # called with the certificate's report, which proved P's differences independent
-            assert report.contained and report.independent
+            assert report.contained and report.gap_points is None
             return dataclasses.replace(real(report, phi, cap), fiber_monotone=False)
 
         monkeypatch.setattr(gapcover.harness, "verify_projection", not_monotone)
@@ -377,19 +377,25 @@ class TestRunBatch:
 
     def test_parallelotope_factor_uses_pinned_constant(self):
         # max |Q|^2 / ((4k)^(2k) #C^2): <= 1 exactly when every
-        # parallelotope entry of stage_chain holds
+        # parallelotope entry of stage_chain holds; likewise the box factor
+        # |B|^2 / (k^(4k) |Q|^2) and the count factor #P^2 / (4^k |B|^2)
         kinds = ("lattice-ball", "random-vertices")
         batch = run_batch([gen_random(kind, 2, seed) for kind in kinds for seed in (0, 1)])
-        factors = []
+        factors = {"parallelotope": [], "box": [], "count": []}
         for entry in batch.entries:
             rep = entry["cover"]
             k = rep["stages"]["subspace_dim"]
             vol_q_sq = Fraction(str(rep["stages"]["volume_parallelotope_sq"]))
-            factors.append(vol_q_sq / ((4 * k) ** (2 * k) * rep["cardinality_C"] ** 2))
-            assert rep["stage_chain"]["parallelotope"] == (factors[-1] <= 1)
-        assert batch.max_factors["parallelotope"] == max(factors)
+            vol_b_sq = Fraction(str(rep["stages"]["volume_box_sq"]))
+            factors["parallelotope"].append(vol_q_sq / ((4 * k) ** (2 * k) * rep["cardinality_C"] ** 2))
+            factors["box"].append(vol_b_sq / (k ** (4 * k) * vol_q_sq))
+            factors["count"].append(rep["cardinality_P"] ** 2 / (4**k * vol_b_sq))
+            for name, values in factors.items():
+                assert rep["stage_chain"][name] == (values[-1] <= 1)
+        for name, values in factors.items():
+            assert batch.max_factors[name] == max(values)
         agg = batch_report_to_json(batch)["aggregate"]
-        assert Fraction(str(agg["max_parallelotope_factor_sq"])) == max(factors)
+        assert Fraction(str(agg["max_parallelotope_factor_sq"])) == max(factors["parallelotope"])
         assert set(agg) == {"max_ratio", "max_parallelotope_factor_sq", "max_box_factor_sq", "max_count_factor_sq"}
 
 
