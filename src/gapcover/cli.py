@@ -94,7 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_batch = subs.add_parser("batch", help="run a JSON array of instances")
     _add_io_flags(p_batch)
     p_batch.add_argument("--csv", default=None, help="also write a CSV summary to this path")
-    p_batch.add_argument("--fail-fast", action="store_true")
+    p_batch.add_argument(
+        "--fail-fast",
+        action="store_true",
+        help="stop after the first failure, or the first budget error without --allow-skip",
+    )
     p_batch.add_argument("--allow-skip", action="store_true", help="budget errors do not fail the run")
     return parser
 

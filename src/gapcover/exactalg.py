@@ -4,15 +4,15 @@ A rational matrix, ``Mat``, is stored as the kernels use it: integer rows
 over one positive denominator, in lowest terms, cleared once when it is
 built; its Fraction entries are only a view.  The eliminations are
 fraction-free (Bareiss): every division is exact.  One Gauss-Jordan pass,
-``_gauss_jordan``, serves every inverse, kernel, pivot choice and integer
-solver built from a matrix alone; determinants take the forward-only half of
-it, ``_int_det``.  Nothing here may round.  A ``Mat`` is immutable, so its
-determinant and inverse are computed at most once and kept on it, or set by
-the code that built them (``geomcore.mvee``).  A ``UnimodularMat`` holds its
-inverse too, which LLL builds beside T, so that its certificate is one
-product; an integer matrix with a claimed integer inverse needs no
-elimination either, only that product (``_is_inverse``), which is how the
-covering certificate turns T into the solve of its progression.
+``_gauss_jordan``, serves every determinant, inverse, kernel, pivot choice
+and integer solver built from a matrix alone.  Nothing here may round.  A
+``Mat`` is immutable; the one result kept on it is its integer inverse
+pair, computed on first use or set by the code that built the matrix
+(``geomcore.mvee``).  A ``UnimodularMat`` holds its inverse too, which LLL
+builds beside T, so that its certificate is one product; an integer matrix
+with a claimed integer inverse needs no elimination either, only that
+product (``_is_inverse``), which is how the covering certificate turns T
+into the solve of its progression.
 """
 
 from __future__ import annotations
@@ -34,12 +34,6 @@ Vector = tuple[Fraction, ...]
 
 def as_vector(values: Iterable) -> Vector:
     return tuple(Fraction(x) for x in values)
-
-
-def vec_dot(u: Sequence, v: Sequence) -> Fraction:
-    if len(u) != len(v):
-        raise DimensionError(f"dot product of lengths {len(u)} and {len(v)}")
-    return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
 class Frozen:
@@ -64,10 +58,10 @@ class Mat(Frozen):
     is the lcm of the entries' denominators and equal matrices have equal
     (num, den)).  ``Mat(rows, den=1)`` is rows / den, rows of ints or of any
     rationals, which are cleared here once.  ``entries``, the rows as
-    Fractions, is built on first use and kept; ``det`` and ``inverse`` keep
-    their results on the matrix."""
+    Fractions, is built on first use and kept, as is ``_inv``, the integer
+    inverse pair (see ``_inverse_pair``)."""
 
-    __slots__ = ("num", "den", "rows", "cols", "_entries", "_det", "_inv", "_inv_mat")
+    __slots__ = ("num", "den", "rows", "cols", "_entries", "_inv")
 
     def __init__(self, rows: Iterable[Iterable], den: int = 1):
         if den < 1:
@@ -92,9 +86,7 @@ class Mat(Frozen):
         setattr_(self, "rows", len(num))
         setattr_(self, "cols", cols)
         setattr_(self, "_entries", None)
-        setattr_(self, "_det", None)
         setattr_(self, "_inv", None)
-        setattr_(self, "_inv_mat", None)
 
     @property
     def entries(self) -> tuple[Vector, ...]:
@@ -156,39 +148,6 @@ def _is_inverse(rows: Sequence[Sequence[int]], claim: Sequence[Sequence[int]]) -
         and all(type(x) is int for row in claim for x in row)
         and tuple(map(tuple, int_matmul(rows, claim))) == _identity(n)
     )
-
-
-def det(m: Mat) -> Fraction:
-    """Exact determinant: Bareiss over m's integer rows, det(num) / den^rows."""
-    if not m.is_square():
-        raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    if m._det is None:
-        m._set(_det=Fraction(_int_det(m.num), m.den**m.rows))
-    return m._det
-
-
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    # Bareiss over plain ints; divisions are exact.
-    n = len(rows)
-    a = [list(map(int, row)) for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def schur_chain(n: Sequence[Sequence[int]]) -> list[tuple[tuple, int]] | None:
@@ -281,14 +240,28 @@ def _inverse_pair(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
     return m._inv
 
 
+def det(m: Mat) -> Fraction:
+    """Exact determinant, det(num) / den^rows, read off the Gauss-Jordan
+    pass over m's integer rows: 0 below full rank, else its last pivot, the
+    determinant of the rows in pivot order, negated when that order is an
+    odd permutation of them."""
+    if not m.is_square():
+        raise DimensionError(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
+    n = m.rows
+    _, pivots, last = _gauss_jordan(m.num, n)
+    if len(pivots) < n:
+        return Fraction(0)
+    order = [i for i, _ in pivots]
+    inversions = sum(a > b for k, a in enumerate(order) for b in order[k + 1 :])
+    return Fraction(-last if inversions % 2 else last, m.den**n)
+
+
 def inverse(m: Mat) -> Mat:
     """Exact inverse from one fraction-free Gauss-Jordan pass over m's
-    integer rows; the inverse matrix is built on the first call and kept."""
+    integer rows (the pair kept on m, see _inverse_pair)."""
     if not m.is_square():
         raise DimensionError(f"inverse needs a square matrix, got {m.rows}x{m.cols}")
-    if m._inv_mat is None:
-        m._set(_inv_mat=Mat(*_inverse_pair(m)))
-    return m._inv_mat
+    return Mat(*_inverse_pair(m))
 
 
 def _independent_rows(points: Iterable[Sequence[int]], d: int) -> list[Sequence[int]]:

@@ -1,8 +1,9 @@
 """Centrally symmetric convex bodies, enclosing ellipsoids, enclosing parallelotopes.
 
 No floating point is used here.  Every claim consumed downstream is
-established in exact integer arithmetic: point membership and the floor of a
-body's support function at an integer vector (``ConvexBody.int_support``).
+established in exact integer arithmetic: a vertex body's facet rows and the
+floor of a body's support function at an integer vector
+(``ConvexBody.int_support``).
 A vertex body's enclosing ellipsoid is a moment form within a factor k of
 the body (``mvee``), from one integer inverse of the moment matrix M, or a
 few more when its points crowd into few directions; the form keeps its own
@@ -44,7 +45,6 @@ from .exactalg import (
     integer_kernel,
     inverse,  # not called here; perfbench/tracing.py wraps geomcore.inverse
     schur_chain,
-    vec_dot,
 )
 
 DEFAULT_BUDGET = 10**7  # lattice points, or facet candidates, one call may visit
@@ -73,13 +73,6 @@ class Ellipsoid(Frozen):
     @property
     def dim(self) -> int:
         return self.form.rows
-
-    def quad(self, x: Sequence) -> Fraction:
-        v = as_vector(x)
-        return vec_dot(v, [vec_dot(row, v) for row in self.form.num]) / self.form.den
-
-    def contains(self, x: Sequence) -> bool:
-        return self.quad(x) <= 1
 
 
 class ConvexBody(Frozen):
@@ -177,17 +170,6 @@ class ConvexBody(Frozen):
             self._set(_facets=_hull_facets(self.point_mat, cap))
         return self._facets
 
-    def contains(self, x: Sequence) -> bool:
-        """Exact membership; boundary points count as inside."""
-        v = as_vector(x)
-        if len(v) != self.dim:
-            raise DimensionError(f"point has dimension {len(v)}, body {self.dim}")
-        if self.kind == "box":
-            return all(abs(a) <= h for a, h in zip(v, self.halfwidths))
-        if self.kind == "ellipsoid":
-            return self.ellipsoid_rep.contains(v)
-        return all(abs(vec_dot(normal, v)) <= bound for normal, bound in self.hull_facets())
-
 
 def _hull_facets(points: Mat, cap: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """Exact H-representation of conv(±rows of points) in integers.
@@ -269,10 +251,10 @@ def hull_line_extent(body: ConvexBody, sums: Sequence) -> tuple[tuple, tuple] | 
     return lo, hi
 
 
-def mvee(points: Mat | Iterable[Iterable]) -> Ellipsoid:
+def mvee(points: Mat) -> Ellipsoid:
     """Enclosing ellipsoid of points ∪ -points, within a factor k of their
-    hull K, from a moment form in integers; the points are given as they
-    come or as the rows of a Mat.
+    hull K, from a moment form in integers; the points are the rows of a
+    Mat (``ConvexBody.spanning_points``).
 
     This is a moment ellipsoid, not the minimum-volume one.  With w the
     integer rows of the points' Mat over den, S some of them, M = sum w w^T
@@ -290,11 +272,6 @@ def mvee(points: Mat | Iterable[Iterable]) -> Ellipsoid:
     involved.  RankError when the points do not span, that is when M is
     singular.
     """
-    if not isinstance(points, Mat):
-        pts = tuple(points)
-        if not pts:
-            raise RankError("empty point set")
-        points = Mat(pts)  # DimensionError unless the points share one dimension d >= 1
     w, den = points.num, points.den
     k = len(w[0])
     m, r, q, g = _moment_form(w, w)

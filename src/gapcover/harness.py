@@ -26,7 +26,7 @@ from .cover import (
 )
 from .enumeration import DEFAULT_BUDGET, Gap, box_point_count
 from .errors import BudgetError, DimensionError, GapCoverError, GenerationError, ParseError, RankError
-from .exactalg import Mat, _span_rank, det
+from .exactalg import Mat, _span_rank, det  # det not called here; perfbench/tracing.py wraps harness.det
 from .geomcore import ConvexBody, Ellipsoid
 
 EXIT_OK = 0
@@ -348,7 +348,7 @@ def gen_random(
         else:
             bound = entry_bound if kind == "lattice-ball" else 2
             m = Mat([[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)])
-            if det(m) == 0:
+            if _span_rank(m.num, dim) < dim:
                 continue
             if kind == "lattice-ball":
                 form = (m @ m.transpose()).scale(1 / (r * r))
@@ -441,8 +441,9 @@ def run_batch(
     entry is that certificate without the stage diagnostics, and the
     projection check reads that certificate: its sweep of C, its
     progression and its proof of independence.  Per-instance errors are
-    captured in the report; the batch aborts early only with fail_fast.
-    Report order follows input order.
+    captured in the report; with fail_fast the batch stops after the first
+    failure, or after the first budget skip unless allow_skip.  Report
+    order follows input order.
     """
     batch = BatchReport()
     for index, spec in enumerate(specs):
@@ -492,7 +493,7 @@ def run_batch(
             entry["runtime_ms_approx"] = (time.perf_counter() - t0) * 1000.0
         entry.setdefault("contained", entry.get("error") is None)
         batch.entries.append(entry)
-        if fail_fast and (batch.failures or batch.budget_skips):
+        if fail_fast and (batch.failures or (batch.budget_skips and not allow_skip)):
             break
     return batch
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import DimensionError, RankError
@@ -25,7 +24,7 @@ from .exactalg import (
     inverse,  # not called here; perfbench/tracing.py wraps latred.inverse
 )
 
-LLL_DEFAULT_DELTA = Fraction(99, 100)
+LLL_DELTA = Fraction(99, 100)  # the Lovasz parameter, in (1/4, 1)
 
 
 def _round_half_up(num: int, den: int) -> int:
@@ -33,23 +32,13 @@ def _round_half_up(num: int, den: int) -> int:
     return (2 * num + den) // (2 * den)
 
 
-@lru_cache(maxsize=8)
-def _delta_terms(delta) -> tuple[int, int]:
-    """delta's numerator and denominator, after checking 1/4 < delta < 1;
-    kept by value (an exception is never kept)."""
-    delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
-        raise DimensionError("delta must lie in (1/4, 1)")
-    return delta.numerator, delta.denominator
-
-
-def lll_reduce(gram: Sequence[Sequence[int]], delta=LLL_DEFAULT_DELTA) -> UnimodularMat:
+def lll_reduce(gram: Sequence[Sequence[int]]) -> UnimodularMat:
     """LLL reduction in integers of a basis given by its d x d integer Gram
     matrix (symmetric; only its lower triangle is read).
 
     Returns the unimodular T, held with T^-1, for which the rows of T B are
     reduced, B any basis with B B^T = gram: size-reduced (|mu_ij| <= 1/2),
-    with the Lovasz condition for the given delta at every index.  A Gram
+    with the Lovasz condition for delta = LLL_DELTA at every index.  A Gram
     matrix scaled by c > 0 gives the same T, so a rational one is passed as
     its numerators over a common denominator.  The Gram pass below computes
     dd[i] = det(gram[j][l])_(j,l < i), and RankError is raised at the first
@@ -66,12 +55,8 @@ def lll_reduce(gram: Sequence[Sequence[int]], delta=LLL_DEFAULT_DELTA) -> Unimod
     B_k >= (delta - mu^2) B_(k-1) times dd[k] dd[k-1] and delta's
     denominator.  Every decision is that of a rational LLL that recomputes
     Gram-Schmidt after each swap.
-
-    delta is checked through ``_delta_terms``, which keeps the terms of each
-    value it accepted: the fixed default is checked once per process, and a
-    delta out of (1/4, 1) still raises DimensionError on every call.
     """
-    num, den = _delta_terms(delta)
+    num, den = LLL_DELTA.numerator, LLL_DELTA.denominator
     d = len(gram)
     if any(len(row) != d for row in gram):
         raise DimensionError(f"need a d x d Gram matrix, got row lengths {[len(row) for row in gram]}")

@@ -22,7 +22,6 @@ from gapcover.exactalg import (
     UnimodularMat,
     _gauss_jordan,
     _hnf_with_transform,
-    _int_det,
     integer_kernel,
 )
 
@@ -185,11 +184,12 @@ def ellipsoid_lattice_points(form):
     diag = [inv[j][j] for j in range(len(form))]
     bounds = [math.isqrt(x.numerator * x.denominator) // x.denominator for x in diag]
     box = itertools.product(*(range(-b, b + 1) for b in bounds))
-    return [
-        x
-        for x in box
-        if sum(Fraction(a) * xi * xj for row, xi in zip(form, x) for a, xj in zip(row, x)) <= 1
-    ]
+    return [x for x in box if quad_form(form, x) <= 1]
+
+
+def quad_form(form, x):
+    """x^T A x in Fractions, A = form (rows of rationals)."""
+    return sum(Fraction(a) * xi * xj for row, xi in zip(form, x) for a, xj in zip(row, x))
 
 
 def box_lattice_points(halfwidths):
@@ -687,14 +687,14 @@ def hull_facets_reference(points):
     rows = {e + (0,): None for e in integer_kernel(w, d)}
     proj = [tuple(p[c] for c in cols) for p in w]
     for subset in itertools.combinations(proj, r) if r else ():
-        d0 = _int_det(subset)
+        d0 = int(fraction_det(subset))
         if d0 == 0:
             continue
         sgn = 1 if d0 > 0 else -1
         for tail in itertools.product((1, -1), repeat=r - 1):
             s = (1,) + tail
             a = [
-                sgn * _int_det([row[:j] + (si,) + row[j + 1 :] for row, si in zip(subset, s)])
+                sgn * int(fraction_det([row[:j] + (si,) + row[j + 1 :] for row, si in zip(subset, s)]))
                 for j in range(r)
             ]
             if any(abs(sum(x * y for x, y in zip(a, p))) > abs(d0) for p in proj):

@@ -166,6 +166,23 @@ def test_batch_budget_exit(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "flags, entries, code",
+    [(["--fail-fast"], 1, EXIT_BUDGET), (["--fail-fast", "--allow-skip"], 3, EXIT_OK)],
+    ids=["fail-fast", "fail-fast-allow-skip"],
+)
+def test_batch_fail_fast_stops_on_a_skip_unless_allowed(tmp_path, flags, entries, code):
+    batch = [
+        {"dim": 2, "body": {"type": "ball", "radius": 100}, "budget": 10},
+        {"dim": 2, "body": {"type": "ball", "radius": 2}},
+        {"dim": 2, "body": {"type": "ball", "radius": 3}},
+    ]
+    inst = write(tmp_path, "batch.json", batch)
+    out = tmp_path / "out.json"
+    assert main(["batch", "--input", inst, "--output", str(out)] + flags) == code
+    assert len(json.loads(out.read_text())["instances"]) == entries
+
+
 def test_batch_high_dimension(tmp_path, capsys):
     # bodies of one lattice point in dimensions past one compiled sweep
     batch = [

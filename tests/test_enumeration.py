@@ -166,16 +166,8 @@ class TestEnumBody:
         assert len(pts) == 13
 
     def test_vertex_hull_matches_per_point_lp(self):
-        body = ConvexBody.vertices([(2, 1), (1, 2)])
-        pts = enum_body(body)
-        bounds = body.int_box_bounds()
-        expected = [
-            (x, y)
-            for x in range(-bounds[0], bounds[0] + 1)
-            for y in range(-bounds[1], bounds[1] + 1)
-            if body.contains((x, y))
-        ]
-        assert pts.points == tuple(sorted(expected))
+        vertices = [(2, 1), (1, 2)]
+        assert list(enum_body(ConvexBody.vertices(vertices)).points) == vertex_hull_lattice_points(vertices)
 
     @given(st.one_of(_points(2, 3), _points(3, 2), _flat_3d(), _points(4, 1)))
     @settings(max_examples=30, deadline=None)

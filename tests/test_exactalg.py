@@ -1,12 +1,9 @@
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-import gapcover.exactalg
 
 from gapcover.errors import (
     DimensionError,
@@ -27,7 +24,6 @@ from gapcover.exactalg import (
     inverse,
     left_kernel,
     unimodular_solve,
-    vec_dot,
 )
 from gapcover.enumeration import PointSet
 from gapcover.geomcore import ConvexBody, Ellipsoid
@@ -131,12 +127,22 @@ class TestIntegerKernels:
         with pytest.raises(DimensionError, match="dimension"):
             solve(x)
 
-    def test_computed_once_per_matrix(self):
-        m = Mat([[Fraction(1, 3), 2], [5, Fraction(7, 9)]])
-        with mock.patch.object(gapcover.exactalg, "_int_det", wraps=gapcover.exactalg._int_det) as spy:
-            assert det(m) == det(m) == fraction_det(m.entries)
-        assert spy.call_count == 1
-        assert inverse(m) is inverse(m)
+    @pytest.mark.parametrize(
+        "rows, order, value",
+        [
+            ([[0, 5, 0], [3, 0, 0], [0, 0, 2]], [1, 0, 2], -30),
+            ([[0, 0, 2], [3, 0, 0], [0, 5, 0]], [1, 2, 0], 30),
+            ([[1, 2, 3], [2, 4, 6], [1, 0, 1]], [0, 2], 0),
+            ([[Fraction(1, 2), 1], [1, 2]], [0], 0),
+        ],
+        ids=["odd-permutation", "even-permutation", "singular", "singular-rational"],
+    )
+    def test_det_reads_the_pivot_order(self, rows, order, value):
+        # the last Gauss-Jordan pivot is the determinant of the rows in
+        # pivot order, negated for an odd order; 0 below full rank
+        m = Mat(rows)
+        assert [i for i, _ in _gauss_jordan(m.num, m.rows)[1]] == order
+        assert det(m) == value == fraction_det(rows)
 
 
 def fraction_matmul(a, b):
@@ -601,11 +607,6 @@ class TestSqrtBounds:
         inv = fraction_inverse(form)
         want = tuple(math.isqrt(math.floor(inv[j][j])) for j in range(3))
         assert bounds(form) == want
-
-
-def test_vec_dot_dimension_error():
-    with pytest.raises(DimensionError):
-        vec_dot((1, 2), (1, 2, 3))
 
 
 IMMUTABLE = [

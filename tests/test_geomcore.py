@@ -27,6 +27,8 @@ from gapcover.harness import gen_random
 from gapcover.latred import certify_reduction, lll_reduce
 
 from _oracles import (
+    box_lattice_points,
+    ellipsoid_lattice_points,
     ellipsoid_volume,
     exact_halfwidths,
     fraction_det,
@@ -35,9 +37,11 @@ from _oracles import (
     grid_mvee_volume_3d,
     hull_facets_reference,
     identity,
+    in_vertex_hull,
     moment_reference,
     mvee_reference,
     parallelotope_contains,
+    quad_form,
 )
 
 
@@ -67,12 +71,13 @@ class TestEllipsoid:
 
     def test_membership_and_support(self):
         e = Ellipsoid(Mat([[Fraction(1, 4), 0], [0, 1]]))
-        assert e.contains((2, 0))
-        assert e.contains((0, 1))
-        assert not e.contains((2, 1))
+        body = ConvexBody.from_ellipsoid(e)
+        # the lattice points, (2, 0) and (0, 1) on the boundary among them
+        points = ((-2, 0), (-1, 0), (0, -1), (0, 0), (0, 1), (1, 0), (2, 0))
+        assert enum_body(body).points == points
+        assert list(points) == ellipsoid_lattice_points(e.form.entries)
         # squared support in direction (1, 0): (A^-1)_00
         assert inverse(e.form).entries[0][0] == 4
-        body = ConvexBody.from_ellipsoid(e)
         assert body.int_box_bounds() == (2, 1)
         # floor(sqrt((1, 1) A^-1 (1, 1)^T)) = floor(sqrt(5))
         assert body.int_support((1, 1)) == body.int_support((-1, -1)) == 2
@@ -127,7 +132,7 @@ class TestMvee:
         # point listed many times makes mvee take a spread basis
         pts, repeats = drawn
         assume(fraction_rank(pts) == len(pts[0]))
-        assert_kept_inverse(mvee(pts + [pts[0]] * repeats))
+        assert_kept_inverse(mvee(Mat(pts + [pts[0]] * repeats)))
 
     @pytest.mark.parametrize(
         "points",
@@ -147,41 +152,33 @@ class TestMvee:
         assert_kept_inverse(mvee(body.spanning_points()))
 
     def test_cross_polytope_gives_disk(self):
-        e = mvee([(1, 0), (0, 1)])
+        e = mvee(Mat([(1, 0), (0, 1)]))
         # symmetry forces a disk; exact containment of both generators
-        assert e.quad((1, 0)) <= 1
-        assert e.quad((0, 1)) <= 1
+        assert quad_form(e.form.entries, (1, 0)) <= 1
+        assert quad_form(e.form.entries, (0, 1)) <= 1
         vol = ellipsoid_volume(e.form.entries, 2)
         oracle = grid_mvee_volume_2d([(1, 0), (0, 1)])
         assert vol <= 1.02 * oracle
 
     def test_square_corners_give_radius_sqrt2(self):
-        e = mvee([(1, 1), (1, -1)])
-        assert e.quad((1, 1)) <= 1
-        assert e.quad((1, -1)) <= 1
+        e = mvee(Mat([(1, 1), (1, -1)]))
+        assert quad_form(e.form.entries, (1, 1)) <= 1
+        assert quad_form(e.form.entries, (1, -1)) <= 1
         # disk of squared radius 2: form I/2, det 1/4
         assert e.form == Mat([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
 
     def test_dim1_interval(self):
-        e = mvee([(1,)])
+        e = mvee(Mat([(1,)]))
         assert e.form == Mat([[1]])
 
     def test_dim1_is_exact_past_the_rationalization_cap(self):
         # den^2 / max p^2, however large p and den are
-        assert mvee([(10**6,)]).form == Mat([[Fraction(1, 10**12)]])
-        assert mvee([(Fraction(3, 2),), (-1,)]).form == Mat([[Fraction(4, 9)]])
+        assert mvee(Mat([(10**6,)])).form == Mat([[Fraction(1, 10**12)]])
+        assert mvee(Mat([(Fraction(3, 2),), (-1,)])).form == Mat([[Fraction(4, 9)]])
 
     def test_degenerate_raises(self):
         with pytest.raises(RankError, match="do not span"):
-            mvee([(1, 0), (2, 0)])
-
-    def test_mixed_dimensions(self):
-        with pytest.raises(DimensionError):
-            mvee([(1, 0), (0, 1, 0)])
-
-    def test_empty_set(self):
-        with pytest.raises(RankError, match="empty"):
-            mvee([])
+            mvee(Mat([(1, 0), (2, 0)]))
 
     @pytest.mark.parametrize(
         "points, card_c, card_p",
@@ -207,9 +204,9 @@ class TestMvee:
         pts += [pts[0]] * data.draw(st.integers(0, 12))
         if fraction_rank(pts) < d:
             with pytest.raises(RankError):
-                mvee(pts)
+                mvee(Mat(pts))
         else:
-            assert mvee(pts).form in moment_forms(pts)
+            assert mvee(Mat(pts)).form in moment_forms(pts)
 
     @given(
         st.integers(1, 3).flatmap(
@@ -227,7 +224,7 @@ class TestMvee:
         pts, repeats = drawn
         k = len(pts[0])
         assume(fraction_rank(pts) == k)
-        e = mvee(pts + [pts[0]] * repeats)
+        e = mvee(Mat(pts + [pts[0]] * repeats))
         r, p, _ = circumscribe_parallelotope(e)
         for normal, bound in ConvexBody.vertices(list(dict.fromkeys(pts))).hull_facets():
             assert sum(a * b * r[i][j] for i, a in enumerate(normal) for j, b in enumerate(normal)) <= k * k * bound * bound * p
@@ -236,7 +233,7 @@ class TestMvee:
         # 5000 points on one axis and one off it: the moment form of every
         # point would be about sqrt(5000) times too long along the axis; the
         # basis (5000, 0), (0, 1) gives the hull's own axes
-        e = mvee([(x, 0) for x in range(1, 5001)] + [(0, 1)])
+        e = mvee(Mat([(x, 0) for x in range(1, 5001)] + [(0, 1)]))
         assert e.form == Mat([[Fraction(1, 5000**2), 0], [0, 1]])
 
     @given(
@@ -248,10 +245,10 @@ class TestMvee:
     def test_exact_containment_random(self, pts):
         # every point and its negative inside, exactly, and one on the boundary
         assume(fraction_rank(pts) == len(pts[0]))
-        e = mvee(pts)
-        quads = [e.quad(p) for p in pts]
+        form = mvee(Mat(pts)).form.entries
+        quads = [quad_form(form, p) for p in pts]
         assert max(quads) == 1
-        assert all(e.quad(tuple(-c for c in p)) == q for p, q in zip(pts, quads))
+        assert all(quad_form(form, tuple(-c for c in p)) == q for p, q in zip(pts, quads))
 
     def test_quality_2d_random(self):
         # no smaller than the minimum-volume ellipse, whose area the fine
@@ -262,7 +259,7 @@ class TestMvee:
             [(2, 2), (3, -1)],
         ]
         for pts in sets:
-            vol = ellipsoid_volume(mvee(pts).form.entries, 2)
+            vol = ellipsoid_volume(mvee(Mat(pts)).form.entries, 2)
             oracle = grid_mvee_volume_2d(pts)
             assert oracle <= 1.01 * vol
             assert vol <= moment_factor(pts) * oracle
@@ -272,7 +269,7 @@ class TestMvee:
         # first set, three points in Q^3, the moment form is the minimum
         # ellipsoid itself, and the grid reads 8 % more
         for pts in ([(2, 0, 1), (0, 3, 0), (1, 1, 2)], [(3, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 1)]):
-            vol = ellipsoid_volume(mvee(pts).form.entries, 3)
+            vol = ellipsoid_volume(mvee(Mat(pts)).form.entries, 3)
             oracle = grid_mvee_volume_3d(pts)
             assert oracle <= 1.1 * vol
             assert vol <= moment_factor(pts) * oracle
@@ -321,7 +318,7 @@ class TestCircumscribe:
         # itself: R / p = c M, c > 0, for one S of mvee_reference
         assume(fraction_rank(pts) == len(pts[0]))
         d = len(pts[0])
-        r, p, _ = circumscribe_parallelotope(mvee(pts))
+        r, p, _ = circumscribe_parallelotope(mvee(Mat(pts)))
         dual = Mat(r, p)
         found = False
         for s in mvee_reference(pts):
@@ -349,7 +346,7 @@ class TestCircumscribe:
             for c in directions[: e.dim + 1]:
                 c = c + (0,) * (e.dim - len(c))
                 for tj, w_sq in zip(t.int_rows, widths_sq):
-                    assert sum(a * b for a, b in zip(tj, c)) ** 2 <= w_sq * e.quad(c)
+                    assert sum(a * b for a, b in zip(tj, c)) ** 2 <= w_sq * quad_form(form.entries, c)
 
 
 def line_extent(body, prefix):
@@ -379,29 +376,35 @@ def vertex_point_sets(draw):
     return pts
 
 
+def assert_facet_rows_match_hull(vertices, inside, outside):
+    """The body's facet rows |N.x| <= D hold at each point of ``inside``
+    and fail at each of ``outside``, as in_vertex_hull finds on the same
+    points."""
+    body = ConvexBody.vertices(vertices)
+    for points, want in ((inside, True), (outside, False)):
+        for x in points:
+            rows_hold = all(abs(sum(a * c for a, c in zip(normal, x))) <= bound for normal, bound in body.hull_facets())
+            assert rows_hold == in_vertex_hull(vertices, x) == want, x
+
+
 class TestBodiesAndMembership:
     def test_box_membership_boundary(self):
-        b = ConvexBody.box([1, 1])
-        assert b.contains((1, 1))
-        assert not b.contains((Fraction(3, 2), 0))
+        # the corners (±1, ±1) count as inside; x = ±3/2 holds no lattice point
+        assert len(enum_body(ConvexBody.box([1, 1]))) == 9
+        assert enum_body(ConvexBody.box([Fraction(3, 2), 0])).points == ((-1, 0), (0, 0), (1, 0))
+        assert list(enum_body(ConvexBody.box([Fraction(3, 2), 1])).points) == box_lattice_points([Fraction(3, 2), 1])
 
     def test_disk_membership(self):
-        b = ConvexBody.from_ellipsoid(Ellipsoid(identity(2)))
-        assert not b.contains((1, 1))
-        assert b.contains((1, 0))
+        points = enum_body(ConvexBody.from_ellipsoid(Ellipsoid(identity(2)))).points
+        assert points == ((-1, 0), (0, -1), (0, 0), (0, 1), (1, 0))
+        assert list(points) == ellipsoid_lattice_points(identity(2).entries)
 
     def test_hull_membership_lp(self):
-        b = ConvexBody.vertices([(2, 1), (1, 2)])
         # (1,1) = (1/3)(2,1) + (1/3)(1,2), coefficient sum 2/3 <= 1
-        assert b.contains((1, 1))
-        assert b.contains((2, 1))
-        assert not b.contains((2, 2))
-        assert not b.contains((3, 0))
+        assert_facet_rows_match_hull([(2, 1), (1, 2)], [(1, 1), (2, 1)], [(2, 2), (3, 0)])
 
     def test_hull_symmetry(self):
-        b = ConvexBody.vertices([(2, 1), (1, 2)])
-        assert b.contains((-1, -1))
-        assert b.contains((-2, -1))
+        assert_facet_rows_match_hull([(2, 1), (1, 2)], [(-1, -1), (-2, -1)], [(-2, -2)])
 
     def test_line_extent(self):
         body = ConvexBody.vertices([(Fraction(2), Fraction(1)), (Fraction(1), Fraction(2))])
@@ -419,39 +422,39 @@ class TestBodiesAndMembership:
             assert line_extent(body, (x,)) == (x, x)
         assert line_extent(body, (Fraction(1, 2),)) == (Fraction(1, 2), Fraction(1, 2))
         assert line_extent(body, (3,)) is None
-        assert body.contains((1, 1))
-        assert not body.contains((1, 0))
+        assert_facet_rows_match_hull([(2, 2)], [(1, 1)], [(1, 0), (3, 3)])
 
     def test_line_extent_1d(self):
         body = ConvexBody.vertices([(3,)])
         assert line_extent(body, ()) == (-3, 3)
-        assert body.contains((3,))
-        assert not body.contains((Fraction(7, 2),))
+        assert_facet_rows_match_hull([(3,)], [(3,), (-3,)], [(Fraction(7, 2),)])
 
     def test_zero_vertex(self):
         body = ConvexBody.vertices([(0, 0)])
         assert line_extent(body, (0,)) == (0, 0)
         assert line_extent(body, (1,)) is None
-        assert body.contains((0, 0))
-        assert not body.contains((0, Fraction(1, 5)))
+        assert_facet_rows_match_hull([(0, 0)], [(0, 0)], [(0, Fraction(1, 5)), (1, 0)])
 
     def test_collinear_3d(self):
         # all three points lie on the line through (1, 2, 3)
-        body = ConvexBody.vertices([(1, 2, 3), (2, 4, 6), (Fraction(1, 2), 1, Fraction(3, 2))])
+        vertices = [(1, 2, 3), (2, 4, 6), (Fraction(1, 2), 1, Fraction(3, 2))]
+        body = ConvexBody.vertices(vertices)
         assert line_extent(body, (1, 2)) == (3, 3)
         assert line_extent(body, (1, 1)) is None
         assert line_extent(body, (3, 6)) is None
-        assert body.contains((-2, -4, -6))
-        assert not body.contains((1, 2, 4))
+        assert_facet_rows_match_hull(vertices, [(-2, -4, -6)], [(1, 2, 4), (3, 6, 9)])
 
     def test_coplanar_3d(self):
         # a hexagon in the plane z = x + y
-        body = ConvexBody.vertices([(1, 0, 1), (0, 1, 1), (1, -1, 0)])
+        vertices = [(1, 0, 1), (0, 1, 1), (1, -1, 0)]
+        body = ConvexBody.vertices(vertices)
         assert line_extent(body, (1, 0)) == (1, 1)
         assert line_extent(body, (1, 1)) is None
-        assert body.contains((Fraction(1, 2), Fraction(1, 2), 1))
-        assert not body.contains((Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)))
-        assert not body.contains((1, 1, 2))
+        assert_facet_rows_match_hull(
+            vertices,
+            [(Fraction(1, 2), Fraction(1, 2), 1)],
+            [(Fraction(1, 2), Fraction(1, 2), Fraction(3, 2)), (1, 1, 2)],
+        )
 
     def test_facets_skip_dependent_first_coordinate(self):
         # x_1 = 0 on the body, so J = {2, 3}: the kernel row, then the

@@ -270,8 +270,18 @@ class TestRunBatch:
                 "gap": {"base": [0, 0], "diffs": [[1, 0], [0, 1]], "halfsides": [1, 1]},
             }
         )
-        batch = run_batch([bad] + self.trivial_specs(), fail_fast=True)
-        assert len(batch.entries) == 1
+        for allow_skip in (False, True):
+            batch = run_batch([bad] + self.trivial_specs(), fail_fast=True, allow_skip=allow_skip)
+            assert len(batch.entries) == 1
+
+    @pytest.mark.parametrize("allow_skip, entries, code", [(False, 1, EXIT_BUDGET), (True, 3, EXIT_OK)])
+    def test_fail_fast_stops_on_a_skip_unless_allowed(self, allow_skip, entries, code):
+        over_budget = parse_instance({"dim": 2, "body": {"type": "ball", "radius": 100}, "budget": 10})
+        balls = [parse_instance({"dim": 2, "body": {"type": "ball", "radius": r}}) for r in (2, 3)]
+        batch = run_batch([over_budget] + balls, fail_fast=True, allow_skip=allow_skip)
+        assert len(batch.entries) == entries
+        assert batch.entries[0]["error"]["type"] == "budget"
+        assert batch.exit_code(allow_skip) == code
 
     def test_projection_included(self):
         spec = parse_instance(

@@ -296,16 +296,6 @@ class TestLllMatchesRecompute:
     def test_random_rational_bases(self, rows):
         assert_same_as_recompute(rows)
 
-    @given(rational_bases(), st.sampled_from([Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(999, 1000)]))
-    @settings(max_examples=40, deadline=None)
-    def test_delta_matches_recompute(self, rows, delta):
-        # delta enters only the Lovasz test, through its numerator and
-        # denominator; (1/4, 1) is its range
-        assert lll_reduce(gram(Mat(rows).num), delta).int_rows == lll_recompute(rows, delta)[1]
-        for bad in (Fraction(1, 4), 1, 2):
-            with pytest.raises(DimensionError, match="delta"):
-                lll_reduce(gram(Mat(rows).num), bad)
-
     def test_many_swaps(self):
         # knapsack-style basis: the reduction takes 44 swaps
         rows = [

@@ -1,18 +1,22 @@
 """Guard against calls to names that no module defines, and against
-definitions that no module reads.
+definitions that nothing reaches.
 
 Every ``LOAD_GLOBAL``/``LOAD_NAME`` in a ``gapcover`` module must resolve to
 an attribute of that module or to a builtin; otherwise the call site raises
 ``NameError`` only when it is reached.  Every top-level function and every
-non-dunder method must be read somewhere in ``gapcover`` (a global or name
-load, an attribute or method load, or a ``from ... import``); otherwise it is
-code that only the tests run.  The names in ``gapcover.__all__`` and the
-console entry point ``cli.main`` are read from outside.  Every name a module
-binds with a relative import must be read in that module, annotations
-included, except the package's re-exports and the attributes the
-benchmark's tracer wraps.  Stdlib only: each module's source is compiled and
-its code objects are walked with ``dis``; the imports are read from its
-``ast``.
+non-dunder method must be reachable; otherwise it is code that only the
+tests run.  Reading starts where code runs without a caller in
+``gapcover``: the names in ``gapcover.__all__``, the console entry point
+``cli.main``, the attributes the benchmark's tracer wraps, the module and
+class bodies (their imports left out) and the dunder methods, which the
+language calls.  A reached function reaches every definition whose name it
+reads (a global or name load, an attribute or method load, or a
+``from ... import`` inside it), so two same-named methods that only read
+each other stay unreached.  Every name a module binds with a relative
+import must be read in that module, annotations included, except the
+package's re-exports and the attributes the benchmark's tracer wraps.
+Stdlib only: each module's source is compiled and its code objects are
+walked with ``dis``; the imports are read from its ``ast``.
 """
 
 import ast
@@ -62,46 +66,72 @@ def undefined_globals(code: types.CodeType, namespace) -> list[tuple[str, str]]:
 NAME_READS = GLOBAL_LOADS | {"LOAD_ATTR", "LOAD_METHOD", "IMPORT_FROM"}
 
 
-def names_read(code: types.CodeType) -> set[str]:
-    """Every name ``code`` or a code object nested in it reads."""
-    names = {ins.argval for ins in dis.get_instructions(code) if ins.opname in NAME_READS}
+def names_read(code: types.CodeType, nested=lambda co: True, reads=NAME_READS) -> set[str]:
+    """Every name ``code`` reads, and each code object nested in it for
+    which ``nested`` holds."""
+    names = {ins.argval for ins in dis.get_instructions(code) if ins.opname in reads}
     for const in code.co_consts:
-        if isinstance(const, types.CodeType):
-            names |= names_read(const)
+        if isinstance(const, types.CodeType) and nested(const):
+            names |= names_read(const, nested, reads)
     return names
 
 
-def definitions(code: types.CodeType) -> list[str]:
-    """Qualified names of the top-level functions and non-dunder methods
-    that module ``code`` defines.  Functions nested in functions, lambdas
-    and comprehensions are not definitions."""
-    found = []
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def definitions(code: types.CodeType) -> tuple[list[tuple[str, types.CodeType]], list[types.CodeType]]:
+    """(defs, bodies) of module ``code``: defs pairs the qualified name of
+    each top-level function and method, dunders included, with its code;
+    bodies holds the module's code and its class bodies, which run on
+    import.  Functions nested in functions, lambdas and comprehensions are
+    not definitions."""
+    defs, bodies = [], [code]
 
     def walk(co):
         for const in co.co_consts:
             if not isinstance(const, types.CodeType) or const.co_name.startswith("<"):
                 continue
             if not const.co_flags & inspect.CO_NEWLOCALS:  # a class body
+                bodies.append(const)
                 walk(const)
-            elif not (const.co_name.startswith("__") and const.co_name.endswith("__")):
-                found.append(getattr(const, "co_qualname", const.co_name))
+            else:
+                defs.append((getattr(const, "co_qualname", const.co_name), const))
 
     walk(code)
-    return found
+    return defs, bodies
 
 
-def unread_definitions(codes: dict[str, types.CodeType], exempt) -> list[str]:
-    """``module.qualname`` of each definition whose name no module reads;
-    ``exempt`` holds bare names and ``module.qualname`` entries to skip."""
-    read = set().union(*(names_read(code) for code in codes.values()))
-    return [
-        f"{modname}.{qualname}"
-        for modname, code in codes.items()
-        for qualname in definitions(code)
-        if qualname.rsplit(".", 1)[-1] not in read
-        and qualname not in exempt
-        and f"{modname}.{qualname}" not in exempt
+def unreached_definitions(codes: dict[str, types.CodeType], roots) -> list[str]:
+    """``module.qualname`` of each top-level function and non-dunder method
+    that nothing reaches.  ``roots`` holds bare names, read from outside,
+    and ``module.qualname`` entries, each of which reaches that one
+    definition; the module and class bodies, their imports left out, and
+    every dunder method are reached too.  A reached definition reaches
+    every definition whose last name component it reads."""
+    found = {modname: definitions(code) for modname, code in codes.items()}
+    defs = [
+        (f"{modname}.{qualname}", qualname.rsplit(".", 1)[-1], co)
+        for modname, (module_defs, _) in found.items()
+        for qualname, co in module_defs
     ]
+    reached = {key for key, name, _ in defs if key in roots or is_dunder(name)}
+    # module and class bodies: their own loads and their lambdas' and comprehensions'
+    on_import = (
+        names_read(body, lambda co: co.co_name.startswith("<"), NAME_READS - {"IMPORT_FROM"})
+        for _, bodies in found.values()
+        for body in bodies
+    )
+    names = set(roots).union(*on_import)
+    todo = [co for key, _, co in defs if key in reached]
+    while names or todo:
+        for key, name, co in defs:
+            if name in names and key not in reached:
+                reached.add(key)
+                todo.append(co)
+        names = set().union(*(names_read(co) for co in todo))
+        todo = []
+    return [key for key, name, _ in defs if key not in reached]
 
 
 def unread_imports(source: str) -> list[str]:
@@ -145,8 +175,8 @@ def test_no_undefined_globals(modname):
 
 def test_every_definition_is_read():
     codes = {modname: _compile(modname)[1] for modname in _module_names()}
-    exempt = set(gapcover.__all__) | {"gapcover.cli.main"}
-    assert unread_definitions(codes, exempt) == []
+    roots = set(gapcover.__all__) | {"gapcover.cli.main"} | {attr for _, attr in traced_sites()}
+    assert unreached_definitions(codes, roots) == []
 
 
 def test_every_relative_import_is_read():
@@ -205,10 +235,37 @@ def test_guard_flags_unread_definition():
     )
     app = "from lib import imported\ndef main():\n    return imported()\n"
     codes = {name: compile(src, name, "exec") for name, src in (("lib", lib), ("app", app))}
-    assert unread_definitions(codes, {"exported", "app.main"}) == [
+    assert unreached_definitions(codes, {"exported", "app.main"}) == [
         "lib.dead",
         "lib.C.unused",
         "lib.C.Inner.nested_unused",
+    ]
+
+
+def test_guard_flags_definitions_that_only_read_each_other():
+    # each contains reads the name contains, and a module-level import
+    # reads dead; neither keeps them reachable, as a call from main does
+    lib = (
+        "KINDS = ('box',)\n"
+        "def dead():\n"
+        "    return 0\n"
+        "def kept():\n"
+        "    return 1\n"
+        "class Ellipsoid:\n"
+        "    def contains(self, x):\n"
+        "        return self.form.contains(x)\n"
+        "class Body:\n"
+        "    def contains(self, x):\n"
+        "        return self.rep.contains(x)\n"
+        "    def size(self):\n"
+        "        return len(KINDS)\n"
+    )
+    app = "from lib import dead, kept\ndef main(body):\n    return kept(), body.size()\n"
+    codes = {name: compile(src, name, "exec") for name, src in (("lib", lib), ("app", app))}
+    assert unreached_definitions(codes, {"app.main"}) == [
+        "lib.dead",
+        "lib.Ellipsoid.contains",
+        "lib.Body.contains",
     ]
 
 
