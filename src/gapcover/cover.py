@@ -20,8 +20,9 @@ differences builds it.  The stages:
    of a basis of them when they crowd into few directions (geomcore.mvee):
    an integer inverse scaled so that every point lies in E and one on its
    boundary, with E within a factor k of the body,
-2. its dual form A^-1 = R / p in integers, kept on A (by mvee, as a multiple
-   of the moment matrix, or by one inverse of a given form), and the exact
+2. its dual form A^-1 = R / p in integers, kept by E (handed over by mvee,
+   as a multiple of the moment matrix, or one inverse of a given form, taken
+   when E is built), and the exact
    squared volume |Q|^2 = 4^k / det A of the parallelotope Q along the
    factorization A = U D U^T that circumscribes E,
 3. LLL on the Gram matrix R, which returns the unimodular T with T^-1, built

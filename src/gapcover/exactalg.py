@@ -6,13 +6,13 @@ built; its Fraction entries are only a view.  The eliminations are
 fraction-free (Bareiss): every division is exact.  One Gauss-Jordan pass,
 ``_gauss_jordan``, serves every determinant, inverse, kernel, pivot choice
 and integer solver built from a matrix alone.  Nothing here may round.  A
-``Mat`` is immutable; the one result kept on it is its integer inverse
-pair, computed on first use or set by the code that built the matrix
-(``geomcore.mvee``).  A ``UnimodularMat`` holds its inverse too, which LLL
-builds beside T, so that its certificate is one product; an integer matrix
-with a claimed integer inverse needs no elimination either, only that
-product (``_is_inverse``), which is how the covering certificate turns T
-into the solve of its progression.
+``Mat`` is immutable and keeps no result but its Fraction view; the code
+that builds an exact inverse hands it to the object that keeps it
+(``_inverse_pair`` is a pure function; ``geomcore.Ellipsoid`` keeps its
+form's).  A ``UnimodularMat`` is built only with its claimed inverse, which
+LLL builds beside T, so that its certificate is one integer product
+(``_is_inverse``) and no elimination; that product is also how the covering
+certificate turns T into the solve of its progression.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def as_vector(values: Iterable) -> Vector:
 
 class Frozen:
     """Base of the immutable classes: attribute assignment raises; ``_set``
-    sets a slot once or as a memo (mvee seeds its form's inverse pair).
+    sets an object's own slots, once or as a memo on itself.
     ``Mat.__init__``, run for every matrix built, sets its slots through
     ``object.__setattr__`` directly, at half the cost of ``_set``'s loop."""
 
@@ -58,10 +58,9 @@ class Mat(Frozen):
     is the lcm of the entries' denominators and equal matrices have equal
     (num, den)).  ``Mat(rows, den=1)`` is rows / den, rows of ints or of any
     rationals, which are cleared here once.  ``entries``, the rows as
-    Fractions, is built on first use and kept, as is ``_inv``, the integer
-    inverse pair (see ``_inverse_pair``)."""
+    Fractions, is built on first use and kept."""
 
-    __slots__ = ("num", "den", "rows", "cols", "_entries", "_inv")
+    __slots__ = ("num", "den", "rows", "cols", "_entries")
 
     def __init__(self, rows: Iterable[Iterable], den: int = 1):
         if den < 1:
@@ -86,7 +85,6 @@ class Mat(Frozen):
         setattr_(self, "rows", len(num))
         setattr_(self, "cols", cols)
         setattr_(self, "_entries", None)
-        setattr_(self, "_inv", None)
 
     @property
     def entries(self) -> tuple[Vector, ...]:
@@ -232,12 +230,11 @@ def _int_inverse(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 
 
 def _inverse_pair(m: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(r, p) with m^-1 == r / p, r integers and p > 0; kept on m."""
-    if m._inv is None:
-        r, p = _int_inverse(m.num)  # m^-1 = den * r / p
-        s = m.den if p > 0 else -m.den  # the sign of p moves into r
-        m._set(_inv=(tuple(tuple(s * x for x in row) for row in r), abs(p)))
-    return m._inv
+    """(r, p) with m^-1 == r / p, r integers and p > 0, from one inverse
+    pass over m's integer rows."""
+    r, p = _int_inverse(m.num)  # m^-1 = den * r / p
+    s = m.den if p > 0 else -m.den  # the sign of p moves into r
+    return tuple(tuple(s * x for x in row) for row in r), abs(p)
 
 
 def det(m: Mat) -> Fraction:
@@ -258,7 +255,7 @@ def det(m: Mat) -> Fraction:
 
 def inverse(m: Mat) -> Mat:
     """Exact inverse from one fraction-free Gauss-Jordan pass over m's
-    integer rows (the pair kept on m, see _inverse_pair)."""
+    integer rows (see _inverse_pair)."""
     if not m.is_square():
         raise DimensionError(f"inverse needs a square matrix, got {m.rows}x{m.cols}")
     return Mat(*_inverse_pair(m))
@@ -358,25 +355,18 @@ def integer_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, 
 
 
 class UnimodularMat(Frozen):
-    """Square matrix T of ints with det T = +-1, held with its inverse.  The
-    certificate is a raised error unless T^-1 is a matrix of ints and
-    T T^-1 = I exactly: two integer matrices whose product is I have
-    determinants +-1.  Without a claimed inverse, T^-1 = r p from one
-    fraction-free inverse r / p of T, which needs |p| = |det T| = 1
-    (SingularMatrixError when det T = 0)."""
+    """Square matrix T of ints with det T = +-1, held with its inverse,
+    which the caller claims.  The certificate is a raised error unless the
+    claim is a matrix of ints with T T^-1 = I exactly, one integer product:
+    two integer matrices whose product is I have determinants +-1."""
 
     __slots__ = ("int_rows", "dim", "_inv")
 
-    def __init__(self, entries: Iterable[Iterable[int]], inverse: Iterable[Iterable[int]] | None = None):
+    def __init__(self, entries: Iterable[Iterable[int]], inverse: Iterable[Iterable[int]]):
         rows = tuple(map(tuple, entries))
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows) or not all(type(x) is int for row in rows for x in row):
             raise DimensionError("unimodular matrix must be a square matrix of ints")
-        if inverse is None:
-            r, p = _int_inverse(rows)
-            if abs(p) != 1:
-                raise LatticeMismatchError(f"matrix has |determinant| {abs(p)}, expected 1")
-            inverse = [[x * p for x in row] for row in r]
         inv = tuple(map(tuple, inverse))
         if not _is_inverse(rows, inv):
             raise LatticeMismatchError("the claimed inverse is no matrix of ints with T T^-1 = I: det T is not +-1")
@@ -463,23 +453,18 @@ def left_kernel(m: Mat) -> list[tuple[int, ...]]:
 def unimodular_solve(x: Mat, x2: Mat) -> UnimodularMat:
     """Certified change of basis: T with T @ x == x2 and det T = +/-1.
 
-    Raises LatticeMismatchError when the row lattices of x and x2 differ
-    (T would be non-integer or have |det| != 1).
+    Raises SingularMatrixError when x or x2 is singular, and
+    LatticeMismatchError when their row lattices differ, that is unless
+    both T = x2 x^-1 and T^-1 = x x2^-1 are integral.
     """
     if not x.is_square() or not x2.is_square() or x.rows != x2.rows:
         raise DimensionError("unimodular_solve needs two square matrices of equal size")
-    dx = det(x)
-    if dx == 0:
-        raise SingularMatrixError("first basis is singular")
-    dx2 = det(x2)
-    if dx2 == 0:
-        raise SingularMatrixError("second basis is singular")
-    if abs(dx2 / dx) != 1:
-        raise LatticeMismatchError(f"lattices differ: determinant ratio {dx2 / dx}")
-    # x^-1 = r / p, so T = x2 @ x^-1 = (x2.num @ r) / (x2.den * p): integral iff its den is 1
     r, p = _inverse_pair(x)
+    r2, p2 = _inverse_pair(x2)
+    # x^-1 = r / p, so T = (x2.num @ r) / (x2.den * p): integral iff its den is 1; T^-1 likewise
     t = Mat(int_matmul(x2.num, r), x2.den * p)
-    if t.den != 1:
-        raise LatticeMismatchError("lattices differ: transform is not integral")
-    return UnimodularMat(t.num)
+    t_inv = Mat(int_matmul(x.num, r2), x.den * p2)
+    if t.den != 1 or t_inv.den != 1:
+        raise LatticeMismatchError("lattices differ: the transform or its inverse is not integral")
+    return UnimodularMat(t.num, t_inv.num)
 

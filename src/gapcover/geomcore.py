@@ -6,14 +6,15 @@ floor of a body's support function at an integer vector
 (``ConvexBody.int_support``).
 A vertex body's enclosing ellipsoid is a moment form within a factor k of
 the body (``mvee``), from one integer inverse of the moment matrix M, or a
-few more when its points crowd into few directions; the form keeps its own
-inverse, a multiple of M.  An ellipsoid's form is factored exactly once,
-when it is built; the line extents and the parallelotope's volume are read
-off that factorization, and the parallelotope is handed on as the
-ellipsoid's dual form A^-1 = R / p in integers, which the reduction reads,
-with its exact squared volume.  A vertex body is described exactly by
-integer rows |N.x| <= D (its facets, and with D = 0 the equalities of its
-span), computed once per body.
+few more when its points crowd into few directions; its dual form is a
+multiple of M, handed to the ellipsoid.  An ellipsoid's form is factored
+exactly once, and its dual form A^-1 = R / p in integers is inverted at
+most once, when it is built; the line extents and the parallelotope's
+volume are read off that factorization, and the parallelotope is handed on
+as the dual form, which the reduction reads, with its exact squared
+volume.  A vertex body is described exactly by integer rows |N.x| <= D
+(its facets, and with D = 0 the equalities of its span), computed once per
+body.
 """
 
 from __future__ import annotations
@@ -56,11 +57,13 @@ class Ellipsoid(Frozen):
 
     ``schur`` is (den, chain): A = n / den as the form holds it, and
     chain = schur_chain(n) is its exact factorization, computed once here,
-    where it also proves A positive definite."""
+    where it also proves A positive definite.  ``dual`` is (R, p), the dual
+    form A^-1 = R / p with R integers and p > 0: the pair passed by the
+    code that built A (``mvee``), or one inverse pass over A here."""
 
-    __slots__ = ("form", "schur")
+    __slots__ = ("form", "schur", "dual")
 
-    def __init__(self, form: Mat):
+    def __init__(self, form: Mat, dual: tuple[tuple[tuple[int, ...], ...], int] | None = None):
         if not form.is_square():
             raise DimensionError("ellipsoid form must be square")
         if form.num != tuple(zip(*form.num)):
@@ -68,7 +71,7 @@ class Ellipsoid(Frozen):
         chain = schur_chain(form.num)
         if chain is None:
             raise RankError("ellipsoid form is not positive definite")
-        self._set(form=form, schur=(form.den, chain))
+        self._set(form=form, schur=(form.den, chain), dual=dual or _inverse_pair(form))
 
     @property
     def dim(self) -> int:
@@ -137,7 +140,7 @@ class ConvexBody(Frozen):
         on the boundary; for a vertex body max |t . w| // den over its points
         w / den; for a box floor(sum |t_i| h_i)."""
         if self.kind == "ellipsoid":
-            r, p = _inverse_pair(self.ellipsoid_rep.form)  # t R t^T over t's nonzero entries
+            r, p = self.ellipsoid_rep.dual  # t R t^T over t's nonzero entries
             return math.isqrt(sum(a * b * r[i][k] for i, a in enumerate(t) if a for k, b in enumerate(t) if b) // p)
         if self.kind == "vertices":
             return max(abs(sum(map(operator.mul, w, t))) for w in self.point_mat.num) // self.point_mat.den
@@ -150,7 +153,7 @@ class ConvexBody(Frozen):
         off one pass over its integer rows, max_i |w_ij| // den per column
         j."""
         if self.kind == "ellipsoid":
-            r, p = _inverse_pair(self.ellipsoid_rep.form)
+            r, p = self.ellipsoid_rep.dual
             return tuple(math.isqrt(row[j] // p) for j, row in enumerate(r))
         if self.kind == "vertices":
             den = self.point_mat.den
@@ -261,10 +264,11 @@ def mvee(points: Mat) -> Ellipsoid:
     over S, M^-1 = R / q from one fraction-free inverse with the sign moved
     into R, and g = max w^T R w over every w, the ellipsoid
     {x : x^T (den^2 R / g) x <= 1} holds every ±point exactly, one on the
-    boundary.  K holds it shrunk by rho = sqrt(g |S| / q): K's support at u
-    is at least the root mean square of u . x over S.  S is every point
-    when that gives rho <= k; otherwise, when many points lie in few
-    directions, S is a basis in which every point has coordinates in
+    boundary; the ellipsoid is handed its dual form g M / (q den^2), so no
+    inverse pass rebuilds it.  K holds it shrunk by rho = sqrt(g |S| / q):
+    K's support at u is at least the root mean square of u . x over S.  S
+    is every point when that gives rho <= k; otherwise, when many points lie
+    in few directions, S is a basis in which every point has coordinates in
     [-1, 1] (_spread_basis), so that g / q <= k and rho <= k.  For k = 1
     every S gives the hull itself.  With rho <= k and vol(K) <= 2^k #C (van
     der Corput), cover's parallelotope stage |Q| <= (4k)^k #C holds for
@@ -280,8 +284,7 @@ def mvee(points: Mat) -> Ellipsoid:
     den_sq = den * den
     form = Mat([[den_sq * x for x in row] for row in r], g)
     # A = den^2 R / g and R / q = M^-1 give A^-1 = g M / (q den^2): no pass rebuilds it
-    form._set(_inv=(tuple(tuple(g * x for x in row) for row in m), q * den_sq))
-    return Ellipsoid(form)
+    return Ellipsoid(form, (tuple(tuple(g * x for x in row) for row in m), q * den_sq))
 
 
 def _moment_form(rows: Sequence[Sequence[int]], w: Sequence[Sequence[int]]) -> tuple[list, list, int, int]:
@@ -322,7 +325,7 @@ def circumscribe_parallelotope(e: Ellipsoid) -> tuple[tuple[tuple[int, ...], ...
     """The ellipsoid's dual form and its circumscribed parallelotope's
     squared volume, (R, p, |Q|^2): A^-1 = R / p with p > 0, the Gram matrix
     that lll_reduce reduces, and |Q|^2 = 4^d / det A, both exact.  R / p is
-    the pair kept on the form: mvee's, or one inverse of any other form.
+    the ellipsoid's dual: mvee's, or one inverse of any other form.
 
     e.schur factors A = U D U^T (see schur_chain), so e lies in
     Q = {x : |w_m . x| <= 1 / sqrt(D_m)}, w_m the columns of U, and
@@ -331,6 +334,6 @@ def circumscribe_parallelotope(e: Ellipsoid) -> tuple[tuple[tuple[int, ...], ...
     |Q|^2 = 4^d den^d / det n.  No square root is taken: the half-sides of
     the progression come from the body's support function
     (ConvexBody.int_support) on the rows of the reduction's T."""
-    r, p = _inverse_pair(e.form)
+    r, p = e.dual
     den, chain = e.schur
     return r, p, Fraction(4**e.dim * den**e.dim, chain[0][0][0][0])

@@ -37,6 +37,7 @@ EXIT_BUDGET = 3
 GENERATOR_KINDS = ("lattice-ball", "random-vertices", "random-ellipsoid")
 
 _SCAN_GUARD = 200_000  # generator-side bound on the enumeration box
+_MAX_TRIES = 100  # draws gen_random makes before it gives up
 
 
 class SplitMix64:
@@ -241,24 +242,20 @@ def _parse_gap(doc, dim: int, path: str) -> Gap:
         if not isinstance(v, list) or len(v) != dim:
             raise ParseError(f"{path}.diffs[{i}]", f"expected {dim} coordinates")
         parsed_diffs.append(tuple(_parse_int(c, f"{path}.diffs[{i}][{j}]") for j, c in enumerate(v)))
-    return Gap(
-        dim,
-        tuple(_parse_int(c, f"{path}.base[{i}]") for i, c in enumerate(base)),
-        tuple(parsed_diffs),
-        tuple(_parse_int(n, f"{path}.halfsides[{i}]") for i, n in enumerate(halfsides)),
-    )
+    parsed_base = tuple(_parse_int(c, f"{path}.base[{i}]") for i, c in enumerate(base))
+    parsed_halfsides = tuple(_parse_int(n, f"{path}.halfsides[{i}]") for i, n in enumerate(halfsides))
+    for i, n in enumerate(parsed_halfsides):
+        if n < 0:
+            raise ParseError(f"{path}.halfsides[{i}]", "halfsides must be nonnegative")
+    return Gap(dim, parsed_base, tuple(parsed_diffs), parsed_halfsides)
 
 
 _KNOWN_KEYS = {"dim", "body", "phi", "budget", "gap", "kind", "seed"}
 
 
 def parse_instance(doc) -> InstanceSpec:
-    """Validate one instance document (dict or JSON text)."""
-    if isinstance(doc, (str, bytes)):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise ParseError("", f"invalid JSON: {exc}") from None
+    """Validate one decoded instance document, a dict as ``json.loads``
+    returns it."""
     if not isinstance(doc, dict):
         raise ParseError("", "instance must be a JSON object")
     unknown = set(doc) - _KNOWN_KEYS
@@ -304,8 +301,6 @@ def gen_random(
     num_points: int = 0,
     coord_bound: int = 4,
     scale: int = 2,
-    max_tries: int = 100,
-    box_guard: int = _SCAN_GUARD,
 ) -> InstanceSpec:
     """Deterministic random instance (seed fully determines the output).
 
@@ -318,8 +313,8 @@ def gen_random(
     must be positive, num_points nonnegative (0 draws dim + 2 points).
 
     Draws that do not span, or whose enumeration box holds more than
-    box_guard points, are rejected and redrawn, deterministically; after
-    max_tries GenerationError names which of the two rejected them.
+    _SCAN_GUARD points, are rejected and redrawn, deterministically; after
+    _MAX_TRIES draws GenerationError names which of the two rejected them.
     """
     if dim < 1:
         raise GenerationError("dim must be >= 1")
@@ -335,8 +330,8 @@ def gen_random(
         raise GenerationError(f"num_points must be >= 0, not {num_points}")
     # stream separated by kind so different generators never share draws
     rng = SplitMix64((seed << 8) ^ GENERATOR_KINDS.index(kind))
-    box = None  # bounding box of the last spanning draw, which box_guard rejected
-    for _ in range(max_tries):
+    box = None  # bounding box of the last spanning draw, which _SCAN_GUARD rejected
+    for _ in range(_MAX_TRIES):
         if kind == "random-vertices":
             pts = [
                 [rng.randint(-coord_bound, coord_bound) for _ in range(dim)]
@@ -357,13 +352,13 @@ def gen_random(
                 form = (m.transpose() @ m).scale(Fraction(1, scale * scale * fro_sq))
             body = ConvexBody.from_ellipsoid(Ellipsoid(form))
         box = box_point_count(body)
-        if box <= box_guard:
+        if box <= _SCAN_GUARD:
             return InstanceSpec(dim=dim, body=body, kind=kind, seed=seed)
     if box is None:
-        raise GenerationError(f"no spanning draw after {max_tries} tries")
+        raise GenerationError(f"no spanning draw after {_MAX_TRIES} tries")
     raise GenerationError(
-        f"no usable draw after {max_tries} tries: the bounding box of every spanning draw"
-        f" holds more than box_guard = {box_guard} integer points, the last {box}"
+        f"no usable draw after {_MAX_TRIES} tries: the bounding box of every spanning draw"
+        f" holds more than {_SCAN_GUARD} integer points, the last {box}"
     )
 
 

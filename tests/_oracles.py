@@ -6,9 +6,11 @@ canonical form over the library's ``_hnf_with_transform`` that the
 lattice-equality checks compare, the generic loop that the library's
 compiled run kernel unrolls (``run_reference``),
 ``hull_facets_reference``, the facet search with one determinant per
-coordinate that the library's adjugate form replaced, and
-``gauss_jordan_reference``, the elimination loop that updates every row,
-which the library's pass, skipping the rows it cannot change, replaced.
+coordinate that the library's adjugate form replaced, on the pivot columns
+and kernel of ``gauss_jordan_reference``, the elimination loop that updates
+every row, which the library's pass, skipping the rows it cannot change,
+replaced.  ``unimodular`` builds the library's ``UnimodularMat`` with the
+inverse from ``fraction_inverse``.
 """
 
 import itertools
@@ -17,13 +19,7 @@ import operator
 from fractions import Fraction
 
 from gapcover.errors import DimensionError, RankError
-from gapcover.exactalg import (
-    Mat,
-    UnimodularMat,
-    _gauss_jordan,
-    _hnf_with_transform,
-    integer_kernel,
-)
+from gapcover.exactalg import Mat, UnimodularMat, _hnf_with_transform
 
 
 def grid_mvee_volume_2d(points, n_theta=180, n_aspect=160, max_aspect=40.0):
@@ -398,6 +394,13 @@ def fraction_inverse(rows):
     return tuple(tuple(row[n:]) for row in a)
 
 
+def unimodular(rows):
+    """UnimodularMat of integer rows of determinant +-1, handed its inverse
+    from fraction_inverse; rows of another determinant have no integral
+    inverse, and the truncated one is refused."""
+    return UnimodularMat(rows, [[int(x) for x in row] for row in fraction_inverse(rows)])
+
+
 def identity(n):
     """The n x n identity Mat."""
     return Mat([[int(i == j) for j in range(n)] for i in range(n)])
@@ -414,7 +417,7 @@ def hnf(m):
     h, u, rk = _hnf_with_transform(m.int_entries())
     if rk < m.rows:
         raise RankError(f"matrix has row rank {rk} < {m.rows}")
-    return Mat(h), UnimodularMat(u)
+    return Mat(h), unimodular(u)
 
 
 def fraction_rank(rows):
@@ -677,14 +680,26 @@ def hull_facets_reference(points):
     cleared points on the pivot columns J, D0 = det S and, per sign vector
     s, each a_j = sign(D0) det(S with column j replaced by s), r + 1
     determinants where ``geomcore._hull_facets`` takes one Gauss-Jordan
-    pass per subset.  No budget is checked."""
+    pass per subset.  The pivot columns and the kernel rows come from one
+    gauss_jordan_reference pass over the points: per non-pivot column f the
+    primitive kernel vector with x_f > 0 and 0 at the other non-pivot
+    columns, which the pass leaves as x_f = D, x_c = -a[c][f].  No budget is
+    checked."""
     pts = [[Fraction(c) for c in p] for p in points]
     den = math.lcm(*(c.denominator for p in pts for c in p))
     w = [tuple(c.numerator * (den // c.denominator) for c in p) for p in pts]
     d = len(w[0])
-    cols = [c for _, c in _gauss_jordan(w, d)[1]]
+    a, pivots, last = gauss_jordan_reference(w, d)
+    cols = [c for _, c in pivots]
     r = len(cols)
-    rows = {e + (0,): None for e in integer_kernel(w, d)}
+    rows = {}
+    for f in (f for f in range(d) if f not in cols):
+        e = [0] * d
+        e[f] = last
+        for row, c in zip(a, cols):
+            e[c] = -row[f]
+        g = math.gcd(*e) if last > 0 else -math.gcd(*e)
+        rows[tuple(x // g for x in e) + (0,)] = None
     proj = [tuple(p[c] for c in cols) for p in w]
     for subset in itertools.combinations(proj, r) if r else ():
         d0 = int(fraction_det(subset))

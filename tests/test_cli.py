@@ -215,6 +215,20 @@ def test_negative_box_halfwidth_is_a_parse_error(tmp_path, capsys):
     assert "certification error" not in err
 
 
+@pytest.mark.parametrize("command", ["cover", "verify", "project", "batch"])
+def test_negative_gap_halfside_is_a_parse_error(tmp_path, capsys, command):
+    # refused as input, not reported as a failed certificate; in a batch the
+    # path names the document, after a valid one
+    ball = {"dim": 2, "body": {"type": "ball", "radius": 2}, "phi": [1, 1]}
+    doc = {**ball, "gap": {"base": [0, 0], "diffs": [[1, 0], [0, 1]], "halfsides": [-1, 2]}}
+    inst = write(tmp_path, "bad.json", [ball, doc] if command == "batch" else doc)
+    assert main([command, "--input", inst]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    path = "[1].gap.halfsides[0]" if command == "batch" else "gap.halfsides[0]"
+    assert captured.err == f"parse error: {path}: halfsides must be nonnegative\n"
+    assert captured.out == ""
+
+
 def test_usage_error():
     assert main(["cover"]) == EXIT_USAGE
 

@@ -21,7 +21,7 @@ from gapcover.cover import (
 )
 from gapcover.enumeration import DEFAULT_BUDGET, Gap, PointSet, enum_body, enum_gap, project_count
 from gapcover.errors import BudgetError, CertificationError, DimensionError
-from gapcover.exactalg import UnimodularMat, Mat, _integer_solver, _span_rank, det, integer_kernel, left_kernel
+from gapcover.exactalg import Mat, _integer_solver, _span_rank, det, integer_kernel, left_kernel
 from gapcover.geomcore import ConvexBody, Ellipsoid
 from gapcover.harness import parse_instance, run_batch
 
@@ -33,6 +33,7 @@ from _oracles import (
     gap_contains,
     gap_points,
     run_reference,
+    unimodular,
 )
 
 
@@ -973,7 +974,7 @@ def unimodular_claims(draw):
             t[i], t[j] = t[j], t[i]
         elif op == "negate":
             t[i] = [-a for a in t[i]]
-    diffs = tuple(zip(*UnimodularMat(t).inverse().int_rows))
+    diffs = tuple(zip(*unimodular(t).inverse().int_rows))
     halfsides = [draw(st.integers(1, 3)) for _ in range(d)]
     base = (0,) * d if draw(st.booleans()) else tuple(draw(st.integers(-2, 2)) for _ in range(d))
     return body, Gap(d, base, diffs, halfsides), tuple(map(tuple, t))

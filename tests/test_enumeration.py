@@ -266,7 +266,7 @@ class TestEnumBody:
     def test_random_vertices_5d(self):
         # 7 vertices, 40 facet rows; both sweeps visit 1 977 last-coordinate
         # lines, which the l1 cut narrows below the last coordinate
-        body = gen_random("random-vertices", 5, 0, box_guard=10**30).body
+        body = gen_random("random-vertices", 5, 0).body
         lines = []
         runs = sweep_reference(body, lines)
         pts = enum_body(body)

@@ -36,6 +36,7 @@ from _oracles import (
     gauss_jordan_reference,
     hnf,
     identity,
+    unimodular,
 )
 
 
@@ -283,7 +284,7 @@ class TestHnf:
     def test_identity(self):
         h, u = hnf(identity(3))
         assert h == identity(3)
-        assert u == UnimodularMat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert u == unimodular([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
     def test_row_swap(self):
         h, u = hnf(Mat([[0, 1], [1, 0]]))
@@ -351,7 +352,8 @@ class TestUnimodularSolve:
         assert Mat(t.int_rows) == Mat([[0, 1], [1, 0]])
 
     def test_index_two_sublattice_rejected(self):
-        with pytest.raises(LatticeMismatchError, match="determinant ratio"):
+        # T = 2 I is integral, T^-1 = I / 2 is not
+        with pytest.raises(LatticeMismatchError, match="not integral"):
             unimodular_solve(identity(2), identity(2).scale(2))
 
     def test_shear(self):
@@ -365,23 +367,31 @@ class TestUnimodularSolve:
             unimodular_solve(Mat([[2, 0], [0, 1]]), Mat([[1, 0], [0, 2]]))
 
     @pytest.mark.parametrize(
-        "x, x2, reason",
+        "x, x2",
         [
-            (
-                Mat([[Fraction(1, 3), 0], [1, Fraction(1, 7)]]),
-                Mat([[Fraction(1, 6), 0], [1, Fraction(1, 7)]]),
-                "determinant ratio",
-            ),
-            (
-                Mat([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]),
-                Mat([[Fraction(1, 4), 0], [0, Fraction(2, 3)]]),
-                "not integral",
-            ),
+            # determinant ratio 1/2: T is integral, T^-1 is not
+            (Mat([[Fraction(1, 3), 0], [1, Fraction(1, 7)]]), Mat([[Fraction(1, 6), 0], [1, Fraction(1, 7)]])),
+            # determinant ratio 1: neither is integral
+            (Mat([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]), Mat([[Fraction(1, 4), 0], [0, Fraction(2, 3)]])),
         ],
         ids=["determinant-ratio", "non-integral"],
     )
-    def test_rational_mismatch_rejected(self, x, x2, reason):
-        with pytest.raises(LatticeMismatchError, match=reason):
+    def test_rational_mismatch_rejected(self, x, x2):
+        with pytest.raises(LatticeMismatchError, match="not integral"):
+            unimodular_solve(x, x2)
+
+    @pytest.mark.parametrize(
+        "x, x2, error",
+        [
+            (Mat([[1, 2], [2, 4]]), identity(2), SingularMatrixError),
+            (identity(2), Mat([[1, 2], [2, 4]]), SingularMatrixError),
+            (identity(2), Mat([[1, 0, 0], [0, 1, 0]]), DimensionError),
+            (identity(2), identity(3), DimensionError),
+        ],
+        ids=["first-singular", "second-singular", "not-square", "unequal-size"],
+    )
+    def test_singular_or_misshapen_bases_raise(self, x, x2, error):
+        with pytest.raises(error):
             unimodular_solve(x, x2)
 
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3), min_size=3, max_size=3), elementary_ops)
@@ -444,31 +454,33 @@ class TestUnimodularMat:
             UnimodularMat(T_2, claimed)
 
     @pytest.mark.parametrize(
-        "rows, error, match",
+        "rows, adjugate",
         [
-            ([[2, 0], [0, 1]], LatticeMismatchError, r"\|determinant\| 2,"),
-            ([[0, 3], [1, 0]], LatticeMismatchError, r"\|determinant\| 3,"),
-            ([[1, 2], [2, 4]], SingularMatrixError, "singular"),
+            ([[2, 0], [0, 1]], [[1, 0], [0, 2]]),
+            ([[0, 3], [1, 0]], [[0, -3], [-1, 0]]),
+            ([[1, 2], [2, 4]], [[4, -2], [-2, 1]]),
         ],
         ids=["det-2", "det-minus-3", "singular"],
     )
-    def test_without_inverse_checks_the_determinant(self, rows, error, match):
-        with pytest.raises(error, match=match):
-            UnimodularMat(rows)
+    def test_non_unimodular_rows_refuse_their_adjugate(self, rows, adjugate):
+        # T adj T = det T I: only for det T = 1 is the adjugate the inverse
+        with pytest.raises(LatticeMismatchError, match="claimed inverse"):
+            UnimodularMat(rows, adjugate)
 
     @given(elementary_ops)
     @settings(max_examples=60, deadline=None)
-    def test_without_inverse_builds_it(self, ops):
-        # one fraction-free inverse, |p| = 1, of either sign of det T
+    def test_elementary_products_hold_their_inverse(self, ops):
+        # det T of either sign; T^-1 from the oracle, and T from T^-1
         w = make_unimodular(ops)
-        t = UnimodularMat(w.num)
-        assert Mat(t.inverse().int_rows) == Mat(fraction_inverse(w.entries))
-        assert UnimodularMat(w.num, t.inverse().int_rows) == t
+        inv = [[int(x) for x in row] for row in fraction_inverse(w.entries)]
+        t = UnimodularMat(w.num, inv)
+        assert t.inverse().int_rows == tuple(map(tuple, inv))
+        assert UnimodularMat(inv, w.num) == t.inverse()
 
     @pytest.mark.parametrize("rows", [[[Fraction(1, 2)]], [[Fraction(1)]], [[1, 0], [0]]], ids=["half", "fraction-one", "ragged"])
     def test_rows_not_a_square_of_ints_raise(self, rows):
         with pytest.raises(DimensionError, match="square matrix of ints"):
-            UnimodularMat(rows)
+            UnimodularMat(rows, rows)
 
     def test_rational_claimed_inverse_raises(self):
         # [[2]] [[1/2]] = I, but det [[2]] = 2: the inverse must be integral
@@ -614,7 +626,7 @@ IMMUTABLE = [
     (PointSet(1, [((), 0, 0)]), "runs"),
     (Ellipsoid(identity(2)), "form"),
     (ConvexBody.box([1, 1]), "kind"),
-    (UnimodularMat([[1, 0], [0, 1]]), "int_rows"),
+    (UnimodularMat([[1, 0], [0, 1]], [[1, 0], [0, 1]]), "int_rows"),
 ]
 
 

@@ -100,19 +100,19 @@ def moment_forms(pts):
 
 
 def assert_kept_inverse(e):
-    """mvee's kept pair (R, p) is a fresh fraction-free inverse of its form
-    as rationals, circumscribe_parallelotope reads it without an inverse
-    pass, and it returns the same (R / p, |Q|^2) on a copy of the form
-    built without the pair."""
+    """mvee's dual (R, p) is a fresh fraction-free inverse of its form as
+    rationals; an Ellipsoid built with that pair and
+    circumscribe_parallelotope run no inverse pass, and the latter returns
+    the same (R / p, |Q|^2) as on an ellipsoid built from the form alone."""
     form = e.form
-    r, p = form._inv
+    r, p = e.dual
     fresh, q = _int_inverse(form.num)  # form^-1 = den * fresh / q
     assert p > 0
     assert Mat(r, p).entries == tuple(tuple(Fraction(form.den * x, q) for x in row) for row in fresh)
     with mock.patch.object(gapcover.exactalg, "_int_inverse", side_effect=AssertionError("inverse pass")):
+        assert Ellipsoid(form, e.dual).dual == e.dual
         kept_r, kept_p, kept_vol = circumscribe_parallelotope(e)
     copy = Ellipsoid(Mat(form.num, form.den))
-    assert copy.form._inv is None
     copy_r, copy_p, copy_vol = circumscribe_parallelotope(copy)
     assert (Mat(kept_r, kept_p), kept_vol) == (Mat(copy_r, copy_p), copy_vol)
 

@@ -95,7 +95,7 @@ class TestSplitMix64:
 
 class TestParseInstance:
     def test_ball(self):
-        spec = parse_instance('{"dim":2,"body":{"type":"ball","radius":"2"}}')
+        spec = parse_instance({"dim": 2, "body": {"type": "ball", "radius": "2"}})
         assert spec.dim == 2
         assert spec.body.kind == "ellipsoid"
         assert spec.body.ellipsoid_rep.form == Mat([[Fraction(1, 4), 0], [0, Fraction(1, 4)]])
@@ -125,6 +125,14 @@ class TestParseInstance:
             parse_instance({"dim": 2, "body": {"type": "box", "halfwidths": halfwidths}})
         assert err.value.path == f"body.halfwidths[{index}]"
         assert err.value.message == "box halfwidths must be nonnegative"
+
+    @pytest.mark.parametrize("halfsides, index", [([-1, 2], 0), ([1, -1], 1), ([-2, -3], 0)])
+    def test_negative_gap_halfside_path(self, halfsides, index):
+        gap = {"base": [0, 0], "diffs": [[1, 0], [0, 1]], "halfsides": halfsides}
+        with pytest.raises(ParseError) as err:
+            parse_instance({"dim": 2, "body": {"type": "ball", "radius": 2}, "gap": gap})
+        assert err.value.path == f"gap.halfsides[{index}]"
+        assert err.value.message == "halfsides must be nonnegative"
 
     def test_gap_extension(self):
         spec = parse_instance(
@@ -173,13 +181,14 @@ class TestGenRandom:
         assert spec.body.kind == "ellipsoid"
 
     def test_box_guard_rejection_is_named(self):
-        # d = 7, seed 0: the first draw spans, but its box holds 9^7 points
-        with pytest.raises(GenerationError, match=r"box_guard = 200000 .* the last 4782969$"):
-            gen_random("random-vertices", 7, 0, max_tries=1)
+        # d = 7, seed 0: every one of the 100 draws that spans has a box of
+        # more than 200 000 points, the last 3 720 087
+        with pytest.raises(GenerationError, match=r"after 100 tries: .* more than 200000 integer points, the last 3720087$"):
+            gen_random("random-vertices", 7, 0)
 
     def test_no_spanning_draw(self):
-        with pytest.raises(GenerationError, match="no spanning draw after 3 tries"):
-            gen_random("random-vertices", 3, 0, num_points=1, max_tries=3)
+        with pytest.raises(GenerationError, match="no spanning draw after 100 tries"):
+            gen_random("random-vertices", 3, 0, num_points=1)
 
     def test_unknown_kind(self):
         with pytest.raises(GenerationError):

@@ -51,7 +51,8 @@ def norm_product_sq(basis: Mat) -> Fraction:
     certify_reduction with T = I on the Gram matrix of its integer rows over
     den^2."""
     d = basis.rows
-    t = UnimodularMat([[int(i == j) for j in range(d)] for i in range(d)])
+    unit = [[int(i == j) for j in range(d)] for i in range(d)]
+    t = UnimodularMat(unit, unit)
     return math.prod(certify_reduction(t, gram(basis.num), basis.den**2))
 
 
